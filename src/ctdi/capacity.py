@@ -3,8 +3,11 @@
 The admissible cost of an input law is its mean interarrival time E[Y] =
 E[1/X], so the figure of merit for a binary law on {lambda1, lambda2} is the
 analytic directed-information rate as a function of the mixing weight p.
-Optimization is a coarse grid scan followed by golden-section refinement; no
-concavity in p is assumed.
+That rate is I(p) / E_p[1/X]: the one-event mutual information I(p) is
+concave in the input law, and the mean cost E_p[1/X] is positive and affine
+in p, so every superlevel set {I(p) >= r E_p[1/X]} is an interval and the
+rate is quasi-concave (Dinkelbach, 1967).  Golden-section search on [0, 1]
+therefore finds its maximum without a preliminary scan.
 """
 
 from __future__ import annotations
@@ -78,8 +81,8 @@ def _golden_max(fn, a: float, b: float, tol: float):
 
 
 def optimize_binary(lambda1: float, lambda2: float, tol: float = 1e-6,
-                    grid_step: float = 1e-2, quad_tol: float = 1e-11) -> CapacityPoint:
-    """Maximize the binary rate over p: coarse grid, then golden-section.
+                    quad_tol: float = 1e-11) -> CapacityPoint:
+    """Maximize the quasi-concave binary rate over p by golden-section search.
 
     Coincident levels carry no information for any p; that case returns a
     zero rate flagged degenerate (the objective is flat).
@@ -92,13 +95,7 @@ def optimize_binary(lambda1: float, lambda2: float, tol: float = 1e-6,
     def fn(p):
         return binary_rate(p, lambda1, lambda2, tol=quad_tol)
 
-    n = int(round(1.0 / grid_step))
-    grid = np.linspace(0.0, 1.0, n + 1)
-    vals = [fn(p) for p in grid]
-    k = int(np.argmax(vals))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, n)]
-    p_star, rate_star = _golden_max(fn, float(lo), float(hi), tol)
+    p_star, rate_star = _golden_max(fn, 0.0, 1.0, tol)
     return CapacityPoint(lambda1, lambda2, p_star, max(rate_star, 0.0))
 
 

@@ -13,7 +13,9 @@ Configuration is a flat key=value file with comma-separated lists; every key
 can also be set by a flag of the same name (flag wins).  All commands write a
 CSV (or report) plus a manifest echoing the resolved configuration, and runs
 are byte-reproducible given the same seed.  Exit status: 0 on pass, 1 when a
-scientific tolerance is violated, 2 on usage or configuration errors.
+scientific tolerance is violated, 2 on usage or configuration errors, 3 on
+an internal numerical failure (quadrature that does not converge, a tail
+bound that is never met, or degenerate particle weights).
 """
 
 from __future__ import annotations
@@ -372,6 +374,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"error: internal numerical failure: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ instances can be shared freely across threads and worker processes.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -29,6 +30,7 @@ __all__ = [
     "refine",
     "is_refinement",
     "map_replicas",
+    "replicated_estimate",
 ]
 
 
@@ -302,3 +304,20 @@ def map_replicas(worker, n_replicas: int, jobs: int = 1) -> list:
         for fut in futures:
             out.extend(fut.result())
     return out
+
+
+def replicated_estimate(worker, rng, replicas: int, jobs: int = 1) -> DiEstimate:
+    """Mean and standard error of the values worker(master_seed, start, stop) returns.
+
+    rng is an RngSpec or an integer master seed; a Generator is refused,
+    since each replica derives its own stream from the master seed.  The
+    standard error is nan for a single replica, which has no spread to
+    estimate it from, so it cannot pass for an exact zero.
+    """
+    if isinstance(rng, np.random.Generator):
+        raise TypeError("replicated estimators need an RngSpec or integer master seed")
+    spec = rng if isinstance(rng, RngSpec) else RngSpec(int(rng))
+    vals = np.asarray(map_replicas(functools.partial(worker, spec.master_seed), replicas, jobs),
+                      dtype=float)
+    stderr = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else math.nan
+    return DiEstimate(float(vals.mean()), stderr, int(vals.size), spec.master_seed)

@@ -27,7 +27,7 @@ from .core import (
     RngSpec,
     SamplePath,
     as_generator,
-    map_replicas,
+    replicated_estimate,
 )
 
 DEFAULT_POWER_BOUND = 1e3
@@ -324,21 +324,9 @@ def _exact_filter(model: GaussianFeedbackModel, yinc: SamplePath) -> FilterPath:
     raise ValueError("no exact causal filter known for this model; use filter_strategy='particle'")
 
 
-def _as_spec(rng) -> RngSpec:
-    if isinstance(rng, RngSpec):
-        return rng
-    if isinstance(rng, np.random.Generator):
-        raise TypeError("replicated estimators need an RngSpec or integer master seed")
-    return RngSpec(int(rng))
-
-
-def _estimate(values, spec: RngSpec) -> DiEstimate:
-    vals = np.asarray(values, dtype=float)
-    stderr = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
-    return DiEstimate(float(vals.mean()), stderr, int(vals.size), spec.master_seed)
-
-
-def _di_replicas(model, master_seed, filter_strategy, n_particles, r0, r1):
+def _di_replicas(model, filter_strategy, n_particles, master_seed, r0, r1):
+    if model.n_steps == 0:
+        return [0.0] * (r1 - r0)
     spec = RngSpec(master_seed)
     out = []
     for r in range(r0, r1):
@@ -356,14 +344,10 @@ def directed_info_gaussian_mc(model: GaussianFeedbackModel, rng, replicas: int,
                               filter_strategy: str = "exact", n_particles: int = 1000,
                               jobs: int = 1) -> DiEstimate:
     """Directed information estimated as the mean causal-MMSE integral over replicas."""
-    spec = _as_spec(rng)
     if filter_strategy not in ("exact", "particle"):
         raise ValueError("filter_strategy must be 'exact' or 'particle'")
-    if model.n_steps == 0:
-        return DiEstimate(0.0, 0.0, int(replicas), spec.master_seed)
-    worker = functools.partial(_di_replicas, model, spec.master_seed,
-                               filter_strategy, n_particles)
-    return _estimate(map_replicas(worker, replicas, jobs), spec)
+    worker = functools.partial(_di_replicas, model, filter_strategy, n_particles)
+    return replicated_estimate(worker, rng, replicas, jobs)
 
 
 def gaussian_prior_filter(prior_var: float):
@@ -395,9 +379,8 @@ def mismatched_relent_gaussian(model: GaussianFeedbackModel, q_filter, rng,
     model; nonnegative up to Monte Carlo noise, and identically zero when the
     mismatched filter coincides with the matched one.
     """
-    spec = _as_spec(rng)
-    worker = functools.partial(_mismatch_replicas, model, q_filter, spec.master_seed)
-    return _estimate(map_replicas(worker, replicas, jobs), spec)
+    worker = functools.partial(_mismatch_replicas, model, q_filter)
+    return replicated_estimate(worker, rng, replicas, jobs)
 
 
 def write_path_csv(dest, x: SamplePath, yinc: SamplePath, filt: FilterPath) -> None:

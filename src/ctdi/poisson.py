@@ -25,10 +25,10 @@ from .core import (
     FinitePmf,
     RngSpec,
     as_generator,
-    map_replicas,
     poisson_loss,
+    replicated_estimate,
 )
-from .quadrature import adaptive_simpson
+from .quadrature import gauss_legendre, integrate_panels
 
 __all__ = [
     "PoissonFeedbackModel",
@@ -196,12 +196,19 @@ def interarrival_entropy_given_input(pmf: FinitePmf) -> float:
     return 1.0 - mean_log_intensity(pmf)
 
 
-def _tail_start(pmf: FinitePmf, weight: str, tol: float):
-    """Truncation point whose analytic tail bound is below 0.1*tol.
+def _geometric_edges(first: float, end: float) -> np.ndarray:
+    """Panel edges 0, first, 2*first, 4*first, ... up to and including end."""
+    doublings = first * 2.0 ** np.arange(max(0, math.ceil(math.log2(end / first))))
+    return np.concatenate(([0.0], doublings[doublings < end], [end]))
 
-    For y >= a the density is dominated by C e^{-lam y} with lam the smallest
-    positive-mass atom; the bound integrates that envelope against either
-    -u ln u (entropy tail) or y (mean tail).
+
+def _panel_edges(pmf: FinitePmf, weight: str, tol: float) -> np.ndarray:
+    """Geometric panel edges from 0 to a truncation point a whose tail bound is below 0.1*tol.
+
+    The first panel is one fast time constant 1/max(x) wide and each later
+    one doubles.  For y >= a the density is dominated by C e^{-lam y} with
+    lam the smallest positive-mass atom; the bound integrates that envelope
+    against either -u ln u (entropy tail) or y (mean tail).
     """
     support, probs = _positive_atoms(pmf)
     lam = float(support.min())
@@ -215,7 +222,7 @@ def _tail_start(pmf: FinitePmf, weight: str, tol: float):
         else:
             tail = peak * (a + 1 / lam) / lam
         if tail < 0.1 * tol:
-            return a
+            return _geometric_edges(1.0 / float(support.max()), a)
         a *= 2.0
     raise RuntimeError("analytic tail bound did not reach the error target")
 
@@ -223,23 +230,21 @@ def _tail_start(pmf: FinitePmf, weight: str, tol: float):
 def interarrival_entropy(pmf: FinitePmf, tol: float = 1e-9) -> float:
     """Differential entropy of the wait between events, -int f ln f, in nats.
 
-    Mesh-doubling Simpson on [0, a] with a chosen so the analytic tail bound
-    is negligible against tol.
+    Gauss-Legendre panels out to a point where the analytic tail bound is
+    negligible against tol.
     """
-    a = _tail_start(pmf, "entropy", tol)
-
     def integrand(y):
         f = interarrival_density(pmf, y)
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(f > 0, -f * np.log(f), 0.0)
 
-    return adaptive_simpson(integrand, 0.0, a, tol=0.9 * tol)
+    return integrate_panels(integrand, _panel_edges(pmf, "entropy", tol), tol=0.9 * tol)
 
 
 def mean_interarrival_quadrature(pmf: FinitePmf, tol: float = 1e-11) -> float:
     """E[Y] evaluated by quadrature against the interarrival density."""
-    a = _tail_start(pmf, "mean", tol)
-    return adaptive_simpson(lambda y: y * interarrival_density(pmf, y), 0.0, a, tol=0.9 * tol)
+    return integrate_panels(lambda y: y * interarrival_density(pmf, y),
+                            _panel_edges(pmf, "mean", tol), tol=0.9 * tol)
 
 
 def di_rate_analytic(pmf: FinitePmf, tol: float = 1e-10) -> float:
@@ -263,26 +268,33 @@ def di_rate_analytic(pmf: FinitePmf, tol: float = 1e-10) -> float:
     return per_event / mean_inverse_intensity(pmf)
 
 
-def default_step(pmf: FinitePmf) -> float:
-    """Quadrature step for path integrals: 1e-3 of the fastest time scale."""
-    support, _ = _positive_atoms(pmf)
-    return 1e-3 / float(support.min())
-
-
 def default_burn_in(pmf: FinitePmf) -> float:
     """Settling time before rate averaging: ten slow-atom time constants."""
     support, _ = _positive_atoms(pmf)
     return 10.0 / float(support.min())
 
 
+def _panel_width(*pmfs) -> float:
+    """First path-integral panel: 1/(max x - min x) over the atoms of all the pmfs.
+
+    That is the fastest time scale of their renewal posterior means; inf
+    when they share a single atom.
+    """
+    support = np.concatenate([_positive_atoms(pmf)[0] for pmf in pmfs])
+    spread = float(support.max() - support.min())
+    return 1.0 / spread if spread > 0 else math.inf
+
+
 def trajectory_integral(traj: ChannelTrajectory, integrand, t_lo: float = 0.0,
-                        t_hi: float | None = None, step: float = 1e-3,
-                        max_chunk: int = 2_000_000) -> float:
+                        t_hi: float | None = None, panel: float = math.inf) -> float:
     """int integrand(x_t, s_t) dt over [t_lo, t_hi) along the trajectory.
 
-    s_t is the elapsed time since the last event; the integrand is evaluated
-    by composite Simpson per constant-intensity segment with grid step at
-    most `step`, batching segments to bound peak memory.
+    s_t is the elapsed time since the last event.  Each constant-intensity
+    segment is split at elapsed times panel, 2*panel, 4*panel, ... and every
+    piece gets a 16-node Gauss-Legendre rule, all in one vectorized call of
+    the integrand.  The default, one piece per segment, suits integrands that
+    do not depend on s; for the renewal posterior mean pass the width
+    1/(max x - min x) of its fastest time scale.
     """
     horizon = traj.events.horizon
     if t_hi is None:
@@ -290,47 +302,29 @@ def trajectory_integral(traj: ChannelTrajectory, integrand, t_lo: float = 0.0,
     if not 0.0 <= t_lo < t_hi <= horizon:
         raise ValueError("need 0 <= t_lo < t_hi <= horizon")
     starts, ends, xs = traj.segments()
-    total = 0.0
-    pts_s, pts_x, pts_w = [], [], []
-    n_buf = 0
-
-    def flush():
-        nonlocal total, pts_s, pts_x, pts_w, n_buf
-        if n_buf:
-            s = np.concatenate(pts_s)
-            x = np.concatenate(pts_x)
-            w = np.concatenate(pts_w)
-            total += float(np.dot(w, integrand(x, s)))
-            pts_s, pts_x, pts_w = [], [], []
-            n_buf = 0
-
-    for start, end, x in zip(starts, ends, xs):
-        lo = max(t_lo, start) - start
-        hi = min(t_hi, end) - start
-        if hi <= lo:
-            continue
-        n = max(2, 2 * math.ceil((hi - lo) / (2.0 * step)))
-        grid = np.linspace(lo, hi, n + 1)
-        w = np.ones(n + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        w *= (hi - lo) / (3.0 * n)
-        pts_s.append(grid)
-        pts_x.append(np.full(n + 1, x))
-        pts_w.append(w)
-        n_buf += n + 1
-        if n_buf >= max_chunk:
-            flush()
-    flush()
-    return total
+    lo = np.maximum(t_lo, starts) - starts
+    hi = np.minimum(t_hi, ends) - starts
+    keep = hi > lo
+    lo, hi, xs = lo[keep], hi[keep], xs[keep]
+    if math.isfinite(panel):
+        cuts = _geometric_edges(panel, float(hi.max()))
+        p_lo = np.clip(cuts[:-1], lo[:, None], hi[:, None])
+        p_hi = np.clip(cuts[1:], lo[:, None], hi[:, None])
+        keep = p_hi > p_lo
+        lo, hi, xs = p_lo[keep], p_hi[keep], np.broadcast_to(xs[:, None], keep.shape)[keep]
+    nodes, weights = gauss_legendre(16)
+    half = 0.5 * (hi - lo)
+    s = (lo + half)[:, None] + half[:, None] * nodes
+    vals = integrand(np.repeat(xs, nodes.size), s.ravel()).reshape(s.shape)
+    return float(half @ (vals @ weights))
 
 
 def trajectory_time_average(traj: ChannelTrajectory, integrand, t_lo: float = 0.0,
-                            t_hi: float | None = None, step: float = 1e-3) -> float:
+                            t_hi: float | None = None, panel: float = math.inf) -> float:
     """Time average of integrand(x_t, s_t) over [t_lo, t_hi)."""
     if t_hi is None:
         t_hi = traj.events.horizon
-    return trajectory_integral(traj, integrand, t_lo, t_hi, step) / (t_hi - t_lo)
+    return trajectory_integral(traj, integrand, t_lo, t_hi, panel) / (t_hi - t_lo)
 
 
 def _loss_vs_posterior(pmf: FinitePmf):
@@ -339,52 +333,36 @@ def _loss_vs_posterior(pmf: FinitePmf):
     return fn
 
 
-def _as_spec(rng) -> RngSpec:
-    if isinstance(rng, RngSpec):
-        return rng
-    if isinstance(rng, np.random.Generator):
-        raise TypeError("replicated estimators need an RngSpec or integer master seed")
-    return RngSpec(int(rng))
-
-
-def _estimate(values, spec: RngSpec) -> DiEstimate:
-    vals = np.asarray(values, dtype=float)
-    stderr = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
-    return DiEstimate(float(vals.mean()), stderr, int(vals.size), spec.master_seed)
-
-
-def _rate_replicas(model, master_seed, burn_in, step, r0, r1):
+def _rate_replicas(model, burn_in, master_seed, r0, r1):
     spec = RngSpec(master_seed)
     fn = _loss_vs_posterior(model.pmf)
+    panel = _panel_width(model.pmf)
     out = []
     for r in range(r0, r1):
         traj = simulate_channel(model, spec.stream(r))
-        out.append(trajectory_time_average(traj, fn, t_lo=burn_in, step=step))
+        out.append(trajectory_time_average(traj, fn, t_lo=burn_in, panel=panel))
     return out
 
 
 def di_rate_mc(model: PoissonFeedbackModel, rng, replicas: int = 4,
-               burn_in: float | None = None, step: float | None = None,
-               jobs: int = 1) -> DiEstimate:
+               burn_in: float | None = None, jobs: int = 1) -> DiEstimate:
     """Monte Carlo rate: time-average of loss(X_t, posterior mean) after burn-in.
 
     The integrand realizes the causal-estimation identity, so its long-run
     time average converges to di_rate_analytic.
     """
-    spec = _as_spec(rng)
     if burn_in is None:
         burn_in = default_burn_in(model.pmf)
-    if step is None:
-        step = default_step(model.pmf)
     if burn_in >= model.horizon:
         raise ValueError("burn-in must be shorter than the horizon")
-    worker = functools.partial(_rate_replicas, model, spec.master_seed, burn_in, step)
-    return _estimate(map_replicas(worker, replicas, jobs), spec)
+    worker = functools.partial(_rate_replicas, model, burn_in)
+    return replicated_estimate(worker, rng, replicas, jobs)
 
 
-def _mismatch_replicas(model, q_pmf, master_seed, step, r0, r1):
+def _mismatch_replicas(model, q_pmf, master_seed, r0, r1):
     spec = RngSpec(master_seed)
     p_pmf = model.pmf
+    panel = _panel_width(p_pmf, q_pmf)
 
     def fn(x, s):
         gp = renewal_posterior_mean(p_pmf, s)
@@ -394,13 +372,12 @@ def _mismatch_replicas(model, q_pmf, master_seed, step, r0, r1):
     out = []
     for r in range(r0, r1):
         traj = simulate_channel(model, spec.stream(r))
-        out.append(trajectory_integral(traj, fn, step=step))
+        out.append(trajectory_integral(traj, fn, panel=panel))
     return out
 
 
 def mismatched_relent_poisson(p_pmf: FinitePmf, q_pmf: FinitePmf, horizon: float,
-                              rng, replicas: int = 4, step: float | None = None,
-                              jobs: int = 1) -> DiEstimate:
+                              rng, replicas: int = 4, jobs: int = 1) -> DiEstimate:
     """Relative entropy between the output laws under input laws P and Q.
 
     Estimated over [0, horizon) as E_P of the integrated excess loss of the
@@ -409,11 +386,8 @@ def mismatched_relent_poisson(p_pmf: FinitePmf, q_pmf: FinitePmf, horizon: float
     """
     _positive_atoms(q_pmf)
     model = PoissonFeedbackModel(p_pmf, horizon)
-    spec = _as_spec(rng)
-    if step is None:
-        step = min(default_step(p_pmf), default_step(q_pmf))
-    worker = functools.partial(_mismatch_replicas, model, q_pmf, spec.master_seed, step)
-    return _estimate(map_replicas(worker, replicas, jobs), spec)
+    worker = functools.partial(_mismatch_replicas, model, q_pmf)
+    return replicated_estimate(worker, rng, replicas, jobs)
 
 
 def state_at(traj: ChannelTrajectory, times):

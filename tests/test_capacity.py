@@ -83,7 +83,8 @@ def test_rate_grows_with_level_separation():
     r2 = optimize_binary(1.0, 2.0).rate_star
     r10 = optimize_binary(1.0, 10.0).rate_star
     r100 = optimize_binary(1.0, 100.0).rate_star
-    assert r100 > r10 > r2
+    r10k = optimize_binary(1.0, 1e4).rate_star
+    assert r10k > r100 > r10 > r2
 
 
 def test_dilation_scale_law():

@@ -89,6 +89,17 @@ def test_poisson_capacity_run(tmp_path):
     assert float(lines[2].split(",")[2]) > 0.0
 
 
+def test_internal_numerical_failure_exits_3_without_traceback(tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise RuntimeError("Gauss-Legendre panels did not reach tol=1e-11")
+
+    monkeypatch.setattr("ctdi.cli.capacity_curve", fail)
+    assert run(["poisson-capacity", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: internal numerical failure: Gauss-Legendre panels did not reach tol=1e-11\n"
+    assert "Traceback" not in err
+
+
 def test_poisson_capacity_rejects_replicas_knob(tmp_path):
     assert run(["poisson-capacity", "--replicas", "5", "--out", str(tmp_path)]) == 2
 

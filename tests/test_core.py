@@ -16,6 +16,7 @@ from ctdi.core import (
     map_replicas,
     poisson_loss,
     refine,
+    replicated_estimate,
 )
 
 
@@ -228,6 +229,24 @@ def test_map_replicas_parallel_matches_serial():
     parallel = map_replicas(_square_range, 37, jobs=3)
     assert serial == parallel
     assert serial == [float(k * k) for k in range(37)]
+
+
+def _first_draws(master_seed, start, stop):
+    spec = RngSpec(master_seed)
+    return [float(spec.stream(r).normal()) for r in range(start, stop)]
+
+
+def test_replicated_estimate_mean_stderr_and_single_replica():
+    est = replicated_estimate(_first_draws, RngSpec(12), 5)
+    draws = np.array(_first_draws(12, 0, 5))
+    assert est.value == pytest.approx(draws.mean(), rel=1e-15)
+    assert est.stderr == pytest.approx(draws.std(ddof=1) / math.sqrt(5), rel=1e-15)
+    assert (est.replicas, est.master_seed) == (5, 12)
+    # one replica has no spread: nan, never an exact zero
+    single = replicated_estimate(_first_draws, 12, 1)
+    assert single.value == draws[0] and math.isnan(single.stderr)
+    with pytest.raises(TypeError):
+        replicated_estimate(_first_draws, np.random.default_rng(0), 2)
 
 
 def test_di_estimate_fields():

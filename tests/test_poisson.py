@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from conftest import mc_entropy_oracle, plugin_rate_oracle, random_positive_pmf
 from ctdi.core import FinitePmf, RngSpec
@@ -10,7 +11,6 @@ from ctdi.poisson import (
     ChannelTrajectory,
     PoissonFeedbackModel,
     default_burn_in,
-    default_step,
     di_rate_analytic,
     di_rate_mc,
     elapsed_time_density,
@@ -30,8 +30,6 @@ from ctdi.poisson import (
     trajectory_time_average,
     write_trajectory_csv,
 )
-from ctdi.quadrature import adaptive_simpson
-
 BINARY = FinitePmf([1.0, 2.0], [0.5, 0.5])
 
 
@@ -124,15 +122,13 @@ def test_point_mass_elapsed_density_and_posterior():
 
 def test_elapsed_time_density_integrates_to_one():
     for pmf in (BINARY, FinitePmf([0.5, 3.0], [0.3, 0.7])):
-        total = adaptive_simpson(
-            lambda t: elapsed_time_density(pmf, t), 0.0, 200.0 / pmf.support.min(),
-            tol=1e-10,
-        )
+        total, _ = quad(lambda t: elapsed_time_density(pmf, t), 0.0,
+                        200.0 / pmf.support.min(), epsabs=1e-12, limit=200)
         assert total == pytest.approx(1.0, abs=1e-8)
 
 
 def test_interarrival_density_normalization_and_mean():
-    total = adaptive_simpson(lambda y: interarrival_density(BINARY, y), 0.0, 80.0)
+    total, _ = quad(lambda y: interarrival_density(BINARY, y), 0.0, 80.0, epsabs=1e-12, limit=200)
     assert total == pytest.approx(1.0, abs=1e-10)
     assert mean_interarrival_quadrature(BINARY) == pytest.approx(0.75, abs=1e-9)
 
@@ -219,8 +215,8 @@ def test_hazard_log_hazard_time_average_identity():
             return g * np.log(g)
 
         vals.append(
-            trajectory_time_average(traj, glng, t_lo=default_burn_in(BINARY),
-                                    step=default_step(BINARY))
+            # the first panel is 1/(max x - min x) wide
+            trajectory_time_average(traj, glng, t_lo=default_burn_in(BINARY), panel=1.0)
         )
     vals = np.asarray(vals)
     se = vals.std(ddof=1) / math.sqrt(len(vals))
@@ -230,9 +226,28 @@ def test_hazard_log_hazard_time_average_identity():
 def test_trajectory_integral_of_constant_is_window_length():
     model = PoissonFeedbackModel(BINARY, 50.0)
     traj = simulate_channel(model, RngSpec(2).stream(0))
-    val = trajectory_integral(traj, lambda x, s: np.ones_like(s), t_lo=10.0,
-                              step=1e-3)
+    val = trajectory_integral(traj, lambda x, s: np.ones_like(s), t_lo=10.0)
     assert val == pytest.approx(40.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("lam2", [2.0, 100.0, 1e4])
+def test_trajectory_integral_of_posterior_mean_matches_closed_form(lam2):
+    # with Z(s) = sum p(x) e^{-sx}, g = -d ln Z / ds, so the piece [a, b] of
+    # elapsed time in a segment contributes -ln Z(b) + ln Z(a)
+    def neg_log_z(s):
+        return s - np.log(0.5 + 0.5 * np.exp(-s * (lam2 - 1.0)))
+
+    pmf = FinitePmf([1.0, lam2], [0.5, 0.5])
+    traj = simulate_channel(PoissonFeedbackModel(pmf, 200.0), RngSpec(23).stream(0))
+    starts, ends, _ = traj.segments()
+    for t_lo, t_hi in ((0.0, 200.0), (37.3, 150.1)):
+        inside = (ends > t_lo) & (starts < t_hi)
+        lo = np.maximum(starts, t_lo)[inside] - starts[inside]
+        hi = np.minimum(ends, t_hi)[inside] - starts[inside]
+        closed = float(np.sum(neg_log_z(hi) - neg_log_z(lo)))
+        val = trajectory_integral(traj, lambda x, s: renewal_posterior_mean(pmf, s),
+                                  t_lo, t_hi, panel=1.0 / (lam2 - 1.0))
+        assert val == pytest.approx(closed, rel=1e-12, abs=0.0)
 
 
 def test_state_at_and_occupancy_manual():
