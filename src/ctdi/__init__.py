@@ -13,12 +13,7 @@ from .core import (
     FinitePmf,
     RngSpec,
     SamplePath,
-    TimePartition,
-    chop,
-    concat,
-    is_refinement,
     poisson_loss,
-    refine,
 )
 from .partition_di import (
     Grouping,

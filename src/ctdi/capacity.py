@@ -67,7 +67,7 @@ def _golden_max(fn, a: float, b: float, tol: float):
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = fn(c), fn(d)
-    while b - a > tol:
+    while b - a > tol * min(a + b, 2.0 - a - b):  # 2 tol min(m, 1 - m), m the midpoint
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
@@ -84,6 +84,9 @@ def optimize_binary(lambda1: float, lambda2: float, tol: float = 1e-6,
                     quad_tol: float = 1e-11) -> CapacityPoint:
     """Maximize the quasi-concave binary rate over p by golden-section search.
 
+    It stops once the bracket is narrower than 2*tol*min(m, 1 - m), m its
+    midpoint, so tol is relative to the distance from the nearer end of
+    [0, 1] and optima near p = 0 or 1 (widely separated levels) are resolved.
     Coincident levels carry no information for any p; that case returns a
     zero rate flagged degenerate (the objective is flat).
     """
@@ -96,7 +99,7 @@ def optimize_binary(lambda1: float, lambda2: float, tol: float = 1e-6,
         return binary_rate(p, lambda1, lambda2, tol=quad_tol)
 
     p_star, rate_star = _golden_max(fn, 0.0, 1.0, tol)
-    return CapacityPoint(lambda1, lambda2, p_star, max(rate_star, 0.0))
+    return CapacityPoint(lambda1, lambda2, p_star, rate_star)
 
 
 def capacity_curve(lambda1: float, lambda2_values, tol: float = 1e-6) -> list[CapacityPoint]:

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .capacity import binary_rate, capacity_curve
-from .core import FinitePmf, RngSpec
+from .core import FinitePmf, RngSpec, write_csv
 from .gaussian import closed_form_di_constant_signal, constant_signal_model, directed_info_gaussian_mc
 from .partition_di import (
     Grouping,
@@ -101,6 +101,9 @@ SCHEMAS = {
         "max_alphabet": (_parse_int, 3),
     },
 }
+
+_TOL_HELP = ("relative golden-section tolerance on p: the search stops once the bracket "
+             "is narrower than 2*tol*min(m, 1 - m), m its midpoint (default 1e-6)")
 
 # the knob --replicas steers, per command
 _REPLICA_KEY = {
@@ -182,17 +185,6 @@ def _resolve_config(command: str, args: argparse.Namespace) -> ExperimentConfig:
     )
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.12g}"
-
-
-def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
 def _finish(cfg: ExperimentConfig, started_iso: str, t0: float) -> None:
     manifest = cfg.manifest(wall_clock=time.perf_counter() - t0, started=started_iso)
     path = cfg.out_dir / f"{cfg.command.replace('-', '_')}_manifest.json"
@@ -214,8 +206,8 @@ def cmd_gaussian_duncan(cfg: ExperimentConfig) -> int:
         abs_error = abs(est_value - closed)
         ok = ok and abs_error <= max(0.01 * closed, 3.0 * est_err)
         rows.append((horizon, est_value, est_err, closed, abs_error))
-    _write_csv(cfg.out_dir / "gaussian_duncan.csv",
-               ["T", "mc_di", "stderr", "closed_form", "abs_error"], rows)
+    write_csv(cfg.out_dir / "gaussian_duncan.csv",
+              ["T", "mc_di", "stderr", "closed_form", "abs_error"], rows)
     return 0 if ok else 1
 
 
@@ -231,7 +223,7 @@ def cmd_poisson_rate(cfg: ExperimentConfig) -> int:
                          jobs=cfg.jobs)
         ok = ok and abs(est.value - analytic) <= max(0.02 * analytic, 3.0 * est.stderr)
         rows.append((p, analytic, est.value, est.stderr))
-    _write_csv(cfg.out_dir / "poisson_rate.csv", ["p", "analytic", "mc", "stderr"], rows)
+    write_csv(cfg.out_dir / "poisson_rate.csv", ["p", "analytic", "mc", "stderr"], rows)
     return 0 if ok else 1
 
 
@@ -240,7 +232,7 @@ def cmd_poisson_capacity(cfg: ExperimentConfig) -> int:
     points = capacity_curve(lam1, cfg.params["lambda2_values"], tol=cfg.params["tol"])
     rows = [(pt.lambda2, pt.p_star, pt.rate_star) for pt in points]
     ok = all(pt.rate_star <= 1e-12 for pt in points if pt.lambda2 in (0.0, lam1))
-    _write_csv(cfg.out_dir / "poisson_capacity.csv", ["lambda2", "p_star", "rate_star"], rows)
+    write_csv(cfg.out_dir / "poisson_capacity.csv", ["lambda2", "p_star", "rate_star"], rows)
     return 0 if ok else 1
 
 
@@ -349,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 # --replicas doubles as the schema key of the same name
                 continue
             p.add_argument(f"--{key.replace('_', '-')}", dest=key,
-                           help=f"override config key {key}")
+                           help=_TOL_HELP if key == "tol" else f"override config key {key}")
     return parser
 
 

@@ -1,6 +1,6 @@
-"""Shared domain types: uniform-grid sample paths, event times, time
-partitions, finite pmfs, the nonnegative-estimation loss, and deterministic
-random-stream derivation.
+"""Shared domain types: uniform-grid sample paths, event times, finite pmfs,
+the nonnegative-estimation loss, deterministic random-stream derivation,
+replica plumbing, and the CSV writer every module uses.
 
 Every information quantity in this package is measured in nats.  All types
 here are immutable values after construction and all operations are pure, so
@@ -9,6 +9,7 @@ instances can be shared freely across threads and worker processes.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -19,18 +20,14 @@ import numpy as np
 __all__ = [
     "SamplePath",
     "EventTimes",
-    "TimePartition",
     "FinitePmf",
     "RngSpec",
     "DiEstimate",
     "as_generator",
     "poisson_loss",
-    "chop",
-    "concat",
-    "refine",
-    "is_refinement",
     "map_replicas",
     "replicated_estimate",
+    "write_csv",
 ]
 
 
@@ -95,34 +92,6 @@ class EventTimes:
 
     def __len__(self):
         return self.epochs.size
-
-
-@dataclass(frozen=True, eq=False)
-class TimePartition:
-    """Ordered breakpoints 0 = t_0 < t_1 < ... < t_n = T of the interval [0, T]."""
-
-    breakpoints: np.ndarray
-
-    def __post_init__(self):
-        b = _readonly(self.breakpoints)
-        if b.ndim != 1 or b.size < 2:
-            raise ValueError("a partition needs at least two breakpoints")
-        if b[0] != 0.0:
-            raise ValueError("partitions start at time 0")
-        if np.any(np.diff(b) <= 0):
-            raise ValueError("breakpoints must be strictly increasing")
-        object.__setattr__(self, "breakpoints", b)
-
-    @property
-    def horizon(self) -> float:
-        return float(self.breakpoints[-1])
-
-    @property
-    def n_intervals(self) -> int:
-        return self.breakpoints.size - 1
-
-    def mesh(self) -> float:
-        return float(np.diff(self.breakpoints).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,63 +192,6 @@ def poisson_loss(x, xhat):
     return out
 
 
-def _snap_index(path: SamplePath, t: float) -> int:
-    k = int(round((t - path.t0) / path.dt))
-    if k < 0 or k > len(path):
-        raise ValueError(f"breakpoint {t} lies outside the path domain")
-    if abs(t - (path.t0 + k * path.dt)) > 0.5 * path.dt * (1 + 1e-9):
-        raise ValueError(f"breakpoint {t} is more than dt/2 from the sample grid")
-    return k
-
-
-def chop(path: SamplePath, partition: TimePartition) -> list[SamplePath]:
-    """Split a path at the partition breakpoints into consecutive segments.
-
-    Segment i covers [t_{i-1}, t_i); breakpoints snap to the nearest grid
-    point and the concatenation of the segments reproduces the path exactly.
-    """
-    idx = [_snap_index(path, float(t)) for t in partition.breakpoints]
-    if idx[0] != 0 or idx[-1] != len(path):
-        raise ValueError("partition must span the full path")
-    if any(b <= a for a, b in zip(idx, idx[1:])):
-        raise ValueError("breakpoints collapse onto the same grid point")
-    return [
-        SamplePath(path.t0 + a * path.dt, path.dt, path.values[a:b])
-        for a, b in zip(idx, idx[1:])
-    ]
-
-
-def concat(segments) -> SamplePath:
-    """Join contiguous segments back into one path (inverse of chop)."""
-    segments = list(segments)
-    if not segments:
-        raise ValueError("nothing to concatenate")
-    dt = segments[0].dt
-    for prev, seg in zip(segments, segments[1:]):
-        if abs(seg.dt - dt) > 1e-12 * dt:
-            raise ValueError("segments disagree on dt")
-        if abs(seg.t0 - (prev.t0 + prev.duration)) > 0.5 * dt:
-            raise ValueError("segments are not contiguous")
-    return SamplePath(segments[0].t0, dt, np.concatenate([s.values for s in segments]))
-
-
-def refine(partition: TimePartition, extra) -> TimePartition:
-    """Insert extra breakpoints; they must lie strictly inside (0, T).
-
-    Idempotent (duplicates are merged) and commutative in the extra points.
-    """
-    pts = np.asarray(list(extra), dtype=float)
-    if pts.size and (pts.min() <= 0 or pts.max() >= partition.horizon):
-        raise ValueError("refinement points must lie strictly inside (0, T)")
-    merged = np.unique(np.concatenate([partition.breakpoints, pts]))
-    return TimePartition(merged)
-
-
-def is_refinement(finer: TimePartition, coarser: TimePartition) -> bool:
-    """True iff every breakpoint of `coarser` also appears in `finer` (exact equality)."""
-    return bool(np.isin(coarser.breakpoints, finer.breakpoints).all())
-
-
 def map_replicas(worker, n_replicas: int, jobs: int = 1) -> list:
     """Run worker(start, stop) over [0, n_replicas) in contiguous chunks.
 
@@ -321,3 +233,15 @@ def replicated_estimate(worker, rng, replicas: int, jobs: int = 1) -> DiEstimate
                       dtype=float)
     stderr = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else math.nan
     return DiEstimate(float(vals.mean()), stderr, int(vals.size), spec.master_seed)
+
+
+def write_csv(dest, header, rows) -> None:
+    """Write a header line and one line per row, numbers to 12 significant digits.
+
+    dest is a path, opened and closed here, or an open text file.
+    """
+    fh = contextlib.nullcontext(dest) if hasattr(dest, "write") else open(dest, "w", newline="\n")
+    with fh as out:
+        out.write(",".join(header) + "\n")
+        for row in rows:
+            out.write(",".join(f"{v:.12g}" for v in row) + "\n")

@@ -8,9 +8,10 @@ channel equals the directed information between the input and output paths;
 filters therefore always estimate X at time t from increments strictly
 before t.
 
-Feedback delays are quantized to whole grid steps: a policy invoked at step
-k sees increments up to step k - delay_steps only, and a finite delay below
-one grid step is rejected.
+Feedback delays are quantized to whole grid steps: the encoder at step k
+sees the cumulative output Y at step k - delay_steps, the sum of the
+increments before that step, and a finite delay below one grid step is
+rejected.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .core import (
     SamplePath,
     as_generator,
     replicated_estimate,
+    write_csv,
 )
 
 DEFAULT_POWER_BOUND = 1e3
@@ -46,31 +48,24 @@ __all__ = [
     "closed_form_di_constant_signal",
     "directed_info_gaussian_mc",
     "mismatched_relent_gaussian",
-    "gaussian_prior_filter",
-    "finite_prior_filter",
     "write_path_csv",
 ]
 
 
-def _constant_policy(u, k, visible_increments):
-    return u
-
-
-def _echo_policy(u, k, visible_increments):
-    # the input replays the delayed cumulative output; zero until the delay elapses
-    return float(visible_increments.sum())
+def _echo_policy(u, y):
+    return y
 
 
 @dataclass(frozen=True, eq=False)
 class GaussianFeedbackModel:
     """Signal policy driving dY = X dt + dB on a uniform grid of step dt.
 
-    policy(u, k, visible) returns X at step k from the latent draw u and the
-    observation increments visible to the encoder at that time (an empty
-    array while the delay has not elapsed, or always when delay is inf).
-    latent=None marks a standard-normal latent; otherwise a finite prior.
-    constant_signal marks policies that ignore feedback and hold X = u, which
-    unlocks vectorized simulation and closed-form filtering.
+    policy(u, y) returns X at step k from the latent draw u and the
+    cumulative output y = Y_{(k - delay_steps) dt} the encoder sees (0 while
+    the delay has not elapsed, and always when delay is inf).  policy=None
+    holds X = u, which unlocks vectorized simulation and closed-form
+    filtering.  latent=None marks a standard-normal latent; otherwise a
+    finite prior.
     """
 
     horizon: float
@@ -79,7 +74,6 @@ class GaussianFeedbackModel:
     delay: float = math.inf
     latent: FinitePmf | None = None
     power_bound: float = DEFAULT_POWER_BOUND
-    constant_signal: bool = False
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -114,14 +108,47 @@ def constant_signal_model(horizon: float, dt: float,
                           prior: FinitePmf | None = None) -> GaussianFeedbackModel:
     """X_t held at a latent draw: standard normal by default, else a finite prior."""
     bound = math.inf if prior is None else DEFAULT_POWER_BOUND
-    return GaussianFeedbackModel(horizon, dt, _constant_policy, delay=math.inf,
-                                 latent=prior, power_bound=bound, constant_signal=True)
+    return GaussianFeedbackModel(horizon, dt, None, delay=math.inf,
+                                 latent=prior, power_bound=bound)
 
 
 def delayed_echo_model(horizon: float, dt: float, delay: float) -> GaussianFeedbackModel:
     """X_{t+delay} = Y_t: the input replays the delayed output, zero before the delay."""
     latent = FinitePmf(np.array([0.0]), np.array([1.0]))
     return GaussianFeedbackModel(horizon, dt, _echo_policy, delay=delay, latent=latent)
+
+
+def _drive(model: GaussianFeedbackModel, u: float, inc: np.ndarray, z=None) -> np.ndarray:
+    """Signal path X_k = policy(u, Y_{k - delay_steps}) along the increments inc.
+
+    With step noises z the loop writes the channel output inc_k = X_k dt +
+    sqrt(dt) z_k into inc as it goes; without them inc is an observed path
+    and the signal is replayed on it.  Simulation and both replaying filters
+    share this loop, so a replay reproduces a simulated signal bit for bit.
+    """
+    dt = model.dt
+    sq = math.sqrt(dt)
+    if model.policy is None:
+        if not abs(u) <= model.power_bound:
+            raise ValueError(f"signal level {u} exceeds the power bound {model.power_bound}")
+        x = np.full(inc.size, u)
+        if z is not None:
+            inc[:] = x * dt + sq * z
+        return x
+    d = model.delay_steps
+    lag = inc.size if d is None else d  # without feedback the encoder never sees Y
+    x = np.empty(inc.size)
+    y = 0.0
+    for k in range(inc.size):
+        if k > lag:
+            y += inc[k - lag - 1]
+        xk = float(model.policy(u, y))
+        if not abs(xk) <= model.power_bound:
+            raise ValueError(f"policy output {xk} exceeds the power bound {model.power_bound}")
+        x[k] = xk
+        if z is not None:
+            inc[k] = xk * dt + sq * z[k]
+    return x
 
 
 def simulate_awgn(model: GaussianFeedbackModel, rng):
@@ -139,25 +166,9 @@ def simulate_awgn(model: GaussianFeedbackModel, rng):
     else:
         u = float(gen.choice(model.latent.support, p=model.latent.probs))
     z = gen.standard_normal(n)
-    dt = model.dt
-    sq = math.sqrt(dt)
-    if model.constant_signal:
-        if not abs(u) <= model.power_bound:
-            raise ValueError(f"signal level {u} exceeds the power bound {model.power_bound}")
-        x = np.full(n, u)
-        inc = x * dt + sq * z
-    else:
-        d = model.delay_steps
-        x = np.empty(n)
-        inc = np.empty(n)
-        for k in range(n):
-            visible = inc[: max(0, k - d)] if d is not None else inc[:0]
-            xk = float(model.policy(u, k, visible))
-            if not abs(xk) <= model.power_bound:
-                raise ValueError(f"policy output {xk} exceeds the power bound {model.power_bound}")
-            x[k] = xk
-            inc[k] = xk * dt + sq * z[k]
-    return SamplePath(0.0, dt, x), SamplePath(0.0, dt, inc)
+    inc = np.empty(n)
+    x = _drive(model, u, inc, z)
+    return SamplePath(0.0, model.dt, x), SamplePath(0.0, model.dt, inc)
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,14 +241,8 @@ def replay_filter(model: GaussianFeedbackModel, yinc: SamplePath) -> FilterPath:
     _require_from_origin(yinc)
     if model.latent is None or len(model.latent) != 1:
         raise ValueError("replay filtering needs a point-mass latent")
-    u = float(model.latent.support[0])
-    d = model.delay_steps
-    n = len(yinc)
-    est = np.empty(n)
-    for k in range(n):
-        visible = yinc.values[: max(0, k - d)] if d is not None else yinc.values[:0]
-        est[k] = model.policy(u, k, visible)
-    return FilterPath(SamplePath(0.0, yinc.dt, est), SamplePath(0.0, yinc.dt, np.zeros(n)))
+    est = _drive(model, float(model.latent.support[0]), yinc.values)
+    return FilterPath(SamplePath(0.0, yinc.dt, est), SamplePath(0.0, yinc.dt, np.zeros(len(yinc))))
 
 
 def _systematic_resample(weights: np.ndarray, gen: np.random.Generator) -> np.ndarray:
@@ -252,6 +257,8 @@ def particle_filter(model: GaussianFeedbackModel, yinc: SamplePath,
     Log-domain weight increments x dy - x^2 dt / 2 per step, with systematic
     resampling whenever the effective sample size drops below half the
     particle count.  Estimates at step k use increments before k only.
+    Particles share the observed path, so each support atom's signal is
+    replayed once and a particle reads the signal of its atom.
     """
     _require_from_origin(yinc)
     if model.latent is None:
@@ -259,21 +266,15 @@ def particle_filter(model: GaussianFeedbackModel, yinc: SamplePath,
     if n_particles < 100:
         raise ValueError("need at least 100 particles")
     gen = as_generator(rng)
-    latents = gen.choice(model.latent.support, p=model.latent.probs, size=n_particles)
+    atoms = gen.choice(len(model.latent), p=model.latent.probs, size=n_particles)
+    signals = np.array([_drive(model, float(u), yinc.values) for u in model.latent.support])
     logw = np.zeros(n_particles)
     dt = yinc.dt
-    d = model.delay_steps
     n = len(yinc)
     est = np.empty(n)
     var = np.empty(n)
     for k in range(n):
-        if model.constant_signal:
-            x = latents
-        else:
-            # particles share the observed increments; only the latent differs
-            visible = yinc.values[: max(0, k - d)] if d is not None else yinc.values[:0]
-            uniq, inverse = np.unique(latents, return_inverse=True)
-            x = np.array([model.policy(u, k, visible) for u in uniq])[inverse]
+        x = signals[atoms, k]
         shifted = logw - logw.max()
         w = np.exp(shifted)
         w /= w.sum()
@@ -289,7 +290,7 @@ def particle_filter(model: GaussianFeedbackModel, yinc: SamplePath,
         w = np.exp(shifted)
         w /= w.sum()
         if 1.0 / np.dot(w, w) < 0.5 * n_particles:
-            latents = latents[_systematic_resample(w, gen)]
+            atoms = atoms[_systematic_resample(w, gen)]
             logw = np.zeros(n_particles)
     return FilterPath(SamplePath(0.0, dt, est), SamplePath(0.0, dt, var))
 
@@ -315,9 +316,9 @@ def closed_form_di_constant_signal(horizon: float) -> float:
 
 
 def _exact_filter(model: GaussianFeedbackModel, yinc: SamplePath) -> FilterPath:
-    if model.constant_signal and model.latent is None:
+    if model.policy is None and model.latent is None:
         return exact_filter_constant_signal(yinc)
-    if model.constant_signal:
+    if model.policy is None:
         return discrete_prior_filter(model.latent, yinc)
     if model.latent is not None and len(model.latent) == 1:
         return replay_filter(model, yinc)
@@ -350,16 +351,6 @@ def directed_info_gaussian_mc(model: GaussianFeedbackModel, rng, replicas: int,
     return replicated_estimate(worker, rng, replicas, jobs)
 
 
-def gaussian_prior_filter(prior_var: float):
-    """Filter callable for a constant signal with a centered Gaussian prior."""
-    return functools.partial(exact_filter_constant_signal, prior_var=prior_var)
-
-
-def finite_prior_filter(prior: FinitePmf):
-    """Filter callable for a constant signal with the given finite prior."""
-    return functools.partial(discrete_prior_filter, prior)
-
-
 def _mismatch_replicas(model, q_filter, master_seed, r0, r1):
     spec = RngSpec(master_seed)
     out = []
@@ -388,14 +379,5 @@ def write_path_csv(dest, x: SamplePath, yinc: SamplePath, filt: FilterPath) -> N
     est = filt.estimates
     if not len(x) == len(yinc) == len(est):
         raise ValueError("paths live on different grids")
-    close = False
-    if not hasattr(dest, "write"):
-        dest = open(dest, "w", newline="\n")
-        close = True
-    try:
-        dest.write("time,x,y_increment,x_hat\n")
-        for t, xv, dy, xh in zip(x.times, x.values, yinc.values, est.values):
-            dest.write(f"{t:.12g},{xv:.12g},{dy:.12g},{xh:.12g}\n")
-    finally:
-        if close:
-            dest.close()
+    write_csv(dest, ["time", "x", "y_increment", "x_hat"],
+              zip(x.times, x.values, yinc.values, est.values))

@@ -5,6 +5,7 @@ they complete.  Every criterion both prints its line and asserts, so the
 suite fails loudly if any tolerance is violated.
 """
 
+import functools
 import math
 import time
 
@@ -19,7 +20,8 @@ from ctdi.gaussian import (
     constant_signal_model,
     delayed_echo_model,
     directed_info_gaussian_mc,
-    finite_prior_filter,
+    discrete_prior_filter,
+    exact_filter_constant_signal,
     mismatched_relent_gaussian,
 )
 from ctdi.partition_di import (
@@ -224,15 +226,14 @@ def test_criterion_8_mismatched_estimation_nonnegative():
         p_pmf = _random_signed_pmf(gen)
         q_pmf = _random_signed_pmf(gen)
         model = constant_signal_model(1.0, 5e-3, prior=p_pmf)
-        est = mismatched_relent_gaussian(model, finite_prior_filter(q_pmf),
+        est = mismatched_relent_gaussian(model, functools.partial(discrete_prior_filter, q_pmf),
                                          rng=800 + pair, replicas=1500)
         ok = ok and est.value >= -3.0 * est.stderr
         if est.stderr > 0:
             min_t_gauss = min(min_t_gauss, est.value / est.stderr)
     model = constant_signal_model(1.0, 5e-3)
-    from ctdi.gaussian import gaussian_prior_filter
-
-    eq_gauss = mismatched_relent_gaussian(model, gaussian_prior_filter(1.0),
+    eq_gauss = mismatched_relent_gaussian(model, functools.partial(exact_filter_constant_signal,
+                                                                   prior_var=1.0),
                                           rng=899, replicas=200)
     ok = ok and abs(eq_gauss.value) <= 3.0 * eq_gauss.stderr
 

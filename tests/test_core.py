@@ -9,13 +9,8 @@ from ctdi.core import (
     FinitePmf,
     RngSpec,
     SamplePath,
-    TimePartition,
-    chop,
-    concat,
-    is_refinement,
     map_replicas,
     poisson_loss,
-    refine,
     replicated_estimate,
 )
 
@@ -116,97 +111,6 @@ def test_poisson_loss_minimized_by_conditional_mean():
             risk_mean += py[j] * risk_cm
             risk_best_quantized += py[j] * float(risk_grid.min())
         assert risk_mean <= risk_best_quantized + 1e-12
-
-
-def test_chop_identity_partition():
-    path = SamplePath(0.0, 0.25, [1.0, 2.0, 3.0, 4.0])
-    segs = chop(path, TimePartition([0.0, 1.0]))
-    assert len(segs) == 1
-    assert np.array_equal(segs[0].values, path.values)
-    halves = chop(path, TimePartition([0.0, 0.5, 1.0]))
-    assert [len(s) for s in halves] == [2, 2]
-
-
-def test_chop_midpoint():
-    path = SamplePath(0.0, 0.001, np.arange(1000.0))
-    part = TimePartition([0.0, 0.5, 1.0])
-    segs = chop(path, part)
-    assert len(segs) == 2
-    assert len(segs[0]) == 500 and len(segs[1]) == 500
-    assert segs[0].t0 == pytest.approx(0.0)
-    assert segs[1].t0 == pytest.approx(0.5)
-
-
-def test_chop_concat_roundtrip_random():
-    gen = np.random.default_rng(3)
-    for _ in range(25):
-        n = int(gen.integers(10, 400))
-        dt = float(gen.uniform(0.001, 0.1))
-        path = SamplePath(0.0, dt, gen.normal(size=n))
-        n_cuts = int(gen.integers(0, 4))
-        cuts = np.sort(gen.choice(np.arange(1, n), size=n_cuts, replace=False))
-        bp = np.concatenate(([0.0], cuts * dt, [n * dt]))
-        segs = chop(path, TimePartition(np.unique(bp)))
-        back = concat(segs)
-        assert back.dt == path.dt
-        assert np.array_equal(back.values, path.values)
-
-
-def test_chop_snaps_to_nearest_grid_point():
-    path = SamplePath(0.0, 0.1, np.arange(10.0))
-    segs = chop(path, TimePartition([0.0, 0.333, 1.0]))
-    assert len(segs[0]) == 3 and len(segs[1]) == 7
-
-
-def test_chop_rejects_collapsing_and_partial_partitions():
-    path = SamplePath(0.0, 0.1, np.arange(10.0))
-    with pytest.raises(ValueError):
-        # both interior points snap onto the same sample index
-        chop(path, TimePartition([0.0, 0.301, 0.302, 1.0]))
-    with pytest.raises(ValueError):
-        chop(path, TimePartition([0.0, 0.5]))
-    with pytest.raises(ValueError):
-        chop(path, TimePartition([0.0, 0.5, 2.0]))
-
-
-def test_concat_rejects_gaps_and_mixed_steps():
-    a = SamplePath(0.0, 0.1, [1.0, 2.0])
-    b = SamplePath(0.2, 0.1, [3.0])
-    assert np.array_equal(concat([a, b]).values, [1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        concat([a, SamplePath(0.5, 0.1, [3.0])])
-    with pytest.raises(ValueError):
-        concat([a, SamplePath(0.2, 0.05, [3.0])])
-
-
-def test_refine_and_is_refinement():
-    base = TimePartition([0.0, 1.0, 2.0])
-    fine = refine(base, [0.5])
-    assert np.allclose(fine.breakpoints, [0.0, 0.5, 1.0, 2.0])
-    again = refine(fine, [0.5])
-    assert np.array_equal(again.breakpoints, fine.breakpoints)
-    ab = refine(refine(base, [0.5]), [1.5])
-    ba = refine(refine(base, [1.5]), [0.5])
-    assert np.array_equal(ab.breakpoints, ba.breakpoints)
-    assert is_refinement(fine, base)
-    assert not is_refinement(base, fine)
-    assert not is_refinement(TimePartition([0.0, 0.3, 1.0]),
-                             TimePartition([0.0, 0.5, 1.0]))
-    with pytest.raises(ValueError):
-        refine(base, [0.0])
-    with pytest.raises(ValueError):
-        refine(base, [2.5])
-
-
-def test_partition_mesh():
-    part = TimePartition([0.0, 0.25, 1.0])
-    assert part.horizon == 1.0
-    assert part.n_intervals == 2
-    assert part.mesh() == pytest.approx(0.75)
-    with pytest.raises(ValueError):
-        TimePartition([0.5, 1.0])
-    with pytest.raises(ValueError):
-        TimePartition([0.0])
 
 
 def test_rng_spec_reproducible_streams():

@@ -1,3 +1,4 @@
+import functools
 import io
 import math
 
@@ -16,8 +17,6 @@ from ctdi.gaussian import (
     directed_info_gaussian_mc,
     discrete_prior_filter,
     exact_filter_constant_signal,
-    finite_prior_filter,
-    gaussian_prior_filter,
     mismatched_relent_gaussian,
     particle_filter,
     replay_filter,
@@ -30,9 +29,9 @@ TWO_POINT = FinitePmf([-1.0, 1.0], [0.5, 0.5])
 
 def test_model_validation():
     with pytest.raises(ValueError):
-        GaussianFeedbackModel(1.0, -0.1, lambda u, k, v: 0.0)
+        GaussianFeedbackModel(1.0, -0.1, lambda u, y: 0.0)
     with pytest.raises(ValueError):
-        GaussianFeedbackModel(1.05, 0.1, lambda u, k, v: 0.0)
+        GaussianFeedbackModel(1.05, 0.1, lambda u, y: 0.0)
     with pytest.raises(ValueError):
         delayed_echo_model(1.0, 0.1, 0.05)
     with pytest.raises(ValueError):
@@ -76,7 +75,7 @@ def test_simulation_reproducible():
 
 def test_power_bound_guards_runaway_policies():
     latent = FinitePmf([0.0], [1.0])
-    model = GaussianFeedbackModel(1.0, 0.1, lambda u, k, v: 50.0, delay=0.1,
+    model = GaussianFeedbackModel(1.0, 0.1, lambda u, y: 50.0, delay=0.1,
                                   latent=latent, power_bound=10.0)
     with pytest.raises(ValueError):
         simulate_awgn(model, RngSpec(0).stream(0))
@@ -180,6 +179,24 @@ def test_particle_filter_two_point_prior_matches_tanh():
     assert np.max(np.abs(filt.estimates.values - np.tanh(y_before))) < 0.05
 
 
+def test_particle_filter_tracks_feedback_posterior():
+    # X = U + Y_{t-d}/2 with U = +-1: each atom's signal is a known function of
+    # the observed past, so the exact posterior weighs two likelihoods
+    dt, d = 0.01, 5
+    model = GaussianFeedbackModel(0.5, dt, lambda u, y: u + 0.5 * y, delay=d * dt,
+                                  latent=TWO_POINT)
+    x, yinc = simulate_awgn(model, RngSpec(84).stream(0))
+    y_seen = np.concatenate((np.zeros(d + 1), np.cumsum(yinc.values)))[: len(yinc)]
+    signals = TWO_POINT.support[:, None] + 0.5 * y_seen
+    steps = signals * yinc.values - 0.5 * signals**2 * dt
+    loglik = np.concatenate((np.zeros((2, 1)), np.cumsum(steps, axis=1)[:, :-1]), axis=1)
+    w = np.exp(loglik - loglik.max(axis=0))
+    exact = (w * signals).sum(axis=0) / w.sum(axis=0)
+    filt = particle_filter(model, yinc, 20_000, RngSpec(84).stream(1))
+    assert np.max(np.abs(filt.estimates.values - exact)) < 0.05
+    assert np.max(np.abs(signals[int(x.values[0] > 0)] - x.values)) < 1e-12
+
+
 def test_causal_integral_trivial_values():
     x = SamplePath(0.0, 0.5, np.ones(4))
     zero = FilterPath(SamplePath(0.0, 0.5, np.zeros(4)))
@@ -263,7 +280,7 @@ def test_delayed_echo_di_is_exactly_zero():
 
 def test_mismatch_zero_when_q_equals_p():
     model = constant_signal_model(0.5, 0.01)
-    est = mismatched_relent_gaussian(model, gaussian_prior_filter(1.0), rng=77,
+    est = mismatched_relent_gaussian(model, functools.partial(exact_filter_constant_signal, prior_var=1.0), rng=77,
                                      replicas=50)
     assert est.value == 0.0 and est.stderr == 0.0
 
@@ -271,7 +288,7 @@ def test_mismatch_zero_when_q_equals_p():
 def test_mismatch_against_conjugate_prior_closed_form():
     q_var = 4.0
     model = constant_signal_model(1.0, 0.002)
-    est = mismatched_relent_gaussian(model, gaussian_prior_filter(q_var), rng=78,
+    est = mismatched_relent_gaussian(model, functools.partial(exact_filter_constant_signal, prior_var=q_var), rng=78,
                                      replicas=20_000)
     target = gaussian_mismatch_closed_form(1.0, q_var)
     # hand reduction at these parameters: 0.5 ln(5/2) - 3/10

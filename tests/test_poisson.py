@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import mc_entropy_oracle, plugin_rate_oracle, random_positive_pmf
+from ctdi import poisson
 from ctdi.core import FinitePmf, RngSpec
 from ctdi.poisson import (
     ChannelTrajectory,
@@ -156,6 +157,8 @@ def test_rate_zero_for_deterministic_intensity():
     assert di_rate_analytic(FinitePmf([3.0], [1.0])) == 0.0
     pm = FinitePmf([1.0, 3.0], [1.0, 0.0])
     assert di_rate_analytic(pm) == 0.0
+    # nearly equal levels: the entropy difference cancels to below zero
+    assert di_rate_analytic(FinitePmf([1.0, 1.0 + 1e-9], [0.5, 0.5])) >= 0.0
 
 
 def test_rate_nonnegative_random_sweep():
@@ -230,10 +233,14 @@ def test_trajectory_integral_of_constant_is_window_length():
     assert val == pytest.approx(40.0, rel=1e-9)
 
 
-@pytest.mark.parametrize("lam2", [2.0, 100.0, 1e4])
-def test_trajectory_integral_of_posterior_mean_matches_closed_form(lam2):
+@pytest.mark.parametrize("lam2, block", [(2.0, None), (100.0, None), (1e4, None), (100.0, 64)],
+                         ids=["2.0", "100.0", "10000.0", "100.0-blocks"])
+def test_trajectory_integral_of_posterior_mean_matches_closed_form(lam2, block, monkeypatch):
     # with Z(s) = sum p(x) e^{-sx}, g = -d ln Z / ds, so the piece [a, b] of
     # elapsed time in a segment contributes -ln Z(b) + ln Z(a)
+    if block is not None:
+        # about 400 segments, so the integral spans several blocks
+        monkeypatch.setattr(poisson, "_BLOCK_SEGMENTS", block)
     def neg_log_z(s):
         return s - np.log(0.5 + 0.5 * np.exp(-s * (lam2 - 1.0)))
 
