@@ -34,7 +34,6 @@ from .gaussian import (
     directed_info_gaussian_mc,
     exact_filter_constant_signal,
     mismatched_relent_gaussian,
-    particle_filter,
     simulate_awgn,
 )
 from .poisson import (

@@ -14,8 +14,9 @@ can also be set by a flag of the same name (flag wins).  All commands write a
 CSV (or report) plus a manifest echoing the resolved configuration, and runs
 are byte-reproducible given the same seed.  Exit status: 0 on pass, 1 when a
 scientific tolerance is violated, 2 on usage or configuration errors, 3 on
-an internal numerical failure (quadrature that does not converge, a tail
-bound that is never met, or degenerate particle weights).
+an internal numerical failure (quadrature that does not converge, or a tail
+bound that is never met).  Once the output directory exists, the manifest
+records the exit status, and for status 3 the one-line reason.
 """
 
 from __future__ import annotations
@@ -175,18 +176,24 @@ def _resolve_config(command: str, args: argparse.Namespace) -> ExperimentConfig:
         if rk is None:
             raise CliError(f"{command} has no replication knob for --replicas")
         params[rk] = _parse_int(args.replicas)
-    jobs = args.jobs if args.jobs is not None else os.environ.get("CTDI_JOBS", "1")
+    jobs = _parse_int(args.jobs if args.jobs is not None else os.environ.get("CTDI_JOBS", "1"))
+    if jobs < 1:
+        raise CliError(f"jobs must be at least 1, got {jobs}")
     return ExperimentConfig(
         command=command,
         params=params,
         seed=_parse_int(args.seed) if args.seed is not None else 0,
         out_dir=Path(args.out) if args.out else Path.cwd(),
-        jobs=max(1, _parse_int(jobs)),
+        jobs=jobs,
     )
 
 
-def _finish(cfg: ExperimentConfig, started_iso: str, t0: float) -> None:
+def _finish(cfg: ExperimentConfig, started_iso: str, t0: float, status: int,
+            reason: str | None) -> None:
     manifest = cfg.manifest(wall_clock=time.perf_counter() - t0, started=started_iso)
+    manifest["exit_status"] = status
+    if reason is not None:
+        manifest["exit_reason"] = reason
     path = cfg.out_dir / f"{cfg.command.replace('-', '_')}_manifest.json"
     path.write_text(json.dumps(manifest, indent=2) + "\n")
 
@@ -351,6 +358,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         return 2 if code != 0 else 0
+    started = None
+    message = None
     try:
         cfg = _resolve_config(args.command, args)
         if not cfg.out_dir.exists():
@@ -358,17 +367,19 @@ def main(argv=None) -> int:
         started = datetime.datetime.now(datetime.timezone.utc).isoformat()
         t0 = time.perf_counter()
         status = _RUNNERS[args.command](cfg)
-        _finish(cfg, started, t0)
-        return status
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (CliError, ValueError, OSError) as exc:
+        status, message = 2, str(exc)
     except RuntimeError as exc:
-        print(f"error: internal numerical failure: {exc}", file=sys.stderr)
-        return 3
+        status, message = 3, f"internal numerical failure: {exc}"
+    if message is not None:
+        print(f"error: {message}", file=sys.stderr)
+    if started is not None:
+        try:
+            _finish(cfg, started, t0, status, message if status == 3 else None)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    return status
 
 
 if __name__ == "__main__":

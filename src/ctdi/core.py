@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -198,6 +199,8 @@ def map_replicas(worker, n_replicas: int, jobs: int = 1) -> list:
     Results concatenate in replica order whatever the degree of parallelism,
     so estimates do not depend on `jobs`.  The worker must be picklable when
     jobs > 1 (a functools.partial of a module-level function qualifies).
+    The pool starts all its processes at once, so it gets no more of them
+    than there are chunks or usable CPUs.
     """
     n_replicas = int(n_replicas)
     if n_replicas <= 0:
@@ -206,8 +209,9 @@ def map_replicas(worker, n_replicas: int, jobs: int = 1) -> list:
     if jobs == 1 or n_replicas == 1:
         return list(worker(0, n_replicas))
     bounds = np.linspace(0, n_replicas, min(n_replicas, jobs * 4) + 1).astype(int)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     out = []
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
+    with ProcessPoolExecutor(max_workers=min(jobs, bounds.size - 1, cpus or 1)) as ex:
         futures = [
             ex.submit(worker, int(a), int(b))
             for a, b in zip(bounds[:-1], bounds[1:])

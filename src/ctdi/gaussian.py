@@ -43,7 +43,6 @@ __all__ = [
     "exact_filter_constant_signal",
     "discrete_prior_filter",
     "replay_filter",
-    "particle_filter",
     "causal_mmse_integral",
     "closed_form_di_constant_signal",
     "directed_info_gaussian_mc",
@@ -65,7 +64,10 @@ class GaussianFeedbackModel:
     the delay has not elapsed, and always when delay is inf).  policy=None
     holds X = u, which unlocks vectorized simulation and closed-form
     filtering.  latent=None marks a standard-normal latent; otherwise a
-    finite prior.
+    finite prior, under which every policy has an exact filter: each atom's
+    signal is a known function of the observed past, so the posterior is a
+    likelihood mixture over the atoms.  A standard-normal latent has an
+    exact filter only with policy=None.
     """
 
     horizon: float
@@ -123,7 +125,7 @@ def _drive(model: GaussianFeedbackModel, u: float, inc: np.ndarray, z=None) -> n
 
     With step noises z the loop writes the channel output inc_k = X_k dt +
     sqrt(dt) z_k into inc as it goes; without them inc is an observed path
-    and the signal is replayed on it.  Simulation and both replaying filters
+    and the signal is replayed on it.  Simulation and the replay filter
     share this loop, so a replay reproduces a simulated signal bit for bit.
     """
     dt = model.dt
@@ -209,6 +211,25 @@ def exact_filter_constant_signal(yinc: SamplePath, prior_var: float = 1.0) -> Fi
     )
 
 
+def _mixture_filter(loglik: np.ndarray, signals: np.ndarray, dt: float) -> FilterPath:
+    """Posterior mean and variance of the signal over K latent atoms.
+
+    loglik is (n, K): each atom's unnormalized log posterior weight at each
+    step.  signals is the atoms' signal, (K,) when it is constant in time,
+    else (n, K).  A single atom gets weight 1 exactly.
+    """
+    loglik = loglik - loglik.max(axis=1, keepdims=True)
+    w = np.exp(loglik)
+    w /= w.sum(axis=1, keepdims=True)
+    if signals.ndim == 1:
+        est = w @ signals
+        second = w @ (signals * signals)
+    else:
+        est = np.sum(w * signals, axis=1)
+        second = np.sum(w * signals * signals, axis=1)
+    return FilterPath(SamplePath(0.0, dt, est), SamplePath(0.0, dt, second - est * est))
+
+
 def discrete_prior_filter(prior: FinitePmf, yinc: SamplePath) -> FilterPath:
     """Exact Bayes filter for a constant signal drawn from a finite prior.
 
@@ -224,75 +245,28 @@ def discrete_prior_filter(prior: FinitePmf, yinc: SamplePath) -> FilterPath:
         + np.multiply.outer(y, a)
         - 0.5 * np.multiply.outer(t, a * a)
     )
-    loglik -= loglik.max(axis=1, keepdims=True)
-    w = np.exp(loglik)
-    w /= w.sum(axis=1, keepdims=True)
-    est = w @ a
-    var = w @ (a * a) - est * est
-    return FilterPath(SamplePath(0.0, yinc.dt, est), SamplePath(0.0, yinc.dt, var))
+    return _mixture_filter(loglik, a, yinc.dt)
 
 
 def replay_filter(model: GaussianFeedbackModel, yinc: SamplePath) -> FilterPath:
-    """Exact filter for deterministic policies (point-mass latent).
+    """Exact filter for a finite-prior model, with or without feedback.
 
-    The signal is a function of the observed past, so the causal posterior
-    mean just replays the policy on the observed increments.
-    """
-    _require_from_origin(yinc)
-    if model.latent is None or len(model.latent) != 1:
-        raise ValueError("replay filtering needs a point-mass latent")
-    est = _drive(model, float(model.latent.support[0]), yinc.values)
-    return FilterPath(SamplePath(0.0, yinc.dt, est), SamplePath(0.0, yinc.dt, np.zeros(len(yinc))))
-
-
-def _systematic_resample(weights: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    positions = (gen.random() + np.arange(weights.size)) / weights.size
-    return np.searchsorted(np.cumsum(weights), positions)
-
-
-def particle_filter(model: GaussianFeedbackModel, yinc: SamplePath,
-                    n_particles: int, rng) -> FilterPath:
-    """Bootstrap particle filter over the latent for a finite-prior model.
-
-    Log-domain weight increments x dy - x^2 dt / 2 per step, with systematic
-    resampling whenever the effective sample size drops below half the
-    particle count.  Estimates at step k use increments before k only.
-    Particles share the observed path, so each support atom's signal is
-    replayed once and a particle reads the signal of its atom.
+    Each atom's signal is a known function of the observed past, so the
+    posterior weight of atom a at step k is proportional to
+    p(a) exp(sum_{j<k} x_a,j inc_j - x_a,j^2 dt / 2).  Each positive-mass
+    atom is replayed once on the observed increments; with a point-mass
+    latent the estimate is the replayed signal bit for bit.
     """
     _require_from_origin(yinc)
     if model.latent is None:
-        raise ValueError("particle filtering needs a finite-support latent prior")
-    if n_particles < 100:
-        raise ValueError("need at least 100 particles")
-    gen = as_generator(rng)
-    atoms = gen.choice(len(model.latent), p=model.latent.probs, size=n_particles)
-    signals = np.array([_drive(model, float(u), yinc.values) for u in model.latent.support])
-    logw = np.zeros(n_particles)
-    dt = yinc.dt
-    n = len(yinc)
-    est = np.empty(n)
-    var = np.empty(n)
-    for k in range(n):
-        x = signals[atoms, k]
-        shifted = logw - logw.max()
-        w = np.exp(shifted)
-        w /= w.sum()
-        est[k] = np.dot(w, x)
-        var[k] = np.dot(w, x * x) - est[k] ** 2
-        logw = logw + x * yinc.values[k] - 0.5 * x * x * dt
-        if not np.any(np.isfinite(logw)):
-            raise RuntimeError(
-                f"all particle weights degenerated at step {k} (t={k * dt:.6g}); "
-                "the prior may not cover the signal"
-            )
-        shifted = logw - logw.max()
-        w = np.exp(shifted)
-        w /= w.sum()
-        if 1.0 / np.dot(w, w) < 0.5 * n_particles:
-            atoms = atoms[_systematic_resample(w, gen)]
-            logw = np.zeros(n_particles)
-    return FilterPath(SamplePath(0.0, dt, est), SamplePath(0.0, dt, var))
+        raise ValueError("replay filtering needs a finite-support latent prior")
+    prior = model.latent.trimmed()
+    signals = np.array([_drive(model, float(u), yinc.values) for u in prior.support]).T
+    steps = signals * yinc.values[:, None] - 0.5 * yinc.dt * signals * signals
+    loglik = np.empty_like(signals)
+    loglik[0] = 0.0
+    np.cumsum(steps[:-1], axis=0, out=loglik[1:])
+    return _mixture_filter(loglik + np.log(prior.probs), signals, yinc.dt)
 
 
 def causal_mmse_integral(x: SamplePath, filt: FilterPath) -> float:
@@ -320,34 +294,30 @@ def _exact_filter(model: GaussianFeedbackModel, yinc: SamplePath) -> FilterPath:
         return exact_filter_constant_signal(yinc)
     if model.policy is None:
         return discrete_prior_filter(model.latent, yinc)
-    if model.latent is not None and len(model.latent) == 1:
-        return replay_filter(model, yinc)
-    raise ValueError("no exact causal filter known for this model; use filter_strategy='particle'")
+    return replay_filter(model, yinc)
 
 
-def _di_replicas(model, filter_strategy, n_particles, master_seed, r0, r1):
+def _di_replicas(model, master_seed, r0, r1):
     if model.n_steps == 0:
         return [0.0] * (r1 - r0)
     spec = RngSpec(master_seed)
     out = []
     for r in range(r0, r1):
-        gen = spec.stream(r)
-        x, inc = simulate_awgn(model, gen)
-        if filter_strategy == "exact":
-            fp = _exact_filter(model, inc)
-        else:
-            fp = particle_filter(model, inc, n_particles, gen)
-        out.append(causal_mmse_integral(x, fp))
+        x, inc = simulate_awgn(model, spec.stream(r))
+        out.append(causal_mmse_integral(x, _exact_filter(model, inc)))
     return out
 
 
 def directed_info_gaussian_mc(model: GaussianFeedbackModel, rng, replicas: int,
-                              filter_strategy: str = "exact", n_particles: int = 1000,
                               jobs: int = 1) -> DiEstimate:
-    """Directed information estimated as the mean causal-MMSE integral over replicas."""
-    if filter_strategy not in ("exact", "particle"):
-        raise ValueError("filter_strategy must be 'exact' or 'particle'")
-    worker = functools.partial(_di_replicas, model, filter_strategy, n_particles)
+    """Directed information estimated as the mean causal-MMSE integral over replicas.
+
+    Every replica is filtered exactly: the conjugate filter for a Gaussian
+    latent without feedback, otherwise the finite-prior likelihood mixture.
+    A Gaussian latent under a feedback policy has no exact filter here and
+    raises ValueError.
+    """
+    worker = functools.partial(_di_replicas, model)
     return replicated_estimate(worker, rng, replicas, jobs)
 
 

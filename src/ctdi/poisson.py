@@ -108,7 +108,11 @@ class ChannelTrajectory:
 
 
 def simulate_channel(model: PoissonFeedbackModel, rng) -> ChannelTrajectory:
-    """Draw a trajectory: X ~ pmf at each event, Exp(X) waits, truncated at the horizon."""
+    """Draw a trajectory: X ~ pmf at each event, Exp(X) waits, truncated at the horizon.
+
+    Draws come in batches of at most _BLOCK_SEGMENTS events, which bounds the
+    temporaries on a long horizon.
+    """
     gen = as_generator(rng)
     support, probs = model.pmf.support, model.pmf.probs
     horizon = model.horizon
@@ -116,7 +120,7 @@ def simulate_channel(model: PoissonFeedbackModel, rng) -> ChannelTrajectory:
     epochs_parts, x_parts = [], []
     t = 0.0
     while t < horizon:
-        batch = max(16, int(1.3 * (horizon - t) / mean_wait) + 10)
+        batch = min(_BLOCK_SEGMENTS, max(16, int(1.3 * (horizon - t) / mean_wait) + 10))
         xs = gen.choice(support, p=probs, size=batch)
         waits = gen.exponential(1.0 / xs)
         starts = t + np.concatenate(([0.0], np.cumsum(waits[:-1])))
@@ -287,8 +291,9 @@ def _panel_width(*pmfs) -> float:
     return 1.0 / spread if spread > 0 else math.inf
 
 
-# segments per integrand call of trajectory_integral: bounds its memory, and a
-# horizon-1e4 trajectory of the {1, 2} channel (about 2e4 segments) is one block
+# segments per integrand call of trajectory_integral and events per draw batch
+# of simulate_channel: bounds their memory, and a horizon-1e4 trajectory of the
+# {1, 2} channel (about 2e4 segments) is one block
 _BLOCK_SEGMENTS = 2**15
 
 

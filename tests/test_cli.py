@@ -15,6 +15,8 @@ def test_usage_errors_exit_2(tmp_path):
     assert run(["--help"]) == 0
     missing = tmp_path / "nope.cfg"
     assert run(["di-discrete", "--config", str(missing)]) == 2
+    assert run(["di-discrete", "--jobs", "0", "--out", str(tmp_path)]) == 2
+    assert run(["di-discrete", "--jobs", "-3", "--out", str(tmp_path)]) == 2
 
 
 def test_config_file_validation(tmp_path):
@@ -47,6 +49,8 @@ def test_gaussian_duncan_small_run_and_reproducibility(tmp_path):
     assert manifest["config"]["replicas"] == 400
     assert manifest["config"]["seed"] == 5
     assert manifest["wall_clock_seconds"] >= 0.0
+    assert manifest["exit_status"] == 0
+    assert "exit_reason" not in manifest
 
 
 def test_flag_overrides_config_file(tmp_path):
@@ -98,6 +102,10 @@ def test_internal_numerical_failure_exits_3_without_traceback(tmp_path, monkeypa
     err = capsys.readouterr().err
     assert err == "error: internal numerical failure: Gauss-Legendre panels did not reach tol=1e-11\n"
     assert "Traceback" not in err
+    manifest = json.loads((tmp_path / "poisson_capacity_manifest.json").read_text())
+    assert manifest["exit_status"] == 3
+    assert manifest["exit_reason"] == (
+        "internal numerical failure: Gauss-Legendre panels did not reach tol=1e-11")
 
 
 def test_poisson_capacity_rejects_replicas_knob(tmp_path):
@@ -122,6 +130,9 @@ def test_jobs_env_default(tmp_path, monkeypatch):
                 "--out", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / "di_discrete_manifest.json").read_text())
     assert manifest["config"]["jobs"] == 3
+    monkeypatch.setenv("CTDI_JOBS", "0")
+    assert run(["di-discrete", "--replicas", "10", "--chains", "2",
+                "--out", str(tmp_path)]) == 2
 
 
 def test_module_entrypoint_help():

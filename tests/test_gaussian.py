@@ -18,7 +18,6 @@ from ctdi.gaussian import (
     discrete_prior_filter,
     exact_filter_constant_signal,
     mismatched_relent_gaussian,
-    particle_filter,
     replay_filter,
     simulate_awgn,
     write_path_csv,
@@ -138,45 +137,24 @@ def test_replay_filter_reconstructs_echo_signal_exactly():
         replay_filter(constant_signal_model(1.0, 0.001), yinc)
 
 
-def test_particle_filter_point_mass_prior_is_exact():
-    prior = FinitePmf([0.7], [1.0])
-    model = constant_signal_model(0.5, 0.01, prior=prior)
-    x, yinc = simulate_awgn(model, RngSpec(68).stream(0))
-    filt = particle_filter(model, yinc, 200, RngSpec(68).stream(1))
-    assert np.allclose(filt.estimates.values, 0.7, atol=1e-12)
-    assert np.allclose(filt.variances.values, 0.0, atol=1e-12)
-
-
-def test_particle_filter_validation():
-    model = constant_signal_model(0.5, 0.01, prior=TWO_POINT)
-    _, yinc = simulate_awgn(model, RngSpec(69).stream(0))
-    with pytest.raises(ValueError):
-        particle_filter(model, yinc, 50, RngSpec(69).stream(1))
-    with pytest.raises(ValueError):
-        particle_filter(constant_signal_model(0.5, 0.01), yinc, 200,
-                        RngSpec(69).stream(1))
-
-
 def test_particle_filter_tracks_discrete_posterior():
+    # without feedback the replayed likelihood mixture is the closed-form filter
     prior = quantized_normal_prior(101)
     model = constant_signal_model(1.0, 0.01, prior=prior)
-    rel_errors = []
     for rep in range(8):
-        x, yinc = simulate_awgn(model, RngSpec(70).stream(rep))
+        _, yinc = simulate_awgn(model, RngSpec(70).stream(rep))
         exact = discrete_prior_filter(prior, yinc)
-        approx = particle_filter(model, yinc, 20_000, RngSpec(71).stream(rep))
-        ie = causal_mmse_integral(x, exact)
-        ia = causal_mmse_integral(x, approx)
-        rel_errors.append(abs(ia - ie) / max(ie, 1e-12))
-    assert float(np.mean(rel_errors)) < 0.02
+        replayed = replay_filter(model, yinc)
+        assert np.max(np.abs(replayed.estimates.values - exact.estimates.values)) < 1e-12
+        assert np.max(np.abs(replayed.variances.values - exact.variances.values)) < 1e-12
 
 
 def test_particle_filter_two_point_prior_matches_tanh():
     model = constant_signal_model(0.5, 0.01, prior=TWO_POINT)
-    x, yinc = simulate_awgn(model, RngSpec(81).stream(0))
-    filt = particle_filter(model, yinc, 20_000, RngSpec(81).stream(1))
+    _, yinc = simulate_awgn(model, RngSpec(81).stream(0))
+    filt = replay_filter(model, yinc)
     y_before = np.concatenate(([0.0], np.cumsum(yinc.values[:-1])))
-    assert np.max(np.abs(filt.estimates.values - np.tanh(y_before))) < 0.05
+    assert np.max(np.abs(filt.estimates.values - np.tanh(y_before))) < 1e-12
 
 
 def test_particle_filter_tracks_feedback_posterior():
@@ -192,9 +170,44 @@ def test_particle_filter_tracks_feedback_posterior():
     loglik = np.concatenate((np.zeros((2, 1)), np.cumsum(steps, axis=1)[:, :-1]), axis=1)
     w = np.exp(loglik - loglik.max(axis=0))
     exact = (w * signals).sum(axis=0) / w.sum(axis=0)
-    filt = particle_filter(model, yinc, 20_000, RngSpec(84).stream(1))
-    assert np.max(np.abs(filt.estimates.values - exact)) < 0.05
+    filt = replay_filter(model, yinc)
+    assert np.max(np.abs(filt.estimates.values - exact)) < 1e-12
     assert np.max(np.abs(signals[int(x.values[0] > 0)] - x.values)) < 1e-12
+
+
+def test_duncan_with_feedback_matches_terminal_posterior_information():
+    # For a deterministic encoder with feedback the directed information is
+    # I(U; Y^T) (Massey 1990) = ln 2 - E[H(U | Y^T)], computed here from the
+    # terminal posterior of a separate vectorized copy of the policy.  The
+    # gate amplifies u while the delayed output agrees with it, so feedback
+    # moves the information away from the no-feedback value for X = U.
+    dt, replicas = 2e-3, 2000
+    model = GaussianFeedbackModel(1.0, dt, lambda u, y: u * (2.0 if u * y > 0 else 0.5),
+                                  delay=dt, latent=TWO_POINT)
+    est = directed_info_gaussian_mc(model, rng=85, replicas=replicas)
+    u = TWO_POINT.support[:, None]
+    mmse, info = [], []
+    for rep in range(replicas):
+        x, yinc = simulate_awgn(model, RngSpec(85).stream(rep))
+        inc = yinc.values
+        y_seen = np.concatenate(([0.0, 0.0], np.cumsum(inc)[:-2]))
+        signals = u * np.where(u * y_seen > 0, 2.0, 0.5)
+        assert np.max(np.abs(signals[int(x.values[0] > 0)] - x.values)) < 1e-12
+        loglik = np.cumsum(signals * inc - 0.5 * signals**2 * dt, axis=1)
+        before = np.concatenate((np.zeros((2, 1)), loglik[:, :-1]), axis=1)
+        w = np.exp(before - before.max(axis=0))
+        xhat = (w * signals).sum(axis=0) / w.sum(axis=0)
+        mmse.append(0.5 * float(np.sum((x.values - xhat) ** 2)) * dt)
+        end = loglik[:, -1] - loglik[:, -1].max()
+        log_post = end - math.log(np.exp(end).sum())
+        info.append(math.log(2.0) + float(np.sum(np.exp(log_post) * log_post)))
+    assert est.value == pytest.approx(float(np.mean(mmse)), rel=1e-12)
+    diff = np.asarray(mmse) - np.asarray(info)
+    assert abs(diff.mean()) < 4.0 * diff.std(ddof=1) / math.sqrt(replicas)
+    # no feedback, X = U = +-1: I = T - E[ln cosh(T + sqrt(T) Z)] at T = 1
+    z, wz = np.polynomial.hermite_e.hermegauss(80)
+    no_feedback = 1.0 - float(np.dot(wz, np.log(np.cosh(1.0 + z)))) / math.sqrt(2.0 * math.pi)
+    assert abs(est.value - no_feedback) > 4.0 * est.stderr
 
 
 def test_causal_integral_trivial_values():
@@ -260,15 +273,6 @@ def test_mc_di_parallel_matches_serial():
     a = directed_info_gaussian_mc(model, rng=74, replicas=100, jobs=1)
     b = directed_info_gaussian_mc(model, rng=74, replicas=100, jobs=2)
     assert a.value == b.value and a.stderr == b.stderr
-
-
-def test_mc_di_particle_strategy_agrees_with_exact():
-    model = constant_signal_model(0.5, 0.01, prior=TWO_POINT)
-    exact = directed_info_gaussian_mc(model, rng=75, replicas=300)
-    approx = directed_info_gaussian_mc(model, rng=75, replicas=300,
-                                       filter_strategy="particle", n_particles=400)
-    spread = math.hypot(exact.stderr, approx.stderr)
-    assert abs(exact.value - approx.value) < max(0.05 * exact.value, 4.0 * spread)
 
 
 def test_delayed_echo_di_is_exactly_zero():

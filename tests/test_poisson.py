@@ -239,13 +239,19 @@ def test_trajectory_integral_of_posterior_mean_matches_closed_form(lam2, block, 
     # with Z(s) = sum p(x) e^{-sx}, g = -d ln Z / ds, so the piece [a, b] of
     # elapsed time in a segment contributes -ln Z(b) + ln Z(a)
     if block is not None:
-        # about 400 segments, so the integral spans several blocks
+        # about 400 segments, so the simulation and the integral span several blocks
         monkeypatch.setattr(poisson, "_BLOCK_SEGMENTS", block)
     def neg_log_z(s):
         return s - np.log(0.5 + 0.5 * np.exp(-s * (lam2 - 1.0)))
 
     pmf = FinitePmf([1.0, lam2], [0.5, 0.5])
     traj = simulate_channel(PoissonFeedbackModel(pmf, 200.0), RngSpec(23).stream(0))
+    if block is not None:
+        # the simulation also drew in blocks: its batches join without a gap
+        epochs = traj.events.epochs
+        assert len(epochs) > 4 * block
+        assert epochs[0] == 0.0 and np.all(np.diff(epochs) > 0)
+        assert 200.0 - epochs[-1] < 20.0
     starts, ends, _ = traj.segments()
     for t_lo, t_hi in ((0.0, 200.0), (37.3, 150.1)):
         inside = (ends > t_lo) & (starts < t_hi)
