@@ -138,33 +138,31 @@ def test_map_replicas_parallel_matches_serial():
     assert serial == [float(k * k) for k in range(37)]
 
 
-class _RecordingExecutor:
-    """Runs submitted chunks in this process and records the requested pool size."""
-
+def test_map_replicas_pool_no_larger_than_chunks_or_cpus(monkeypatch):
     sizes = []
 
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
+    class RecordingExecutor:
+        """Runs submitted chunks in this process and records the pool size asked for."""
 
-    def __enter__(self):
-        return self
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
 
-    def __exit__(self, *exc):
-        return False
+        def __enter__(self):
+            return self
 
-    def submit(self, fn, *args):
-        fut = Future()
-        fut.set_result(fn(*args))
-        return fut
+        def __exit__(self, *exc):
+            return False
 
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
 
-def test_map_replicas_pool_no_larger_than_chunks_or_cpus(monkeypatch):
-    monkeypatch.setattr(core, "ProcessPoolExecutor", _RecordingExecutor)
-    monkeypatch.setattr(_RecordingExecutor, "sizes", [])
+    monkeypatch.setattr(core, "ProcessPoolExecutor", RecordingExecutor)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     assert map_replicas(_square_range, 2, jobs=5000) == [0.0, 1.0]
     assert map_replicas(_square_range, 37, jobs=5000) == _square_range(0, 37)
-    assert _RecordingExecutor.sizes == [min(2, cpus), min(37, cpus)]
+    assert sizes == [min(2, cpus), min(37, cpus)]
 
 
 def _first_draws(master_seed, start, stop):
