@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_QUAD_TOL = 1e-11  # quadrature tolerance of each rate the optimizer evaluates
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,9 @@ def _golden_max(fn, a: float, b: float, tol: float):
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = fn(c), fn(d)
-    while b - a > tol * min(a + b, 2.0 - a - b):  # 2 tol min(m, 1 - m), m the midpoint
+    # 2 tol min(m, 1 - m), m the midpoint; at float resolution the interior
+    # points stop being distinct and the bracket can shrink no further
+    while b - a > tol * min(a + b, 2.0 - a - b) and a < c < d < b:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
@@ -80,23 +83,26 @@ def _golden_max(fn, a: float, b: float, tol: float):
     return mid, fn(mid)
 
 
-def optimize_binary(lambda1: float, lambda2: float, tol: float = 1e-6,
-                    quad_tol: float = 1e-11) -> CapacityPoint:
+def optimize_binary(lambda1: float, lambda2: float, tol: float = 1e-6) -> CapacityPoint:
     """Maximize the quasi-concave binary rate over p by golden-section search.
 
     It stops once the bracket is narrower than 2*tol*min(m, 1 - m), m its
     midpoint, so tol is relative to the distance from the nearer end of
     [0, 1] and optima near p = 0 or 1 (widely separated levels) are resolved.
-    Coincident levels carry no information for any p; that case returns a
-    zero rate flagged degenerate (the objective is flat).
+    tol must lie in (0, 1); a tol below float resolution stops where the
+    bracket cannot shrink further.  Coincident levels carry no information
+    for any p; that case returns a zero rate flagged degenerate (the
+    objective is flat).
     """
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
     if lambda1 <= 0 or lambda2 <= 0:
         raise ValueError("intensities must be strictly positive")
     if lambda1 == lambda2:
         return CapacityPoint(lambda1, lambda2, 0.5, 0.0, degenerate=True)
 
     def fn(p):
-        return binary_rate(p, lambda1, lambda2, tol=quad_tol)
+        return binary_rate(p, lambda1, lambda2, tol=_QUAD_TOL)
 
     p_star, rate_star = _golden_max(fn, 0.0, 1.0, tol)
     return CapacityPoint(lambda1, lambda2, p_star, rate_star)
@@ -108,6 +114,8 @@ def capacity_curve(lambda1: float, lambda2_values, tol: float = 1e-6) -> list[Ca
     A zero second level can never fire, so no information flows and the rate
     is zero by convention (reported with all mass on the live symbol).
     """
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
     out = []
     for lam2 in lambda2_values:
         lam2 = float(lam2)

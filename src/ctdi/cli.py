@@ -256,6 +256,8 @@ def cmd_di_discrete(cfg: ExperimentConfig) -> int:
     chains = cfg.params["chains"]
     max_n = cfg.params["max_n"]
     max_alphabet = cfg.params["max_alphabet"]
+    if instances < 1 or chains < 1:
+        raise CliError(f"instances and chains must be at least 1, got {instances} and {chains}")
     lines = []
     violation = None
 

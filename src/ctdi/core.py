@@ -5,6 +5,11 @@ replica plumbing, and the CSV writer every module uses.
 Every information quantity in this package is measured in nats.  All types
 here are immutable values after construction and all operations are pure, so
 instances can be shared freely across threads and worker processes.
+
+Replica protocol: a Monte Carlo estimator hands replicated_estimate a
+function replica(gen) -> float of one numpy Generator, and only this module
+derives the streams: replica r draws from default_rng(SeedSequence((seed, r))),
+so an estimate depends on neither the replica chunking nor the number of jobs.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ __all__ = [
     "FinitePmf",
     "RngSpec",
     "DiEstimate",
-    "as_generator",
     "poisson_loss",
     "map_replicas",
     "replicated_estimate",
@@ -156,15 +160,6 @@ class RngSpec:
         return np.random.default_rng(np.random.SeedSequence((self.master_seed, int(replica))))
 
 
-def as_generator(rng, replica: int = 0) -> np.random.Generator:
-    """Accept an RngSpec, a raw integer seed, or an existing Generator."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    if isinstance(rng, RngSpec):
-        return rng.stream(replica)
-    return RngSpec(int(rng)).stream(replica)
-
-
 @dataclass(frozen=True)
 class DiEstimate:
     """Monte Carlo estimate in nats with its standard error and replication info."""
@@ -222,19 +217,28 @@ def map_replicas(worker, n_replicas: int, jobs: int = 1) -> list:
     return out
 
 
-def replicated_estimate(worker, rng, replicas: int, jobs: int = 1) -> DiEstimate:
-    """Mean and standard error of the values worker(master_seed, start, stop) returns.
+def _replica_range(replica, master_seed: int, start: int, stop: int) -> list:
+    """replica(gen) for r in [start, stop), gen the stream of replica r."""
+    spec = RngSpec(master_seed)
+    return [replica(spec.stream(r)) for r in range(start, stop)]
+
+
+def replicated_estimate(replica, rng, replicas: int, jobs: int = 1) -> DiEstimate:
+    """Mean and standard error of replica(gen) over replicas independent streams.
 
     rng is an RngSpec or an integer master seed; a Generator is refused,
-    since each replica derives its own stream from the master seed.  The
-    standard error is nan for a single replica, which has no spread to
-    estimate it from, so it cannot pass for an exact zero.
+    since each replica derives its own stream from the master seed.  replica
+    must be picklable when jobs > 1.  The standard error is nan for a single
+    replica, which has no spread to estimate it from, so it cannot pass for
+    an exact zero.
     """
     if isinstance(rng, np.random.Generator):
         raise TypeError("replicated estimators need an RngSpec or integer master seed")
+    if replicas < 1:
+        raise ValueError(f"replicas must be at least 1, got {replicas}")
     spec = rng if isinstance(rng, RngSpec) else RngSpec(int(rng))
-    vals = np.asarray(map_replicas(functools.partial(worker, spec.master_seed), replicas, jobs),
-                      dtype=float)
+    worker = functools.partial(_replica_range, replica, spec.master_seed)
+    vals = np.asarray(map_replicas(worker, replicas, jobs), dtype=float)
     stderr = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else math.nan
     return DiEstimate(float(vals.mean()), stderr, int(vals.size), spec.master_seed)
 

@@ -22,15 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DiEstimate,
-    FinitePmf,
-    RngSpec,
-    SamplePath,
-    as_generator,
-    replicated_estimate,
-    write_csv,
-)
+from .core import DiEstimate, FinitePmf, SamplePath, replicated_estimate, write_csv
 
 DEFAULT_POWER_BOUND = 1e3
 
@@ -153,13 +145,12 @@ def _drive(model: GaussianFeedbackModel, u: float, inc: np.ndarray, z=None) -> n
     return x
 
 
-def simulate_awgn(model: GaussianFeedbackModel, rng):
-    """Draw (signal path, observation-increment path) for one replica.
+def simulate_awgn(model: GaussianFeedbackModel, gen: np.random.Generator):
+    """Draw (signal path, observation-increment path) for one replica from gen.
 
     The latent is drawn first, then the step noises, so a replay from the
     same stream is bit-identical.
     """
-    gen = as_generator(rng)
     n = model.n_steps
     if n == 0:
         raise ValueError("horizon shorter than one grid step")
@@ -297,15 +288,11 @@ def _exact_filter(model: GaussianFeedbackModel, yinc: SamplePath) -> FilterPath:
     return replay_filter(model, yinc)
 
 
-def _di_replicas(model, master_seed, r0, r1):
+def _di_replica(model, gen):
     if model.n_steps == 0:
-        return [0.0] * (r1 - r0)
-    spec = RngSpec(master_seed)
-    out = []
-    for r in range(r0, r1):
-        x, inc = simulate_awgn(model, spec.stream(r))
-        out.append(causal_mmse_integral(x, _exact_filter(model, inc)))
-    return out
+        return 0.0
+    x, inc = simulate_awgn(model, gen)
+    return causal_mmse_integral(x, _exact_filter(model, inc))
 
 
 def directed_info_gaussian_mc(model: GaussianFeedbackModel, rng, replicas: int,
@@ -317,18 +304,12 @@ def directed_info_gaussian_mc(model: GaussianFeedbackModel, rng, replicas: int,
     A Gaussian latent under a feedback policy has no exact filter here and
     raises ValueError.
     """
-    worker = functools.partial(_di_replicas, model)
-    return replicated_estimate(worker, rng, replicas, jobs)
+    return replicated_estimate(functools.partial(_di_replica, model), rng, replicas, jobs)
 
 
-def _mismatch_replicas(model, q_filter, master_seed, r0, r1):
-    spec = RngSpec(master_seed)
-    out = []
-    for r in range(r0, r1):
-        x, inc = simulate_awgn(model, spec.stream(r))
-        excess = causal_mmse_integral(x, q_filter(inc)) - causal_mmse_integral(x, _exact_filter(model, inc))
-        out.append(excess)
-    return out
+def _mismatch_replica(model, q_filter, gen):
+    x, inc = simulate_awgn(model, gen)
+    return causal_mmse_integral(x, q_filter(inc)) - causal_mmse_integral(x, _exact_filter(model, inc))
 
 
 def mismatched_relent_gaussian(model: GaussianFeedbackModel, q_filter, rng,
@@ -340,8 +321,8 @@ def mismatched_relent_gaussian(model: GaussianFeedbackModel, q_filter, rng,
     model; nonnegative up to Monte Carlo noise, and identically zero when the
     mismatched filter coincides with the matched one.
     """
-    worker = functools.partial(_mismatch_replicas, model, q_filter)
-    return replicated_estimate(worker, rng, replicas, jobs)
+    return replicated_estimate(functools.partial(_mismatch_replica, model, q_filter), rng,
+                               replicas, jobs)
 
 
 def write_path_csv(dest, x: SamplePath, yinc: SamplePath, filt: FilterPath) -> None:

@@ -19,16 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DiEstimate,
-    EventTimes,
-    FinitePmf,
-    RngSpec,
-    as_generator,
-    poisson_loss,
-    replicated_estimate,
-    write_csv,
-)
+from .core import DiEstimate, EventTimes, FinitePmf, poisson_loss, replicated_estimate, write_csv
 from .quadrature import gauss_legendre, integrate_panels
 
 __all__ = [
@@ -107,13 +98,12 @@ class ChannelTrajectory:
         return starts, ends, self.intensities
 
 
-def simulate_channel(model: PoissonFeedbackModel, rng) -> ChannelTrajectory:
-    """Draw a trajectory: X ~ pmf at each event, Exp(X) waits, truncated at the horizon.
+def simulate_channel(model: PoissonFeedbackModel, gen: np.random.Generator) -> ChannelTrajectory:
+    """Draw a trajectory from gen: X ~ pmf at each event, Exp(X) waits, truncated at the horizon.
 
     Draws come in batches of at most _BLOCK_SEGMENTS events, which bounds the
     temporaries on a long horizon.
     """
-    gen = as_generator(rng)
     support, probs = model.pmf.support, model.pmf.probs
     horizon = model.horizon
     mean_wait = float(np.dot(model.pmf.probs, 1.0 / model.pmf.support))
@@ -345,21 +335,13 @@ def trajectory_time_average(traj: ChannelTrajectory, integrand, t_lo: float = 0.
     return trajectory_integral(traj, integrand, t_lo, t_hi, panel) / (t_hi - t_lo)
 
 
-def _loss_vs_posterior(pmf: FinitePmf):
-    def fn(x, s):
-        return poisson_loss(x, renewal_posterior_mean(pmf, s))
-    return fn
+def _posterior_loss(pmf, x, s):
+    return poisson_loss(x, renewal_posterior_mean(pmf, s))
 
 
-def _rate_replicas(model, burn_in, master_seed, r0, r1):
-    spec = RngSpec(master_seed)
-    fn = _loss_vs_posterior(model.pmf)
-    panel = _panel_width(model.pmf)
-    out = []
-    for r in range(r0, r1):
-        traj = simulate_channel(model, spec.stream(r))
-        out.append(trajectory_time_average(traj, fn, t_lo=burn_in, panel=panel))
-    return out
+def _rate_replica(model, burn_in, integrand, panel, gen):
+    traj = simulate_channel(model, gen)
+    return trajectory_time_average(traj, integrand, t_lo=burn_in, panel=panel)
 
 
 def di_rate_mc(model: PoissonFeedbackModel, rng, replicas: int = 4,
@@ -373,25 +355,20 @@ def di_rate_mc(model: PoissonFeedbackModel, rng, replicas: int = 4,
         burn_in = default_burn_in(model.pmf)
     if burn_in >= model.horizon:
         raise ValueError("burn-in must be shorter than the horizon")
-    worker = functools.partial(_rate_replicas, model, burn_in)
-    return replicated_estimate(worker, rng, replicas, jobs)
+    replica = functools.partial(_rate_replica, model, burn_in,
+                                functools.partial(_posterior_loss, model.pmf),
+                                _panel_width(model.pmf))
+    return replicated_estimate(replica, rng, replicas, jobs)
 
 
-def _mismatch_replicas(model, q_pmf, master_seed, r0, r1):
-    spec = RngSpec(master_seed)
-    p_pmf = model.pmf
-    panel = _panel_width(p_pmf, q_pmf)
+def _excess_loss(p_pmf, q_pmf, x, s):
+    gp = renewal_posterior_mean(p_pmf, s)
+    gq = renewal_posterior_mean(q_pmf, s)
+    return x * (np.log(gp) - np.log(gq)) + gq - gp
 
-    def fn(x, s):
-        gp = renewal_posterior_mean(p_pmf, s)
-        gq = renewal_posterior_mean(q_pmf, s)
-        return x * (np.log(gp) - np.log(gq)) + gq - gp
 
-    out = []
-    for r in range(r0, r1):
-        traj = simulate_channel(model, spec.stream(r))
-        out.append(trajectory_integral(traj, fn, panel=panel))
-    return out
+def _mismatch_replica(model, integrand, panel, gen):
+    return trajectory_integral(simulate_channel(model, gen), integrand, panel=panel)
 
 
 def mismatched_relent_poisson(p_pmf: FinitePmf, q_pmf: FinitePmf, horizon: float,
@@ -404,8 +381,10 @@ def mismatched_relent_poisson(p_pmf: FinitePmf, q_pmf: FinitePmf, horizon: float
     """
     _positive_atoms(q_pmf)
     model = PoissonFeedbackModel(p_pmf, horizon)
-    worker = functools.partial(_mismatch_replicas, model, q_pmf)
-    return replicated_estimate(worker, rng, replicas, jobs)
+    replica = functools.partial(_mismatch_replica, model,
+                                functools.partial(_excess_loss, p_pmf, q_pmf),
+                                _panel_width(p_pmf, q_pmf))
+    return replicated_estimate(replica, rng, replicas, jobs)
 
 
 def state_at(traj: ChannelTrajectory, times):

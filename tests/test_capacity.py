@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_positive_pmf
+from ctdi import capacity
 from ctdi.capacity import (
     CapacityPoint,
     binary_rate,
@@ -64,6 +65,28 @@ def test_optimize_binary_degenerate_levels():
     point = optimize_binary(3.0, 3.0)
     assert point.degenerate
     assert point.rate_star == 0.0
+
+
+def test_tol_range_and_stop_at_float_resolution(monkeypatch):
+    for tol in (0.0, -1.0, 1.0, math.nan):
+        with pytest.raises(ValueError):
+            optimize_binary(1.0, 2.0, tol=tol)
+        with pytest.raises(ValueError):
+            capacity_curve(1.0, [0.0], tol=tol)
+    reference = optimize_binary(1.0, 2.0)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return binary_rate(*args, **kwargs)
+
+    monkeypatch.setattr(capacity, "binary_rate", counted)
+    # no bracket of floats is as narrow as tol = 1e-300 asks; the search
+    # must stop once its interior points stop being distinct
+    point = optimize_binary(1.0, 2.0, tol=1e-300)
+    assert len(calls) < 200
+    assert abs(point.p_star - reference.p_star) <= 1e-6
+    assert point.rate_star >= reference.rate_star - 1e-12
 
 
 def test_capacity_curve_shape():

@@ -17,6 +17,15 @@ def test_usage_errors_exit_2(tmp_path):
     assert run(["di-discrete", "--config", str(missing)]) == 2
     assert run(["di-discrete", "--jobs", "0", "--out", str(tmp_path)]) == 2
     assert run(["di-discrete", "--jobs", "-3", "--out", str(tmp_path)]) == 2
+    assert run(["di-discrete", "--instances", "-3", "--out", str(tmp_path)]) == 2
+    assert run(["di-discrete", "--chains", "0", "--out", str(tmp_path)]) == 2
+    for replicas in ("0", "-4"):
+        assert run(["gaussian-duncan", "--replicas", replicas, "--out", str(tmp_path)]) == 2
+        assert run(["poisson-rate", "--replicas", replicas, "--out", str(tmp_path)]) == 2
+    manifest = json.loads((tmp_path / "gaussian_duncan_manifest.json").read_text())
+    assert manifest["exit_status"] == 2
+    for tol in ("0", "-1", "nan"):
+        assert run(["poisson-capacity", "--tol", tol, "--out", str(tmp_path)]) == 2
 
 
 def test_config_file_validation(tmp_path):

@@ -165,22 +165,26 @@ def test_map_replicas_pool_no_larger_than_chunks_or_cpus(monkeypatch):
     assert sizes == [min(2, cpus), min(37, cpus)]
 
 
-def _first_draws(master_seed, start, stop):
-    spec = RngSpec(master_seed)
-    return [float(spec.stream(r).normal()) for r in range(start, stop)]
+def _first_draw(gen):
+    return float(gen.normal())
 
 
 def test_replicated_estimate_mean_stderr_and_single_replica():
-    est = replicated_estimate(_first_draws, RngSpec(12), 5)
-    draws = np.array(_first_draws(12, 0, 5))
+    est = replicated_estimate(_first_draw, RngSpec(12), 5)
+    # replica r draws from SeedSequence((seed, r)), derived here independently
+    draws = np.array([np.random.default_rng(np.random.SeedSequence((12, r))).normal()
+                      for r in range(5)])
     assert est.value == pytest.approx(draws.mean(), rel=1e-15)
     assert est.stderr == pytest.approx(draws.std(ddof=1) / math.sqrt(5), rel=1e-15)
     assert (est.replicas, est.master_seed) == (5, 12)
     # one replica has no spread: nan, never an exact zero
-    single = replicated_estimate(_first_draws, 12, 1)
+    single = replicated_estimate(_first_draw, 12, 1)
     assert single.value == draws[0] and math.isnan(single.stderr)
     with pytest.raises(TypeError):
-        replicated_estimate(_first_draws, np.random.default_rng(0), 2)
+        replicated_estimate(_first_draw, np.random.default_rng(0), 2)
+    for replicas in (0, -4):
+        with pytest.raises(ValueError):
+            replicated_estimate(_first_draw, 12, replicas)
 
 
 def test_di_estimate_fields():

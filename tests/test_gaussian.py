@@ -137,7 +137,7 @@ def test_replay_filter_reconstructs_echo_signal_exactly():
         replay_filter(constant_signal_model(1.0, 0.001), yinc)
 
 
-def test_particle_filter_tracks_discrete_posterior():
+def test_replay_filter_tracks_discrete_posterior():
     # without feedback the replayed likelihood mixture is the closed-form filter
     prior = quantized_normal_prior(101)
     model = constant_signal_model(1.0, 0.01, prior=prior)
@@ -149,7 +149,7 @@ def test_particle_filter_tracks_discrete_posterior():
         assert np.max(np.abs(replayed.variances.values - exact.variances.values)) < 1e-12
 
 
-def test_particle_filter_two_point_prior_matches_tanh():
+def test_replay_filter_two_point_prior_matches_tanh():
     model = constant_signal_model(0.5, 0.01, prior=TWO_POINT)
     _, yinc = simulate_awgn(model, RngSpec(81).stream(0))
     filt = replay_filter(model, yinc)
@@ -157,7 +157,7 @@ def test_particle_filter_two_point_prior_matches_tanh():
     assert np.max(np.abs(filt.estimates.values - np.tanh(y_before))) < 1e-12
 
 
-def test_particle_filter_tracks_feedback_posterior():
+def test_replay_filter_tracks_feedback_posterior():
     # X = U + Y_{t-d}/2 with U = +-1: each atom's signal is a known function of
     # the observed past, so the exact posterior weighs two likelihoods
     dt, d = 0.01, 5
@@ -270,9 +270,12 @@ def test_mc_di_zero_horizon():
 
 def test_mc_di_parallel_matches_serial():
     model = constant_signal_model(0.2, 0.01)
-    a = directed_info_gaussian_mc(model, rng=74, replicas=100, jobs=1)
-    b = directed_info_gaussian_mc(model, rng=74, replicas=100, jobs=2)
-    assert a.value == b.value and a.stderr == b.stderr
+    q_filter = functools.partial(exact_filter_constant_signal, prior_var=4.0)
+    for estimate in (functools.partial(directed_info_gaussian_mc, model),
+                     functools.partial(mismatched_relent_gaussian, model, q_filter)):
+        a = estimate(rng=74, replicas=100, jobs=1)
+        b = estimate(rng=74, replicas=100, jobs=2)
+        assert a.value == b.value and a.stderr == b.stderr
 
 
 def test_delayed_echo_di_is_exactly_zero():

@@ -1,3 +1,4 @@
+import functools
 import io
 import math
 
@@ -189,10 +190,12 @@ def test_rate_mc_matches_analytic_binary():
 
 
 def test_rate_mc_parallel_matches_serial():
-    model = PoissonFeedbackModel(BINARY, 300.0)
-    a = di_rate_mc(model, rng=8, replicas=4, jobs=1)
-    b = di_rate_mc(model, rng=8, replicas=4, jobs=2)
-    assert a.value == b.value and a.stderr == b.stderr
+    q = FinitePmf([1.0, 2.0], [0.9, 0.1])
+    for estimate in (functools.partial(di_rate_mc, PoissonFeedbackModel(BINARY, 300.0)),
+                     functools.partial(mismatched_relent_poisson, BINARY, q, 300.0)):
+        a = estimate(rng=8, replicas=4, jobs=1)
+        b = estimate(rng=8, replicas=4, jobs=2)
+        assert a.value == b.value and a.stderr == b.stderr
 
 
 def test_rate_mc_validation():
