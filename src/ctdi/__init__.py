@@ -20,7 +20,6 @@ from .partition_di import (
     JointSequencePmf,
     conservation_residual,
     directed_info,
-    empirical_joint,
     grouped_directed_info,
     mutual_information,
     reverse_directed_info,
@@ -41,7 +40,6 @@ from .poisson import (
     PoissonFeedbackModel,
     di_rate_analytic,
     di_rate_mc,
-    elapsed_time_density,
     interarrival_entropy,
     mismatched_relent_poisson,
     renewal_posterior_mean,

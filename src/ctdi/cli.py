@@ -106,6 +106,8 @@ SCHEMAS = {
 _TOL_HELP = ("relative golden-section tolerance on p: the search stops once the bracket "
              "is narrower than 2*tol*min(m, 1 - m), m its midpoint (default 1e-6)")
 
+_COUNT_KEYS = ("replicas", "instances", "chains")
+
 # the knob --replicas steers, per command
 _REPLICA_KEY = {
     "gaussian-duncan": "replicas",
@@ -188,6 +190,15 @@ def _resolve_config(command: str, args: argparse.Namespace) -> ExperimentConfig:
     )
 
 
+def _check_params(cfg: ExperimentConfig) -> None:
+    """Reject an empty value list or a count (_COUNT_KEYS) below 1, which would run nothing."""
+    for key, value in cfg.params.items():
+        if isinstance(value, list) and not value:
+            raise CliError(f"{key} needs at least one value")
+        if key in _COUNT_KEYS and value < 1:
+            raise CliError(f"{key} must be at least 1, got {value}")
+
+
 def _finish(cfg: ExperimentConfig, started_iso: str, t0: float, status: int,
             reason: str | None) -> None:
     manifest = cfg.manifest(wall_clock=time.perf_counter() - t0, started=started_iso)
@@ -256,8 +267,6 @@ def cmd_di_discrete(cfg: ExperimentConfig) -> int:
     chains = cfg.params["chains"]
     max_n = cfg.params["max_n"]
     max_alphabet = cfg.params["max_alphabet"]
-    if instances < 1 or chains < 1:
-        raise CliError(f"instances and chains must be at least 1, got {instances} and {chains}")
     lines = []
     violation = None
 
@@ -368,6 +377,7 @@ def main(argv=None) -> int:
             cfg.out_dir.mkdir(parents=True)
         started = datetime.datetime.now(datetime.timezone.utc).isoformat()
         t0 = time.perf_counter()
+        _check_params(cfg)
         status = _RUNNERS[args.command](cfg)
     except (CliError, ValueError, OSError) as exc:
         status, message = 2, str(exc)

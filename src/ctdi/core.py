@@ -14,7 +14,6 @@ so an estimate depends on neither the replica chunking nor the number of jobs.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import os
@@ -44,9 +43,8 @@ def _readonly(values, dtype=float):
 
 @dataclass(frozen=True, eq=False)
 class SamplePath:
-    """Uniform-grid trajectory on [t0, t0 + len*dt): values[k] sits at t0 + k*dt."""
+    """Uniform-grid trajectory on [0, len*dt): values[k] sits at time k*dt."""
 
-    t0: float
     dt: float
     values: np.ndarray
 
@@ -58,7 +56,6 @@ class SamplePath:
             raise ValueError("a sample path needs at least one sample")
         if not np.all(np.isfinite(vals)):
             raise ValueError("sample values must be finite")
-        object.__setattr__(self, "t0", float(self.t0))
         object.__setattr__(self, "dt", float(self.dt))
         object.__setattr__(self, "values", vals)
 
@@ -66,12 +63,8 @@ class SamplePath:
         return self.values.size
 
     @property
-    def duration(self) -> float:
-        return self.values.size * self.dt
-
-    @property
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.values.size)
+        return self.dt * np.arange(self.values.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,9 +119,6 @@ class FinitePmf:
 
     def __len__(self):
         return self.support.size
-
-    def mean(self) -> float:
-        return float(np.dot(self.support, self.probs))
 
     def trimmed(self) -> "FinitePmf":
         """Drop zero-probability atoms."""
@@ -243,13 +233,9 @@ def replicated_estimate(replica, rng, replicas: int, jobs: int = 1) -> DiEstimat
     return DiEstimate(float(vals.mean()), stderr, int(vals.size), spec.master_seed)
 
 
-def write_csv(dest, header, rows) -> None:
-    """Write a header line and one line per row, numbers to 12 significant digits.
-
-    dest is a path, opened and closed here, or an open text file.
-    """
-    fh = contextlib.nullcontext(dest) if hasattr(dest, "write") else open(dest, "w", newline="\n")
-    with fh as out:
+def write_csv(path, header, rows) -> None:
+    """Write a header line and one line per row, numbers to 12 significant digits."""
+    with open(path, "w", newline="\n") as out:
         out.write(",".join(header) + "\n")
         for row in rows:
             out.write(",".join(f"{v:.12g}" for v in row) + "\n")

@@ -22,13 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiEstimate, FinitePmf, SamplePath, replicated_estimate, write_csv
+from .core import DiEstimate, FinitePmf, SamplePath, replicated_estimate
 
 DEFAULT_POWER_BOUND = 1e3
 
 __all__ = [
     "GaussianFeedbackModel",
-    "FilterPath",
     "constant_signal_model",
     "delayed_echo_model",
     "simulate_awgn",
@@ -39,7 +38,6 @@ __all__ = [
     "closed_form_di_constant_signal",
     "directed_info_gaussian_mc",
     "mismatched_relent_gaussian",
-    "write_path_csv",
 ]
 
 
@@ -161,15 +159,7 @@ def simulate_awgn(model: GaussianFeedbackModel, gen: np.random.Generator):
     z = gen.standard_normal(n)
     inc = np.empty(n)
     x = _drive(model, u, inc, z)
-    return SamplePath(0.0, model.dt, x), SamplePath(0.0, model.dt, inc)
-
-
-@dataclass(frozen=True, eq=False)
-class FilterPath:
-    """Causal estimates on the observation grid, with optional posterior variances."""
-
-    estimates: SamplePath
-    variances: SamplePath | None = None
+    return SamplePath(model.dt, x), SamplePath(model.dt, inc)
 
 
 def _cumulative_before(yinc: SamplePath) -> np.ndarray:
@@ -180,30 +170,21 @@ def _cumulative_before(yinc: SamplePath) -> np.ndarray:
     return out
 
 
-def _require_from_origin(yinc: SamplePath):
-    if yinc.t0 != 0.0:
-        raise ValueError("filters expect an observation path starting at time 0")
-
-
-def exact_filter_constant_signal(yinc: SamplePath, prior_var: float = 1.0) -> FilterPath:
-    """Posterior mean/variance of a constant signal under a centered Gaussian prior.
+def exact_filter_constant_signal(yinc: SamplePath, prior_var: float = 1.0) -> SamplePath:
+    """Posterior-mean path of a constant signal under a centered Gaussian prior.
 
     With prior variance v the posterior at time t is Gaussian with mean
     v Y_t / (1 + v t) and variance v / (1 + v t).
     """
-    _require_from_origin(yinc)
     if not prior_var > 0:
         raise ValueError("prior variance must be positive")
     y = _cumulative_before(yinc)
     gain = prior_var / (1.0 + prior_var * yinc.times)
-    return FilterPath(
-        SamplePath(0.0, yinc.dt, gain * y),
-        SamplePath(0.0, yinc.dt, gain),
-    )
+    return SamplePath(yinc.dt, gain * y)
 
 
-def _mixture_filter(loglik: np.ndarray, signals: np.ndarray, dt: float) -> FilterPath:
-    """Posterior mean and variance of the signal over K latent atoms.
+def _mixture_filter(loglik: np.ndarray, signals: np.ndarray, dt: float) -> SamplePath:
+    """Posterior-mean path of the signal over K latent atoms.
 
     loglik is (n, K): each atom's unnormalized log posterior weight at each
     step.  signals is the atoms' signal, (K,) when it is constant in time,
@@ -212,21 +193,15 @@ def _mixture_filter(loglik: np.ndarray, signals: np.ndarray, dt: float) -> Filte
     loglik = loglik - loglik.max(axis=1, keepdims=True)
     w = np.exp(loglik)
     w /= w.sum(axis=1, keepdims=True)
-    if signals.ndim == 1:
-        est = w @ signals
-        second = w @ (signals * signals)
-    else:
-        est = np.sum(w * signals, axis=1)
-        second = np.sum(w * signals * signals, axis=1)
-    return FilterPath(SamplePath(0.0, dt, est), SamplePath(0.0, dt, second - est * est))
+    est = w @ signals if signals.ndim == 1 else np.sum(w * signals, axis=1)
+    return SamplePath(dt, est)
 
 
-def discrete_prior_filter(prior: FinitePmf, yinc: SamplePath) -> FilterPath:
-    """Exact Bayes filter for a constant signal drawn from a finite prior.
+def discrete_prior_filter(prior: FinitePmf, yinc: SamplePath) -> SamplePath:
+    """Posterior-mean path of a constant signal drawn from a finite prior.
 
     Posterior weights at time t are proportional to p(a) exp(a Y_t - a^2 t/2).
     """
-    _require_from_origin(yinc)
     y = _cumulative_before(yinc)
     t = yinc.times
     a = prior.support
@@ -239,8 +214,8 @@ def discrete_prior_filter(prior: FinitePmf, yinc: SamplePath) -> FilterPath:
     return _mixture_filter(loglik, a, yinc.dt)
 
 
-def replay_filter(model: GaussianFeedbackModel, yinc: SamplePath) -> FilterPath:
-    """Exact filter for a finite-prior model, with or without feedback.
+def replay_filter(model: GaussianFeedbackModel, yinc: SamplePath) -> SamplePath:
+    """Exact posterior-mean path for a finite-prior model, with or without feedback.
 
     Each atom's signal is a known function of the observed past, so the
     posterior weight of atom a at step k is proportional to
@@ -248,7 +223,6 @@ def replay_filter(model: GaussianFeedbackModel, yinc: SamplePath) -> FilterPath:
     atom is replayed once on the observed increments; with a point-mass
     latent the estimate is the replayed signal bit for bit.
     """
-    _require_from_origin(yinc)
     if model.latent is None:
         raise ValueError("replay filtering needs a finite-support latent prior")
     prior = model.latent.trimmed()
@@ -260,14 +234,12 @@ def replay_filter(model: GaussianFeedbackModel, yinc: SamplePath) -> FilterPath:
     return _mixture_filter(loglik + np.log(prior.probs), signals, yinc.dt)
 
 
-def causal_mmse_integral(x: SamplePath, filt: FilterPath) -> float:
-    """Half the integrated squared filtering error, 0.5 * sum (x - xhat)^2 dt."""
-    est = filt.estimates
-    if (
-        len(x) != len(est)
-        or abs(x.dt - est.dt) > 1e-12 * x.dt
-        or abs(x.t0 - est.t0) > 1e-12 * max(1.0, abs(x.t0))
-    ):
+def causal_mmse_integral(x: SamplePath, est: SamplePath) -> float:
+    """Half the integrated squared filtering error, 0.5 * sum (x - est)^2 dt.
+
+    est is a filter's posterior-mean path on the grid of x.
+    """
+    if len(x) != len(est) or abs(x.dt - est.dt) > 1e-12 * x.dt:
         raise ValueError("signal and filter paths live on different grids")
     diff = x.values - est.values
     return 0.5 * float(np.dot(diff, diff)) * x.dt
@@ -280,7 +252,7 @@ def closed_form_di_constant_signal(horizon: float) -> float:
     return 0.5 * math.log1p(horizon)
 
 
-def _exact_filter(model: GaussianFeedbackModel, yinc: SamplePath) -> FilterPath:
+def _exact_filter(model: GaussianFeedbackModel, yinc: SamplePath) -> SamplePath:
     if model.policy is None and model.latent is None:
         return exact_filter_constant_signal(yinc)
     if model.policy is None:
@@ -319,16 +291,9 @@ def mismatched_relent_gaussian(model: GaussianFeedbackModel, q_filter, rng,
     Estimated as half the integrated excess squared error of the mismatched
     causal filter over the matched one, averaged over replicas of the true
     model; nonnegative up to Monte Carlo noise, and identically zero when the
-    mismatched filter coincides with the matched one.
+    mismatched filter coincides with the matched one.  q_filter(yinc) returns
+    the mismatched posterior-mean path on the grid of yinc.
     """
     return replicated_estimate(functools.partial(_mismatch_replica, model, q_filter), rng,
                                replicas, jobs)
 
-
-def write_path_csv(dest, x: SamplePath, yinc: SamplePath, filt: FilterPath) -> None:
-    """Dump one replica as CSV rows (time, x, y_increment, x_hat)."""
-    est = filt.estimates
-    if not len(x) == len(yinc) == len(est):
-        raise ValueError("paths live on different grids")
-    write_csv(dest, ["time", "x", "y_increment", "x_hat"],
-              zip(x.times, x.values, yinc.values, est.values))

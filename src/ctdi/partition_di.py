@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_STATE_CAP = 1_000_000
+_STATE_CAP = 1_000_000
 _ZERO = 1e-15
 
 __all__ = [
@@ -34,12 +34,23 @@ __all__ = [
     "reverse_directed_info",
     "conservation_residual",
     "grouped_directed_info",
-    "empirical_joint",
-    "prefix_joint",
     "random_joint",
     "random_no_feedback_joint",
-    "DEFAULT_STATE_CAP",
 ]
+
+
+def _checked_sizes(x_sizes, y_sizes):
+    """Per-index alphabet sizes as int tuples, with at most _STATE_CAP joint cells."""
+    xs = tuple(int(s) for s in x_sizes)
+    ys = tuple(int(s) for s in y_sizes)
+    if not xs or len(xs) != len(ys):
+        raise ValueError("need matching, nonempty per-index alphabet size tuples")
+    if min(xs + ys) < 1:
+        raise ValueError("alphabet sizes must be at least 1")
+    states = math.prod(xs + ys)
+    if states > _STATE_CAP:
+        raise ValueError(f"state count {states} exceeds the enumeration cap {_STATE_CAP}")
+    return xs, ys
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,25 +58,16 @@ class JointSequencePmf:
     """Joint law of two length-n sequences as a dense tensor.
 
     probs has shape x_sizes + y_sizes, row-major over (x_1..x_n, y_1..y_n);
-    symbols are 0-based integers.  The total state count is capped to keep
-    enumeration tractable.
+    symbols are 0-based integers.  The total state count is capped at
+    _STATE_CAP to keep enumeration tractable.
     """
 
     x_sizes: tuple
     y_sizes: tuple
     probs: np.ndarray
-    max_states: int = DEFAULT_STATE_CAP
 
     def __post_init__(self):
-        xs = tuple(int(s) for s in self.x_sizes)
-        ys = tuple(int(s) for s in self.y_sizes)
-        if not xs or len(xs) != len(ys):
-            raise ValueError("need matching, nonempty per-index alphabet size tuples")
-        if min(xs + ys) < 1:
-            raise ValueError("alphabet sizes must be at least 1")
-        states = math.prod(xs) * math.prod(ys)
-        if states > self.max_states:
-            raise ValueError(f"state count {states} exceeds the enumeration cap {self.max_states}")
+        xs, ys = _checked_sizes(self.x_sizes, self.y_sizes)
         p = np.array(self.probs, dtype=float).reshape(xs + ys)
         if np.any(p < 0):
             raise ValueError("probabilities must be nonnegative")
@@ -101,15 +103,6 @@ class JointSequencePmf:
                 "probs": self.probs.ravel().tolist(),
             }
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "JointSequencePmf":
-        doc = json.loads(text)
-        xs = tuple(doc["x_alphabet_sizes"])
-        ys = tuple(doc["y_alphabet_sizes"])
-        if doc.get("n") != len(xs):
-            raise ValueError("inconsistent sequence length in serialized joint")
-        return cls(xs, ys, np.asarray(doc["probs"], dtype=float))
 
 
 def _conditional_mi(probs: np.ndarray, a_axes, b_axes, c_axes) -> float:
@@ -155,10 +148,6 @@ class Grouping:
     def n(self) -> int:
         return self.ends[-1]
 
-    def refines(self, coarser: "Grouping") -> bool:
-        """True iff this grouping splits the same range with every cut of `coarser`."""
-        return self.n == coarser.n and set(coarser.ends) <= set(self.ends)
-
 
 def grouped_directed_info(joint: JointSequencePmf, grouping: Grouping) -> float:
     """Directed information between the block-supersymbol sequences.
@@ -199,43 +188,9 @@ def conservation_residual(joint: JointSequencePmf) -> float:
     return directed_info(joint) + reverse_directed_info(joint) - mutual_information(joint)
 
 
-def prefix_joint(joint: JointSequencePmf, m: int) -> JointSequencePmf:
-    """Marginal law of the first m positions of both sequences."""
-    if not 1 <= m <= joint.n:
-        raise ValueError("prefix length out of range")
-    drop = joint.x_axes[m:] + joint.y_axes[m:]
-    p = joint.probs.sum(axis=drop) if drop else joint.probs
-    return JointSequencePmf(joint.x_sizes[:m], joint.y_sizes[:m], p)
-
-
-def empirical_joint(samples, x_sizes, y_sizes, max_states: int = DEFAULT_STATE_CAP) -> JointSequencePmf:
-    """Empirical joint law from iid draws of ((x_1..x_n), (y_1..y_n)) pairs.
-
-    samples may be any sequence of pairs of equal-length symbol tuples, or an
-    (N, 2, n) integer array.
-    """
-    arr = np.asarray(samples, dtype=np.int64)
-    if arr.ndim != 3 or arr.shape[0] == 0 or arr.shape[1] != 2:
-        raise ValueError("samples must be a nonempty sequence of (x-seq, y-seq) pairs")
-    xs = tuple(int(s) for s in x_sizes)
-    ys = tuple(int(s) for s in y_sizes)
-    n = len(xs)
-    if arr.shape[2] != n or len(ys) != n:
-        raise ValueError("sample length does not match the alphabet size tuples")
-    sizes = xs + ys
-    cols = [arr[:, 0, i] for i in range(n)] + [arr[:, 1, i] for i in range(n)]
-    for col, size in zip(cols, sizes):
-        if col.min() < 0 or col.max() >= size:
-            raise ValueError("sample symbol out of alphabet range")
-    flat = np.ravel_multi_index(cols, sizes)
-    counts = np.bincount(flat, minlength=math.prod(sizes)).astype(float)
-    return JointSequencePmf(xs, ys, counts / arr.shape[0], max_states=max_states)
-
-
 def random_joint(rng: np.random.Generator, x_sizes, y_sizes) -> JointSequencePmf:
     """Uniformly random joint law (flat Dirichlet over the full state space)."""
-    xs = tuple(int(s) for s in x_sizes)
-    ys = tuple(int(s) for s in y_sizes)
+    xs, ys = _checked_sizes(x_sizes, y_sizes)
     probs = rng.dirichlet(np.ones(math.prod(xs + ys)))
     return JointSequencePmf(xs, ys, probs)
 
@@ -248,11 +203,8 @@ def random_no_feedback_joint(rng: np.random.Generator, x_sizes, y_sizes) -> Join
     Because the input ignores past outputs, directed information equals
     mutual information for these joints.
     """
-    xs = tuple(int(s) for s in x_sizes)
-    ys = tuple(int(s) for s in y_sizes)
+    xs, ys = _checked_sizes(x_sizes, y_sizes)
     n = len(xs)
-    if n != len(ys) or n == 0:
-        raise ValueError("need matching, nonempty alphabet size tuples")
     joint = rng.dirichlet(np.ones(math.prod(xs))).reshape(xs + (1,) * n)
     for i in range(n):
         cond_shape = xs[: i + 1] + ys[:i]

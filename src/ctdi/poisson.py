@@ -4,8 +4,9 @@ Between events the input intensity is constant, so the causal posterior mean
 of the intensity given the whole output past depends only on the elapsed
 time since the last event: an exponentially tilted average of the input pmf.
 That renewal structure gives closed forms for the stationary intensity law,
-the elapsed-time density, the interarrival density, and the directed-
-information rate, each of which is checked here against Monte Carlo.
+the interarrival density and the directed-information rate; the trajectory
+Monte Carlo estimators integrate the causal-estimation loss along simulated
+paths instead, so the two routes check each other.
 
 Rates are in nats per second.  All input pmfs must have strictly positive
 support.
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiEstimate, EventTimes, FinitePmf, poisson_loss, replicated_estimate, write_csv
+from .core import DiEstimate, EventTimes, FinitePmf, poisson_loss, replicated_estimate
 from .quadrature import gauss_legendre, integrate_panels
 
 __all__ = [
@@ -28,21 +29,16 @@ __all__ = [
     "simulate_channel",
     "renewal_posterior_mean",
     "stationary_intensity_pmf",
-    "elapsed_time_density",
     "interarrival_density",
     "interarrival_entropy",
-    "interarrival_entropy_given_input",
     "mean_inverse_intensity",
-    "mean_log_intensity",
     "mean_interarrival_quadrature",
     "di_rate_analytic",
     "di_rate_mc",
     "mismatched_relent_poisson",
     "trajectory_integral",
-    "trajectory_time_average",
     "state_at",
     "occupancy_fractions",
-    "write_trajectory_csv",
 ]
 
 
@@ -153,27 +149,6 @@ def mean_inverse_intensity(pmf: FinitePmf) -> float:
     return float(np.dot(pmf.probs, 1.0 / pmf.support))
 
 
-def mean_log_intensity(pmf: FinitePmf) -> float:
-    """E[ln X] over positive-mass atoms."""
-    support, probs = _positive_atoms(pmf)
-    return float(np.dot(probs, np.log(support)))
-
-
-def elapsed_time_density(pmf: FinitePmf, t):
-    """Stationary density of the time elapsed since the last event.
-
-    f(t) = sum_x p(x) e^{-tx} / E[1/X]; integrates to one over [0, inf).
-    """
-    support, probs = _positive_atoms(pmf)
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
-        raise ValueError("elapsed time must be nonnegative")
-    vals = np.exp(-np.multiply.outer(t_arr, support)) @ probs / mean_inverse_intensity(pmf)
-    if vals.ndim == 0:
-        return float(vals)
-    return vals
-
-
 def interarrival_density(pmf: FinitePmf, y):
     """Density of the wait between events: f(y) = sum_x p(x) x e^{-xy}."""
     support, probs = _positive_atoms(pmf)
@@ -184,11 +159,6 @@ def interarrival_density(pmf: FinitePmf, y):
     if vals.ndim == 0:
         return float(vals)
     return vals
-
-
-def interarrival_entropy_given_input(pmf: FinitePmf) -> float:
-    """h(Y|X) = 1 - E[ln X], exact: each conditional law is exponential."""
-    return 1.0 - mean_log_intensity(pmf)
 
 
 def _geometric_edges(first: float, end: float) -> np.ndarray:
@@ -327,21 +297,13 @@ def trajectory_integral(traj: ChannelTrajectory, integrand, t_lo: float = 0.0,
     return total
 
 
-def trajectory_time_average(traj: ChannelTrajectory, integrand, t_lo: float = 0.0,
-                            t_hi: float | None = None, panel: float = math.inf) -> float:
-    """Time average of integrand(x_t, s_t) over [t_lo, t_hi)."""
-    if t_hi is None:
-        t_hi = traj.events.horizon
-    return trajectory_integral(traj, integrand, t_lo, t_hi, panel) / (t_hi - t_lo)
-
-
 def _posterior_loss(pmf, x, s):
     return poisson_loss(x, renewal_posterior_mean(pmf, s))
 
 
 def _rate_replica(model, burn_in, integrand, panel, gen):
     traj = simulate_channel(model, gen)
-    return trajectory_time_average(traj, integrand, t_lo=burn_in, panel=panel)
+    return trajectory_integral(traj, integrand, t_lo=burn_in, panel=panel) / (model.horizon - burn_in)
 
 
 def di_rate_mc(model: PoissonFeedbackModel, rng, replicas: int = 4,
@@ -409,8 +371,3 @@ def occupancy_fractions(traj: ChannelTrajectory, support, t_lo: float = 0.0,
     out = np.array([overlap[xs == v].sum() for v in support])
     return out / (t_hi - t_lo)
 
-
-def write_trajectory_csv(dest, traj: ChannelTrajectory) -> None:
-    """Dump events as CSV rows (event_index, event_time, intensity_after_event)."""
-    write_csv(dest, ["event_index", "event_time", "intensity_after_event"],
-              zip(range(len(traj.events)), traj.events.epochs, traj.intensities))

@@ -26,6 +26,18 @@ def test_usage_errors_exit_2(tmp_path):
     assert manifest["exit_status"] == 2
     for tol in ("0", "-1", "nan"):
         assert run(["poisson-capacity", "--tol", tol, "--out", str(tmp_path)]) == 2
+    # an empty list or no replicas would run nothing and pass
+    for command, manifest_name, args in (
+            ("gaussian-duncan", "gaussian_duncan", ["--t-values", ""]),
+            ("poisson-capacity", "poisson_capacity", ["--lambda2-values", ""]),
+            ("poisson-rate", "poisson_rate", ["--p-values", ""]),
+            ("gaussian-duncan", "gaussian_duncan", ["--t-values", "0", "--replicas", "0"])):
+        (tmp_path / f"{manifest_name}_manifest.json").unlink(missing_ok=True)
+        assert run([command, *args, "--out", str(tmp_path)]) == 2
+        manifest = json.loads((tmp_path / f"{manifest_name}_manifest.json").read_text())
+        assert manifest["exit_status"] == 2
+    # random joints over the enumeration cap fail before they are drawn
+    assert run(["di-discrete", "--max-n", "9", "--out", str(tmp_path)]) == 2
 
 
 def test_config_file_validation(tmp_path):
@@ -43,7 +55,7 @@ def test_config_file_validation(tmp_path):
 def test_gaussian_duncan_small_run_and_reproducibility(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
-    args = ["gaussian-duncan", "--t-values", "0.2", "--dt", "0.01",
+    args = ["gaussian-duncan", "--t-values", "0,0.2", "--dt", "0.01",
             "--replicas", "400", "--seed", "5"]
     assert run(args + ["--out", str(out1)]) == 0
     assert run(args + ["--out", str(out2)]) == 0
@@ -52,7 +64,10 @@ def test_gaussian_duncan_small_run_and_reproducibility(tmp_path):
     assert csv1 == csv2
     lines = csv1.decode().splitlines()
     assert lines[0] == "T,mc_di,stderr,closed_form,abs_error"
-    assert len(lines) == 2
+    assert len(lines) == 3
+    # numbers print to 12 significant digits; 0.5 ln 1.2 = 0.09116077839697...
+    assert lines[1] == "0,0,0,0,0"
+    assert lines[2].split(",")[::3] == ["0.2", "0.091160778397"]
     manifest = json.loads((out1 / "gaussian_duncan_manifest.json").read_text())
     assert manifest["command"] == "gaussian-duncan"
     assert manifest["config"]["replicas"] == 400

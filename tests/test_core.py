@@ -1,6 +1,8 @@
+import ast
 import math
 import os
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,9 +21,8 @@ from ctdi.core import (
 
 
 def test_sample_path_basics():
-    p = SamplePath(0.0, 0.5, [1.0, 2.0, 3.0])
+    p = SamplePath(0.5, [1.0, 2.0, 3.0])
     assert len(p) == 3
-    assert p.duration == pytest.approx(1.5)
     assert np.allclose(p.times, [0.0, 0.5, 1.0])
     with pytest.raises(ValueError):
         p.values[0] = 7.0
@@ -29,13 +30,13 @@ def test_sample_path_basics():
 
 def test_sample_path_validation():
     with pytest.raises(ValueError):
-        SamplePath(0.0, 0.0, [1.0])
+        SamplePath(0.0, [1.0])
     with pytest.raises(ValueError):
-        SamplePath(0.0, 1.0, [])
+        SamplePath(1.0, [])
     with pytest.raises(ValueError):
-        SamplePath(0.0, 1.0, [[1.0, 2.0]])
+        SamplePath(1.0, [[1.0, 2.0]])
     with pytest.raises(ValueError):
-        SamplePath(0.0, 1.0, [np.nan])
+        SamplePath(1.0, [np.nan])
 
 
 def test_event_times_validation():
@@ -50,8 +51,7 @@ def test_event_times_validation():
 
 
 def test_finite_pmf_validation():
-    pm = FinitePmf([1.0, 2.0], [0.25, 0.75])
-    assert pm.mean() == pytest.approx(1.75)
+    assert len(FinitePmf([1.0, 2.0], [0.25, 0.75])) == 2
     with pytest.raises(ValueError):
         FinitePmf([1.0, 1.0], [0.5, 0.5])
     with pytest.raises(ValueError):
@@ -191,3 +191,33 @@ def test_di_estimate_fields():
     est = DiEstimate(1.5, 0.1, 4, master_seed=9)
     assert est.value == 1.5
     assert est.replicas == 4
+
+
+# exports kept without a user, each with the reason
+_UNUSED_EXPORTS_ALLOWED = {
+    "quadrature.adaptive_simpson": "the benchmark traces it by name until its quadrature "
+                                   "metrics read integrate_panels; then it is deleted",
+}
+
+
+def test_every_export_has_a_user():
+    # a name in a module's __all__ must be referenced by some src module or by
+    # the acceptance gate; the package's re-exports in __init__ are not uses
+    root = Path(__file__).resolve().parent.parent
+    sources = [p for p in sorted((root / "src" / "ctdi").glob("*.py")) if p.name != "__init__.py"]
+    exports, used = [], set()
+    for path in sources + [root / "tests" / "test_acceptance.py"]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                exports += [f"{path.stem}.{elt.value}" for elt in node.value.elts]
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    assert exports
+    unused = [name for name in exports
+              if name.split(".")[1] not in used and name not in _UNUSED_EXPORTS_ALLOWED]
+    assert unused == []

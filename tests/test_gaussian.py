@@ -1,5 +1,4 @@
 import functools
-import io
 import math
 
 import numpy as np
@@ -8,7 +7,6 @@ import pytest
 from conftest import gaussian_mismatch_closed_form, quantized_normal_prior
 from ctdi.core import FinitePmf, RngSpec, SamplePath
 from ctdi.gaussian import (
-    FilterPath,
     GaussianFeedbackModel,
     causal_mmse_integral,
     closed_form_di_constant_signal,
@@ -20,7 +18,6 @@ from ctdi.gaussian import (
     mismatched_relent_gaussian,
     replay_filter,
     simulate_awgn,
-    write_path_csv,
 )
 
 TWO_POINT = FinitePmf([-1.0, 1.0], [0.5, 0.5])
@@ -81,12 +78,11 @@ def test_power_bound_guards_runaway_policies():
 
 
 def test_exact_filter_gain_formula():
-    yinc = SamplePath(0.0, 0.5, [0.5, -0.2])
+    yinc = SamplePath(0.5, [0.5, -0.2])
     filt = exact_filter_constant_signal(yinc)
-    assert np.allclose(filt.estimates.values, [0.0, 0.5 / 1.5])
-    assert np.allclose(filt.variances.values, [1.0, 1.0 / 1.5])
+    assert np.allclose(filt.values, [0.0, 0.5 / 1.5])
     wide = exact_filter_constant_signal(yinc, prior_var=4.0)
-    assert np.allclose(wide.estimates.values, [0.0, 4.0 * 0.5 / 3.0])
+    assert np.allclose(wide.values, [0.0, 4.0 * 0.5 / 3.0])
 
 
 def test_exact_filter_posterior_variance_is_achieved():
@@ -97,7 +93,7 @@ def test_exact_filter_posterior_variance_is_achieved():
     for rep in range(30_000):
         x, yinc = simulate_awgn(model, RngSpec(64).stream(rep))
         filt = exact_filter_constant_signal(yinc)
-        errs.append(x.values[-1] - filt.estimates.values[-1])
+        errs.append(x.values[-1] - filt.values[-1])
     errs = np.asarray(errs)
     mse = float((errs**2).mean())
     se = float((errs**2).std(ddof=1) / math.sqrt(errs.size))
@@ -106,10 +102,10 @@ def test_exact_filter_posterior_variance_is_achieved():
 
 def test_two_point_prior_filter_is_tanh():
     gen = np.random.default_rng(65)
-    yinc = SamplePath(0.0, 0.01, gen.normal(scale=0.1, size=200))
+    yinc = SamplePath(0.01, gen.normal(scale=0.1, size=200))
     filt = discrete_prior_filter(TWO_POINT, yinc)
     y_before = np.concatenate(([0.0], np.cumsum(yinc.values[:-1])))
-    assert np.allclose(filt.estimates.values, np.tanh(y_before), atol=1e-12)
+    assert np.allclose(filt.values, np.tanh(y_before), atol=1e-12)
 
 
 def test_filters_do_not_look_ahead():
@@ -117,12 +113,12 @@ def test_filters_do_not_look_ahead():
     vals = gen.normal(size=50)
     tampered = vals.copy()
     tampered[30:] += 5.0
-    a = SamplePath(0.0, 0.02, vals)
-    b = SamplePath(0.0, 0.02, tampered)
+    a = SamplePath(0.02, vals)
+    b = SamplePath(0.02, tampered)
     for fn in (exact_filter_constant_signal,
                lambda y: discrete_prior_filter(TWO_POINT, y)):
-        ea = fn(a).estimates.values
-        eb = fn(b).estimates.values
+        ea = fn(a).values
+        eb = fn(b).values
         assert np.array_equal(ea[:31], eb[:31])
         assert not np.array_equal(ea[31:], eb[31:])
 
@@ -131,7 +127,7 @@ def test_replay_filter_reconstructs_echo_signal_exactly():
     model = delayed_echo_model(1.0, 0.001, 0.01)
     x, yinc = simulate_awgn(model, RngSpec(67).stream(0))
     filt = replay_filter(model, yinc)
-    assert np.array_equal(filt.estimates.values, x.values)
+    assert np.array_equal(filt.values, x.values)
     assert causal_mmse_integral(x, filt) == 0.0
     with pytest.raises(ValueError):
         replay_filter(constant_signal_model(1.0, 0.001), yinc)
@@ -145,8 +141,7 @@ def test_replay_filter_tracks_discrete_posterior():
         _, yinc = simulate_awgn(model, RngSpec(70).stream(rep))
         exact = discrete_prior_filter(prior, yinc)
         replayed = replay_filter(model, yinc)
-        assert np.max(np.abs(replayed.estimates.values - exact.estimates.values)) < 1e-12
-        assert np.max(np.abs(replayed.variances.values - exact.variances.values)) < 1e-12
+        assert np.max(np.abs(replayed.values - exact.values)) < 1e-12
 
 
 def test_replay_filter_two_point_prior_matches_tanh():
@@ -154,7 +149,7 @@ def test_replay_filter_two_point_prior_matches_tanh():
     _, yinc = simulate_awgn(model, RngSpec(81).stream(0))
     filt = replay_filter(model, yinc)
     y_before = np.concatenate(([0.0], np.cumsum(yinc.values[:-1])))
-    assert np.max(np.abs(filt.estimates.values - np.tanh(y_before))) < 1e-12
+    assert np.max(np.abs(filt.values - np.tanh(y_before))) < 1e-12
 
 
 def test_replay_filter_tracks_feedback_posterior():
@@ -171,7 +166,7 @@ def test_replay_filter_tracks_feedback_posterior():
     w = np.exp(loglik - loglik.max(axis=0))
     exact = (w * signals).sum(axis=0) / w.sum(axis=0)
     filt = replay_filter(model, yinc)
-    assert np.max(np.abs(filt.estimates.values - exact)) < 1e-12
+    assert np.max(np.abs(filt.values - exact)) < 1e-12
     assert np.max(np.abs(signals[int(x.values[0] > 0)] - x.values)) < 1e-12
 
 
@@ -211,19 +206,19 @@ def test_duncan_with_feedback_matches_terminal_posterior_information():
 
 
 def test_causal_integral_trivial_values():
-    x = SamplePath(0.0, 0.5, np.ones(4))
-    zero = FilterPath(SamplePath(0.0, 0.5, np.zeros(4)))
+    x = SamplePath(0.5, np.ones(4))
+    zero = SamplePath(0.5, np.zeros(4))
     assert causal_mmse_integral(x, zero) == pytest.approx(1.0, abs=1e-14)
-    perfect = FilterPath(SamplePath(0.0, 0.5, np.ones(4)))
+    perfect = SamplePath(0.5, np.ones(4))
     assert causal_mmse_integral(x, perfect) == 0.0
 
 
 def test_causal_mmse_integral_requires_matching_grids():
-    x = SamplePath(0.0, 0.1, [1.0, 1.0])
-    filt = FilterPath(SamplePath(0.0, 0.05, [0.0, 0.0]))
+    x = SamplePath(0.1, [1.0, 1.0])
+    filt = SamplePath(0.05, [0.0, 0.0])
     with pytest.raises(ValueError):
         causal_mmse_integral(x, filt)
-    short = FilterPath(SamplePath(0.0, 0.1, [0.0]))
+    short = SamplePath(0.1, [0.0])
     with pytest.raises(ValueError):
         causal_mmse_integral(x, short)
 
@@ -309,9 +304,7 @@ def test_constant_bias_penalty_matches_quadratic_law():
 
     def biased(b):
         def q_filter(yinc):
-            base = exact_filter_constant_signal(yinc)
-            vals = base.estimates.values + b
-            return FilterPath(SamplePath(0.0, yinc.dt, vals), base.variances)
+            return SamplePath(yinc.dt, exact_filter_constant_signal(yinc).values + b)
 
         return q_filter
 
@@ -334,12 +327,12 @@ def test_halving_dt_halves_filter_discretization_bias():
         z = gen.normal(size=100)
         fine_inc = a * (dt / 2) + math.sqrt(dt / 2) * z
         coarse_inc = fine_inc[0::2] + fine_inc[1::2]
-        fine_x = SamplePath(0.0, dt / 2, np.full(100, a))
-        coarse_x = SamplePath(0.0, dt, np.full(50, a))
+        fine_x = SamplePath(dt / 2, np.full(100, a))
+        coarse_x = SamplePath(dt, np.full(50, a))
         fine = causal_mmse_integral(
-            fine_x, exact_filter_constant_signal(SamplePath(0.0, dt / 2, fine_inc)))
+            fine_x, exact_filter_constant_signal(SamplePath(dt / 2, fine_inc)))
         coarse = causal_mmse_integral(
-            coarse_x, exact_filter_constant_signal(SamplePath(0.0, dt, coarse_inc)))
+            coarse_x, exact_filter_constant_signal(SamplePath(dt, coarse_inc)))
         gaps.append(coarse - fine)
     gaps = np.asarray(gaps)
     se = gaps.std(ddof=1) / math.sqrt(gaps.size)
@@ -353,17 +346,3 @@ def test_rng_type_rejected():
     with pytest.raises(TypeError):
         directed_info_gaussian_mc(model, rng=np.random.default_rng(0), replicas=5)
 
-
-def test_path_csv_format(tmp_path):
-    x = SamplePath(0.0, 0.5, [1.0, 1.0])
-    yinc = SamplePath(0.0, 0.5, [0.25, -0.5])
-    filt = FilterPath(SamplePath(0.0, 0.5, [0.0, 0.125]))
-    buf = io.StringIO()
-    write_path_csv(buf, x, yinc, filt)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "time,x,y_increment,x_hat"
-    assert lines[1] == "0,1,0.25,0"
-    assert lines[2] == "0.5,1,-0.5,0.125"
-    dest = tmp_path / "path.csv"
-    write_path_csv(dest, x, yinc, filt)
-    assert dest.read_text().splitlines() == lines

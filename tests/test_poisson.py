@@ -1,5 +1,4 @@
 import functools
-import io
 import math
 
 import numpy as np
@@ -15,13 +14,10 @@ from ctdi.poisson import (
     default_burn_in,
     di_rate_analytic,
     di_rate_mc,
-    elapsed_time_density,
     interarrival_density,
     interarrival_entropy,
-    interarrival_entropy_given_input,
     mean_interarrival_quadrature,
     mean_inverse_intensity,
-    mean_log_intensity,
     mismatched_relent_poisson,
     occupancy_fractions,
     renewal_posterior_mean,
@@ -29,8 +25,6 @@ from ctdi.poisson import (
     state_at,
     stationary_intensity_pmf,
     trajectory_integral,
-    trajectory_time_average,
-    write_trajectory_csv,
 )
 BINARY = FinitePmf([1.0, 2.0], [0.5, 0.5])
 
@@ -102,14 +96,12 @@ def test_stationary_quantities_binary():
     st = stationary_intensity_pmf(BINARY)
     assert np.allclose(st.probs, [2.0 / 3.0, 1.0 / 3.0])
     assert mean_inverse_intensity(BINARY) == pytest.approx(0.75)
-    assert mean_log_intensity(BINARY) == pytest.approx(0.5 * math.log(2.0))
-    assert elapsed_time_density(BINARY, 0.0) == pytest.approx(4.0 / 3.0)
 
 
 def test_stationary_x_log_x_identity():
     st = stationary_intensity_pmf(BINARY)
     lhs = float(np.dot(st.probs, st.support * np.log(st.support)))
-    rhs = mean_log_intensity(BINARY) / mean_inverse_intensity(BINARY)
+    rhs = float(np.dot(BINARY.probs, np.log(BINARY.support))) / mean_inverse_intensity(BINARY)
     assert lhs == pytest.approx(rhs, rel=1e-14)
 
 
@@ -117,16 +109,7 @@ def test_point_mass_elapsed_density_and_posterior():
     lam = 2.5
     pm = FinitePmf([lam], [1.0])
     t = np.linspace(0.0, 3.0, 7)
-    assert np.allclose(elapsed_time_density(pm, t), lam * np.exp(-lam * t),
-                       rtol=1e-12)
     assert np.allclose(renewal_posterior_mean(pm, t), lam)
-
-
-def test_elapsed_time_density_integrates_to_one():
-    for pmf in (BINARY, FinitePmf([0.5, 3.0], [0.3, 0.7])):
-        total, _ = quad(lambda t: elapsed_time_density(pmf, t), 0.0,
-                        200.0 / pmf.support.min(), epsabs=1e-12, limit=200)
-        assert total == pytest.approx(1.0, abs=1e-8)
 
 
 def test_interarrival_density_normalization_and_mean():
@@ -146,12 +129,6 @@ def test_interarrival_entropy_against_mc_oracle():
     quad = interarrival_entropy(BINARY)
     mc, se = mc_entropy_oracle(BINARY, 1_000_000, seed=101)
     assert abs(quad - mc) < max(1e-3, 3.0 * se)
-
-
-def test_conditional_entropy_identity():
-    pmf = FinitePmf([0.5, 2.0, 5.0], [0.25, 0.5, 0.25])
-    direct = float(np.dot(pmf.probs, 1.0 - np.log(pmf.support)))
-    assert interarrival_entropy_given_input(pmf) == pytest.approx(direct, rel=1e-14)
 
 
 def test_rate_zero_for_deterministic_intensity():
@@ -212,6 +189,7 @@ def test_hazard_log_hazard_time_average_identity():
     # function evaluated at an interarrival draw is uniform on (0, 1)
     target = (1.0 - interarrival_entropy(BINARY)) / mean_inverse_intensity(BINARY)
     model = PoissonFeedbackModel(BINARY, 3000.0)
+    burn_in = default_burn_in(BINARY)
     vals = []
     for rep in range(3):
         traj = simulate_channel(model, RngSpec(41).stream(rep))
@@ -222,7 +200,7 @@ def test_hazard_log_hazard_time_average_identity():
 
         vals.append(
             # the first panel is 1/(max x - min x) wide
-            trajectory_time_average(traj, glng, t_lo=default_burn_in(BINARY), panel=1.0)
+            trajectory_integral(traj, glng, t_lo=burn_in, panel=1.0) / (model.horizon - burn_in)
         )
     vals = np.asarray(vals)
     se = vals.std(ddof=1) / math.sqrt(len(vals))
@@ -327,15 +305,3 @@ def test_mismatch_nonnegative_and_seed_stable():
     spread = math.hypot(a.stderr, b.stderr)
     assert abs(a.value - b.value) < 4.0 * spread
 
-
-def test_trajectory_csv_format(tmp_path):
-    traj = ChannelTrajectory(events=_events(4.0, [0.0, 1.25]), intensities=[1.0, 2.0])
-    buf = io.StringIO()
-    write_trajectory_csv(buf, traj)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "event_index,event_time,intensity_after_event"
-    assert lines[1] == "0,0,1"
-    assert lines[2] == "1,1.25,2"
-    dest = tmp_path / "traj.csv"
-    write_trajectory_csv(dest, traj)
-    assert dest.read_text().splitlines() == lines
