@@ -116,6 +116,8 @@ def capacity_curve(lambda1: float, lambda2_values, tol: float = 1e-6) -> list[Ca
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
+    if not 0.0 < lambda1 < math.inf:
+        raise ValueError(f"lambda1 must be positive and finite, got {lambda1}")
     out = []
     for lam2 in lambda2_values:
         lam2 = float(lam2)

@@ -7,9 +7,12 @@ here are immutable values after construction and all operations are pure, so
 instances can be shared freely across threads and worker processes.
 
 Replica protocol: a Monte Carlo estimator hands replicated_estimate a
-function replica(gen) -> float of one numpy Generator, and only this module
-derives the streams: replica r draws from default_rng(SeedSequence((seed, r))),
-so an estimate depends on neither the replica chunking nor the number of jobs.
+function block(gens) -> floats of a list of numpy Generators, one value per
+Generator in order, and only this module derives the streams: replica r
+draws from default_rng(SeedSequence((seed, r))), and a block gets the streams
+of up to _BLOCK consecutive replicas, so an estimate depends on neither the
+blocking, the replica chunking nor the number of jobs.  per_replica turns a
+function replica(gen) -> float of one Generator into such a block.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ __all__ = [
     "DiEstimate",
     "poisson_loss",
     "map_replicas",
+    "per_replica",
     "replicated_estimate",
     "write_csv",
 ]
@@ -108,11 +112,13 @@ class FinitePmf:
         p = _readonly(self.probs)
         if s.ndim != 1 or s.size < 1 or p.shape != s.shape:
             raise ValueError("support and probs must be matching nonempty vectors")
+        if not np.all(np.isfinite(s)):
+            raise ValueError("support points must be finite")
         if np.unique(s).size != s.size:
             raise ValueError("support points must be distinct")
         if np.any(p < 0):
             raise ValueError("probabilities must be nonnegative")
-        if abs(p.sum() - 1.0) > 1e-12:
+        if not abs(p.sum() - 1.0) <= 1e-12:
             raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
         object.__setattr__(self, "support", s)
         object.__setattr__(self, "probs", p)
@@ -207,27 +213,45 @@ def map_replicas(worker, n_replicas: int, jobs: int = 1) -> list:
     return out
 
 
-def _replica_range(replica, master_seed: int, start: int, stop: int) -> list:
-    """replica(gen) for r in [start, stop), gen the stream of replica r."""
+# replicas per block call: enough to amortize per-call overhead, few enough
+# that a block's (replicas, steps) buffers stay in cache
+_BLOCK = 16
+
+
+def _replica_range(block, master_seed: int, start: int, stop: int) -> list:
+    """block(gens) over [start, stop) in runs of _BLOCK, gens the streams of one run."""
     spec = RngSpec(master_seed)
-    return [replica(spec.stream(r)) for r in range(start, stop)]
+    out = []
+    for a in range(start, stop, _BLOCK):
+        out.extend(block([spec.stream(r) for r in range(a, min(a + _BLOCK, stop))]))
+    return out
 
 
-def replicated_estimate(replica, rng, replicas: int, jobs: int = 1) -> DiEstimate:
-    """Mean and standard error of replica(gen) over replicas independent streams.
+def _each(replica, gens) -> list:
+    return [replica(gen) for gen in gens]
 
-    rng is an RngSpec or an integer master seed; a Generator is refused,
-    since each replica derives its own stream from the master seed.  replica
-    must be picklable when jobs > 1.  The standard error is nan for a single
-    replica, which has no spread to estimate it from, so it cannot pass for
-    an exact zero.
+
+def per_replica(replica):
+    """The block of a per-replica function replica(gen) -> float; picklable if replica is."""
+    return functools.partial(_each, replica)
+
+
+def replicated_estimate(block, rng, replicas: int, jobs: int = 1) -> DiEstimate:
+    """Mean and standard error over replicas independent streams of block(gens).
+
+    block maps a list of Generators, the streams of consecutive replicas, to
+    one value per Generator in order.  rng is an RngSpec or an integer master
+    seed; a Generator is refused, since each replica derives its own stream
+    from the master seed.  block must be picklable when jobs > 1.  The
+    standard error is nan for a single replica, which has no spread to
+    estimate it from, so it cannot pass for an exact zero.
     """
     if isinstance(rng, np.random.Generator):
         raise TypeError("replicated estimators need an RngSpec or integer master seed")
     if replicas < 1:
         raise ValueError(f"replicas must be at least 1, got {replicas}")
     spec = rng if isinstance(rng, RngSpec) else RngSpec(int(rng))
-    worker = functools.partial(_replica_range, replica, spec.master_seed)
+    worker = functools.partial(_replica_range, block, spec.master_seed)
     vals = np.asarray(map_replicas(worker, replicas, jobs), dtype=float)
     stderr = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else math.nan
     return DiEstimate(float(vals.mean()), stderr, int(vals.size), spec.master_seed)

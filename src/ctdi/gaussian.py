@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiEstimate, FinitePmf, SamplePath, replicated_estimate
+from .core import DiEstimate, FinitePmf, SamplePath, per_replica, replicated_estimate
 
 DEFAULT_POWER_BOUND = 1e3
 
@@ -68,10 +68,10 @@ class GaussianFeedbackModel:
     power_bound: float = DEFAULT_POWER_BOUND
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if self.horizon < 0:
-            raise ValueError("horizon must be nonnegative")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not 0 <= self.horizon < math.inf:
+            raise ValueError(f"horizon must be nonnegative and finite, got {self.horizon}")
         n = int(round(self.horizon / self.dt))
         if abs(n * self.dt - self.horizon) > 1e-9 * max(self.dt, self.horizon):
             raise ValueError("horizon must be a whole number of grid steps")
@@ -162,12 +162,18 @@ def simulate_awgn(model: GaussianFeedbackModel, gen: np.random.Generator):
     return SamplePath(model.dt, x), SamplePath(model.dt, inc)
 
 
-def _cumulative_before(yinc: SamplePath) -> np.ndarray:
-    """Cumulative observation at each grid time, using increments strictly before it."""
-    out = np.empty(len(yinc))
-    out[0] = 0.0
-    np.cumsum(yinc.values[:-1], out=out[1:])
+def _cumulative_before(inc: np.ndarray) -> np.ndarray:
+    """Cumulative observation at each grid time (last axis), from increments strictly before it."""
+    out = np.empty_like(inc)
+    out[..., 0] = 0.0
+    np.cumsum(inc[..., :-1], axis=-1, out=out[..., 1:])
     return out
+
+
+def _gaussian_prior_mean(y: np.ndarray, t: np.ndarray, prior_var: float) -> np.ndarray:
+    """Posterior mean v Y_t / (1 + v t) of a constant N(0, v) signal, in place in y."""
+    y *= prior_var / (1.0 + prior_var * t)
+    return y
 
 
 def exact_filter_constant_signal(yinc: SamplePath, prior_var: float = 1.0) -> SamplePath:
@@ -178,32 +184,28 @@ def exact_filter_constant_signal(yinc: SamplePath, prior_var: float = 1.0) -> Sa
     """
     if not prior_var > 0:
         raise ValueError("prior variance must be positive")
-    y = _cumulative_before(yinc)
-    gain = prior_var / (1.0 + prior_var * yinc.times)
-    return SamplePath(yinc.dt, gain * y)
+    est = _gaussian_prior_mean(_cumulative_before(yinc.values), yinc.times, prior_var)
+    return SamplePath(yinc.dt, est)
 
 
-def _mixture_filter(loglik: np.ndarray, signals: np.ndarray, dt: float) -> SamplePath:
-    """Posterior-mean path of the signal over K latent atoms.
+def _mixture_mean(loglik: np.ndarray, signals: np.ndarray) -> np.ndarray:
+    """Posterior mean of the signal over K latent atoms, along the last axis.
 
-    loglik is (n, K): each atom's unnormalized log posterior weight at each
-    step.  signals is the atoms' signal, (K,) when it is constant in time,
-    else (n, K).  A single atom gets weight 1 exactly.
+    loglik is (..., n, K): each atom's unnormalized log posterior weight at
+    each step.  signals is the atoms' signal, (K,) when it is constant in
+    time, else (n, K).  A single atom gets weight 1 exactly.
     """
-    loglik = loglik - loglik.max(axis=1, keepdims=True)
+    loglik = loglik - loglik.max(axis=-1, keepdims=True)
     w = np.exp(loglik)
-    w /= w.sum(axis=1, keepdims=True)
-    est = w @ signals if signals.ndim == 1 else np.sum(w * signals, axis=1)
-    return SamplePath(dt, est)
+    w /= w.sum(axis=-1, keepdims=True)
+    return w @ signals if signals.ndim == 1 else np.sum(w * signals, axis=-1)
 
 
-def discrete_prior_filter(prior: FinitePmf, yinc: SamplePath) -> SamplePath:
-    """Posterior-mean path of a constant signal drawn from a finite prior.
+def _finite_prior_mean(prior: FinitePmf, y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Posterior mean of a constant signal from a finite prior given Y_t, along the last axis.
 
     Posterior weights at time t are proportional to p(a) exp(a Y_t - a^2 t/2).
     """
-    y = _cumulative_before(yinc)
-    t = yinc.times
     a = prior.support
     loglik = (
         np.log(np.where(prior.probs > 0, prior.probs, 1.0))
@@ -211,7 +213,12 @@ def discrete_prior_filter(prior: FinitePmf, yinc: SamplePath) -> SamplePath:
         + np.multiply.outer(y, a)
         - 0.5 * np.multiply.outer(t, a * a)
     )
-    return _mixture_filter(loglik, a, yinc.dt)
+    return _mixture_mean(loglik, a)
+
+
+def discrete_prior_filter(prior: FinitePmf, yinc: SamplePath) -> SamplePath:
+    """Posterior-mean path of a constant signal drawn from a finite prior."""
+    return SamplePath(yinc.dt, _finite_prior_mean(prior, _cumulative_before(yinc.values), yinc.times))
 
 
 def replay_filter(model: GaussianFeedbackModel, yinc: SamplePath) -> SamplePath:
@@ -231,7 +238,7 @@ def replay_filter(model: GaussianFeedbackModel, yinc: SamplePath) -> SamplePath:
     loglik = np.empty_like(signals)
     loglik[0] = 0.0
     np.cumsum(steps[:-1], axis=0, out=loglik[1:])
-    return _mixture_filter(loglik + np.log(prior.probs), signals, yinc.dt)
+    return SamplePath(yinc.dt, _mixture_mean(loglik + np.log(prior.probs), signals))
 
 
 def causal_mmse_integral(x: SamplePath, est: SamplePath) -> float:
@@ -260,23 +267,70 @@ def _exact_filter(model: GaussianFeedbackModel, yinc: SamplePath) -> SamplePath:
     return replay_filter(model, yinc)
 
 
+def _constant_signal_block(model, gens) -> list:
+    """Causal-MMSE integrals of a block of replicas of a policy=None model.
+
+    Each stream draws its latent and then its step noises, the draws of
+    simulate_awgn, into its row of one (C, n) buffer, which becomes the
+    increments in place; the cumulative output and then the filter error
+    fill one more (C, n) array.  Row by row the arithmetic is that of
+    simulate_awgn, the exact filter and causal_mmse_integral, so every value
+    is bit-identical to that composition.
+    """
+    n, dt = model.n_steps, model.dt
+    if n == 0:
+        return [0.0] * len(gens)
+    u = np.empty((len(gens), 1))
+    inc = np.empty((len(gens), n))
+    for i, gen in enumerate(gens):
+        if model.latent is None:
+            u[i] = gen.standard_normal()
+        else:
+            u[i] = gen.choice(model.latent.support, p=model.latent.probs)
+        gen.standard_normal(out=inc[i])
+    over = ~(np.abs(u) <= model.power_bound)
+    if over.any():
+        raise ValueError(f"signal level {u[over][0]} exceeds the power bound {model.power_bound}")
+    inc *= math.sqrt(dt)
+    inc += u * dt
+    if not np.all(np.isfinite(inc)):
+        raise ValueError("sample values must be finite")
+    t = dt * np.arange(n)
+    err = _cumulative_before(inc)
+    if model.latent is None:
+        err = _gaussian_prior_mean(err, t, 1.0)
+    else:
+        # row by row: (C, n, K) log weights would grow with the atom count
+        # and fall out of cache
+        err = np.array([_finite_prior_mean(model.latent, y, t) for y in err])
+    if not np.all(np.isfinite(err)):
+        raise ValueError("sample values must be finite")
+    np.subtract(u, err, out=err)
+    return [0.5 * float(np.dot(d, d)) * dt for d in err]
+
+
 def _di_replica(model, gen):
     if model.n_steps == 0:
         return 0.0
     x, inc = simulate_awgn(model, gen)
-    return causal_mmse_integral(x, _exact_filter(model, inc))
+    return causal_mmse_integral(x, replay_filter(model, inc))
 
 
 def directed_info_gaussian_mc(model: GaussianFeedbackModel, rng, replicas: int,
                               jobs: int = 1) -> DiEstimate:
     """Directed information estimated as the mean causal-MMSE integral over replicas.
 
-    Every replica is filtered exactly: the conjugate filter for a Gaussian
-    latent without feedback, otherwise the finite-prior likelihood mixture.
-    A Gaussian latent under a feedback policy has no exact filter here and
-    raises ValueError.
+    Every replica is filtered exactly.  Without a policy the replicas run in
+    blocks: the conjugate filter for a Gaussian latent, the finite-prior
+    likelihood mixture otherwise.  Under a policy each replica runs alone
+    through the replay filter; a Gaussian latent there has no exact filter
+    and raises ValueError.
     """
-    return replicated_estimate(functools.partial(_di_replica, model), rng, replicas, jobs)
+    if model.policy is None:
+        block = functools.partial(_constant_signal_block, model)
+    else:
+        block = per_replica(functools.partial(_di_replica, model))
+    return replicated_estimate(block, rng, replicas, jobs)
 
 
 def _mismatch_replica(model, q_filter, gen):
@@ -294,6 +348,6 @@ def mismatched_relent_gaussian(model: GaussianFeedbackModel, q_filter, rng,
     mismatched filter coincides with the matched one.  q_filter(yinc) returns
     the mismatched posterior-mean path on the grid of yinc.
     """
-    return replicated_estimate(functools.partial(_mismatch_replica, model, q_filter), rng,
-                               replicas, jobs)
+    return replicated_estimate(per_replica(functools.partial(_mismatch_replica, model, q_filter)),
+                               rng, replicas, jobs)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiEstimate, EventTimes, FinitePmf, poisson_loss, replicated_estimate
+from .core import DiEstimate, EventTimes, FinitePmf, per_replica, poisson_loss, replicated_estimate
 from .quadrature import gauss_legendre, integrate_panels
 
 __all__ = [
@@ -52,15 +52,15 @@ def _positive_atoms(pmf: FinitePmf):
 
 @dataclass(frozen=True, eq=False)
 class PoissonFeedbackModel:
-    """Input pmf (positive support) and observation horizon."""
+    """Input pmf (positive support) and finite observation horizon."""
 
     pmf: FinitePmf
     horizon: float
 
     def __post_init__(self):
         _positive_atoms(self.pmf)
-        if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         object.__setattr__(self, "horizon", float(self.horizon))
 
 
@@ -320,7 +320,7 @@ def di_rate_mc(model: PoissonFeedbackModel, rng, replicas: int = 4,
     replica = functools.partial(_rate_replica, model, burn_in,
                                 functools.partial(_posterior_loss, model.pmf),
                                 _panel_width(model.pmf))
-    return replicated_estimate(replica, rng, replicas, jobs)
+    return replicated_estimate(per_replica(replica), rng, replicas, jobs)
 
 
 def _excess_loss(p_pmf, q_pmf, x, s):
@@ -346,7 +346,7 @@ def mismatched_relent_poisson(p_pmf: FinitePmf, q_pmf: FinitePmf, horizon: float
     replica = functools.partial(_mismatch_replica, model,
                                 functools.partial(_excess_loss, p_pmf, q_pmf),
                                 _panel_width(p_pmf, q_pmf))
-    return replicated_estimate(replica, rng, replicas, jobs)
+    return replicated_estimate(per_replica(replica), rng, replicas, jobs)
 
 
 def state_at(traj: ChannelTrajectory, times):

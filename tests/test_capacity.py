@@ -100,6 +100,9 @@ def test_capacity_curve_shape():
     assert rates[5] > rates[4] > rates[3]
     with pytest.raises(ValueError):
         capacity_curve(1.0, [-1.0])
+    for lam1 in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            capacity_curve(lam1, [0.0])
 
 
 def test_rate_grows_with_level_separation():

@@ -31,7 +31,15 @@ def test_usage_errors_exit_2(tmp_path):
             ("gaussian-duncan", "gaussian_duncan", ["--t-values", ""]),
             ("poisson-capacity", "poisson_capacity", ["--lambda2-values", ""]),
             ("poisson-rate", "poisson_rate", ["--p-values", ""]),
-            ("gaussian-duncan", "gaussian_duncan", ["--t-values", "0", "--replicas", "0"])):
+            ("gaussian-duncan", "gaussian_duncan", ["--t-values", "0", "--replicas", "0"]),
+            # non-finite grids and levels are usage errors, not failed checks or
+            # numerical breakdowns
+            ("gaussian-duncan", "gaussian_duncan", ["--t-values", "inf"]),
+            ("gaussian-duncan", "gaussian_duncan", ["--t-values", "1", "--dt", "inf"]),
+            ("poisson-rate", "poisson_rate", ["--horizon", "inf"]),
+            ("poisson-capacity", "poisson_capacity", ["--lambda2-values", "inf"]),
+            ("poisson-capacity", "poisson_capacity", ["--lambda1", "inf", "--lambda2-values", "0"]),
+            ("poisson-rate", "poisson_rate", ["--lambda2", "inf"])):
         (tmp_path / f"{manifest_name}_manifest.json").unlink(missing_ok=True)
         assert run([command, *args, "--out", str(tmp_path)]) == 2
         manifest = json.loads((tmp_path / f"{manifest_name}_manifest.json").read_text())

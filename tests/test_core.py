@@ -15,6 +15,7 @@ from ctdi.core import (
     RngSpec,
     SamplePath,
     map_replicas,
+    per_replica,
     poisson_loss,
     replicated_estimate,
 )
@@ -58,6 +59,11 @@ def test_finite_pmf_validation():
         FinitePmf([1.0, 2.0], [0.5, 0.6])
     with pytest.raises(ValueError):
         FinitePmf([1.0, 2.0], [-0.1, 1.1])
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            FinitePmf([1.0, bad], [0.5, 0.5])
+    with pytest.raises(ValueError):
+        FinitePmf([1.0, 2.0], [0.5, math.nan])
 
 
 def test_finite_pmf_trimmed():
@@ -169,22 +175,42 @@ def _first_draw(gen):
     return float(gen.normal())
 
 
-def test_replicated_estimate_mean_stderr_and_single_replica():
-    est = replicated_estimate(_first_draw, RngSpec(12), 5)
+def _oracle_draws(seed, replicas):
     # replica r draws from SeedSequence((seed, r)), derived here independently
-    draws = np.array([np.random.default_rng(np.random.SeedSequence((12, r))).normal()
-                      for r in range(5)])
+    return np.array([np.random.default_rng(np.random.SeedSequence((seed, r))).normal()
+                     for r in range(replicas)])
+
+
+def test_replicated_estimate_mean_stderr_and_single_replica():
+    first_draws = per_replica(_first_draw)
+    est = replicated_estimate(first_draws, RngSpec(12), 5)
+    draws = _oracle_draws(12, 5)
     assert est.value == pytest.approx(draws.mean(), rel=1e-15)
     assert est.stderr == pytest.approx(draws.std(ddof=1) / math.sqrt(5), rel=1e-15)
     assert (est.replicas, est.master_seed) == (5, 12)
     # one replica has no spread: nan, never an exact zero
-    single = replicated_estimate(_first_draw, 12, 1)
+    single = replicated_estimate(first_draws, 12, 1)
     assert single.value == draws[0] and math.isnan(single.stderr)
     with pytest.raises(TypeError):
-        replicated_estimate(_first_draw, np.random.default_rng(0), 2)
+        replicated_estimate(first_draws, np.random.default_rng(0), 2)
     for replicas in (0, -4):
         with pytest.raises(ValueError):
-            replicated_estimate(_first_draw, 12, replicas)
+            replicated_estimate(first_draws, 12, replicas)
+
+
+def test_blocks_get_at_most_16_streams_in_replica_order():
+    blocks = []
+
+    def block(gens):
+        blocks.append([float(gen.normal()) for gen in gens])
+        return blocks[-1]
+
+    est = replicated_estimate(block, 12, 37)
+    assert [len(b) for b in blocks] == [16, 16, 5]
+    draws = _oracle_draws(12, 37)
+    assert [v for b in blocks for v in b] == list(draws)
+    assert est.value == pytest.approx(draws.mean(), rel=1e-15)
+    assert est.stderr == pytest.approx(draws.std(ddof=1) / math.sqrt(37), rel=1e-15)
 
 
 def test_di_estimate_fields():

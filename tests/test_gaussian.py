@@ -1,10 +1,12 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import gaussian_mismatch_closed_form, quantized_normal_prior
+from ctdi import gaussian
 from ctdi.core import FinitePmf, RngSpec, SamplePath
 from ctdi.gaussian import (
     GaussianFeedbackModel,
@@ -21,6 +23,7 @@ from ctdi.gaussian import (
 )
 
 TWO_POINT = FinitePmf([-1.0, 1.0], [0.5, 0.5])
+THREE_POINT = FinitePmf([-1.0, 0.5, 2.0], [0.2, 0.5, 0.3])
 
 
 def test_model_validation():
@@ -34,6 +37,10 @@ def test_model_validation():
         delayed_echo_model(1.0, 0.1, 0.25)
     assert delayed_echo_model(1.0, 0.1, 0.3).delay_steps == 3
     assert constant_signal_model(1.0, 0.1).delay_steps is None
+    # a non-finite grid would overflow the step count or leave no steps
+    for horizon, dt in ((math.inf, 0.1), (math.nan, 0.1), (1.0, math.inf), (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            constant_signal_model(horizon, dt)
 
 
 def test_zero_signal_increments_are_pure_noise():
@@ -75,6 +82,11 @@ def test_power_bound_guards_runaway_policies():
                                   latent=latent, power_bound=10.0)
     with pytest.raises(ValueError):
         simulate_awgn(model, RngSpec(0).stream(0))
+    # the block path of a constant signal checks every latent draw
+    held = GaussianFeedbackModel(0.5, 0.01, None, latent=FinitePmf([0.0, 5.0], [0.5, 0.5]),
+                                 power_bound=1.0)
+    with pytest.raises(ValueError, match="power bound"):
+        directed_info_gaussian_mc(held, rng=89, replicas=20)
 
 
 def test_exact_filter_gain_formula():
@@ -271,6 +283,58 @@ def test_mc_di_parallel_matches_serial():
         a = estimate(rng=74, replicas=100, jobs=1)
         b = estimate(rng=74, replicas=100, jobs=2)
         assert a.value == b.value and a.stderr == b.stderr
+    # 37 replicas cross both the 16-replica blocks and the job chunks
+    for prior in (None, THREE_POINT):
+        model = constant_signal_model(0.3, 0.01, prior=prior)
+        a = directed_info_gaussian_mc(model, rng=88, replicas=37, jobs=1)
+        b = directed_info_gaussian_mc(model, rng=88, replicas=37, jobs=2)
+        assert a.value == b.value and a.stderr == b.stderr
+
+
+@pytest.mark.parametrize("prior", [None, THREE_POINT])
+def test_block_path_is_the_per_replica_composition(monkeypatch, prior):
+    # without a policy the replicas run in blocks of 16; each value must be
+    # bit for bit the simulate -> filter -> error integral of its own stream
+    model = constant_signal_model(0.5, 0.01, prior=prior)
+    seen = []
+    real = gaussian.replicated_estimate
+
+    def recording(block, rng, replicas, jobs=1):
+        def spy(gens):
+            vals = block(gens)
+            seen.extend(vals)
+            return vals
+
+        return real(spy, rng, replicas, jobs)
+
+    monkeypatch.setattr(gaussian, "replicated_estimate", recording)
+    for replicas in (1, 16, 17, 37):
+        seen.clear()
+        est = directed_info_gaussian_mc(model, rng=86, replicas=replicas)
+        oracle = []
+        for rep in range(replicas):
+            x, yinc = simulate_awgn(model, RngSpec(86).stream(rep))
+            if prior is None:
+                filt = exact_filter_constant_signal(yinc)
+            else:
+                filt = discrete_prior_filter(prior, yinc)
+            oracle.append(causal_mmse_integral(x, filt))
+        assert seen == oracle
+        assert est.value == float(np.mean(oracle))
+
+
+def test_block_memory_stays_within_three_buffers():
+    # one block of 16 replicas at T = 2, dt = 1e-3 reuses its (16, 2000)
+    # buffers in place; a copy per step of the pipeline would need about five
+    model = constant_signal_model(2.0, 1e-3)
+    directed_info_gaussian_mc(model, rng=87, replicas=16)
+    tracemalloc.start()
+    try:
+        directed_info_gaussian_mc(model, rng=87, replicas=16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * (16 * 2000 * 8)
 
 
 def test_delayed_echo_di_is_exactly_zero():

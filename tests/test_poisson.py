@@ -34,6 +34,9 @@ def test_model_validation():
         PoissonFeedbackModel(FinitePmf([0.0, 1.0], [0.5, 0.5]), 10.0)
     with pytest.raises(ValueError):
         PoissonFeedbackModel(BINARY, 0.0)
+    for horizon in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            PoissonFeedbackModel(BINARY, horizon)
 
 
 def test_point_mass_channel_is_homogeneous_poisson():
