@@ -38,12 +38,12 @@ from .core import FinitePmf, RngSpec, write_csv
 from .gaussian import closed_form_di_constant_signal, constant_signal_model, directed_info_gaussian_mc
 from .partition_di import (
     Grouping,
-    conservation_residual,
     directed_info,
     grouped_directed_info,
     mutual_information,
     random_joint,
     random_no_feedback_joint,
+    reverse_directed_info,
 )
 from .poisson import PoissonFeedbackModel, di_rate_mc
 
@@ -106,7 +106,8 @@ SCHEMAS = {
 _TOL_HELP = ("relative golden-section tolerance on p: the search stops once the bracket "
              "is narrower than 2*tol*min(m, 1 - m), m its midpoint (default 1e-6)")
 
-_COUNT_KEYS = ("replicas", "instances", "chains")
+# smallest allowed value of each integer key
+_MINIMUMS = {"replicas": 1, "instances": 1, "chains": 1, "max_n": 1, "max_alphabet": 2}
 
 # the knob --replicas steers, per command
 _REPLICA_KEY = {
@@ -191,12 +192,12 @@ def _resolve_config(command: str, args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _check_params(cfg: ExperimentConfig) -> None:
-    """Reject an empty value list or a count (_COUNT_KEYS) below 1, which would run nothing."""
+    """Reject an empty value list, which would run nothing, or an integer below its _MINIMUMS."""
     for key, value in cfg.params.items():
         if isinstance(value, list) and not value:
             raise CliError(f"{key} needs at least one value")
-        if key in _COUNT_KEYS and value < 1:
-            raise CliError(f"{key} must be at least 1, got {value}")
+        if key in _MINIMUMS and value < _MINIMUMS[key]:
+            raise CliError(f"{key} must be at least {_MINIMUMS[key]}, got {value}")
 
 
 def _finish(cfg: ExperimentConfig, started_iso: str, t0: float, status: int,
@@ -276,9 +277,10 @@ def cmd_di_discrete(cfg: ExperimentConfig) -> int:
     max_di_minus_mi = -np.inf
     for i in range(instances):
         joint = random_joint(gen, *_random_sizes(gen, max_n, max_alphabet))
-        resid = abs(conservation_residual(joint))
         di = directed_info(joint)
         mi = mutual_information(joint)
+        # the expression of conservation_residual, from the same three values
+        resid = abs(di + reverse_directed_info(joint) - mi)
         max_resid = max(max_resid, resid)
         max_di_neg = max(max_di_neg, -di)
         max_di_minus_mi = max(max_di_minus_mi, di - mi)

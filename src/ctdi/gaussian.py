@@ -25,6 +25,7 @@ import numpy as np
 from .core import DiEstimate, FinitePmf, SamplePath, per_replica, replicated_estimate
 
 DEFAULT_POWER_BOUND = 1e3
+_STEP_CAP = 1_000_000
 
 __all__ = [
     "GaussianFeedbackModel",
@@ -57,7 +58,8 @@ class GaussianFeedbackModel:
     finite prior, under which every policy has an exact filter: each atom's
     signal is a known function of the observed past, so the posterior is a
     likelihood mixture over the atoms.  A standard-normal latent has an
-    exact filter only with policy=None.
+    exact filter only with policy=None.  The grid has at most _STEP_CAP
+    steps, so no simulation buffer grows past a few hundred megabytes.
     """
 
     horizon: float
@@ -72,7 +74,10 @@ class GaussianFeedbackModel:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not 0 <= self.horizon < math.inf:
             raise ValueError(f"horizon must be nonnegative and finite, got {self.horizon}")
-        n = int(round(self.horizon / self.dt))
+        steps = self.horizon / self.dt
+        if steps > _STEP_CAP:
+            raise ValueError(f"{steps:.3g} grid steps exceed the step cap {_STEP_CAP}")
+        n = int(round(steps))
         if abs(n * self.dt - self.horizon) > 1e-9 * max(self.dt, self.horizon):
             raise ValueError("horizon must be a whole number of grid steps")
         if math.isfinite(self.delay):

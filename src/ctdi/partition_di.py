@@ -3,9 +3,17 @@
 The joint law of a pair (X^n, Y^n) is held as a dense probability tensor and
 every information quantity is an exact enumeration over it, in nats.  This
 module is the trusted oracle for the continuous-time estimators, so there are
-no approximations beyond floating point: KL-type sums use the conventions
-0*ln(0/q) = 0 and p*ln(p/0) = +inf, and probabilities below 1e-15 are treated
-as exact zeros inside logarithms.
+no approximations beyond floating point.  Each conditional mutual information
+term is evaluated in entropy form, I(A; B | C) = H(AC) + H(BC) - H(ABC) - H(C),
+where each entropy sums -m ln m over the cells of its own marginal and treats
+the cells at or below 1e-15 as exact zeros (0 ln 0 = 0).
+
+A quantity walks its terms from the last index down: the prefix marginal of
+each term is a sum over the next larger one, so the full tensor is reduced
+once per quantity, not once per term.  Directed, reverse-directed and mutual
+information each start from the full tensor and share no marginal or entropy,
+and no sum of terms is telescoped; the conservation identity below therefore
+compares three independent computations.
 
 Directed information here is the sum over i of I(X^i; Y_i | Y^{i-1}); its
 reverse companion sums I(Y^{i-1}; X_i | X^{i-1}), and the two always add up
@@ -105,23 +113,27 @@ class JointSequencePmf:
         )
 
 
-def _conditional_mi(probs: np.ndarray, a_axes, b_axes, c_axes) -> float:
-    """I(A; B | C) in nats for a dense joint tensor; remaining axes are summed out."""
-    a_axes, b_axes, c_axes = tuple(a_axes), tuple(b_axes), tuple(c_axes)
-    keep = set(a_axes) | set(b_axes) | set(c_axes)
-    drop = tuple(ax for ax in range(probs.ndim) if ax not in keep)
-    m_abc = probs.sum(axis=drop, keepdims=True) if drop else probs
+def _plogp(m: np.ndarray) -> float:
+    """Sum of m ln m over the cells of m above _ZERO: minus the entropy of m."""
+    m = m[m > _ZERO]
+    return float(np.dot(m, np.log(m)))
+
+
+def _cmi_term(m_abc: np.ndarray, a_axes, b_axes):
+    """I(A; B | C) = H(AC) + H(BC) - H(ABC) - H(C), and the A-C marginal.
+
+    m_abc is p(A, B, C) with its summed-out axes kept at size one; C is every
+    axis in neither A nor B.
+    """
     m_ac = m_abc.sum(axis=b_axes, keepdims=True)
     m_bc = m_abc.sum(axis=a_axes, keepdims=True)
-    m_c = m_ac.sum(axis=a_axes, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        contrib = m_abc * (np.log(m_abc) + np.log(m_c) - np.log(m_ac) - np.log(m_bc))
-    return float(np.where(m_abc > _ZERO, contrib, 0.0).sum())
+    m_c = m_bc.sum(axis=b_axes, keepdims=True)
+    return _plogp(m_abc) + _plogp(m_c) - _plogp(m_ac) - _plogp(m_bc), m_ac
 
 
 def mutual_information(joint: JointSequencePmf) -> float:
     """I(X^n; Y^n), the exact relative entropy between joint and product-of-marginals."""
-    return _conditional_mi(joint.probs, joint.x_axes, joint.y_axes, ())
+    return _cmi_term(joint.probs, joint.x_axes, joint.y_axes)[0]
 
 
 @dataclass(frozen=True)
@@ -156,14 +168,15 @@ def grouped_directed_info(joint: JointSequencePmf, grouping: Grouping) -> float:
     """
     if grouping.n != joint.n:
         raise ValueError("grouping does not cover the sequence length")
+    xa, ya = joint.x_axes, joint.y_axes
     total = 0.0
-    prev = 0
-    for end in grouping.ends:
-        a = joint.x_axes[:end]
-        b = joint.y_axes[prev:end]
-        c = joint.y_axes[:prev]
-        total += _conditional_mi(joint.probs, a, b, c)
-        prev = end
+    m = joint.probs
+    starts = (0,) + grouping.ends[:-1]
+    for prev, end in zip(reversed(starts), reversed(grouping.ends)):
+        # m = p(x^end, y^end), so C is y^prev
+        term, m_ac = _cmi_term(m, xa[:end], ya[prev:end])
+        total += term
+        m = m_ac.sum(axis=xa[prev:end], keepdims=True)
     return total
 
 
@@ -174,12 +187,13 @@ def directed_info(joint: JointSequencePmf) -> float:
 
 def reverse_directed_info(joint: JointSequencePmf) -> float:
     """Sum over i of I(Y^{i-1}; X_i | X^{i-1}); the i = 1 term is zero."""
+    xa, ya = joint.x_axes, joint.y_axes
     total = 0.0
-    for i in range(2, joint.n + 1):
-        a = joint.y_axes[: i - 1]
-        b = (joint.x_axes[i - 1],)
-        c = joint.x_axes[: i - 1]
-        total += _conditional_mi(joint.probs, a, b, c)
+    m = joint.probs
+    for i in range(joint.n, 1, -1):
+        m = m.sum(axis=ya[i - 1], keepdims=True)  # p(x^i, y^{i-1}), so C is x^{i-1}
+        term, m = _cmi_term(m, ya[: i - 1], (xa[i - 1],))
+        total += term
     return total
 
 

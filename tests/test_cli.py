@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -9,7 +10,7 @@ def run(args):
     return main(args)
 
 
-def test_usage_errors_exit_2(tmp_path):
+def test_usage_errors_exit_2(tmp_path, capsys):
     assert run(["no-such-command"]) == 2
     assert run([]) == 2
     assert run(["--help"]) == 0
@@ -46,6 +47,28 @@ def test_usage_errors_exit_2(tmp_path):
         assert manifest["exit_status"] == 2
     # random joints over the enumeration cap fail before they are drawn
     assert run(["di-discrete", "--max-n", "9", "--out", str(tmp_path)]) == 2
+    # sizes no joint can have are named by their key, not by numpy
+    capsys.readouterr()
+    for flag, value, key in (("--max-n", "0", "max_n"), ("--max-alphabet", "1", "max_alphabet"),
+                             ("--max-alphabet", "0", "max_alphabet")):
+        assert run(["di-discrete", flag, value, "--out", str(tmp_path)]) == 2
+        assert f"error: {key} must be at least" in capsys.readouterr().err
+
+
+def test_gaussian_grid_over_the_step_cap_fails_before_allocating(tmp_path, capsys):
+    # 1e12 steps would ask numpy for terabytes
+    tracemalloc.start()
+    try:
+        status = run(["gaussian-duncan", "--t-values", "1", "--dt", "1e-12", "--replicas", "1",
+                      "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 2
+    assert "step cap 1000000" in capsys.readouterr().err
+    assert peak < 10 * 2**20
+    manifest = json.loads((tmp_path / "gaussian_duncan_manifest.json").read_text())
+    assert manifest["exit_status"] == 2
 
 
 def test_config_file_validation(tmp_path):

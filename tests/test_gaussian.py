@@ -41,6 +41,11 @@ def test_model_validation():
     for horizon, dt in ((math.inf, 0.1), (math.nan, 0.1), (1.0, math.inf), (1.0, math.nan)):
         with pytest.raises(ValueError):
             constant_signal_model(horizon, dt)
+    # grids are capped at 1e6 steps; the cap itself is allowed
+    assert constant_signal_model(1.0, 1e-6).n_steps == 1_000_000
+    for horizon, dt in ((1.0, 1e-7), (2.0, 1e-6), (1e300, 1e-300)):
+        with pytest.raises(ValueError, match="step cap"):
+            constant_signal_model(horizon, dt)
 
 
 def test_zero_signal_increments_are_pure_noise():

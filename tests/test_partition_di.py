@@ -204,3 +204,79 @@ def test_random_joints_check_the_state_cap_before_drawing():
     for make in (random_joint, random_no_feedback_joint):
         with pytest.raises(ValueError, match="enumeration cap"):
             make(NoDraws(), (3,) * 7, (3,) * 7)
+
+
+def _cmi_oracle(probs, a_axes, b_axes, c_axes):
+    """Brute-force I(A; B | C): move the axes to (A, B, C, rest), view the
+    tensor as 4-D, and sum p ln(p p_c / (p_ac p_bc)) over the cells with p > 0."""
+    groups = [list(a_axes), list(b_axes), list(c_axes)]
+    groups.append([ax for ax in range(probs.ndim) if not any(ax in g for g in groups)])
+    order = [ax for g in groups for ax in g]
+    shape = [math.prod(probs.shape[ax] for ax in g) for g in groups]
+    p = np.transpose(probs, order).reshape(shape).sum(axis=3)
+    p_ac = p.sum(axis=1, keepdims=True)
+    p_bc = p.sum(axis=0, keepdims=True)
+    p_c = p.sum(axis=(0, 1), keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = p * np.log(p * p_c / (p_ac * p_bc))
+    return float(np.sum(terms[p > 0]))
+
+
+def _oracle_quantities(probs, n):
+    """(di, reverse di, mi, {grouping ends: grouped di}) from _cmi_oracle alone;
+    axes 0..n-1 are X_1..X_n and n..2n-1 are Y_1..Y_n."""
+    x = list(range(n))
+    y = list(range(n, 2 * n))
+    di = sum(_cmi_oracle(probs, x[:i], [y[i - 1]], y[: i - 1]) for i in range(1, n + 1))
+    rdi = sum(_cmi_oracle(probs, y[: i - 1], [x[i - 1]], x[: i - 1]) for i in range(2, n + 1))
+    mi = _cmi_oracle(probs, x, y, [])
+    grouped = {}
+    for mask in range(2 ** (n - 1)):
+        ends = tuple(e for e in range(1, n) if mask >> (e - 1) & 1) + (n,)
+        starts = (0,) + ends[:-1]
+        grouped[ends] = sum(_cmi_oracle(probs, x[:e], y[s:e], y[:s])
+                            for s, e in zip(starts, ends))
+    return di, rdi, mi, grouped
+
+
+def _assert_engine_matches_oracle(joint):
+    di, rdi, mi, grouped = _oracle_quantities(joint.probs, joint.n)
+    assert abs(directed_info(joint) - di) <= 1e-12
+    assert abs(reverse_directed_info(joint) - rdi) <= 1e-12
+    assert abs(mutual_information(joint) - mi) <= 1e-12
+    for ends, value in grouped.items():
+        assert abs(grouped_directed_info(joint, Grouping(ends)) - value) <= 1e-12
+
+
+def test_engine_matches_brute_force_oracle_on_random_joints():
+    gen = np.random.default_rng(31)
+    for n in (1, 2, 3, 4):
+        for _ in range(6):
+            xs = [int(s) for s in gen.integers(2, 4, size=n)]
+            ys = [int(s) for s in gen.integers(2, 4, size=n)]
+            probs = gen.dirichlet(np.ones(math.prod(xs + ys)))
+            _assert_engine_matches_oracle(JointSequencePmf(xs, ys, probs))
+
+
+def test_engine_matches_brute_force_oracle_with_exact_zeros():
+    for n in (1, 2, 3, 4):
+        _assert_engine_matches_oracle(_copy_channel(n))
+        _assert_engine_matches_oracle(_echo_channel(n))
+
+
+def test_engine_matches_brute_force_oracle_near_the_zero_cutoff():
+    # a few cells at or just below 1e-15, the cutoff the engine treats as zero
+    gen = np.random.default_rng(32)
+    for n in (2, 3, 4):
+        for _ in range(4):
+            xs = [int(s) for s in gen.integers(2, 4, size=n)]
+            ys = [int(s) for s in gen.integers(2, 4, size=n)]
+            probs = gen.dirichlet(np.ones(math.prod(xs + ys)))
+            tiny = gen.choice(probs.size, size=6, replace=False)
+            probs[tiny] = np.array([1e-15, 9.9e-16, 9e-16, 5e-16, 2e-16, 1e-16])
+            rest = np.ones(probs.size, dtype=bool)
+            rest[tiny] = False
+            probs[rest] *= (1.0 - probs[tiny].sum()) / probs[rest].sum()
+            joint = JointSequencePmf(xs, ys, probs)
+            assert np.count_nonzero(joint.probs <= 1e-15) >= 6
+            _assert_engine_matches_oracle(joint)
