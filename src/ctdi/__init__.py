@@ -31,6 +31,7 @@ from .gaussian import (
     constant_signal_model,
     delayed_echo_model,
     directed_info_gaussian_mc,
+    directed_info_gaussian_sweep,
     exact_filter_constant_signal,
     mismatched_relent_gaussian,
     simulate_awgn,

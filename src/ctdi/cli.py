@@ -2,7 +2,9 @@
 
 Commands:
   gaussian-duncan   Monte Carlo directed information for the constant Gaussian
-                    signal against the closed form 0.5*ln(1+T).
+                    signal against the closed form 0.5*ln(1+T); the horizons
+                    share one dt and replica r's stream, drawn once at the
+                    longest horizon.
   poisson-rate      Monte Carlo feedback-rate sweep over binary input weights
                     against the analytic rate.
   poisson-capacity  Optimized binary rate as a function of the second level.
@@ -35,8 +37,9 @@ import numpy as np
 from . import __version__
 from .capacity import binary_rate, capacity_curve
 from .core import FinitePmf, RngSpec, write_csv
-from .gaussian import closed_form_di_constant_signal, constant_signal_model, directed_info_gaussian_mc
+from .gaussian import closed_form_di_constant_signal, constant_signal_model, directed_info_gaussian_sweep
 from .partition_di import (
+    _STATE_CAP,
     Grouping,
     directed_info,
     grouped_directed_info,
@@ -192,12 +195,23 @@ def _resolve_config(command: str, args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _check_params(cfg: ExperimentConfig) -> None:
-    """Reject an empty value list, which would run nothing, or an integer below its _MINIMUMS."""
+    """Reject an empty value list, which would run nothing, an integer below its
+    _MINIMUMS, and discrete sizes whose largest joint is over the enumeration cap."""
     for key, value in cfg.params.items():
         if isinstance(value, list) and not value:
             raise CliError(f"{key} needs at least one value")
         if key in _MINIMUMS and value < _MINIMUMS[key]:
             raise CliError(f"{key} must be at least {_MINIMUMS[key]}, got {value}")
+    if "max_alphabet" in cfg.params:
+        alphabet, max_n = cfg.params["max_alphabet"], cfg.params["max_n"]
+        # the chains suite always draws n = 4; with an alphabet of at least 2,
+        # an exponent past the cap's bit length is over the cap, so the power
+        # is formed only for small exponents
+        exponent = 2 * max(max_n, 4)
+        if exponent > _STATE_CAP.bit_length() or alphabet ** exponent > _STATE_CAP:
+            raise CliError(f"max_alphabet {alphabet} and max_n {max_n} allow joints of up to "
+                           f"{alphabet}**{exponent} cells (n = max(max_n, 4) steps), more than "
+                           f"the enumeration cap {_STATE_CAP}")
 
 
 def _finish(cfg: ExperimentConfig, started_iso: str, t0: float, status: int,
@@ -211,16 +225,19 @@ def _finish(cfg: ExperimentConfig, started_iso: str, t0: float, status: int,
 
 
 def cmd_gaussian_duncan(cfg: ExperimentConfig) -> int:
+    horizons = cfg.params["t_values"]
+    # every horizon is validated before any replica runs
+    models = [constant_signal_model(t, cfg.params["dt"]) for t in horizons if t != 0.0]
+    estimates = iter(directed_info_gaussian_sweep(models, RngSpec(cfg.seed), cfg.params["replicas"],
+                                                  jobs=cfg.jobs) if models else [])
     rows = []
     ok = True
-    for horizon in cfg.params["t_values"]:
+    for horizon in horizons:
         closed = closed_form_di_constant_signal(horizon)
         if horizon == 0.0:
             est_value, est_err = 0.0, 0.0
         else:
-            model = constant_signal_model(horizon, cfg.params["dt"])
-            est = directed_info_gaussian_mc(model, RngSpec(cfg.seed), cfg.params["replicas"],
-                                            jobs=cfg.jobs)
+            est = next(estimates)
             est_value, est_err = est.value, est.stderr
         abs_error = abs(est_value - closed)
         ok = ok and abs_error <= max(0.01 * closed, 3.0 * est_err)

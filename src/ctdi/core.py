@@ -6,13 +6,14 @@ Every information quantity in this package is measured in nats.  All types
 here are immutable values after construction and all operations are pure, so
 instances can be shared freely across threads and worker processes.
 
-Replica protocol: a Monte Carlo estimator hands replicated_estimate a
-function block(gens) -> floats of a list of numpy Generators, one value per
-Generator in order, and only this module derives the streams: replica r
-draws from default_rng(SeedSequence((seed, r))), and a block gets the streams
-of up to _BLOCK consecutive replicas, so an estimate depends on neither the
-blocking, the replica chunking nor the number of jobs.  per_replica turns a
-function replica(gen) -> float of one Generator into such a block.
+Replica protocol: a Monte Carlo estimator hands replicated_estimates a
+function block(gens) of a list of numpy Generators that returns one row of
+values per Generator in order (replicated_estimate: one value), and only
+this module derives the streams: replica r draws from
+default_rng(SeedSequence((seed, r))), and a block gets the streams of up to
+_BLOCK consecutive replicas, so an estimate depends on neither the blocking,
+the replica chunking nor the number of jobs.  per_replica turns a function
+replica(gen) -> float of one Generator into such a block.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "map_replicas",
     "per_replica",
     "replicated_estimate",
+    "replicated_estimates",
     "write_csv",
 ]
 
@@ -219,11 +221,17 @@ _BLOCK = 16
 
 
 def _replica_range(block, master_seed: int, start: int, stop: int) -> list:
-    """block(gens) over [start, stop) in runs of _BLOCK, gens the streams of one run."""
+    """block(gens) over [start, stop) in runs of _BLOCK, gens the streams of one run.
+
+    Returns one (replicas, columns) array per run: arrays, not one object
+    per replica, keep the collected values as compact as the values.
+    """
     spec = RngSpec(master_seed)
     out = []
     for a in range(start, stop, _BLOCK):
-        out.extend(block([spec.stream(r) for r in range(a, min(a + _BLOCK, stop))]))
+        vals = np.asarray(block([spec.stream(r) for r in range(a, min(a + _BLOCK, stop))]),
+                          dtype=float)
+        out.append(vals.reshape(len(vals), -1))
     return out
 
 
@@ -236,15 +244,16 @@ def per_replica(replica):
     return functools.partial(_each, replica)
 
 
-def replicated_estimate(block, rng, replicas: int, jobs: int = 1) -> DiEstimate:
-    """Mean and standard error over replicas independent streams of block(gens).
+def replicated_estimates(block, rng, replicas: int, jobs: int = 1) -> list[DiEstimate]:
+    """Mean and standard error of each column of block(gens) over replicas independent streams.
 
     block maps a list of Generators, the streams of consecutive replicas, to
-    one value per Generator in order.  rng is an RngSpec or an integer master
-    seed; a Generator is refused, since each replica derives its own stream
-    from the master seed.  block must be picklable when jobs > 1.  The
-    standard error is nan for a single replica, which has no spread to
-    estimate it from, so it cannot pass for an exact zero.
+    one row of values per Generator in order (or one value, a one-column
+    row); the estimates come in column order.  rng is an RngSpec or an
+    integer master seed; a Generator is refused, since each replica derives
+    its own stream from the master seed.  block must be picklable when
+    jobs > 1.  The standard error is nan for a single replica, which has no
+    spread to estimate it from, so it cannot pass for an exact zero.
     """
     if isinstance(rng, np.random.Generator):
         raise TypeError("replicated estimators need an RngSpec or integer master seed")
@@ -252,9 +261,21 @@ def replicated_estimate(block, rng, replicas: int, jobs: int = 1) -> DiEstimate:
         raise ValueError(f"replicas must be at least 1, got {replicas}")
     spec = rng if isinstance(rng, RngSpec) else RngSpec(int(rng))
     worker = functools.partial(_replica_range, block, spec.master_seed)
-    vals = np.asarray(map_replicas(worker, replicas, jobs), dtype=float)
-    stderr = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else math.nan
-    return DiEstimate(float(vals.mean()), stderr, int(vals.size), spec.master_seed)
+    rows = np.concatenate(map_replicas(worker, replicas, jobs))
+    n = rows.shape[0]
+    # each column reduced as a contiguous vector, so its mean and stderr are
+    # those of the column estimated alone
+    columns = rows.T.copy()
+    return [DiEstimate(float(col.mean()),
+                       float(col.std(ddof=1) / math.sqrt(n)) if n > 1 else math.nan,
+                       n, spec.master_seed)
+            for col in columns]
+
+
+def replicated_estimate(block, rng, replicas: int, jobs: int = 1) -> DiEstimate:
+    """The one estimate of replicated_estimates for a block of one value per Generator."""
+    (est,) = replicated_estimates(block, rng, replicas, jobs)
+    return est
 
 
 def write_csv(path, header, rows) -> None:

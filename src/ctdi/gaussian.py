@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiEstimate, FinitePmf, SamplePath, per_replica, replicated_estimate
+from .core import (DiEstimate, FinitePmf, SamplePath, per_replica, replicated_estimate,
+                   replicated_estimates)
 
 DEFAULT_POWER_BOUND = 1e3
 _STEP_CAP = 1_000_000
@@ -38,6 +39,7 @@ __all__ = [
     "causal_mmse_integral",
     "closed_form_di_constant_signal",
     "directed_info_gaussian_mc",
+    "directed_info_gaussian_sweep",
     "mismatched_relent_gaussian",
 ]
 
@@ -272,19 +274,23 @@ def _exact_filter(model: GaussianFeedbackModel, yinc: SamplePath) -> SamplePath:
     return replay_filter(model, yinc)
 
 
-def _constant_signal_block(model, gens) -> list:
-    """Causal-MMSE integrals of a block of replicas of a policy=None model.
+def _constant_signal_block(model, steps, gens) -> np.ndarray:
+    """Causal-MMSE integrals over the first k steps, each k in steps, of a block of replicas.
 
-    Each stream draws its latent and then its step noises, the draws of
-    simulate_awgn, into its row of one (C, n) buffer, which becomes the
-    increments in place; the cumulative output and then the filter error
-    fill one more (C, n) array.  Row by row the arithmetic is that of
-    simulate_awgn, the exact filter and causal_mmse_integral, so every value
-    is bit-identical to that composition.
+    model is a policy=None model; its grid step, latent and power bound
+    apply, and the paths run to the longest prefix.  Each stream draws its
+    latent and then its step noises, the draws of simulate_awgn, into its
+    row of one (C, n) buffer, which becomes the increments in place; the
+    cumulative output and then the filter error fill one more (C, n) array.
+    The filter at step j reads only the steps before it, so a prefix of a
+    row is the row a shorter horizon draws and filters.  Row by row the
+    arithmetic is that of simulate_awgn, the exact filter and
+    causal_mmse_integral, so every value is bit-identical to that
+    composition at its own horizon.  Returns a (C, len(steps)) array.
     """
-    n, dt = model.n_steps, model.dt
+    n, dt = max(steps), model.dt
     if n == 0:
-        return [0.0] * len(gens)
+        return np.zeros((len(gens), len(steps)))
     u = np.empty((len(gens), 1))
     inc = np.empty((len(gens), n))
     for i, gen in enumerate(gens):
@@ -311,7 +317,7 @@ def _constant_signal_block(model, gens) -> list:
     if not np.all(np.isfinite(err)):
         raise ValueError("sample values must be finite")
     np.subtract(u, err, out=err)
-    return [0.5 * float(np.dot(d, d)) * dt for d in err]
+    return np.array([[0.5 * float(np.dot(d[:k], d[:k])) * dt for k in steps] for d in err])
 
 
 def _di_replica(model, gen):
@@ -321,21 +327,55 @@ def _di_replica(model, gen):
     return causal_mmse_integral(x, replay_filter(model, inc))
 
 
+def _same_latent(a: FinitePmf | None, b: FinitePmf | None) -> bool:
+    if a is None or b is None:
+        return a is b
+    return np.array_equal(a.support, b.support) and np.array_equal(a.probs, b.probs)
+
+
+def directed_info_gaussian_sweep(models, rng, replicas: int, jobs: int = 1) -> list[DiEstimate]:
+    """directed_info_gaussian_mc of each policy=None model, in one pass over the replicas.
+
+    The models may differ only in their horizons, which may come in any
+    order and repeat: they share dt, latent and power bound.  Replica r
+    draws its stream once, at the longest horizon, and each model's value
+    is the causal-MMSE integral over its own prefix of that path, which is
+    what the model alone draws from replica r's stream.  Each estimate is
+    therefore bit-identical to directed_info_gaussian_mc of its model.
+    Estimates come in the order of models.
+    """
+    models = list(models)
+    if not models:
+        raise ValueError("a sweep needs at least one model")
+    longest = max(models, key=lambda m: m.n_steps)
+    for m in models:
+        if m.policy is not None:
+            raise ValueError("a sweep runs only policy=None models")
+        if (m.dt != longest.dt or m.power_bound != longest.power_bound
+                or not _same_latent(m.latent, longest.latent)):
+            raise ValueError("swept models must share dt, latent and power bound")
+    block = functools.partial(_constant_signal_block, longest, [m.n_steps for m in models])
+    return replicated_estimates(block, rng, replicas, jobs)
+
+
 def directed_info_gaussian_mc(model: GaussianFeedbackModel, rng, replicas: int,
                               jobs: int = 1) -> DiEstimate:
     """Directed information estimated as the mean causal-MMSE integral over replicas.
 
     Every replica is filtered exactly.  Without a policy the replicas run in
-    blocks: the conjugate filter for a Gaussian latent, the finite-prior
-    likelihood mixture otherwise.  Under a policy each replica runs alone
-    through the replay filter; a Gaussian latent there has no exact filter
-    and raises ValueError.
+    blocks, as the one-model case of directed_info_gaussian_sweep: the
+    conjugate filter for a Gaussian latent, the finite-prior likelihood
+    mixture otherwise.  Replica r draws from the stream of replica r of rng
+    whatever the horizon, so estimates at several horizons share their
+    draws: a sweep over horizons with one dt draws each stream once, at the
+    longest horizon, and returns these same estimates.  Under a policy each
+    replica runs alone through the replay filter; a Gaussian latent there
+    has no exact filter and raises ValueError.
     """
     if model.policy is None:
-        block = functools.partial(_constant_signal_block, model)
-    else:
-        block = per_replica(functools.partial(_di_replica, model))
-    return replicated_estimate(block, rng, replicas, jobs)
+        return directed_info_gaussian_sweep([model], rng, replicas, jobs)[0]
+    return replicated_estimate(per_replica(functools.partial(_di_replica, model)),
+                               rng, replicas, jobs)
 
 
 def _mismatch_replica(model, q_filter, gen):

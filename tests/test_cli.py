@@ -3,14 +3,30 @@ import tracemalloc
 
 import pytest
 
+from ctdi import cli
 from ctdi.cli import main
+from ctdi.core import RngSpec
+from ctdi.gaussian import constant_signal_model, directed_info_gaussian_mc
 
 
 def run(args):
     return main(args)
 
 
-def test_usage_errors_exit_2(tmp_path, capsys):
+def _count_streams(monkeypatch):
+    """Count RngSpec.stream calls from here on; returns the one-element counter."""
+    calls = [0]
+    real = RngSpec.stream
+
+    def counting(self, replica=0):
+        calls[0] += 1
+        return real(self, replica)
+
+    monkeypatch.setattr(RngSpec, "stream", counting)
+    return calls
+
+
+def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
     assert run(["no-such-command"]) == 2
     assert run([]) == 2
     assert run(["--help"]) == 0
@@ -45,8 +61,31 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert run([command, *args, "--out", str(tmp_path)]) == 2
         manifest = json.loads((tmp_path / f"{manifest_name}_manifest.json").read_text())
         assert manifest["exit_status"] == 2
+    # a bad horizon anywhere in the list fails before any replica is drawn
+    streams = _count_streams(monkeypatch)
+    for args in (["--t-values", "1,-1"], ["--t-values", "2,0.0005", "--dt", "1e-3"]):
+        out = tmp_path / "horizons"
+        assert run(["gaussian-duncan", *args, "--replicas", "5", "--out", str(out)]) == 2
+        assert streams == [0]
+        assert not (out / "gaussian_duncan.csv").exists()
+        assert json.loads((out / "gaussian_duncan_manifest.json").read_text())["exit_status"] == 2
     # random joints over the enumeration cap fail before they are drawn
     assert run(["di-discrete", "--max-n", "9", "--out", str(tmp_path)]) == 2
+    # ... whatever the seed would draw: the largest joint the sizes allow is
+    # checked, n = 4 included, which the chains suite always draws
+    capsys.readouterr()
+    for args in (["--max-n", "5", "--max-alphabet", "5", "--instances", "30", "--chains", "2"],
+                 ["--max-n", "1", "--max-alphabet", "40"],
+                 ["--max-n", "1000000000000"]):
+        (tmp_path / "di_discrete_manifest.json").unlink(missing_ok=True)
+        assert run(["di-discrete", *args, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "max_alphabet" in err and "max_n" in err and "enumeration cap" in err
+        assert json.loads((tmp_path / "di_discrete_manifest.json").read_text())["exit_status"] == 2
+    assert streams == [0]
+    # the largest sizes the benchmark runs stay under the cap
+    assert run(["di-discrete", "--max-n", "5", "--instances", "2", "--chains", "1",
+                "--out", str(tmp_path)]) == 0
     # sizes no joint can have are named by their key, not by numpy
     capsys.readouterr()
     for flag, value, key in (("--max-n", "0", "max_n"), ("--max-alphabet", "1", "max_alphabet"),
@@ -69,6 +108,28 @@ def test_gaussian_grid_over_the_step_cap_fails_before_allocating(tmp_path, capsy
     assert peak < 10 * 2**20
     manifest = json.loads((tmp_path / "gaussian_duncan_manifest.json").read_text())
     assert manifest["exit_status"] == 2
+
+
+def test_gaussian_duncan_draws_each_replica_stream_once(tmp_path, monkeypatch):
+    # the horizons share replica r's stream, drawn once at the longest horizon
+    written = []
+    real_write = cli.write_csv
+
+    def recording(path, header, rows):
+        written.extend(rows)
+        real_write(path, header, rows)
+
+    monkeypatch.setattr(cli, "write_csv", recording)
+    streams = _count_streams(monkeypatch)
+    assert run(["gaussian-duncan", "--t-values", "0.5,1,0", "--replicas", "37",
+                "--out", str(tmp_path)]) == 0
+    assert streams == [37]
+    monkeypatch.undo()
+    alone = [directed_info_gaussian_mc(constant_signal_model(t, 1e-3), RngSpec(0), 37)
+             for t in (0.5, 1.0)]
+    assert [repr(row[:3]) for row in written] == [
+        repr((0.5, alone[0].value, alone[0].stderr)), repr((1.0, alone[1].value, alone[1].stderr)),
+        repr((0.0, 0.0, 0.0))]
 
 
 def test_config_file_validation(tmp_path):

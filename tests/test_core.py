@@ -1,4 +1,5 @@
 import ast
+import functools
 import math
 import os
 from concurrent.futures import Future
@@ -18,6 +19,7 @@ from ctdi.core import (
     per_replica,
     poisson_loss,
     replicated_estimate,
+    replicated_estimates,
 )
 
 
@@ -211,6 +213,36 @@ def test_blocks_get_at_most_16_streams_in_replica_order():
     assert [v for b in blocks for v in b] == list(draws)
     assert est.value == pytest.approx(draws.mean(), rel=1e-15)
     assert est.stderr == pytest.approx(draws.std(ddof=1) / math.sqrt(37), rel=1e-15)
+
+
+def _draw_row(gen):
+    z = gen.normal(size=3)
+    return [float(z[0]), float(z[1] * 1e3), float(z[0] * z[2])]
+
+
+def _rows_block(gens):
+    return np.array([_draw_row(gen) for gen in gens])
+
+
+def _column_block(j, gens):
+    return [_draw_row(gen)[j] for gen in gens]
+
+
+def test_each_column_of_replicated_estimates_is_its_own_estimate():
+    for replicas in (1, 2, 37):
+        for jobs in (1, 2):
+            ests = replicated_estimates(_rows_block, 12, replicas, jobs)
+            assert len(ests) == 3
+            for j, est in enumerate(ests):
+                alone = replicated_estimate(functools.partial(_column_block, j), 12, replicas)
+                assert est.value == alone.value
+                assert repr(est.stderr) == repr(alone.stderr)
+                assert (est.replicas, est.master_seed) == (replicas, 12)
+    # a one-value block is a one-column row
+    assert replicated_estimates(per_replica(_first_draw), 12, 5) == [
+        replicated_estimate(per_replica(_first_draw), 12, 5)]
+    with pytest.raises(ValueError):
+        replicated_estimate(_rows_block, 12, 5)
 
 
 def test_di_estimate_fields():

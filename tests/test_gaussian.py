@@ -15,6 +15,7 @@ from ctdi.gaussian import (
     constant_signal_model,
     delayed_echo_model,
     directed_info_gaussian_mc,
+    directed_info_gaussian_sweep,
     discrete_prior_filter,
     exact_filter_constant_signal,
     mismatched_relent_gaussian,
@@ -302,17 +303,17 @@ def test_block_path_is_the_per_replica_composition(monkeypatch, prior):
     # bit for bit the simulate -> filter -> error integral of its own stream
     model = constant_signal_model(0.5, 0.01, prior=prior)
     seen = []
-    real = gaussian.replicated_estimate
+    real = gaussian.replicated_estimates
 
     def recording(block, rng, replicas, jobs=1):
         def spy(gens):
             vals = block(gens)
-            seen.extend(vals)
+            seen.extend(vals[:, 0])
             return vals
 
         return real(spy, rng, replicas, jobs)
 
-    monkeypatch.setattr(gaussian, "replicated_estimate", recording)
+    monkeypatch.setattr(gaussian, "replicated_estimates", recording)
     for replicas in (1, 16, 17, 37):
         seen.clear()
         est = directed_info_gaussian_mc(model, rng=86, replicas=replicas)
@@ -326,6 +327,30 @@ def test_block_path_is_the_per_replica_composition(monkeypatch, prior):
             oracle.append(causal_mmse_integral(x, filt))
         assert seen == oracle
         assert est.value == float(np.mean(oracle))
+
+
+@pytest.mark.parametrize("prior", [None, THREE_POINT])
+def test_sweep_matches_each_horizon_alone(prior):
+    # unsorted, with a duplicate: each estimate reads its own prefix of one path
+    models = [constant_signal_model(t, 0.01, prior=prior) for t in (1.0, 0.3, 1.0, 0.05)]
+    for replicas in (1, 16, 17, 37):
+        sweep = directed_info_gaussian_sweep(models, rng=89, replicas=replicas)
+        alone = [directed_info_gaussian_mc(m, rng=89, replicas=replicas) for m in models]
+        assert [(e.value, repr(e.stderr), e.replicas) for e in sweep] == [
+            (e.value, repr(e.stderr), e.replicas) for e in alone]
+    assert directed_info_gaussian_sweep(models, rng=89, replicas=37, jobs=2) == sweep
+
+
+def test_sweep_rejects_models_it_cannot_share_a_path_between():
+    base = constant_signal_model(1.0, 0.01)
+    for other in (constant_signal_model(0.5, 0.005),
+                  constant_signal_model(0.5, 0.01, prior=THREE_POINT),
+                  GaussianFeedbackModel(0.5, 0.01, None, power_bound=10.0),
+                  delayed_echo_model(0.5, 0.01, 0.02)):
+        with pytest.raises(ValueError):
+            directed_info_gaussian_sweep([base, other], rng=89, replicas=2)
+    with pytest.raises(ValueError):
+        directed_info_gaussian_sweep([], rng=89, replicas=2)
 
 
 def test_block_memory_stays_within_three_buffers():
