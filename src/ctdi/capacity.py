@@ -6,8 +6,14 @@ analytic directed-information rate as a function of the mixing weight p.
 That rate is I(p) / E_p[1/X]: the one-event mutual information I(p) is
 concave in the input law, and the mean cost E_p[1/X] is positive and affine
 in p, so every superlevel set {I(p) >= r E_p[1/X]} is an interval and the
-rate is quasi-concave (Dinkelbach, 1967).  Golden-section search on [0, 1]
-therefore finds its maximum without a preliminary scan.
+rate is quasi-concave (Dinkelbach, 1967).  Brent's method on [0, 1] (Brent,
+1973, Algorithms for Minimization without Derivatives, ch. 5) therefore
+finds its maximum without a preliminary scan.  Brent shrinks the bracket by
+comparisons alone: a point worse than the best so far rules out everything
+beyond it, since any point between the best and the maximum of a
+quasi-concave function is at least as good as the best.  Its parabolic
+steps, which pay off because the rate is smooth, only choose where to look
+next, so the maximum stays inside the bracket whatever they propose.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ __all__ = [
     "unit_cost_identity_check",
 ]
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0  # the golden-section fraction
 _QUAD_TOL = 1e-11  # quadrature tolerance of each rate the optimizer evaluates
 
 
@@ -64,33 +70,78 @@ def binary_rate(p: float, lambda1: float, lambda2: float, tol: float = 1e-10) ->
     return di_rate_analytic(pmf, tol=tol)
 
 
-def _golden_max(fn, a: float, b: float, tol: float):
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    # 2 tol min(m, 1 - m), m the midpoint; at float resolution the interior
-    # points stop being distinct and the bracket can shrink no further
-    while b - a > tol * min(a + b, 2.0 - a - b) and a < c < d < b:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fn(c)
+def _brent_max(fn, tol: float):
+    """Maximize a quasi-concave fn on [0, 1] by Brent's method; (best point, its value).
+
+    The bracket [a, b] always holds the maximum.  x is the best point so far,
+    w the second best and v the previous w.  The next point is the vertex of
+    the parabola through them when that lies inside the bracket and moves
+    less than half the step before last, and a golden-section step into the
+    larger side of x otherwise (Brent 1973, ch. 5).  No step is shorter than
+    a third of the target width, so once the parabola has converged the
+    bracket closes on x.
+    """
+    a, b = 0.0, 1.0
+    x = w = v = _CGOLD
+    fx = fw = fv = fn(x)
+    d = e = 0.0  # the last step and the one before it
+    # 2 tol min(m, 1 - m), m the midpoint
+    while b - a > (width := tol * min(a + b, 2.0 - a - b)):
+        shortest = width / 3.0
+        golden = True
+        if abs(e) > shortest:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            # the vertex is x + p/q
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                golden = False
+                e, d = d, p / q
+                if min(x + d - a, b - x - d) < 2.0 * shortest:
+                    d = math.copysign(shortest, a + b - 2.0 * x)
+        if golden:
+            e = (a - x) if 2.0 * x >= a + b else (b - x)
+            d = _CGOLD * e
+        u = x + (d if abs(d) >= shortest else math.copysign(shortest, d))
+        # at float resolution no new point inside (a, b) differs from x
+        if u == x or not a < u < b:
+            break
+        fu = fn(u)
+        if fu >= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, w, x = w, x, u
+            fv, fw, fx = fw, fx, fu
         else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fn(d)
-    mid = 0.5 * (a + b)
-    return mid, fn(mid)
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, w = w, u
+                fv, fw = fw, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx
 
 
 def optimize_binary(lambda1: float, lambda2: float, tol: float = 1e-6) -> CapacityPoint:
-    """Maximize the quasi-concave binary rate over p by golden-section search.
+    """Maximize the quasi-concave binary rate over p by Brent's method.
 
-    It stops once the bracket is narrower than 2*tol*min(m, 1 - m), m its
-    midpoint, so tol is relative to the distance from the nearer end of
-    [0, 1] and optima near p = 0 or 1 (widely separated levels) are resolved.
-    tol must lie in (0, 1); a tol below float resolution stops where the
-    bracket cannot shrink further.  Coincident levels carry no information
+    Golden-section steps bracket the maximum and parabolic steps through
+    the three best points converge on it (Brent, 1973).  It stops once the
+    bracket is narrower than 2*tol*min(m, 1 - m), m its midpoint, so tol is
+    relative to the distance from the nearer end of [0, 1] and optima near
+    p = 0 or 1 (widely separated levels) are resolved.  p_star is the best
+    point evaluated in the final bracket and rate_star its rate.  tol must
+    lie in (0, 1); a tol below float resolution stops once no new point
+    inside the bracket differs from the best one.  Coincident levels carry no information
     for any p; that case returns a zero rate flagged degenerate (the
     objective is flat).
     """
@@ -104,7 +155,7 @@ def optimize_binary(lambda1: float, lambda2: float, tol: float = 1e-6) -> Capaci
     def fn(p):
         return binary_rate(p, lambda1, lambda2, tol=_QUAD_TOL)
 
-    p_star, rate_star = _golden_max(fn, 0.0, 1.0, tol)
+    p_star, rate_star = _brent_max(fn, tol)
     return CapacityPoint(lambda1, lambda2, p_star, rate_star)
 
 

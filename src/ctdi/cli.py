@@ -6,8 +6,11 @@ Commands:
                     share one dt and replica r's stream, drawn once at the
                     longest horizon.
   poisson-rate      Monte Carlo feedback-rate sweep over binary input weights
-                    against the analytic rate.
-  poisson-capacity  Optimized binary rate as a function of the second level.
+                    against the analytic rate; every weight is checked before
+                    any replica runs, and a horizon may expect at most 10**6
+                    events (horizon / E[1/X]).
+  poisson-capacity  Optimized binary rate as a function of the second level,
+                    by Brent's method on the weight.
   di-discrete       Property sweeps of the exact discrete engine
                     (conservation, sandwich, grouping monotonicity, no-feedback).
 
@@ -48,7 +51,7 @@ from .partition_di import (
     random_no_feedback_joint,
     reverse_directed_info,
 )
-from .poisson import PoissonFeedbackModel, di_rate_mc
+from .poisson import PoissonFeedbackModel, default_burn_in, di_rate_mc
 
 __all__ = ["main", "ExperimentConfig", "cmd_gaussian_duncan", "cmd_poisson_rate",
            "cmd_poisson_capacity", "cmd_di_discrete"]
@@ -106,7 +109,7 @@ SCHEMAS = {
     },
 }
 
-_TOL_HELP = ("relative golden-section tolerance on p: the search stops once the bracket "
+_TOL_HELP = ("relative tolerance of the search on p: the search stops once the bracket "
              "is narrower than 2*tol*min(m, 1 - m), m its midpoint (default 1e-6)")
 
 # smallest allowed value of each integer key
@@ -248,13 +251,21 @@ def cmd_gaussian_duncan(cfg: ExperimentConfig) -> int:
 
 
 def cmd_poisson_rate(cfg: ExperimentConfig) -> int:
-    lam1, lam2 = cfg.params["lambda1"], cfg.params["lambda2"]
-    rows = []
-    ok = True
+    lam1, lam2, horizon = cfg.params["lambda1"], cfg.params["lambda2"], cfg.params["horizon"]
+    # every weight, its model and its burn-in are validated before any replica runs
+    legs = []
     for p in cfg.params["p_values"]:
         analytic = binary_rate(p, lam1, lam2)
         pmf = FinitePmf(np.array([lam1, lam2]), np.array([p, 1.0 - p]))
-        model = PoissonFeedbackModel(pmf, cfg.params["horizon"])
+        model = PoissonFeedbackModel(pmf, horizon)
+        burn_in = default_burn_in(pmf)
+        if burn_in >= horizon:
+            raise CliError(f"horizon {horizon:g} is not longer than the burn-in {burn_in:g} "
+                           f"at p = {p:g}")
+        legs.append((p, analytic, model))
+    rows = []
+    ok = True
+    for p, analytic, model in legs:
         est = di_rate_mc(model, RngSpec(cfg.seed), replicas=cfg.params["replicas"],
                          jobs=cfg.jobs)
         ok = ok and abs(est.value - analytic) <= max(0.02 * analytic, 3.0 * est.stderr)

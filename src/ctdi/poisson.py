@@ -41,6 +41,8 @@ __all__ = [
     "occupancy_fractions",
 ]
 
+_EVENT_CAP = 1_000_000
+
 
 def _positive_atoms(pmf: FinitePmf):
     """Support/probs restricted to atoms with positive mass, after validation."""
@@ -52,7 +54,12 @@ def _positive_atoms(pmf: FinitePmf):
 
 @dataclass(frozen=True, eq=False)
 class PoissonFeedbackModel:
-    """Input pmf (positive support) and finite observation horizon."""
+    """Input pmf (positive support) and finite observation horizon.
+
+    The horizon may expect at most _EVENT_CAP events, horizon / E[1/X]; a
+    trajectory holds an epoch and an intensity per event, so none grows
+    past a few tens of megabytes.
+    """
 
     pmf: FinitePmf
     horizon: float
@@ -61,6 +68,10 @@ class PoissonFeedbackModel:
         _positive_atoms(self.pmf)
         if not 0 < self.horizon < math.inf:
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
+        events = self.horizon / mean_inverse_intensity(self.pmf)
+        if events > _EVENT_CAP:
+            raise ValueError(f"horizon {self.horizon:g} expects {events:.3g} events, more than "
+                             f"the event cap {_EVENT_CAP}")
         object.__setattr__(self, "horizon", float(self.horizon))
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from conftest import random_positive_pmf
 from ctdi import capacity
@@ -87,6 +88,59 @@ def test_tol_range_and_stop_at_float_resolution(monkeypatch):
     assert len(calls) < 200
     assert abs(point.p_star - reference.p_star) <= 1e-6
     assert point.rate_star >= reference.rate_star - 1e-12
+
+
+def test_brent_search_evaluations_per_level(monkeypatch):
+    # golden-section search spent 33-35 rate evaluations on each of these levels
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return binary_rate(*args, **kwargs)
+
+    monkeypatch.setattr(capacity, "binary_rate", counted)
+    capacity_curve(1.0, [0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0])
+    per_level = {}
+    for args in calls:
+        per_level[args[2]] = per_level.get(args[2], 0) + 1
+    assert sorted(per_level) == [0.25, 0.5, 2.0, 4.0, 8.0, 16.0]
+    assert max(per_level.values()) <= 15
+
+
+def test_optimize_binary_against_a_reference_argmax():
+    tol = 1e-6
+    for lam2 in (0.25, 2.0, 16.0, 1e4):
+        ref = minimize_scalar(lambda p: -binary_rate(p, 1.0, lam2, tol=1e-11),
+                              bounds=(0.0, 1.0), method="bounded", options={"xatol": 1e-12})
+        point = optimize_binary(1.0, lam2, tol=tol)
+        assert abs(point.p_star - ref.x) <= 2 * tol * min(ref.x, 1.0 - ref.x)
+        assert point.rate_star >= -ref.fun - 1e-12
+
+
+def test_brent_search_on_synthetic_quasi_concave_functions():
+    tol = 1e-6
+    for fn, argmax in ((lambda p: -abs(p - 0.3), 0.3),
+                       (lambda p: -(p - 0.8) ** 4, 0.8),
+                       # a sharp peak near 0, where the rate of lambda2 = 1e8 peaks
+                       (lambda p: -math.log(p / 1.6e-7) ** 2 if p > 0.0 else -math.inf, 1.6e-7)):
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return fn(p)
+
+        p_star, value = capacity._brent_max(counted, tol)
+        assert abs(p_star - argmax) <= 2 * tol * min(argmax, 1.0 - argmax)
+        assert value == fn(p_star)
+        assert len(calls) < 100
+
+
+def test_scale_law_is_exact_for_powers_of_two():
+    # the rate scales exactly with the levels, and so does every parabola
+    # ratio, so the search takes the same steps
+    base = optimize_binary(1.0, 2.0)
+    for c in (0.25, 0.5, 2.0, 4.0):
+        assert optimize_binary(c, 2.0 * c).p_star == base.p_star
 
 
 def test_capacity_curve_shape():

@@ -69,6 +69,33 @@ def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
         assert streams == [0]
         assert not (out / "gaussian_duncan.csv").exists()
         assert json.loads((out / "gaussian_duncan_manifest.json").read_text())["exit_status"] == 2
+    # ... and so does a bad weight, an over-cap horizon or a horizon inside the
+    # burn-in anywhere in the poisson-rate list
+    for args in (["--p-values", "0.5,1.5"],
+                 ["--p-values", "0.9,0.1", "--horizon", "7e5"],
+                 ["--p-values", "0,0.5", "--horizon", "7"]):
+        out = tmp_path / "weights"
+        assert run(["poisson-rate", *args, "--replicas", "3", "--out", str(out)]) == 2
+        assert streams == [0]
+        assert not (out / "poisson_rate.csv").exists()
+        assert json.loads((out / "poisson_rate_manifest.json").read_text())["exit_status"] == 2
+    # Poisson horizons that expect more events than the cap fail before a
+    # trajectory is drawn
+    capsys.readouterr()
+    for args in (["--horizon", "1e9"], ["--lambda1", "1e7", "--lambda2", "2e7", "--horizon", "50"]):
+        (tmp_path / "poisson_rate_manifest.json").unlink(missing_ok=True)
+        tracemalloc.start()
+        try:
+            status = run(["poisson-rate", *args, "--replicas", "1", "--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == 2
+        err = capsys.readouterr().err
+        assert "horizon" in err and "event cap 1000000" in err
+        assert peak < 10 * 2**20
+        assert json.loads((tmp_path / "poisson_rate_manifest.json").read_text())["exit_status"] == 2
+    assert streams == [0]
     # random joints over the enumeration cap fail before they are drawn
     assert run(["di-discrete", "--max-n", "9", "--out", str(tmp_path)]) == 2
     # ... whatever the seed would draw: the largest joint the sizes allow is

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +38,21 @@ def test_model_validation():
     for horizon in (math.inf, math.nan):
         with pytest.raises(ValueError):
             PoissonFeedbackModel(BINARY, horizon)
+    # E[1/X] = 0.75 for BINARY, so the event cap of 1e6 expected events allows
+    # horizons up to 7.5e5
+    PoissonFeedbackModel(BINARY, 7.4e5)
+    tracemalloc.start()
+    try:
+        for pmf, horizon in ((BINARY, 7.6e5), (BINARY, 1e9),
+                             (FinitePmf([1e7, 2e7], [0.5, 0.5]), 50.0)):
+            with pytest.raises(ValueError, match="horizon .* event cap 1000000"):
+                PoissonFeedbackModel(pmf, horizon)
+        with pytest.raises(ValueError, match="event cap"):
+            mismatched_relent_poisson(BINARY, BINARY, 1e9, rng=4, replicas=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_point_mass_channel_is_homogeneous_poisson():
