@@ -131,6 +131,23 @@ def _brent_max(fn, tol: float):
     return x, fx
 
 
+def _check_resolvable(lambda1: float, lambda2: float) -> None:
+    """Refuse levels too far apart for the rate quadrature to resolve at _QUAD_TOL.
+
+    Normalized to {1, r}, r their ratio, the entropy integral runs over
+    N <= log2(50 r) + 2 doubling panels from 1/r (poisson._panel_edges) that
+    share 0.9 _QUAD_TOL.  The first panel holds up to (1 - 1/e) ln r nats, so
+    its 10- and 20-node sums differ by ulps of up to eps (1 - 1/e) ln r, and
+    bisection halves ulp and share alike: it converges only if
+    eps (1 - 1/e) ln(r) N <= 0.9 _QUAD_TOL, that is up to about r = 1e90.
+    """
+    r = max(lambda1, lambda2) / min(lambda1, lambda2)
+    ulp = np.finfo(float).eps * (1.0 - 1.0 / math.e) * math.log(r)
+    if ulp * (math.log2(50.0 * r) + 2.0) > 0.9 * _QUAD_TOL:
+        raise ValueError(f"levels lambda1={lambda1:.6g} and lambda2={lambda2:.6g} are {r:.3g} apart, "
+                         "more than the rate quadrature resolves (about 1e90)")
+
+
 def optimize_binary(lambda1: float, lambda2: float, tol: float = 1e-6) -> CapacityPoint:
     """Maximize the quasi-concave binary rate over p by Brent's method.
 
@@ -151,6 +168,7 @@ def optimize_binary(lambda1: float, lambda2: float, tol: float = 1e-6) -> Capaci
         raise ValueError("intensities must be strictly positive")
     if lambda1 == lambda2:
         return CapacityPoint(lambda1, lambda2, 0.5, 0.0, degenerate=True)
+    _check_resolvable(lambda1, lambda2)
 
     def fn(p):
         return binary_rate(p, lambda1, lambda2, tol=_QUAD_TOL)
@@ -164,16 +182,20 @@ def capacity_curve(lambda1: float, lambda2_values, tol: float = 1e-6) -> list[Ca
 
     A zero second level can never fire, so no information flows and the rate
     is zero by convention (reported with all mass on the live symbol).
+    Every level is checked before any is optimized.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
     if not 0.0 < lambda1 < math.inf:
         raise ValueError(f"lambda1 must be positive and finite, got {lambda1}")
+    levels = [float(lam2) for lam2 in lambda2_values]
+    for lam2 in levels:
+        if not 0.0 <= lam2 < math.inf:
+            raise ValueError(f"intensities must be nonnegative and finite, got lambda2={lam2!r}")
+        if lam2 > 0.0:
+            _check_resolvable(lambda1, lam2)
     out = []
-    for lam2 in lambda2_values:
-        lam2 = float(lam2)
-        if lam2 < 0:
-            raise ValueError("intensities must be nonnegative")
+    for lam2 in levels:
         if lam2 == 0.0:
             out.append(CapacityPoint(lambda1, 0.0, 1.0, 0.0, degenerate=True))
         else:

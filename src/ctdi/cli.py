@@ -10,7 +10,8 @@ Commands:
                     any replica runs, and a horizon may expect at most 10**6
                     events (horizon / E[1/X]).
   poisson-capacity  Optimized binary rate as a function of the second level,
-                    by Brent's method on the weight.
+                    by Brent's method on the weight; every level is checked
+                    first, and levels more than about 1e90 apart are refused.
   di-discrete       Property sweeps of the exact discrete engine
                     (conservation, sandwich, grouping monotonicity, no-feedback).
 

@@ -1,6 +1,6 @@
-"""Shared domain types: uniform-grid sample paths, event times, finite pmfs,
-the nonnegative-estimation loss, deterministic random-stream derivation,
-replica plumbing, and the CSV writer every module uses.
+"""Shared domain types: event times, finite pmfs and uniform-grid sample
+paths, the nonnegative-estimation loss, deterministic random-stream
+derivation, replica plumbing, and the CSV writer every module uses.
 
 Every information quantity in this package is measured in nats.  All types
 here are immutable values after construction and all operations are pure, so
@@ -12,8 +12,11 @@ values per Generator in order (replicated_estimate: one value), and only
 this module derives the streams: replica r draws from
 default_rng(SeedSequence((seed, r))), and a block gets the streams of up to
 _BLOCK consecutive replicas, so an estimate depends on neither the blocking,
-the replica chunking nor the number of jobs.  per_replica turns a function
-replica(gen) -> float of one Generator into such a block.
+the replica chunking nor the number of jobs.  The Gaussian estimators draw
+and filter a whole block as (replicas, steps) arrays; per_replica turns a
+function replica(gen) -> float of one Generator, as the Poisson estimators
+have, into such a block.  No estimator uses SamplePath; it stays public
+because the benchmark's tracer wraps its constructor by name.
 """
 
 from __future__ import annotations

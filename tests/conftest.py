@@ -4,12 +4,20 @@ These deliberately avoid the library's own quadrature/closed forms wherever
 they are used to judge it: entropies and information rates are re-estimated
 by plain Monte Carlo against the analytic densities, and the Gaussian
 mismatch value comes from a conjugate-prior derivation done here from
-scratch.
+scratch.  The Gaussian block estimators are judged against their own stages
+composed one replica at a time.
 """
 
 import numpy as np
 
-from ctdi.core import FinitePmf
+from ctdi.core import FinitePmf, RngSpec
+from ctdi.gaussian import (
+    causal_mmse_integral,
+    discrete_prior_filter,
+    exact_filter_constant_signal,
+    replay_filter,
+    simulate_awgn,
+)
 from ctdi.poisson import interarrival_density, mean_inverse_intensity
 
 
@@ -64,3 +72,28 @@ def random_positive_pmf(gen, max_atoms=3, lo=0.5, hi=3.0):
             break
     probs = gen.dirichlet(np.ones(k))
     return FinitePmf(support, probs)
+
+
+def per_replica_gaussian_values(model, seed, replicas, q_filter=None):
+    """Each replica's Gaussian estimate value, run alone as a one-row block.
+
+    Replica r draws from RngSpec(seed).stream(r) through simulate_awgn, the
+    model's exact filter and causal_mmse_integral over the whole horizon;
+    with a q_filter the value is the mismatched integral minus the exact
+    one.  The block estimators must reproduce these values bit for bit.
+    """
+    n = model.n_steps
+    values = []
+    for rep in range(replicas):
+        x, inc = simulate_awgn(model, [RngSpec(seed).stream(rep)])
+        if model.policy is not None:
+            est = replay_filter(model, inc)
+        elif model.latent is None:
+            est = exact_filter_constant_signal(inc, model.dt)
+        else:
+            est = discrete_prior_filter(model.latent, inc, model.dt)
+        value = causal_mmse_integral(x, est, model.dt, [n])[0, 0]
+        if q_filter is not None:
+            value = causal_mmse_integral(x, q_filter(inc, model.dt), model.dt, [n])[0, 0] - value
+        values.append(float(value))
+    return values

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 from scipy import stats as scipy_stats
+from scipy.integrate import quad
 
 from conftest import plugin_rate_oracle, random_positive_pmf
 from ctdi.capacity import binary_rate, capacity_curve, optimize_binary, unit_cost_identity_check
@@ -81,12 +82,27 @@ def test_criterion_2_delayed_echo_di_is_zero():
                     f"(stderr {est.stderr!r}), exact zero required")
 
 
+def _quad_rate(p, lambda1, lambda2):
+    """I(X;Y)/E[1/X] of one exponential wait, h(Y) by scipy quad on its mixture density."""
+    def minus_f_ln_f(y):
+        f = p * lambda1 * math.exp(-lambda1 * y) + (1.0 - p) * lambda2 * math.exp(-lambda2 * y)
+        return -f * math.log(f) if f > 0 else 0.0
+
+    h_y, _ = quad(minus_f_ln_f, 0.0, math.inf, epsabs=1e-13, epsrel=1e-13)
+    info = h_y - 1.0 + p * math.log(lambda1) + (1.0 - p) * math.log(lambda2)
+    return info / (p / lambda1 + (1.0 - p) / lambda2)
+
+
 def test_criterion_3_poisson_rate_mc_matches_analytic():
     t0 = time.perf_counter()
     max_gap = 0.0
     max_oracle_gap = 0.0
-    ok = True
-    for k, p in enumerate([round(0.1 * i, 1) for i in range(1, 10)]):
+    weights = [round(0.1 * i, 1) for i in range(1, 10)]
+    # deterministic oracle: the same rates by an independent quadrature
+    max_quad_gap = max(abs(binary_rate(p, 1.0, lam2) - _quad_rate(p, 1.0, lam2))
+                       for p in weights for lam2 in (2.0, 10.0, 100.0))
+    ok = max_quad_gap < 1e-10
+    for k, p in enumerate(weights):
         pmf = FinitePmf([1.0, 2.0], [p, 1.0 - p])
         analytic = binary_rate(p, 1.0, 2.0)
         oracle = plugin_rate_oracle(pmf, 10_000_000, seed=9000 + k)
@@ -100,7 +116,9 @@ def test_criterion_3_poisson_rate_mc_matches_analytic():
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 300.0
     _verdict(3, ok, f"9-point weight sweep at horizon 1e4: max |mc - analytic| = {max_gap:.2e}, "
-                    f"max |analytic - 1e7-sample oracle| = {max_oracle_gap:.2e}, {elapsed:.0f}s")
+                    f"max |analytic - 1e7-sample oracle| = {max_oracle_gap:.2e}, "
+                    f"max |analytic - quad oracle| over lambda2 in {{2, 10, 100}} = "
+                    f"{max_quad_gap:.2e}, {elapsed:.0f}s")
 
 
 def test_criterion_4_capacity_curve_shape():

@@ -159,6 +159,17 @@ def test_capacity_curve_shape():
             capacity_curve(lam1, [0.0])
 
 
+def test_capacity_curve_checks_every_level_first(monkeypatch):
+    # a bad level anywhere in the list, levels too far apart for the rate
+    # quadrature included, fails before any level is optimized
+    evaluations = []
+    monkeypatch.setattr(capacity, "binary_rate", lambda *args, **kwargs: evaluations.append(args))
+    for levels in ([2.0, -1.0], [2.0, math.nan], [2.0, math.inf], [2.0, 1e95], [1e-95, 2.0]):
+        with pytest.raises(ValueError, match="lambda2"):
+            capacity_curve(1.0, levels)
+    assert evaluations == []
+
+
 def test_rate_grows_with_level_separation():
     r2 = optimize_binary(1.0, 2.0).rate_star
     r10 = optimize_binary(1.0, 10.0).rate_star

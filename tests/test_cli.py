@@ -236,6 +236,22 @@ def test_poisson_capacity_run(tmp_path):
     assert float(lines[2].split(",")[2]) > 0.0
 
 
+def test_poisson_capacity_level_ratio_cap(tmp_path, monkeypatch, capsys):
+    # levels about 1e90 apart are the widest the rate quadrature resolves;
+    # one beyond it is a usage error, found before any level is optimized
+    assert run(["poisson-capacity", "--lambda2-values", "1e90", "--out", str(tmp_path)]) == 0
+    evaluations = []
+    monkeypatch.setattr("ctdi.capacity.binary_rate", lambda *args, **kwargs: evaluations.append(1))
+    capsys.readouterr()
+    out = tmp_path / "wide"
+    assert run(["poisson-capacity", "--lambda2-values", "2,1e-91", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "lambda1=1" in err and "lambda2=1e-91" in err and "Traceback" not in err
+    assert evaluations == []
+    assert not (out / "poisson_capacity.csv").exists()
+    assert json.loads((out / "poisson_capacity_manifest.json").read_text())["exit_status"] == 2
+
+
 def test_internal_numerical_failure_exits_3_without_traceback(tmp_path, monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise RuntimeError("Gauss-Legendre panels did not reach tol=1e-11")

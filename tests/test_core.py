@@ -1,5 +1,8 @@
 import ast
 import functools
+import importlib
+import inspect
+import json
 import math
 import os
 from concurrent.futures import Future
@@ -255,6 +258,8 @@ def test_di_estimate_fields():
 _UNUSED_EXPORTS_ALLOWED = {
     "quadrature.adaptive_simpson": "the benchmark traces it by name until its quadrature "
                                    "metrics read integrate_panels; then it is deleted",
+    "core.SamplePath": "the benchmark's tracer wraps SamplePath.__init__ by name for its "
+                       "core.SamplePath metrics; no estimator builds one",
 }
 
 
@@ -279,3 +284,29 @@ def test_every_export_has_a_user():
     unused = [name for name in exports
               if name.split(".")[1] not in used and name not in _UNUSED_EXPORTS_ALLOWED]
     assert unused == []
+
+
+def test_benchmark_call_metrics_name_traced_entry_points():
+    # the benchmark's tracer wraps each function of a layer's __all__ defined
+    # in that layer, plus RngSpec.stream and SamplePath.__init__; a per-layer
+    # <layer>.<name>.calls or .self_s metric that names anything else makes
+    # every traced run fail
+    root = Path(__file__).resolve().parent.parent
+    spec = json.loads((root / "BENCHMARK.json").read_text())
+    members = {"core.stream": ("RngSpec", "stream"), "core.SamplePath": ("SamplePath", "__init__")}
+    checked = 0
+    for metric in spec["per_layer"]:
+        parts = metric["name"].split(".")
+        if len(parts) != 3 or parts[2] not in ("calls", "self_s"):
+            continue
+        name = ".".join(parts[:2])
+        checked += 1
+        if name in members:
+            cls, attr = members[name]
+            assert attr in vars(getattr(core, cls)), name
+            continue
+        module = importlib.import_module(f"ctdi.{parts[0]}")
+        obj = getattr(module, parts[1], None)
+        assert parts[1] in module.__all__, name
+        assert inspect.isfunction(obj) and obj.__module__ == module.__name__, name
+    assert checked > 0

@@ -5,9 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import gaussian_mismatch_closed_form, quantized_normal_prior
+from conftest import gaussian_mismatch_closed_form, per_replica_gaussian_values, quantized_normal_prior
 from ctdi import gaussian
-from ctdi.core import FinitePmf, RngSpec, SamplePath
+from ctdi.core import FinitePmf, RngSpec
 from ctdi.gaussian import (
     GaussianFeedbackModel,
     causal_mmse_integral,
@@ -25,6 +25,16 @@ from ctdi.gaussian import (
 
 TWO_POINT = FinitePmf([-1.0, 1.0], [0.5, 0.5])
 THREE_POINT = FinitePmf([-1.0, 0.5, 2.0], [0.2, 0.5, 0.3])
+
+
+def _gate(u, y):
+    # amplifies u while the delayed output agrees with it; module level, so
+    # a model using it pickles for jobs > 1
+    return u * np.where(u * y > 0, 2.0, 0.5)
+
+
+def _streams(seed, replicas):
+    return [RngSpec(seed).stream(rep) for rep in range(replicas)]
 
 
 def test_model_validation():
@@ -52,12 +62,8 @@ def test_model_validation():
 def test_zero_signal_increments_are_pure_noise():
     prior = FinitePmf([0.0], [1.0])
     model = constant_signal_model(1.0, 0.01, prior=prior)
-    incs = []
-    for rep in range(400):
-        x, yinc = simulate_awgn(model, RngSpec(61).stream(rep))
-        assert np.all(x.values == 0.0)
-        incs.append(yinc.values)
-    incs = np.concatenate(incs)
+    x, incs = simulate_awgn(model, _streams(61, 400))
+    assert np.all(x == 0.0)
     assert abs(incs.mean()) < 4.0 * math.sqrt(0.01 / incs.size)
     assert abs(incs.var() - 0.01) < 4.0 * 0.01 * math.sqrt(2.0 / incs.size)
 
@@ -65,10 +71,7 @@ def test_zero_signal_increments_are_pure_noise():
 def test_constant_signal_output_variance():
     # Y_T = A T + B_T so Var(Y_T) = T^2 + T
     model = constant_signal_model(1.0, 0.01)
-    y_end = np.array([
-        simulate_awgn(model, RngSpec(62).stream(rep))[1].values.sum()
-        for rep in range(4000)
-    ])
+    y_end = simulate_awgn(model, _streams(62, 4000))[1].sum(axis=1)
     target = 2.0
     se = target * math.sqrt(2.0 / (y_end.size - 1))
     assert abs(y_end.var(ddof=1) - target) < 4.0 * se
@@ -76,18 +79,18 @@ def test_constant_signal_output_variance():
 
 def test_simulation_reproducible():
     model = delayed_echo_model(2.0, 0.01, 0.1)
-    x1, y1 = simulate_awgn(model, RngSpec(63).stream(7))
-    x2, y2 = simulate_awgn(model, RngSpec(63).stream(7))
-    assert np.array_equal(x1.values, x2.values)
-    assert np.array_equal(y1.values, y2.values)
+    x1, y1 = simulate_awgn(model, [RngSpec(63).stream(7)])
+    x2, y2 = simulate_awgn(model, [RngSpec(63).stream(7)])
+    assert np.array_equal(x1, x2)
+    assert np.array_equal(y1, y2)
 
 
 def test_power_bound_guards_runaway_policies():
     latent = FinitePmf([0.0], [1.0])
     model = GaussianFeedbackModel(1.0, 0.1, lambda u, y: 50.0, delay=0.1,
                                   latent=latent, power_bound=10.0)
-    with pytest.raises(ValueError):
-        simulate_awgn(model, RngSpec(0).stream(0))
+    with pytest.raises(ValueError, match="power bound"):
+        simulate_awgn(model, [RngSpec(0).stream(0)])
     # the block path of a constant signal checks every latent draw
     held = GaussianFeedbackModel(0.5, 0.01, None, latent=FinitePmf([0.0, 5.0], [0.5, 0.5]),
                                  power_bound=1.0)
@@ -96,11 +99,11 @@ def test_power_bound_guards_runaway_policies():
 
 
 def test_exact_filter_gain_formula():
-    yinc = SamplePath(0.5, [0.5, -0.2])
-    filt = exact_filter_constant_signal(yinc)
-    assert np.allclose(filt.values, [0.0, 0.5 / 1.5])
-    wide = exact_filter_constant_signal(yinc, prior_var=4.0)
-    assert np.allclose(wide.values, [0.0, 4.0 * 0.5 / 3.0])
+    inc = np.array([0.5, -0.2])
+    filt = exact_filter_constant_signal(inc, 0.5)
+    assert np.allclose(filt, [0.0, 0.5 / 1.5])
+    wide = exact_filter_constant_signal(inc, 0.5, prior_var=4.0)
+    assert np.allclose(wide, [0.0, 4.0 * 0.5 / 3.0])
 
 
 def test_exact_filter_posterior_variance_is_achieved():
@@ -108,11 +111,11 @@ def test_exact_filter_posterior_variance_is_achieved():
     dt = 0.01
     model = constant_signal_model(1.0 + dt, dt)
     errs = []
-    for rep in range(30_000):
-        x, yinc = simulate_awgn(model, RngSpec(64).stream(rep))
-        filt = exact_filter_constant_signal(yinc)
-        errs.append(x.values[-1] - filt.values[-1])
-    errs = np.asarray(errs)
+    for start in range(0, 30_000, 1000):
+        gens = [RngSpec(64).stream(rep) for rep in range(start, start + 1000)]
+        x, inc = simulate_awgn(model, gens)
+        errs.append(x[:, -1] - exact_filter_constant_signal(inc, dt)[:, -1])
+    errs = np.concatenate(errs)
     mse = float((errs**2).mean())
     se = float((errs**2).std(ddof=1) / math.sqrt(errs.size))
     assert abs(mse - 0.5) < max(4.0 * se, 0.01)
@@ -120,10 +123,10 @@ def test_exact_filter_posterior_variance_is_achieved():
 
 def test_two_point_prior_filter_is_tanh():
     gen = np.random.default_rng(65)
-    yinc = SamplePath(0.01, gen.normal(scale=0.1, size=200))
-    filt = discrete_prior_filter(TWO_POINT, yinc)
-    y_before = np.concatenate(([0.0], np.cumsum(yinc.values[:-1])))
-    assert np.allclose(filt.values, np.tanh(y_before), atol=1e-12)
+    inc = gen.normal(scale=0.1, size=200)
+    filt = discrete_prior_filter(TWO_POINT, inc, 0.01)
+    y_before = np.concatenate(([0.0], np.cumsum(inc[:-1])))
+    assert np.allclose(filt, np.tanh(y_before), atol=1e-12)
 
 
 def test_filters_do_not_look_ahead():
@@ -131,43 +134,40 @@ def test_filters_do_not_look_ahead():
     vals = gen.normal(size=50)
     tampered = vals.copy()
     tampered[30:] += 5.0
-    a = SamplePath(0.02, vals)
-    b = SamplePath(0.02, tampered)
-    for fn in (exact_filter_constant_signal,
-               lambda y: discrete_prior_filter(TWO_POINT, y)):
-        ea = fn(a).values
-        eb = fn(b).values
+    for fn in (functools.partial(exact_filter_constant_signal, dt=0.02),
+               functools.partial(discrete_prior_filter, TWO_POINT, dt=0.02)):
+        ea = fn(vals)
+        eb = fn(tampered)
         assert np.array_equal(ea[:31], eb[:31])
         assert not np.array_equal(ea[31:], eb[31:])
 
 
 def test_replay_filter_reconstructs_echo_signal_exactly():
     model = delayed_echo_model(1.0, 0.001, 0.01)
-    x, yinc = simulate_awgn(model, RngSpec(67).stream(0))
-    filt = replay_filter(model, yinc)
-    assert np.array_equal(filt.values, x.values)
-    assert causal_mmse_integral(x, filt) == 0.0
+    x, inc = simulate_awgn(model, [RngSpec(67).stream(0)])
+    filt = replay_filter(model, inc)
+    assert np.array_equal(filt, x)
+    assert causal_mmse_integral(x, filt, model.dt, [model.n_steps])[0, 0] == 0.0
     with pytest.raises(ValueError):
-        replay_filter(constant_signal_model(1.0, 0.001), yinc)
+        replay_filter(constant_signal_model(1.0, 0.001), inc)
 
 
 def test_replay_filter_tracks_discrete_posterior():
     # without feedback the replayed likelihood mixture is the closed-form filter
     prior = quantized_normal_prior(101)
     model = constant_signal_model(1.0, 0.01, prior=prior)
-    for rep in range(8):
-        _, yinc = simulate_awgn(model, RngSpec(70).stream(rep))
-        exact = discrete_prior_filter(prior, yinc)
-        replayed = replay_filter(model, yinc)
-        assert np.max(np.abs(replayed.values - exact.values)) < 1e-12
+    _, inc = simulate_awgn(model, _streams(70, 8))
+    exact = discrete_prior_filter(prior, inc, model.dt)
+    replayed = replay_filter(model, inc)
+    assert np.max(np.abs(replayed - exact)) < 1e-12
 
 
 def test_replay_filter_two_point_prior_matches_tanh():
     model = constant_signal_model(0.5, 0.01, prior=TWO_POINT)
-    _, yinc = simulate_awgn(model, RngSpec(81).stream(0))
-    filt = replay_filter(model, yinc)
-    y_before = np.concatenate(([0.0], np.cumsum(yinc.values[:-1])))
-    assert np.max(np.abs(filt.values - np.tanh(y_before))) < 1e-12
+    _, inc = simulate_awgn(model, [RngSpec(81).stream(0)])
+    filt = replay_filter(model, inc[0])
+    y_before = np.concatenate(([0.0], np.cumsum(inc[0, :-1])))
+    assert np.max(np.abs(filt - np.tanh(y_before))) < 1e-12
 
 
 def test_replay_filter_tracks_feedback_posterior():
@@ -176,16 +176,17 @@ def test_replay_filter_tracks_feedback_posterior():
     dt, d = 0.01, 5
     model = GaussianFeedbackModel(0.5, dt, lambda u, y: u + 0.5 * y, delay=d * dt,
                                   latent=TWO_POINT)
-    x, yinc = simulate_awgn(model, RngSpec(84).stream(0))
-    y_seen = np.concatenate((np.zeros(d + 1), np.cumsum(yinc.values)))[: len(yinc)]
+    x, inc = simulate_awgn(model, [RngSpec(84).stream(0)])
+    x, inc = x[0], inc[0]
+    y_seen = np.concatenate((np.zeros(d + 1), np.cumsum(inc)))[: inc.size]
     signals = TWO_POINT.support[:, None] + 0.5 * y_seen
-    steps = signals * yinc.values - 0.5 * signals**2 * dt
+    steps = signals * inc - 0.5 * signals**2 * dt
     loglik = np.concatenate((np.zeros((2, 1)), np.cumsum(steps, axis=1)[:, :-1]), axis=1)
     w = np.exp(loglik - loglik.max(axis=0))
     exact = (w * signals).sum(axis=0) / w.sum(axis=0)
-    filt = replay_filter(model, yinc)
-    assert np.max(np.abs(filt.values - exact)) < 1e-12
-    assert np.max(np.abs(signals[int(x.values[0] > 0)] - x.values)) < 1e-12
+    filt = replay_filter(model, inc)
+    assert np.max(np.abs(filt - exact)) < 1e-12
+    assert np.max(np.abs(signals[int(x[0] > 0)] - x)) < 1e-12
 
 
 def test_duncan_with_feedback_matches_terminal_posterior_information():
@@ -195,22 +196,19 @@ def test_duncan_with_feedback_matches_terminal_posterior_information():
     # gate amplifies u while the delayed output agrees with it, so feedback
     # moves the information away from the no-feedback value for X = U.
     dt, replicas = 2e-3, 2000
-    model = GaussianFeedbackModel(1.0, dt, lambda u, y: u * (2.0 if u * y > 0 else 0.5),
-                                  delay=dt, latent=TWO_POINT)
+    model = GaussianFeedbackModel(1.0, dt, _gate, delay=dt, latent=TWO_POINT)
     est = directed_info_gaussian_mc(model, rng=85, replicas=replicas)
     u = TWO_POINT.support[:, None]
     mmse, info = [], []
-    for rep in range(replicas):
-        x, yinc = simulate_awgn(model, RngSpec(85).stream(rep))
-        inc = yinc.values
+    for x, inc in zip(*simulate_awgn(model, _streams(85, replicas))):
         y_seen = np.concatenate(([0.0, 0.0], np.cumsum(inc)[:-2]))
         signals = u * np.where(u * y_seen > 0, 2.0, 0.5)
-        assert np.max(np.abs(signals[int(x.values[0] > 0)] - x.values)) < 1e-12
+        assert np.max(np.abs(signals[int(x[0] > 0)] - x)) < 1e-12
         loglik = np.cumsum(signals * inc - 0.5 * signals**2 * dt, axis=1)
         before = np.concatenate((np.zeros((2, 1)), loglik[:, :-1]), axis=1)
         w = np.exp(before - before.max(axis=0))
         xhat = (w * signals).sum(axis=0) / w.sum(axis=0)
-        mmse.append(0.5 * float(np.sum((x.values - xhat) ** 2)) * dt)
+        mmse.append(0.5 * float(np.sum((x - xhat) ** 2)) * dt)
         end = loglik[:, -1] - loglik[:, -1].max()
         log_post = end - math.log(np.exp(end).sum())
         info.append(math.log(2.0) + float(np.sum(np.exp(log_post) * log_post)))
@@ -224,21 +222,16 @@ def test_duncan_with_feedback_matches_terminal_posterior_information():
 
 
 def test_causal_integral_trivial_values():
-    x = SamplePath(0.5, np.ones(4))
-    zero = SamplePath(0.5, np.zeros(4))
-    assert causal_mmse_integral(x, zero) == pytest.approx(1.0, abs=1e-14)
-    perfect = SamplePath(0.5, np.ones(4))
-    assert causal_mmse_integral(x, perfect) == 0.0
+    x = np.ones(4)
+    assert causal_mmse_integral(x, np.zeros(4), 0.5, [4])[0] == pytest.approx(1.0, abs=1e-14)
+    assert causal_mmse_integral(x, np.ones(4), 0.5, [4])[0] == 0.0
 
 
 def test_causal_mmse_integral_requires_matching_grids():
-    x = SamplePath(0.1, [1.0, 1.0])
-    filt = SamplePath(0.05, [0.0, 0.0])
+    x = np.array([1.0, 1.0])
+    short = np.array([0.0])
     with pytest.raises(ValueError):
-        causal_mmse_integral(x, filt)
-    short = SamplePath(0.1, [0.0])
-    with pytest.raises(ValueError):
-        causal_mmse_integral(x, short)
+        causal_mmse_integral(x, short, 0.1, [1])
 
 
 def test_closed_form_reference_values():
@@ -284,8 +277,14 @@ def test_mc_di_zero_horizon():
 def test_mc_di_parallel_matches_serial():
     model = constant_signal_model(0.2, 0.01)
     q_filter = functools.partial(exact_filter_constant_signal, prior_var=4.0)
+    finite = constant_signal_model(0.2, 0.01, prior=THREE_POINT)
+    gate = GaussianFeedbackModel(0.2, 0.01, _gate, delay=0.01, latent=TWO_POINT)
     for estimate in (functools.partial(directed_info_gaussian_mc, model),
-                     functools.partial(mismatched_relent_gaussian, model, q_filter)):
+                     functools.partial(mismatched_relent_gaussian, model, q_filter),
+                     functools.partial(directed_info_gaussian_mc, delayed_echo_model(0.2, 0.01, 0.03)),
+                     functools.partial(directed_info_gaussian_mc, gate),
+                     functools.partial(mismatched_relent_gaussian, finite,
+                                       functools.partial(discrete_prior_filter, TWO_POINT))):
         a = estimate(rng=74, replicas=100, jobs=1)
         b = estimate(rng=74, replicas=100, jobs=2)
         assert a.value == b.value and a.stderr == b.stderr
@@ -297,11 +296,24 @@ def test_mc_di_parallel_matches_serial():
         assert a.value == b.value and a.stderr == b.stderr
 
 
+def _replay_q(inc, dt):
+    # the exact filter of the gate policy under a skewed prior
+    skewed = GaussianFeedbackModel(0.2, dt, _gate, delay=dt, latent=FinitePmf([-1.0, 1.0], [0.3, 0.7]))
+    return replay_filter(skewed, inc)
+
+
 @pytest.mark.parametrize("prior", [None, THREE_POINT])
 def test_block_path_is_the_per_replica_composition(monkeypatch, prior):
-    # without a policy the replicas run in blocks of 16; each value must be
-    # bit for bit the simulate -> filter -> error integral of its own stream
-    model = constant_signal_model(0.5, 0.01, prior=prior)
+    # the replicas run in blocks of 16; each value must be bit for bit the
+    # simulate -> filter -> error integral of its own stream run alone, with
+    # and without a policy, and for the mismatch estimator too
+    constant = constant_signal_model(0.5, 0.01, prior=prior)
+    if prior is None:
+        policy = delayed_echo_model(0.3, 0.01, 0.02)
+        q_filter = functools.partial(exact_filter_constant_signal, prior_var=4.0)
+    else:
+        policy = GaussianFeedbackModel(0.2, 0.01, _gate, delay=0.01, latent=prior)
+        q_filter = functools.partial(discrete_prior_filter, TWO_POINT)
     seen = []
     real = gaussian.replicated_estimates
 
@@ -314,31 +326,34 @@ def test_block_path_is_the_per_replica_composition(monkeypatch, prior):
         return real(spy, rng, replicas, jobs)
 
     monkeypatch.setattr(gaussian, "replicated_estimates", recording)
-    for replicas in (1, 16, 17, 37):
-        seen.clear()
-        est = directed_info_gaussian_mc(model, rng=86, replicas=replicas)
-        oracle = []
-        for rep in range(replicas):
-            x, yinc = simulate_awgn(model, RngSpec(86).stream(rep))
-            if prior is None:
-                filt = exact_filter_constant_signal(yinc)
+    monkeypatch.setattr(gaussian, "replicated_estimate", lambda *args: recording(*args)[0])
+    for model, q in ((constant, None), (policy, None), (constant, q_filter), (policy, _replay_q)):
+        for replicas in (1, 16, 17, 37):
+            seen.clear()
+            if q is None:
+                est = directed_info_gaussian_mc(model, rng=86, replicas=replicas)
             else:
-                filt = discrete_prior_filter(prior, yinc)
-            oracle.append(causal_mmse_integral(x, filt))
-        assert seen == oracle
-        assert est.value == float(np.mean(oracle))
+                est = mismatched_relent_gaussian(model, q, rng=86, replicas=replicas)
+            oracle = per_replica_gaussian_values(model, 86, replicas, q)
+            assert seen == oracle
+            assert est.value == float(np.mean(oracle))
 
 
 @pytest.mark.parametrize("prior", [None, THREE_POINT])
 def test_sweep_matches_each_horizon_alone(prior):
-    # unsorted, with a duplicate: each estimate reads its own prefix of one path
-    models = [constant_signal_model(t, 0.01, prior=prior) for t in (1.0, 0.3, 1.0, 0.05)]
-    for replicas in (1, 16, 17, 37):
-        sweep = directed_info_gaussian_sweep(models, rng=89, replicas=replicas)
-        alone = [directed_info_gaussian_mc(m, rng=89, replicas=replicas) for m in models]
-        assert [(e.value, repr(e.stderr), e.replicas) for e in sweep] == [
-            (e.value, repr(e.stderr), e.replicas) for e in alone]
-    assert directed_info_gaussian_sweep(models, rng=89, replicas=37, jobs=2) == sweep
+    # unsorted, with a duplicate: each estimate reads its own prefix of one
+    # path, with and without a policy
+    latent = TWO_POINT if prior is None else prior
+    for make in (functools.partial(constant_signal_model, dt=0.01, prior=prior),
+                 functools.partial(GaussianFeedbackModel, dt=0.01, policy=_gate, delay=0.02,
+                                   latent=latent)):
+        models = [make(t) for t in (1.0, 0.3, 1.0, 0.05)]
+        for replicas in (1, 16, 17, 37):
+            sweep = directed_info_gaussian_sweep(models, rng=89, replicas=replicas)
+            alone = [directed_info_gaussian_mc(m, rng=89, replicas=replicas) for m in models]
+            assert [(e.value, repr(e.stderr), e.replicas) for e in sweep] == [
+                (e.value, repr(e.stderr), e.replicas) for e in alone]
+        assert directed_info_gaussian_sweep(models, rng=89, replicas=37, jobs=2) == sweep
 
 
 def test_sweep_rejects_models_it_cannot_share_a_path_between():
@@ -349,8 +364,39 @@ def test_sweep_rejects_models_it_cannot_share_a_path_between():
                   delayed_echo_model(0.5, 0.01, 0.02)):
         with pytest.raises(ValueError):
             directed_info_gaussian_sweep([base, other], rng=89, replicas=2)
+    gate = GaussianFeedbackModel(1.0, 0.01, _gate, delay=0.01, latent=TWO_POINT)
+    for other in (GaussianFeedbackModel(0.5, 0.01, _gate, delay=0.02, latent=TWO_POINT),
+                  GaussianFeedbackModel(0.5, 0.01, lambda u, y: _gate(u, y), delay=0.01,
+                                        latent=TWO_POINT),
+                  GaussianFeedbackModel(0.5, 0.01, _gate, delay=0.01, latent=THREE_POINT)):
+        with pytest.raises(ValueError):
+            directed_info_gaussian_sweep([gate, other], rng=89, replicas=2)
     with pytest.raises(ValueError):
         directed_info_gaussian_sweep([], rng=89, replicas=2)
+
+
+def test_gaussian_latent_under_a_policy_is_refused_before_any_draw(monkeypatch):
+    # a standard-normal latent under a policy has no exact filter
+    drawn = []
+    real = RngSpec.stream
+    monkeypatch.setattr(RngSpec, "stream", lambda self, r=0: drawn.append(r) or real(self, r))
+    model = GaussianFeedbackModel(0.5, 0.01, lambda u, y: u, delay=0.01)
+    q_filter = functools.partial(exact_filter_constant_signal, prior_var=4.0)
+    for estimate in (functools.partial(directed_info_gaussian_mc, model),
+                     functools.partial(directed_info_gaussian_sweep, [model]),
+                     functools.partial(mismatched_relent_gaussian, model, q_filter)):
+        with pytest.raises(ValueError, match="exact filter"):
+            estimate(rng=90, replicas=3)
+    assert drawn == []
+
+
+def test_mismatched_filter_must_keep_the_block_shape():
+    model = constant_signal_model(0.2, 0.01)
+    for q_filter in (lambda inc, dt: exact_filter_constant_signal(inc, dt)[:, :-1],
+                     lambda inc, dt: exact_filter_constant_signal(inc, dt)[0],
+                     lambda inc, dt: 0.0):
+        with pytest.raises(ValueError, match="shape"):
+            mismatched_relent_gaussian(model, q_filter, rng=91, replicas=3)
 
 
 def test_block_memory_stays_within_three_buffers():
@@ -397,8 +443,8 @@ def test_constant_bias_penalty_matches_quadratic_law():
     model = constant_signal_model(1.0, 0.01)
 
     def biased(b):
-        def q_filter(yinc):
-            return SamplePath(yinc.dt, exact_filter_constant_signal(yinc).values + b)
+        def q_filter(inc, dt):
+            return exact_filter_constant_signal(inc, dt) + b
 
         return q_filter
 
@@ -421,12 +467,10 @@ def test_halving_dt_halves_filter_discretization_bias():
         z = gen.normal(size=100)
         fine_inc = a * (dt / 2) + math.sqrt(dt / 2) * z
         coarse_inc = fine_inc[0::2] + fine_inc[1::2]
-        fine_x = SamplePath(dt / 2, np.full(100, a))
-        coarse_x = SamplePath(dt, np.full(50, a))
         fine = causal_mmse_integral(
-            fine_x, exact_filter_constant_signal(SamplePath(dt / 2, fine_inc)))
+            np.full(100, a), exact_filter_constant_signal(fine_inc, dt / 2), dt / 2, [100])[0]
         coarse = causal_mmse_integral(
-            coarse_x, exact_filter_constant_signal(SamplePath(dt, coarse_inc)))
+            np.full(50, a), exact_filter_constant_signal(coarse_inc, dt), dt, [50])[0]
         gaps.append(coarse - fine)
     gaps = np.asarray(gaps)
     se = gaps.std(ddof=1) / math.sqrt(gaps.size)
