@@ -9,7 +9,6 @@ optimization over binary inputs.  All information quantities are in nats.
 
 from .core import (
     DiEstimate,
-    EventTimes,
     FinitePmf,
     RngSpec,
     SamplePath,

@@ -13,7 +13,9 @@ comparisons alone: a point worse than the best so far rules out everything
 beyond it, since any point between the best and the maximum of a
 quasi-concave function is at least as good as the best.  Its parabolic
 steps, which pay off because the rate is smooth, only choose where to look
-next, so the maximum stays inside the bracket whatever they propose.
+next, so the maximum stays inside the bracket whatever they propose.  The
+rates come from poisson.di_rate_analytic at poisson._QUAD_TOL, and
+capacity_curve checks every level with its guard, poisson._check_resolvable.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FinitePmf
-from .poisson import di_rate_analytic, mean_interarrival_quadrature, mean_inverse_intensity
+from .poisson import (_check_resolvable, di_rate_analytic, mean_interarrival_quadrature,
+                      mean_inverse_intensity)
 
 __all__ = [
     "CapacityPoint",
@@ -35,7 +38,6 @@ __all__ = [
 ]
 
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0  # the golden-section fraction
-_QUAD_TOL = 1e-11  # quadrature tolerance of each rate the optimizer evaluates
 
 
 @dataclass(frozen=True)
@@ -55,7 +57,7 @@ class CapacityPoint:
             raise ValueError("rate_star must be nonnegative")
 
 
-def binary_rate(p: float, lambda1: float, lambda2: float, tol: float = 1e-10) -> float:
+def binary_rate(p: float, lambda1: float, lambda2: float) -> float:
     """Analytic rate of the binary input putting weight p on lambda1.
 
     Exactly zero at p in {0, 1} and whenever the two levels coincide.
@@ -67,7 +69,7 @@ def binary_rate(p: float, lambda1: float, lambda2: float, tol: float = 1e-10) ->
     if p == 0.0 or p == 1.0 or lambda1 == lambda2:
         return 0.0
     pmf = FinitePmf(np.array([lambda1, lambda2]), np.array([p, 1.0 - p]))
-    return di_rate_analytic(pmf, tol=tol)
+    return di_rate_analytic(pmf)
 
 
 def _brent_max(fn, tol: float):
@@ -131,23 +133,6 @@ def _brent_max(fn, tol: float):
     return x, fx
 
 
-def _check_resolvable(lambda1: float, lambda2: float) -> None:
-    """Refuse levels too far apart for the rate quadrature to resolve at _QUAD_TOL.
-
-    Normalized to {1, r}, r their ratio, the entropy integral runs over
-    N <= log2(50 r) + 2 doubling panels from 1/r (poisson._panel_edges) that
-    share 0.9 _QUAD_TOL.  The first panel holds up to (1 - 1/e) ln r nats, so
-    its 10- and 20-node sums differ by ulps of up to eps (1 - 1/e) ln r, and
-    bisection halves ulp and share alike: it converges only if
-    eps (1 - 1/e) ln(r) N <= 0.9 _QUAD_TOL, that is up to about r = 1e90.
-    """
-    r = max(lambda1, lambda2) / min(lambda1, lambda2)
-    ulp = np.finfo(float).eps * (1.0 - 1.0 / math.e) * math.log(r)
-    if ulp * (math.log2(50.0 * r) + 2.0) > 0.9 * _QUAD_TOL:
-        raise ValueError(f"levels lambda1={lambda1:.6g} and lambda2={lambda2:.6g} are {r:.3g} apart, "
-                         "more than the rate quadrature resolves (about 1e90)")
-
-
 def optimize_binary(lambda1: float, lambda2: float, tol: float = 1e-6) -> CapacityPoint:
     """Maximize the quasi-concave binary rate over p by Brent's method.
 
@@ -160,7 +145,8 @@ def optimize_binary(lambda1: float, lambda2: float, tol: float = 1e-6) -> Capaci
     lie in (0, 1); a tol below float resolution stops once no new point
     inside the bracket differs from the best one.  Coincident levels carry no information
     for any p; that case returns a zero rate flagged degenerate (the
-    objective is flat).
+    objective is flat).  Levels more than about 1e90 apart raise ValueError
+    at the first rate evaluated.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
@@ -168,12 +154,7 @@ def optimize_binary(lambda1: float, lambda2: float, tol: float = 1e-6) -> Capaci
         raise ValueError("intensities must be strictly positive")
     if lambda1 == lambda2:
         return CapacityPoint(lambda1, lambda2, 0.5, 0.0, degenerate=True)
-    _check_resolvable(lambda1, lambda2)
-
-    def fn(p):
-        return binary_rate(p, lambda1, lambda2, tol=_QUAD_TOL)
-
-    p_star, rate_star = _brent_max(fn, tol)
+    p_star, rate_star = _brent_max(lambda p: binary_rate(p, lambda1, lambda2), tol)
     return CapacityPoint(lambda1, lambda2, p_star, rate_star)
 
 
@@ -193,7 +174,7 @@ def capacity_curve(lambda1: float, lambda2_values, tol: float = 1e-6) -> list[Ca
         if not 0.0 <= lam2 < math.inf:
             raise ValueError(f"intensities must be nonnegative and finite, got lambda2={lam2!r}")
         if lam2 > 0.0:
-            _check_resolvable(lambda1, lam2)
+            _check_resolvable((lambda1, lam2))
     out = []
     for lam2 in levels:
         if lam2 == 0.0:
@@ -203,6 +184,6 @@ def capacity_curve(lambda1: float, lambda2_values, tol: float = 1e-6) -> list[Ca
     return out
 
 
-def unit_cost_identity_check(pmf: FinitePmf, tol: float = 1e-11) -> float:
+def unit_cost_identity_check(pmf: FinitePmf) -> float:
     """|E[Y] by quadrature - E[1/X] in closed form|; the cost identity residual."""
-    return abs(mean_interarrival_quadrature(pmf, tol=tol) - mean_inverse_intensity(pmf))
+    return abs(mean_interarrival_quadrature(pmf) - mean_inverse_intensity(pmf))

@@ -7,8 +7,9 @@ Commands:
                     longest horizon.
   poisson-rate      Monte Carlo feedback-rate sweep over binary input weights
                     against the analytic rate; every weight is checked before
-                    any replica runs, and a horizon may expect at most 10**6
-                    events (horizon / E[1/X]).
+                    any replica runs.  A horizon may expect at most 10**6
+                    events, and levels more than about 1e90 apart or with a
+                    mean wait below the float spacing of the horizon are refused.
   poisson-capacity  Optimized binary rate as a function of the second level,
                     by Brent's method on the weight; every level is checked
                     first, and levels more than about 1e90 apart are refused.

@@ -1,6 +1,6 @@
-"""Shared domain types: event times, finite pmfs and uniform-grid sample
-paths, the nonnegative-estimation loss, deterministic random-stream
-derivation, replica plumbing, and the CSV writer every module uses.
+"""Shared domain types: finite pmfs and uniform-grid sample paths, the
+nonnegative-estimation loss, deterministic random-stream derivation, replica
+plumbing, and the CSV writer every module uses.
 
 Every information quantity in this package is measured in nats.  All types
 here are immutable values after construction and all operations are pure, so
@@ -13,9 +13,8 @@ this module derives the streams: replica r draws from
 default_rng(SeedSequence((seed, r))), and a block gets the streams of up to
 _BLOCK consecutive replicas, so an estimate depends on neither the blocking,
 the replica chunking nor the number of jobs.  The Gaussian estimators draw
-and filter a whole block as (replicas, steps) arrays; per_replica turns a
-function replica(gen) -> float of one Generator, as the Poisson estimators
-have, into such a block.  No estimator uses SamplePath; it stays public
+and filter a whole block as (replicas, steps) arrays, the Poisson ones one
+trajectory per Generator.  No estimator uses SamplePath; it stays public
 because the benchmark's tracer wraps its constructor by name.
 """
 
@@ -31,13 +30,11 @@ import numpy as np
 
 __all__ = [
     "SamplePath",
-    "EventTimes",
     "FinitePmf",
     "RngSpec",
     "DiEstimate",
     "poisson_loss",
     "map_replicas",
-    "per_replica",
     "replicated_estimate",
     "replicated_estimates",
     "write_csv",
@@ -74,31 +71,6 @@ class SamplePath:
     @property
     def times(self) -> np.ndarray:
         return self.dt * np.arange(self.values.size)
-
-
-@dataclass(frozen=True, eq=False)
-class EventTimes:
-    """Strictly increasing event epochs of a point process observed on [0, horizon)."""
-
-    horizon: float
-    epochs: np.ndarray
-
-    def __post_init__(self):
-        if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
-        ep = _readonly(self.epochs)
-        if ep.ndim != 1:
-            raise ValueError("epochs must be one-dimensional")
-        if ep.size:
-            if ep[0] < 0 or ep[-1] >= self.horizon:
-                raise ValueError("event epochs must lie in [0, horizon)")
-            if np.any(np.diff(ep) <= 0):
-                raise ValueError("event epochs must be strictly increasing")
-        object.__setattr__(self, "horizon", float(self.horizon))
-        object.__setattr__(self, "epochs", ep)
-
-    def __len__(self):
-        return self.epochs.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,15 +208,6 @@ def _replica_range(block, master_seed: int, start: int, stop: int) -> list:
                           dtype=float)
         out.append(vals.reshape(len(vals), -1))
     return out
-
-
-def _each(replica, gens) -> list:
-    return [replica(gen) for gen in gens]
-
-
-def per_replica(replica):
-    """The block of a per-replica function replica(gen) -> float; picklable if replica is."""
-    return functools.partial(_each, replica)
 
 
 def replicated_estimates(block, rng, replicas: int, jobs: int = 1) -> list[DiEstimate]:

@@ -28,6 +28,7 @@ from .core import DiEstimate, FinitePmf, replicated_estimate, replicated_estimat
 
 DEFAULT_POWER_BOUND = 1e3
 _STEP_CAP = 1_000_000
+_REPLAY_CELLS = 2**20  # (row, step, atom) cells per replay group: bounds its temporaries
 
 __all__ = [
     "GaussianFeedbackModel",
@@ -235,24 +236,35 @@ def replay_filter(model: GaussianFeedbackModel, inc: np.ndarray) -> np.ndarray:
     Each atom's signal is a known function of the observed past, so the
     posterior weight of atom a at step k is proportional to
     p(a) exp(sum_{j<k} x_a,j inc_j - x_a,j^2 dt / 2).  Every positive-mass
-    atom of every row is replayed once, all in one pass of the signal loop;
-    with a point-mass latent the estimate is the replayed signal bit for bit.
+    atom is replayed once per row, in one signal-loop pass per group of rows
+    of up to _REPLAY_CELLS cells; a row's values do not depend on its group,
+    and with a point-mass latent they are the replayed signal bit for bit.
     """
     if model.latent is None:
         raise ValueError("replay filtering needs a finite-support latent prior")
     prior = model.latent.trimmed()
     rows = inc.reshape(-1, inc.shape[-1])
+    est = np.empty_like(rows)
+    group = max(1, _REPLAY_CELLS // (rows.shape[1] * len(prior)))
+    for a in range(0, len(rows), group):
+        est[a:a + group] = _replay_rows(model, prior, rows[a:a + group])
+    return est.reshape(inc.shape)
+
+
+def _replay_rows(model: GaussianFeedbackModel, prior: FinitePmf, rows: np.ndarray) -> np.ndarray:
     (r, n), k = rows.shape, len(prior)
     # row i * k + j replays atom j on row i, so each row's signals are laid
     # out as those of one row alone, which fixes the order of the sums over atoms
     x = _drive(model, np.tile(prior.support, r), np.repeat(rows, k, axis=0))
     signals = x.reshape(r, k, n).transpose(0, 2, 1)
-    steps = signals * rows[:, :, None] - 0.5 * model.dt * signals * signals
+    steps = signals * rows[:, :, None]
+    steps -= 0.5 * model.dt * signals * signals
     loglik = np.empty_like(steps)
     loglik[:, 0] = 0.0
     np.cumsum(steps[:, :-1], axis=1, out=loglik[:, 1:])
-    est = _mixture_mean(loglik + np.log(prior.probs), signals)
-    return np.ascontiguousarray(est).reshape(inc.shape)
+    del steps  # one (r, n, k) array fewer alive in the mixture below
+    loglik += np.log(prior.probs)
+    return _mixture_mean(loglik, signals)
 
 
 def causal_mmse_integral(x: np.ndarray, est: np.ndarray, dt: float, steps) -> np.ndarray:

@@ -9,7 +9,9 @@ Monte Carlo estimators integrate the causal-estimation loss along simulated
 paths instead, so the two routes check each other.
 
 Rates are in nats per second.  All input pmfs must have strictly positive
-support.
+support.  Every analytic integral here runs to one error target, _QUAD_TOL,
+and di_rate_analytic first refuses levels too far apart to resolve at it
+(_check_resolvable, beside the panel layout _panel_edges).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiEstimate, EventTimes, FinitePmf, per_replica, poisson_loss, replicated_estimate
+from .core import DiEstimate, FinitePmf, _readonly, poisson_loss, replicated_estimate
 from .quadrature import gauss_legendre, integrate_panels
 
 __all__ = [
@@ -42,6 +44,7 @@ __all__ = [
 ]
 
 _EVENT_CAP = 1_000_000
+_QUAD_TOL = 1e-11  # error target of every analytic integral in this module
 
 
 def _positive_atoms(pmf: FinitePmf):
@@ -58,58 +61,75 @@ class PoissonFeedbackModel:
 
     The horizon may expect at most _EVENT_CAP events, horizon / E[1/X]; a
     trajectory holds an epoch and an intensity per event, so none grows
-    past a few tens of megabytes.
+    past a few tens of megabytes.  The fastest level's mean wait 1/max(x)
+    may not be below the float spacing of the horizon: shorter waits round
+    to zero-length segments near its end, so that level would lose most of
+    its time on the path (at horizon 50, levels above about 1.4e14).
     """
 
     pmf: FinitePmf
     horizon: float
 
     def __post_init__(self):
-        _positive_atoms(self.pmf)
+        support, _ = _positive_atoms(self.pmf)
         if not 0 < self.horizon < math.inf:
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         events = self.horizon / mean_inverse_intensity(self.pmf)
         if events > _EVENT_CAP:
             raise ValueError(f"horizon {self.horizon:g} expects {events:.3g} events, more than "
                              f"the event cap {_EVENT_CAP}")
+        wait, spacing = 1.0 / support.max(), np.spacing(self.horizon)
+        if wait < spacing:
+            raise ValueError(f"levels {', '.join(f'{x:.6g}' for x in support)}: the fastest waits "
+                             f"{wait:.3g} on average, less than the float spacing {spacing:.3g} "
+                             f"of epochs near the horizon {self.horizon:g}")
         object.__setattr__(self, "horizon", float(self.horizon))
 
 
 @dataclass(frozen=True, eq=False)
 class ChannelTrajectory:
-    """Events plus the intensity in force after each one.
+    """Event epochs on [0, horizon) and the intensity in force after each one.
 
-    The trajectory starts at an event at time 0, so every instant in
-    [0, horizon) belongs to exactly one constant-intensity segment whose left
-    endpoint is an event.
+    The epochs are strictly increasing and the first is 0, so every instant
+    in [0, horizon) belongs to exactly one constant-intensity segment whose
+    left endpoint is an event; len(events) counts the events.
     """
 
-    events: EventTimes
+    horizon: float
+    events: np.ndarray
     intensities: np.ndarray
 
     def __post_init__(self):
-        vals = np.array(self.intensities, dtype=float)
-        vals.flags.writeable = False
-        if vals.shape != self.events.epochs.shape:
-            raise ValueError("need one intensity per event")
-        if len(self.events) == 0 or self.events.epochs[0] != 0.0:
+        if not self.horizon > 0:
+            raise ValueError("horizon must be positive")
+        epochs = _readonly(self.events)
+        vals = _readonly(self.intensities)
+        if epochs.ndim != 1 or vals.shape != epochs.shape:
+            raise ValueError("need a one-dimensional array of epochs and one intensity per event")
+        if epochs.size == 0 or epochs[0] != 0.0:
             raise ValueError("trajectories start at an event at time 0")
+        if epochs[-1] >= self.horizon:
+            raise ValueError("event epochs must lie in [0, horizon)")
+        if np.any(np.diff(epochs) <= 0):
+            raise ValueError("event epochs must be strictly increasing")
         if np.any(vals <= 0):
             raise ValueError("intensities must be strictly positive")
+        object.__setattr__(self, "horizon", float(self.horizon))
+        object.__setattr__(self, "events", epochs)
         object.__setattr__(self, "intensities", vals)
 
     def segments(self):
         """(starts, ends, intensities) arrays; the last segment ends at the horizon."""
-        starts = self.events.epochs
-        ends = np.append(starts[1:], self.events.horizon)
-        return starts, ends, self.intensities
+        return self.events, np.append(self.events[1:], self.horizon), self.intensities
 
 
 def simulate_channel(model: PoissonFeedbackModel, gen: np.random.Generator) -> ChannelTrajectory:
     """Draw a trajectory from gen: X ~ pmf at each event, Exp(X) waits, truncated at the horizon.
 
     Draws come in batches of at most _BLOCK_SEGMENTS events, which bounds the
-    temporaries on a long horizon.
+    temporaries on a long horizon.  A wait below the float spacing of its
+    epoch repeats that epoch (or, where batch sums round apart, falls just
+    below it): only the last of such epochs, which bound no time, is kept.
     """
     support, probs = model.pmf.support, model.pmf.probs
     horizon = model.horizon
@@ -126,7 +146,9 @@ def simulate_channel(model: PoissonFeedbackModel, gen: np.random.Generator) -> C
         x_parts.append(xs[keep])
         t += float(waits.sum())
     epochs = np.concatenate(epochs_parts)
-    return ChannelTrajectory(EventTimes(horizon, epochs), np.concatenate(x_parts))
+    later = np.minimum.accumulate(epochs[::-1])[::-1]
+    keep = np.append(epochs[:-1] < later[1:], True)
+    return ChannelTrajectory(horizon, epochs[keep], np.concatenate(x_parts)[keep])
 
 
 def renewal_posterior_mean(pmf: FinitePmf, elapsed):
@@ -178,8 +200,8 @@ def _geometric_edges(first: float, end: float) -> np.ndarray:
     return np.concatenate(([0.0], doublings[doublings < end], [end]))
 
 
-def _panel_edges(pmf: FinitePmf, weight: str, tol: float) -> np.ndarray:
-    """Geometric panel edges from 0 to a truncation point a whose tail bound is below 0.1*tol.
+def _panel_edges(pmf: FinitePmf, weight: str) -> np.ndarray:
+    """Geometric panel edges from 0 to a truncation point a whose tail bound is below 0.1*_QUAD_TOL.
 
     The first panel is one fast time constant 1/max(x) wide and each later
     one doubles.  For y >= a the density is dominated by C e^{-lam y} with
@@ -197,33 +219,53 @@ def _panel_edges(pmf: FinitePmf, weight: str, tol: float) -> np.ndarray:
             tail = math.inf if peak >= 1 / math.e else peak * (lam * a + 1 - math.log(c)) / lam
         else:
             tail = peak * (a + 1 / lam) / lam
-        if tail < 0.1 * tol:
+        if tail < 0.1 * _QUAD_TOL:
             return _geometric_edges(1.0 / float(support.max()), a)
         a *= 2.0
     raise RuntimeError("analytic tail bound did not reach the error target")
 
 
-def interarrival_entropy(pmf: FinitePmf, tol: float = 1e-9) -> float:
+def _check_resolvable(levels) -> None:
+    """Refuse positive levels too far apart for the entropy quadrature to resolve at _QUAD_TOL.
+
+    Normalized to {1, r}, r the ratio of the extreme levels, the entropy
+    integral runs over N <= log2(50 r) + 2 doubling panels from 1/r
+    (_panel_edges) that share 0.9 _QUAD_TOL.  The first panel holds up to
+    (1 - 1/e) ln r nats, so its 10- and 20-node sums differ by ulps of up to
+    eps (1 - 1/e) ln r, and bisection halves ulp and share alike: it
+    converges only if eps (1 - 1/e) ln(r) N <= 0.9 _QUAD_TOL, that is up to
+    about r = 1e90.  The extreme levels are named lambda<i>, i their place.
+    """
+    levels = np.asarray(levels, dtype=float)
+    r = levels.max() / levels.min()
+    ulp = np.finfo(float).eps * (1.0 - 1.0 / math.e) * math.log(r)
+    if ulp * (math.log2(50.0 * r) + 2.0) > 0.9 * _QUAD_TOL:
+        i, j = sorted((int(levels.argmin()), int(levels.argmax())))
+        raise ValueError(f"levels lambda{i + 1}={levels[i]:.6g} and lambda{j + 1}={levels[j]:.6g} "
+                         f"are {r:.3g} apart, more than the rate quadrature resolves (about 1e90)")
+
+
+def interarrival_entropy(pmf: FinitePmf) -> float:
     """Differential entropy of the wait between events, -int f ln f, in nats.
 
     Gauss-Legendre panels out to a point where the analytic tail bound is
-    negligible against tol.
+    negligible against _QUAD_TOL.
     """
     def integrand(y):
         f = interarrival_density(pmf, y)
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(f > 0, -f * np.log(f), 0.0)
 
-    return integrate_panels(integrand, _panel_edges(pmf, "entropy", tol), tol=0.9 * tol)
+    return integrate_panels(integrand, _panel_edges(pmf, "entropy"), tol=0.9 * _QUAD_TOL)
 
 
-def mean_interarrival_quadrature(pmf: FinitePmf, tol: float = 1e-11) -> float:
+def mean_interarrival_quadrature(pmf: FinitePmf) -> float:
     """E[Y] evaluated by quadrature against the interarrival density."""
     return integrate_panels(lambda y: y * interarrival_density(pmf, y),
-                            _panel_edges(pmf, "mean", tol), tol=0.9 * tol)
+                            _panel_edges(pmf, "mean"), tol=0.9 * _QUAD_TOL)
 
 
-def di_rate_analytic(pmf: FinitePmf, tol: float = 1e-10) -> float:
+def di_rate_analytic(pmf: FinitePmf) -> float:
     """Directed-information rate of the feedback channel, nats per second.
 
     Equals one event's worth of mutual information per mean interarrival:
@@ -232,13 +274,15 @@ def di_rate_analytic(pmf: FinitePmf, tol: float = 1e-10) -> float:
     computed rate then scales exactly linearly when the support is scaled by
     a power of two.  The per-event information is clamped at 0, where nearly
     equal levels would otherwise leave a cancellation residue below it.
+    Levels more than about 1e90 apart raise ValueError (_check_resolvable).
     """
     support, probs = _positive_atoms(pmf)
+    _check_resolvable(support)
     if support.size == 1:
         return 0.0
     norm = FinitePmf(support / support.min(), probs)
     per_event = (
-        interarrival_entropy(norm, tol=tol)
+        interarrival_entropy(norm)
         - 1.0
         + float(np.dot(probs, np.log(norm.support)))
     )
@@ -269,8 +313,8 @@ _BLOCK_SEGMENTS = 2**15
 
 
 def trajectory_integral(traj: ChannelTrajectory, integrand, t_lo: float = 0.0,
-                        t_hi: float | None = None, panel: float = math.inf) -> float:
-    """int integrand(x_t, s_t) dt over [t_lo, t_hi) along the trajectory.
+                        panel: float = math.inf) -> float:
+    """int integrand(x_t, s_t) dt over [t_lo, horizon) along the trajectory.
 
     s_t is the elapsed time since the last event.  Each constant-intensity
     segment is split at elapsed times panel, 2*panel, 4*panel, ... and every
@@ -280,14 +324,11 @@ def trajectory_integral(traj: ChannelTrajectory, integrand, t_lo: float = 0.0,
     posterior mean pass the width 1/(max x - min x) of its fastest time
     scale.
     """
-    horizon = traj.events.horizon
-    if t_hi is None:
-        t_hi = horizon
-    if not 0.0 <= t_lo < t_hi <= horizon:
-        raise ValueError("need 0 <= t_lo < t_hi <= horizon")
+    if not 0.0 <= t_lo < traj.horizon:
+        raise ValueError("need 0 <= t_lo < horizon")
     starts, ends, xs = traj.segments()
     lo = np.maximum(t_lo, starts) - starts
-    hi = np.minimum(t_hi, ends) - starts
+    hi = ends - starts
     keep = hi > lo
     lo, hi, xs = lo[keep], hi[keep], xs[keep]
     cuts = _geometric_edges(panel, float(hi.max())) if math.isfinite(panel) else None
@@ -312,9 +353,10 @@ def _posterior_loss(pmf, x, s):
     return poisson_loss(x, renewal_posterior_mean(pmf, s))
 
 
-def _rate_replica(model, burn_in, integrand, panel, gen):
-    traj = simulate_channel(model, gen)
-    return trajectory_integral(traj, integrand, t_lo=burn_in, panel=panel) / (model.horizon - burn_in)
+def _path_block(model, integrand, t_lo, panel, scale, gens) -> list:
+    """Each Generator's trajectory integral from t_lo, divided by scale: one replica each."""
+    return [trajectory_integral(simulate_channel(model, gen), integrand, t_lo, panel) / scale
+            for gen in gens]
 
 
 def di_rate_mc(model: PoissonFeedbackModel, rng, replicas: int = 4,
@@ -328,20 +370,15 @@ def di_rate_mc(model: PoissonFeedbackModel, rng, replicas: int = 4,
         burn_in = default_burn_in(model.pmf)
     if burn_in >= model.horizon:
         raise ValueError("burn-in must be shorter than the horizon")
-    replica = functools.partial(_rate_replica, model, burn_in,
-                                functools.partial(_posterior_loss, model.pmf),
-                                _panel_width(model.pmf))
-    return replicated_estimate(per_replica(replica), rng, replicas, jobs)
+    block = functools.partial(_path_block, model, functools.partial(_posterior_loss, model.pmf),
+                              burn_in, _panel_width(model.pmf), model.horizon - burn_in)
+    return replicated_estimate(block, rng, replicas, jobs)
 
 
 def _excess_loss(p_pmf, q_pmf, x, s):
     gp = renewal_posterior_mean(p_pmf, s)
     gq = renewal_posterior_mean(q_pmf, s)
     return x * (np.log(gp) - np.log(gq)) + gq - gp
-
-
-def _mismatch_replica(model, integrand, panel, gen):
-    return trajectory_integral(simulate_channel(model, gen), integrand, panel=panel)
 
 
 def mismatched_relent_poisson(p_pmf: FinitePmf, q_pmf: FinitePmf, horizon: float,
@@ -354,27 +391,26 @@ def mismatched_relent_poisson(p_pmf: FinitePmf, q_pmf: FinitePmf, horizon: float
     """
     _positive_atoms(q_pmf)
     model = PoissonFeedbackModel(p_pmf, horizon)
-    replica = functools.partial(_mismatch_replica, model,
-                                functools.partial(_excess_loss, p_pmf, q_pmf),
-                                _panel_width(p_pmf, q_pmf))
-    return replicated_estimate(per_replica(replica), rng, replicas, jobs)
+    block = functools.partial(_path_block, model, functools.partial(_excess_loss, p_pmf, q_pmf),
+                              0.0, _panel_width(p_pmf, q_pmf), 1.0)
+    return replicated_estimate(block, rng, replicas, jobs)
 
 
 def state_at(traj: ChannelTrajectory, times):
     """(elapsed time since last event, intensity in force) at each query time."""
     t = np.asarray(times, dtype=float)
-    if np.any(t < 0) or np.any(t >= traj.events.horizon):
+    if np.any(t < 0) or np.any(t >= traj.horizon):
         raise ValueError("query times must lie in [0, horizon)")
-    idx = np.searchsorted(traj.events.epochs, t, side="right") - 1
-    return t - traj.events.epochs[idx], traj.intensities[idx]
+    idx = np.searchsorted(traj.events, t, side="right") - 1
+    return t - traj.events[idx], traj.intensities[idx]
 
 
 def occupancy_fractions(traj: ChannelTrajectory, support, t_lo: float = 0.0,
                         t_hi: float | None = None) -> np.ndarray:
     """Fraction of [t_lo, t_hi) spent at each support value, in support order."""
     if t_hi is None:
-        t_hi = traj.events.horizon
-    if not 0.0 <= t_lo < t_hi <= traj.events.horizon:
+        t_hi = traj.horizon
+    if not 0.0 <= t_lo < t_hi <= traj.horizon:
         raise ValueError("need 0 <= t_lo < t_hi <= horizon")
     starts, ends, xs = traj.segments()
     overlap = np.clip(np.minimum(ends, t_hi) - np.maximum(starts, t_lo), 0.0, None)

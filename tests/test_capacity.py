@@ -110,7 +110,7 @@ def test_brent_search_evaluations_per_level(monkeypatch):
 def test_optimize_binary_against_a_reference_argmax():
     tol = 1e-6
     for lam2 in (0.25, 2.0, 16.0, 1e4):
-        ref = minimize_scalar(lambda p: -binary_rate(p, 1.0, lam2, tol=1e-11),
+        ref = minimize_scalar(lambda p: -binary_rate(p, 1.0, lam2),
                               bounds=(0.0, 1.0), method="bounded", options={"xatol": 1e-12})
         point = optimize_binary(1.0, lam2, tol=tol)
         assert abs(point.p_star - ref.x) <= 2 * tol * min(ref.x, 1.0 - ref.x)

@@ -236,6 +236,27 @@ def test_poisson_capacity_run(tmp_path):
     assert float(lines[2].split(",")[2]) > 0.0
 
 
+def test_poisson_rate_level_guards(tmp_path, monkeypatch, capsys):
+    # levels too far apart for the rate quadrature, and a level whose mean
+    # wait is below the float spacing of the epochs near the horizon, are
+    # usage errors found before any replica runs
+    streams = _count_streams(monkeypatch)
+    for lam2, named in (("1e95", ("lambda1=1", "lambda2=1e+95")),
+                        ("1e20", ("levels 1, 1e+20", "horizon 50"))):
+        out = tmp_path / lam2
+        assert run(["poisson-rate", "--lambda2", lam2, "--horizon", "50", "--p-values", "0.5",
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert all(name in err for name in named) and "Traceback" not in err
+        assert streams == [0]
+        assert not (out / "poisson_rate.csv").exists()
+        assert json.loads((out / "poisson_rate_manifest.json").read_text())["exit_status"] == 2
+    # at 1e12 fast waits often round to zero-length segments, which the
+    # simulation drops instead of failing its own epoch check
+    assert run(["poisson-rate", "--lambda2", "1e12", "--horizon", "50", "--p-values", "0.5",
+                "--seed", "2", "--out", str(tmp_path / "1e12")]) == 0
+
+
 def test_poisson_capacity_level_ratio_cap(tmp_path, monkeypatch, capsys):
     # levels about 1e90 apart are the widest the rate quadrature resolves;
     # one beyond it is a usage error, found before any level is optimized

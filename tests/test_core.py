@@ -14,12 +14,10 @@ import pytest
 from ctdi import core
 from ctdi.core import (
     DiEstimate,
-    EventTimes,
     FinitePmf,
     RngSpec,
     SamplePath,
     map_replicas,
-    per_replica,
     poisson_loss,
     replicated_estimate,
     replicated_estimates,
@@ -43,17 +41,6 @@ def test_sample_path_validation():
         SamplePath(1.0, [[1.0, 2.0]])
     with pytest.raises(ValueError):
         SamplePath(1.0, [np.nan])
-
-
-def test_event_times_validation():
-    EventTimes(2.0, [0.0, 0.5, 1.9])
-    EventTimes(2.0, [])
-    with pytest.raises(ValueError):
-        EventTimes(2.0, [0.5, 0.5])
-    with pytest.raises(ValueError):
-        EventTimes(2.0, [0.5, 2.0])
-    with pytest.raises(ValueError):
-        EventTimes(2.0, [-0.1])
 
 
 def test_finite_pmf_validation():
@@ -176,8 +163,8 @@ def test_map_replicas_pool_no_larger_than_chunks_or_cpus(monkeypatch):
     assert sizes == [min(2, cpus), min(37, cpus)]
 
 
-def _first_draw(gen):
-    return float(gen.normal())
+def _first_draws(gens):
+    return [float(gen.normal()) for gen in gens]
 
 
 def _oracle_draws(seed, replicas):
@@ -187,20 +174,19 @@ def _oracle_draws(seed, replicas):
 
 
 def test_replicated_estimate_mean_stderr_and_single_replica():
-    first_draws = per_replica(_first_draw)
-    est = replicated_estimate(first_draws, RngSpec(12), 5)
+    est = replicated_estimate(_first_draws, RngSpec(12), 5)
     draws = _oracle_draws(12, 5)
     assert est.value == pytest.approx(draws.mean(), rel=1e-15)
     assert est.stderr == pytest.approx(draws.std(ddof=1) / math.sqrt(5), rel=1e-15)
     assert (est.replicas, est.master_seed) == (5, 12)
     # one replica has no spread: nan, never an exact zero
-    single = replicated_estimate(first_draws, 12, 1)
+    single = replicated_estimate(_first_draws, 12, 1)
     assert single.value == draws[0] and math.isnan(single.stderr)
     with pytest.raises(TypeError):
-        replicated_estimate(first_draws, np.random.default_rng(0), 2)
+        replicated_estimate(_first_draws, np.random.default_rng(0), 2)
     for replicas in (0, -4):
         with pytest.raises(ValueError):
-            replicated_estimate(first_draws, 12, replicas)
+            replicated_estimate(_first_draws, 12, replicas)
 
 
 def test_blocks_get_at_most_16_streams_in_replica_order():
@@ -242,8 +228,7 @@ def test_each_column_of_replicated_estimates_is_its_own_estimate():
                 assert repr(est.stderr) == repr(alone.stderr)
                 assert (est.replicas, est.master_seed) == (replicas, 12)
     # a one-value block is a one-column row
-    assert replicated_estimates(per_replica(_first_draw), 12, 5) == [
-        replicated_estimate(per_replica(_first_draw), 12, 5)]
+    assert replicated_estimates(_first_draws, 12, 5) == [replicated_estimate(_first_draws, 12, 5)]
     with pytest.raises(ValueError):
         replicated_estimate(_rows_block, 12, 5)
 

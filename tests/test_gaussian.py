@@ -189,6 +189,27 @@ def test_replay_filter_tracks_feedback_posterior():
     assert np.max(np.abs(signals[int(x[0] > 0)] - x)) < 1e-12
 
 
+def test_replay_filter_memory_is_bounded_by_row_groups(monkeypatch):
+    # a 101-atom prior on 2000 steps: replaying a whole 16-row block at once
+    # held about seven (16, 2000, 101) temporaries, some 150 MB
+    model = GaussianFeedbackModel(2.0, 1e-3, _gate, delay=1e-3, latent=quantized_normal_prior(101))
+    tracemalloc.start()
+    try:
+        directed_info_gaussian_mc(model, rng=5, replicas=16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 50 * 2**20
+    # each row's arithmetic is its own, so any grouping gives the same bits:
+    # 16 rows of 200 steps fit one group of the default budget
+    short = GaussianFeedbackModel(0.2, 1e-3, _gate, delay=1e-3, latent=quantized_normal_prior(101))
+    _, inc = simulate_awgn(short, _streams(5, 16))
+    whole = replay_filter(short, inc)
+    for cells in (1, 5 * 200 * 101):
+        monkeypatch.setattr(gaussian, "_REPLAY_CELLS", cells)
+        assert np.array_equal(replay_filter(short, inc), whole)
+
+
 def test_duncan_with_feedback_matches_terminal_posterior_information():
     # For a deterministic encoder with feedback the directed information is
     # I(U; Y^T) (Massey 1990) = ln 2 - E[H(U | Y^T)], computed here from the

@@ -60,11 +60,11 @@ def test_point_mass_channel_is_homogeneous_poisson():
     horizon = 2000.0
     model = PoissonFeedbackModel(FinitePmf([lam], [1.0]), horizon)
     traj = simulate_channel(model, RngSpec(5).stream(0))
-    assert traj.events.epochs[0] == 0.0
-    n = len(traj.events.epochs) - 1
+    assert traj.events[0] == 0.0
+    n = len(traj.events) - 1
     expected = lam * horizon
     assert abs(n - expected) < 3.0 * math.sqrt(expected)
-    gaps = np.diff(traj.events.epochs)
+    gaps = np.diff(traj.events)
     assert abs(gaps.mean() - 1.0 / lam) < 3.0 / (lam * math.sqrt(n))
 
 
@@ -72,24 +72,37 @@ def test_simulation_is_reproducible():
     model = PoissonFeedbackModel(BINARY, 500.0)
     a = simulate_channel(model, RngSpec(9).stream(3))
     b = simulate_channel(model, RngSpec(9).stream(3))
-    assert np.array_equal(a.events.epochs, b.events.epochs)
+    assert np.array_equal(a.events, b.events)
     assert np.array_equal(a.intensities, b.intensities)
 
 
 def test_trajectory_segments_shape():
-    traj = ChannelTrajectory(
-        events=_events(5.0, [0.0, 1.0, 3.5]), intensities=[1.0, 2.0, 1.0]
-    )
+    traj = ChannelTrajectory(5.0, [0.0, 1.0, 3.5], [1.0, 2.0, 1.0])
     starts, ends, xs = traj.segments()
     assert np.allclose(starts, [0.0, 1.0, 3.5])
     assert np.allclose(ends, [1.0, 3.5, 5.0])
     assert np.allclose(xs, [1.0, 2.0, 1.0])
+    assert len(traj.events) == 3
+    with pytest.raises(ValueError):
+        traj.events[0] = 7.0
 
 
-def _events(horizon, epochs):
-    from ctdi.core import EventTimes
-
-    return EventTimes(horizon, epochs)
+def test_channel_trajectory_validation():
+    ChannelTrajectory(2.0, [0.0, 0.5, 1.9], [1.0, 2.0, 1.0])
+    ChannelTrajectory(2.0, [0.0], [1.0])
+    for horizon, epochs, match in ((2.0, [0.0, 0.5, 0.5], "strictly increasing"),
+                                   (2.0, [0.0, 0.5, 2.0], r"lie in \[0, horizon\)"),
+                                   (2.0, [-0.1, 0.5, 1.0], "start at an event at time 0"),
+                                   (2.0, [0.0, -0.1, 1.0], "strictly increasing"),
+                                   (2.0, [], "start at an event at time 0"),
+                                   (0.0, [0.0], "horizon must be positive"),
+                                   (2.0, [[0.0, 1.0]], "one-dimensional")):
+        with pytest.raises(ValueError, match=match):
+            ChannelTrajectory(horizon, epochs, np.ones(np.shape(epochs)))
+    with pytest.raises(ValueError, match="one intensity per event"):
+        ChannelTrajectory(2.0, [0.0, 1.0], [1.0])
+    with pytest.raises(ValueError, match="strictly positive"):
+        ChannelTrajectory(2.0, [0.0, 1.0], [1.0, 0.0])
 
 
 def test_posterior_mean_from_prior_to_min_intensity():
@@ -148,6 +161,36 @@ def test_interarrival_entropy_against_mc_oracle():
     quad = interarrival_entropy(BINARY)
     mc, se = mc_entropy_oracle(BINARY, 1_000_000, seed=101)
     assert abs(quad - mc) < max(1e-3, 3.0 * se)
+
+
+def test_level_ratio_cap_follows_the_panel_layout():
+    # _check_resolvable's derivation counts at most log2(50 r) + 2 entropy
+    # panels for levels {1, r}; levels past its cap are a usage error, not
+    # a quadrature that fails to converge
+    for r in (2.0, 1e50, 1e90):
+        edges = poisson._panel_edges(FinitePmf([1.0, r], [0.5, 0.5]), "entropy")
+        assert len(edges) - 1 <= math.log2(50.0 * r) + 2.0
+    assert di_rate_analytic(FinitePmf([1.0, 1e90], [0.5, 0.5])) > 0.0
+    for support, named in (([1.0, 1e95], r"lambda1=1 and lambda2=1e\+95"),
+                           ([3.0, 1e-95, 2.0, 7e-95], r"lambda1=3 and lambda2=1e-95")):
+        pmf = FinitePmf(support, np.full(len(support), 1.0 / len(support)))
+        with pytest.raises(ValueError, match=named):
+            di_rate_analytic(pmf)
+
+
+def test_float_coincident_epochs_keep_the_last():
+    # near t = 50 epochs are 7.1e-15 apart, so at lambda2 = 1e14 many fast
+    # waits round to zero-length segments; in replica 283 of seed 0 one also
+    # ends a draw batch, whose sums round apart, just below the epoch before it
+    model = PoissonFeedbackModel(FinitePmf([1.0, 1e14], [0.5, 0.5]), 50.0)
+    for replica in (0, 283):
+        traj = simulate_channel(model, RngSpec(0).stream(replica))
+        assert np.all(np.diff(traj.events) > 0)
+        assert trajectory_integral(traj, lambda x, s: np.ones_like(s)) == pytest.approx(50.0, rel=1e-14)
+    # a level whose mean wait is below that spacing is refused before any draw
+    PoissonFeedbackModel(FinitePmf([1.0, 1.4e14], [0.5, 0.5]), 50.0)
+    with pytest.raises(ValueError, match=r"levels 1, 1\.5e\+14: .* horizon 50"):
+        PoissonFeedbackModel(FinitePmf([1.0, 1.5e14], [0.5, 0.5]), 50.0)
 
 
 def test_rate_zero_for_deterministic_intensity():
@@ -248,24 +291,23 @@ def test_trajectory_integral_of_posterior_mean_matches_closed_form(lam2, block, 
     traj = simulate_channel(PoissonFeedbackModel(pmf, 200.0), RngSpec(23).stream(0))
     if block is not None:
         # the simulation also drew in blocks: its batches join without a gap
-        epochs = traj.events.epochs
+        epochs = traj.events
         assert len(epochs) > 4 * block
         assert epochs[0] == 0.0 and np.all(np.diff(epochs) > 0)
         assert 200.0 - epochs[-1] < 20.0
     starts, ends, _ = traj.segments()
-    for t_lo, t_hi in ((0.0, 200.0), (37.3, 150.1)):
-        inside = (ends > t_lo) & (starts < t_hi)
+    for t_lo in (0.0, 37.3):
+        inside = ends > t_lo
         lo = np.maximum(starts, t_lo)[inside] - starts[inside]
-        hi = np.minimum(ends, t_hi)[inside] - starts[inside]
+        hi = ends[inside] - starts[inside]
         closed = float(np.sum(neg_log_z(hi) - neg_log_z(lo)))
         val = trajectory_integral(traj, lambda x, s: renewal_posterior_mean(pmf, s),
-                                  t_lo, t_hi, panel=1.0 / (lam2 - 1.0))
+                                  t_lo, panel=1.0 / (lam2 - 1.0))
         assert val == pytest.approx(closed, rel=1e-12, abs=0.0)
 
 
 def test_state_at_and_occupancy_manual():
-    traj = ChannelTrajectory(events=_events(4.0, [0.0, 1.0, 3.0]),
-                             intensities=[1.0, 2.0, 1.0])
+    traj = ChannelTrajectory(4.0, [0.0, 1.0, 3.0], [1.0, 2.0, 1.0])
     elapsed, inten = state_at(traj, [0.5, 2.5, 3.5])
     assert np.allclose(elapsed, [0.5, 1.5, 0.5])
     assert np.allclose(inten, [1.0, 2.0, 1.0])
