@@ -14,7 +14,10 @@ Commands:
                     by Brent's method on the weight; every level is checked
                     first, and levels more than about 1e90 apart are refused.
   di-discrete       Property sweeps of the exact discrete engine
-                    (conservation, sandwich, grouping monotonicity, no-feedback).
+                    (conservation, sandwich, grouping monotonicity, no-feedback);
+                    the conservation and no-feedback joints are evaluated in
+                    stacks of one shape, and a failure names the first
+                    violating instance in draw order.
 
 Configuration is a flat key=value file with comma-separated lists; every key
 can also be set by a flag of the same name (flag wins).  All commands write a
@@ -46,12 +49,11 @@ from .gaussian import closed_form_di_constant_signal, constant_signal_model, dir
 from .partition_di import (
     _STATE_CAP,
     Grouping,
-    directed_info,
     grouped_directed_info,
     mutual_information,
     random_joint,
     random_no_feedback_joint,
-    reverse_directed_info,
+    stream_information,
 )
 from .poisson import PoissonFeedbackModel, default_burn_in, di_rate_mc
 
@@ -292,6 +294,25 @@ def _random_sizes(gen, max_n, max_alphabet):
     return xs, ys
 
 
+def _joints(spec, stream, draw, count, max_n, max_alphabet):
+    """The count joints of one suite, drawn lazily from replica stream `stream`."""
+    gen = spec.stream(stream)
+    for _ in range(count):
+        yield draw(gen, *_random_sizes(gen, max_n, max_alphabet))
+
+
+def _drawn_joint(spec, stream, draw, index, max_n, max_alphabet):
+    """Joint `index` of a suite, by replaying its draws up to it."""
+    for joint in _joints(spec, stream, draw, index + 1, max_n, max_alphabet):
+        pass
+    return joint
+
+
+def _first(flags):
+    """Index of the first True in flags, or None."""
+    return int(np.argmax(flags)) if flags.any() else None
+
+
 def cmd_di_discrete(cfg: ExperimentConfig) -> int:
     spec = RngSpec(cfg.seed)
     instances = cfg.params["instances"]
@@ -301,24 +322,23 @@ def cmd_di_discrete(cfg: ExperimentConfig) -> int:
     lines = []
     violation = None
 
-    gen = spec.stream(0)
-    max_resid = 0.0
-    max_di_neg = 0.0
-    max_di_minus_mi = -np.inf
-    for i in range(instances):
-        joint = random_joint(gen, *_random_sizes(gen, max_n, max_alphabet))
-        di = directed_info(joint)
-        mi = mutual_information(joint)
-        # the expression of conservation_residual, from the same three values
-        resid = abs(di + reverse_directed_info(joint) - mi)
-        max_resid = max(max_resid, resid)
-        max_di_neg = max(max_di_neg, -di)
-        max_di_minus_mi = max(max_di_minus_mi, di - mi)
-        if violation is None and (resid >= 1e-9 or di < -1e-12 or di - mi > 1e-12):
-            violation = ("conservation/sandwich", i, joint)
-    lines.append(f"conservation: {instances} instances, max |residual| = {max_resid:.3e} (tolerance 1e-09)")
-    lines.append(f"sandwich: max(-di) = {max_di_neg:.3e}, max(di - mi) = {max_di_minus_mi:.3e} (tolerance 1e-12)")
+    # conservation and sandwich: the joints are drawn in order and walked in
+    # stacks of one shape; the checks run once every value is known, and the
+    # first violating instance in draw order is drawn again for the report.
+    # DI, reverse DI and MI each start from the joint, so the residual
+    # compares three independent values.
+    di, rdi, mi = stream_information(
+        _joints(spec, 0, random_joint, instances, max_n, max_alphabet))
+    resid = np.abs(di + rdi - mi)  # the expression of conservation_residual
+    lines.append(f"conservation: {instances} instances, max |residual| = {max(0.0, resid.max()):.3e} (tolerance 1e-09)")
+    lines.append(f"sandwich: max(-di) = {max(0.0, (-di).max()):.3e}, max(di - mi) = {(di - mi).max():.3e} (tolerance 1e-12)")
+    first = _first((resid >= 1e-9) | (di < -1e-12) | (di - mi > 1e-12))
+    if first is not None:
+        violation = ("conservation/sandwich", first,
+                     _drawn_joint(spec, 0, random_joint, first, max_n, max_alphabet))
 
+    # grouping chains, one joint at a time: their n = 4 joints spread over up
+    # to 256 shapes, too many for stacks to pay
     gen = spec.stream(1)
     max_increase = -np.inf
     for i in range(chains):
@@ -343,16 +363,16 @@ def cmd_di_discrete(cfg: ExperimentConfig) -> int:
                 violation = ("grouping monotonicity", i, joint)
     lines.append(f"grouping monotonicity: {chains} chains of length 4, max increase under refinement = {max_increase:.3e} (tolerance 1e-12)")
 
-    gen = spec.stream(2)
+    # no-feedback: stacked as above, without the reverse walk
     nfb = max(1, instances // 5)
-    max_gap = 0.0
-    for i in range(nfb):
-        joint = random_no_feedback_joint(gen, *_random_sizes(gen, max_n, max_alphabet))
-        gap = abs(directed_info(joint) - mutual_information(joint))
-        max_gap = max(max_gap, gap)
-        if violation is None and gap >= 1e-9:
-            violation = ("no-feedback di == mi", i, joint)
-    lines.append(f"no-feedback: {nfb} instances, max |di - mi| = {max_gap:.3e} (tolerance 1e-09)")
+    di, _, mi = stream_information(
+        _joints(spec, 2, random_no_feedback_joint, nfb, max_n, max_alphabet), reverse=False)
+    gap = np.abs(di - mi)
+    first = _first(gap >= 1e-9)
+    if violation is None and first is not None:
+        violation = ("no-feedback di == mi", first,
+                     _drawn_joint(spec, 2, random_no_feedback_joint, first, max_n, max_alphabet))
+    lines.append(f"no-feedback: {nfb} instances, max |di - mi| = {max(0.0, gap.max()):.3e} (tolerance 1e-09)")
 
     ok = violation is None
     lines.append("result: " + ("PASS" if ok else f"FAIL ({violation[0]}, instance {violation[1]})"))

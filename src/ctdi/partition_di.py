@@ -15,6 +15,17 @@ information each start from the full tensor and share no marginal or entropy,
 and no sum of terms is telescoped; the conservation identity below therefore
 compares three independent computations.
 
+Each walk takes an optional leading batch axis: a stack of joints that share
+their alphabet sizes is walked in one pass, with every axis shifted by one and
+each entropy summed per joint (the same 1e-15 cutoff, cell by cell).  The
+public functions below walk one joint with no batch axis and are the
+bit-for-bit reference; a stacked value agrees with them to float rounding.
+stream_information evaluates a sequence of joints in stacks: it copies each
+joint's cells into a buffer of _STACK_CELLS cells, filed by shape, walks every
+shape's stack once the next joint would overfill the buffer, walks a joint
+alone when it is the only one of its shape or has more than _STACK_MAX cells,
+and returns the values in the order of the sequence.
+
 Directed information here is the sum over i of I(X^i; Y_i | Y^{i-1}); its
 reverse companion sums I(Y^{i-1}; X_i | X^{i-1}), and the two always add up
 to the full mutual information I(X^n; Y^n).  Grouping consecutive indices
@@ -33,6 +44,8 @@ import numpy as np
 
 _STATE_CAP = 1_000_000
 _ZERO = 1e-15
+_STACK_CELLS = 2**16  # cells stream_information buffers before it walks its stacks
+_STACK_MAX = 2**12  # joints with more cells are walked alone; at most _STACK_CELLS
 
 __all__ = [
     "JointSequencePmf",
@@ -44,13 +57,26 @@ __all__ = [
     "grouped_directed_info",
     "random_joint",
     "random_no_feedback_joint",
+    "stream_information",
 ]
+
+
+def _integers(values, what):
+    """values as a tuple of ints; ValueError naming `what` unless each is integral."""
+    values = tuple(values)
+    try:
+        ints = tuple(map(int, values))
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints != values:
+        raise ValueError(f"{what} must be integers, got {values!r}")
+    return ints
 
 
 def _checked_sizes(x_sizes, y_sizes):
     """Per-index alphabet sizes as int tuples, with at most _STATE_CAP joint cells."""
-    xs = tuple(int(s) for s in x_sizes)
-    ys = tuple(int(s) for s in y_sizes)
+    xs = _integers(x_sizes, "alphabet sizes")
+    ys = _integers(y_sizes, "alphabet sizes")
     if not xs or len(xs) != len(ys):
         raise ValueError("need matching, nonempty per-index alphabet size tuples")
     if min(xs + ys) < 1:
@@ -79,8 +105,11 @@ class JointSequencePmf:
         p = np.array(self.probs, dtype=float).reshape(xs + ys)
         if np.any(p < 0):
             raise ValueError("probabilities must be nonnegative")
-        if abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
+        total = p.sum()
+        if not math.isfinite(total):
+            raise ValueError("probabilities must be finite")
+        if abs(total - 1.0) > 1e-12:
+            raise ValueError(f"probabilities sum to {total!r}, not 1")
         p.flags.writeable = False
         object.__setattr__(self, "x_sizes", xs)
         object.__setattr__(self, "y_sizes", ys)
@@ -89,14 +118,6 @@ class JointSequencePmf:
     @property
     def n(self) -> int:
         return len(self.x_sizes)
-
-    @property
-    def x_axes(self) -> tuple:
-        return tuple(range(self.n))
-
-    @property
-    def y_axes(self) -> tuple:
-        return tuple(range(self.n, 2 * self.n))
 
     def to_json(self) -> str:
         """Serialize as {"n", "x_alphabet_sizes", "y_alphabet_sizes", "probs"}.
@@ -113,27 +134,72 @@ class JointSequencePmf:
         )
 
 
-def _plogp(m: np.ndarray) -> float:
-    """Sum of m ln m over the cells of m above _ZERO: minus the entropy of m."""
-    m = m[m > _ZERO]
-    return float(np.dot(m, np.log(m)))
+def _plogp(m: np.ndarray, batch: int = 0):
+    """Sum of m ln m over the cells of m above _ZERO: minus the entropy of m.
+
+    With batch = 1 the leading axis indexes a stack of joints, and the sum is
+    taken per joint over the other axes.
+    """
+    if not batch:
+        m = m[m > _ZERO]
+        return float(np.dot(m, np.log(m)))
+    cells = np.where(m > _ZERO, m, 1.0)
+    np.log(cells, out=cells)
+    cells *= m
+    return np.add.reduce(cells.reshape(len(m), -1), axis=1)
 
 
-def _cmi_term(m_abc: np.ndarray, a_axes, b_axes):
+def _cmi_term(m_abc: np.ndarray, a_axes, b_axes, batch: int = 0):
     """I(A; B | C) = H(AC) + H(BC) - H(ABC) - H(C), and the A-C marginal.
 
     m_abc is p(A, B, C) with its summed-out axes kept at size one; C is every
-    axis in neither A nor B.
+    axis in neither A nor B nor the batch axis.
     """
     m_ac = m_abc.sum(axis=b_axes, keepdims=True)
     m_bc = m_abc.sum(axis=a_axes, keepdims=True)
     m_c = m_bc.sum(axis=b_axes, keepdims=True)
-    return _plogp(m_abc) + _plogp(m_c) - _plogp(m_ac) - _plogp(m_bc), m_ac
+    return (_plogp(m_abc, batch) + _plogp(m_c, batch)
+            - _plogp(m_ac, batch) - _plogp(m_bc, batch)), m_ac
+
+
+def _axes(n: int, batch: int):
+    """The X and Y axes of a joint of length n after `batch` leading axes."""
+    return tuple(range(batch, batch + n)), tuple(range(batch + n, batch + 2 * n))
+
+
+def _mi_walk(probs, n, batch=0):
+    return _cmi_term(probs, *_axes(n, batch), batch)[0]
+
+
+def _grouped_walk(probs, n, ends, batch=0):
+    """Sum over blocks j of I(X_1..X_{e_j}; Y-block j | Y_1..Y_{e_{j-1}}), last block first."""
+    xa, ya = _axes(n, batch)
+    total = 0.0
+    m = probs
+    starts = (0,) + ends[:-1]
+    for prev, end in zip(reversed(starts), reversed(ends)):
+        # m = p(x^end, y^end), so C is y^prev
+        term, m_ac = _cmi_term(m, xa[:end], ya[prev:end], batch)
+        total += term
+        m = m_ac.sum(axis=xa[prev:end], keepdims=True)
+    return total
+
+
+def _reverse_walk(probs, n, batch=0):
+    """Sum over i of I(Y^{i-1}; X_i | X^{i-1}), last index first."""
+    xa, ya = _axes(n, batch)
+    total = np.zeros(len(probs)) if batch else 0.0  # n = 1 has no term
+    m = probs
+    for i in range(n, 1, -1):
+        m = m.sum(axis=ya[i - 1], keepdims=True)  # p(x^i, y^{i-1}), so C is x^{i-1}
+        term, m = _cmi_term(m, ya[: i - 1], (xa[i - 1],), batch)
+        total += term
+    return total
 
 
 def mutual_information(joint: JointSequencePmf) -> float:
     """I(X^n; Y^n), the exact relative entropy between joint and product-of-marginals."""
-    return _cmi_term(joint.probs, joint.x_axes, joint.y_axes)[0]
+    return _mi_walk(joint.probs, joint.n)
 
 
 @dataclass(frozen=True)
@@ -143,7 +209,7 @@ class Grouping:
     ends: tuple
 
     def __post_init__(self):
-        ends = tuple(int(e) for e in self.ends)
+        ends = _integers(self.ends, "block ends")
         if not ends or ends[0] < 1 or any(b <= a for a, b in zip(ends, ends[1:])):
             raise ValueError("block ends must be strictly increasing positive integers")
         object.__setattr__(self, "ends", ends)
@@ -168,16 +234,7 @@ def grouped_directed_info(joint: JointSequencePmf, grouping: Grouping) -> float:
     """
     if grouping.n != joint.n:
         raise ValueError("grouping does not cover the sequence length")
-    xa, ya = joint.x_axes, joint.y_axes
-    total = 0.0
-    m = joint.probs
-    starts = (0,) + grouping.ends[:-1]
-    for prev, end in zip(reversed(starts), reversed(grouping.ends)):
-        # m = p(x^end, y^end), so C is y^prev
-        term, m_ac = _cmi_term(m, xa[:end], ya[prev:end])
-        total += term
-        m = m_ac.sum(axis=xa[prev:end], keepdims=True)
-    return total
+    return _grouped_walk(joint.probs, joint.n, grouping.ends)
 
 
 def directed_info(joint: JointSequencePmf) -> float:
@@ -187,19 +244,76 @@ def directed_info(joint: JointSequencePmf) -> float:
 
 def reverse_directed_info(joint: JointSequencePmf) -> float:
     """Sum over i of I(Y^{i-1}; X_i | X^{i-1}); the i = 1 term is zero."""
-    xa, ya = joint.x_axes, joint.y_axes
-    total = 0.0
-    m = joint.probs
-    for i in range(joint.n, 1, -1):
-        m = m.sum(axis=ya[i - 1], keepdims=True)  # p(x^i, y^{i-1}), so C is x^{i-1}
-        term, m = _cmi_term(m, ya[: i - 1], (xa[i - 1],))
-        total += term
-    return total
+    return _reverse_walk(joint.probs, joint.n)
 
 
 def conservation_residual(joint: JointSequencePmf) -> float:
     """directed + reverse-directed - mutual; exactly zero up to float rounding."""
     return directed_info(joint) + reverse_directed_info(joint) - mutual_information(joint)
+
+
+def _walk_all(probs, n, batch, reverse):
+    """(di, reverse di or 0, mi) of one joint or a stack, each from the full tensor."""
+    di = _grouped_walk(probs, n, tuple(range(1, n + 1)), batch)
+    rdi = _reverse_walk(probs, n, batch) if reverse else 0.0
+    return di, rdi, _mi_walk(probs, n, batch)
+
+
+def _walk_buckets(buckets, flat, out, reverse):
+    """Walk every shape bucket of the flat buffer into the columns of out; empty the buckets."""
+    for shape, (indices, offsets) in buckets.items():
+        n = len(shape) // 2
+        size = math.prod(shape)
+        if len(indices) == 1:
+            values = _walk_all(flat[offsets[0]: offsets[0] + size].reshape(shape), n, 0, reverse)
+        else:
+            rows = np.stack([flat[o: o + size] for o in offsets]).reshape((len(indices),) + shape)
+            values = _walk_all(rows, n, 1, reverse)
+        for column, value in zip(out, values):
+            column[indices] = value
+    buckets.clear()
+
+
+def stream_information(joints, reverse: bool = True):
+    """Directed, reverse directed and mutual information of every joint, in order.
+
+    joints is any iterable of JointSequencePmf, consumed lazily.  A joint of
+    at most _STACK_MAX cells is copied into one buffer of _STACK_CELLS cells,
+    filed by shape, and not kept; the buffer is walked stack by stack when the
+    next joint would overfill it and before a larger joint is walked alone.
+    Returns three float arrays indexed like the iterable; with reverse=False
+    the reverse values are zeros and not computed.
+    """
+    # an anonymous mapping, unmapped once the last view of it is gone, so its
+    # pages go back to the system instead of staying in the heap; imported
+    # here because loading mmap adds about 0.1 MB to every command's RSS
+    import mmap
+
+    flat = np.frombuffer(mmap.mmap(-1, 8 * _STACK_CELLS))
+    buckets = {}  # shape -> (indices, offsets into flat)
+    out = np.zeros((3, 256))
+    count = buffered = 0
+    for joint in joints:
+        if count == out.shape[1]:
+            out = np.concatenate([out, np.zeros_like(out)], axis=1)
+        probs = joint.probs
+        big = probs.size > _STACK_MAX
+        if big or buffered + probs.size > _STACK_CELLS:
+            # a joint walked alone does not share memory with a full buffer
+            _walk_buckets(buckets, flat, out, reverse)
+            buffered = 0
+        if big:
+            for column, value in zip(out, _walk_all(probs, joint.n, 0, reverse)):
+                column[count] = value
+        else:
+            flat[buffered: buffered + probs.size] = probs.ravel()
+            indices, offsets = buckets.setdefault(probs.shape, ([], []))
+            indices.append(count)
+            offsets.append(buffered)
+            buffered += probs.size
+        count += 1
+    _walk_buckets(buckets, flat, out, reverse)
+    return tuple(out[:, :count].copy())
 
 
 def random_joint(rng: np.random.Generator, x_sizes, y_sizes) -> JointSequencePmf:

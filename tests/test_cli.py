@@ -1,12 +1,14 @@
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from ctdi import cli
+from ctdi import cli, partition_di
 from ctdi.cli import main
 from ctdi.core import RngSpec
 from ctdi.gaussian import constant_signal_model, directed_info_gaussian_mc
+from ctdi.partition_di import random_joint
 
 
 def run(args):
@@ -302,6 +304,48 @@ def test_di_discrete_run_and_replica_alias(tmp_path, capsys):
     assert not (tmp_path / "di_discrete_violation.json").exists()
     manifest = json.loads((tmp_path / "di_discrete_manifest.json").read_text())
     assert manifest["config"]["instances"] == 40
+
+
+def test_di_discrete_names_the_first_violation_in_draw_order(tmp_path, monkeypatch, capsys):
+    # the conservation suite's joints at seed 0, drawn as the command draws them
+    gen = RngSpec(0).stream(0)
+    joints = [random_joint(gen, *cli._random_sizes(gen, 3, 3)) for _ in range(40)]
+    shapes = [joint.probs.shape for joint in joints]
+    first_seen = {}
+    for i, shape in enumerate(shapes):
+        first_seen.setdefault(shape, i)
+    # buckets are walked in the order their shapes first appear, so the
+    # later-drawn `late` sits in a bucket walked before that of `early`
+    early, late = next((i, j) for i in range(40) for j in range(i + 1, 40)
+                       if first_seen[shapes[j]] < first_seen[shapes[i]]
+                       and shapes.count(shapes[i]) > 1 and shapes.count(shapes[j]) > 1)
+    targets = {early: joints[early].probs, late: joints[late].probs}
+    hits = []
+    real = partition_di._reverse_walk
+
+    def corrupted(probs, n, batch=0):
+        # one nat too much reverse DI for the two target joints
+        rows = probs if batch else probs[None]
+        bump = np.zeros(len(rows))
+        for k, row in enumerate(rows):
+            for index, target in targets.items():
+                if row.shape == target.shape and np.array_equal(row, target):
+                    bump[k] = 1.0
+                    hits.append(index)
+        return real(probs, n, batch) + (bump if batch else bump[0])
+
+    monkeypatch.setattr(partition_di, "_reverse_walk", corrupted)
+    assert run(["di-discrete", "--instances", "40", "--chains", "2",
+                "--out", str(tmp_path)]) == 1
+    assert hits == [late, early]
+    report = (tmp_path / "di_discrete_report.txt").read_text().splitlines()
+    assert report[-1] == f"result: FAIL (conservation/sandwich, instance {early})"
+    assert capsys.readouterr().out.splitlines()[-1] == report[-1]
+    violation = json.loads((tmp_path / "di_discrete_violation.json").read_text())
+    assert violation["suite"] == "conservation/sandwich"
+    assert violation["instance"] == early
+    assert violation["joint"] == json.loads(joints[early].to_json())
+    assert json.loads((tmp_path / "di_discrete_manifest.json").read_text())["exit_status"] == 1
 
 
 def test_jobs_env_default(tmp_path, monkeypatch):

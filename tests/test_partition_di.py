@@ -1,9 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ctdi import cli, partition_di
 from ctdi.partition_di import (
     Grouping,
     JointSequencePmf,
@@ -14,6 +16,7 @@ from ctdi.partition_di import (
     random_joint,
     random_no_feedback_joint,
     reverse_directed_info,
+    stream_information,
 )
 
 
@@ -148,6 +151,13 @@ def test_grouping_validation():
         Grouping([2, 2])
     with pytest.raises(ValueError):
         Grouping([0, 2])
+    # int() would truncate these to (1, 4)
+    with pytest.raises(ValueError, match="block ends must be integers"):
+        Grouping((1.7, 4))
+    for ends in ((float("nan"), 4), (2, float("inf")), ("2", 4)):
+        with pytest.raises(ValueError, match="block ends must be integers"):
+            Grouping(ends)
+    assert Grouping((2.0, np.int64(4))).ends == (2, 4)
 
 
 def test_prefix_joint_monotone_di():
@@ -171,6 +181,17 @@ def test_joint_validation():
         JointSequencePmf([2], [2], -np.full((2, 2), 0.25))
     with pytest.raises(ValueError):
         JointSequencePmf([40, 40], [40, 40], np.zeros((40, 40, 40, 40)))
+    # a NaN cell passes both the sign test and the sum test, and the entropy
+    # mask would then drop it
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            JointSequencePmf((2,), (2,), [bad, 0.5, 0.25, 0.25])
+    # int() would truncate a size of 2.9 to 2
+    with pytest.raises(ValueError, match="alphabet sizes must be integers"):
+        JointSequencePmf((2.9,), (2,), np.full(4, 0.25))
+    with pytest.raises(ValueError, match="alphabet sizes must be integers"):
+        random_joint(np.random.default_rng(0), (2,), (2.5,))
+    assert JointSequencePmf((2.0,), (np.int64(2),), np.full(4, 0.25)).x_sizes == (2,)
 
 
 def test_json_roundtrip():
@@ -264,19 +285,156 @@ def test_engine_matches_brute_force_oracle_with_exact_zeros():
         _assert_engine_matches_oracle(_echo_channel(n))
 
 
+def _near_cutoff_joint(gen, xs, ys):
+    """A random joint with six cells at or just below 1e-15, the cutoff the
+    engine treats as zero."""
+    probs = gen.dirichlet(np.ones(math.prod(xs + ys)))
+    tiny = gen.choice(probs.size, size=6, replace=False)
+    probs[tiny] = np.array([1e-15, 9.9e-16, 9e-16, 5e-16, 2e-16, 1e-16])
+    rest = np.ones(probs.size, dtype=bool)
+    rest[tiny] = False
+    probs[rest] *= (1.0 - probs[tiny].sum()) / probs[rest].sum()
+    joint = JointSequencePmf(xs, ys, probs)
+    assert np.count_nonzero(joint.probs <= 1e-15) >= 6
+    return joint
+
+
 def test_engine_matches_brute_force_oracle_near_the_zero_cutoff():
-    # a few cells at or just below 1e-15, the cutoff the engine treats as zero
     gen = np.random.default_rng(32)
     for n in (2, 3, 4):
         for _ in range(4):
             xs = [int(s) for s in gen.integers(2, 4, size=n)]
             ys = [int(s) for s in gen.integers(2, 4, size=n)]
-            probs = gen.dirichlet(np.ones(math.prod(xs + ys)))
-            tiny = gen.choice(probs.size, size=6, replace=False)
-            probs[tiny] = np.array([1e-15, 9.9e-16, 9e-16, 5e-16, 2e-16, 1e-16])
-            rest = np.ones(probs.size, dtype=bool)
-            rest[tiny] = False
-            probs[rest] *= (1.0 - probs[tiny].sum()) / probs[rest].sum()
-            joint = JointSequencePmf(xs, ys, probs)
-            assert np.count_nonzero(joint.probs <= 1e-15) >= 6
-            _assert_engine_matches_oracle(joint)
+            _assert_engine_matches_oracle(_near_cutoff_joint(gen, xs, ys))
+
+
+def _joints_sharing_shapes():
+    """Random, exact-zero and near-cutoff joints, at least three per shape,
+    with the shapes interleaved in the returned order."""
+    gen = np.random.default_rng(33)
+    joints = []
+    for n in (1, 2, 3):
+        for _ in range(2):
+            xs = [int(s) for s in gen.integers(2, 4, size=n)]
+            ys = [int(s) for s in gen.integers(2, 4, size=n)]
+            joints += [random_joint(gen, xs, ys) for _ in range(3)]
+            if n > 1:
+                joints += [_near_cutoff_joint(gen, xs, ys) for _ in range(2)]
+        joints += [_copy_channel(n), _echo_channel(n), random_joint(gen, [2] * n, [2] * n)]
+    return [joints[k] for k in gen.permutation(len(joints))]
+
+
+def test_stacked_walk_matches_per_joint_functions_and_oracle():
+    by_shape = {}
+    for joint in _joints_sharing_shapes():
+        by_shape.setdefault(joint.probs.shape, []).append(joint)
+    for group in by_shape.values():
+        assert len(group) >= 3
+        n = group[0].n
+        stack = np.stack([joint.probs for joint in group])
+        di, rdi, mi = partition_di._walk_all(stack, n, 1, True)
+        oracles = [_oracle_quantities(joint.probs, n) for joint in group]
+        for k, (joint, (o_di, o_rdi, o_mi, _)) in enumerate(zip(group, oracles)):
+            for value, exact, oracle in ((di[k], directed_info(joint), o_di),
+                                         (rdi[k], reverse_directed_info(joint), o_rdi),
+                                         (mi[k], mutual_information(joint), o_mi)):
+                assert abs(value - exact) <= 1e-12
+                assert abs(value - oracle) <= 1e-12
+        for ends in oracles[0][3]:
+            values = partition_di._grouped_walk(stack, n, ends, 1)
+            for k, joint in enumerate(group):
+                assert abs(values[k] - grouped_directed_info(joint, Grouping(ends))) <= 1e-12
+                assert abs(values[k] - oracles[k][3][ends]) <= 1e-12
+
+
+def test_stacked_entropy_keeps_the_per_cell_cutoff():
+    # cells at or below 1e-15 count as exact zeros in both forms; 1e-16 ln 1e-16
+    # alone would be -3.7e-15
+    stack = np.array([[1.0, 1e-15, 1e-16, 0.0], [0.5, 0.5, 0.0, 0.0]])
+    assert partition_di._plogp(stack[0]) == 0.0
+    assert list(partition_di._plogp(stack, 1)) == [0.0, math.log(0.5)]
+
+
+def _assert_stream_matches_per_joint(joints, values, exact=False):
+    for k, joint in enumerate(joints):
+        expected = (directed_info(joint), reverse_directed_info(joint), mutual_information(joint))
+        for got, want in zip((column[k] for column in values), expected):
+            if exact:
+                assert got == want
+            else:
+                assert abs(got - want) <= 1e-12
+
+
+def test_stream_information_keeps_the_order_of_its_input(monkeypatch):
+    joints = _joints_sharing_shapes()
+    # a shape of its own is walked alone, by the per-joint walk
+    lone = random_joint(np.random.default_rng(34), [2, 3, 2, 2], [3, 2, 2, 2])
+    joints.insert(5, lone)
+    values = stream_information(iter(joints))
+    assert all(column.shape == (len(joints),) for column in values)
+    _assert_stream_matches_per_joint(joints, values)
+    assert [column[5] for column in values] == [
+        directed_info(lone), reverse_directed_info(lone), mutual_information(lone)]
+    di, rdi, mi = stream_information(joints, reverse=False)
+    assert np.array_equal(rdi, np.zeros(len(joints)))
+    assert np.allclose(di, values[0], rtol=0, atol=1e-12)
+    assert np.allclose(mi, values[2], rtol=0, atol=1e-12)
+    assert all(column.shape == (0,) for column in stream_information([]))
+    # joints over the stacking size are walked alone: the same bits as the
+    # public functions
+    monkeypatch.setattr(partition_di, "_STACK_MAX", 1)
+    _assert_stream_matches_per_joint(joints, stream_information(joints), exact=True)
+
+
+def _record_flushes(monkeypatch):
+    """From here on, each walk of the stream's buckets appends {shape: rows}."""
+    flushes = []
+    real = partition_di._walk_buckets
+
+    def recording(buckets, flat, out, reverse):
+        flushes.append({shape: len(indices) for shape, (indices, _) in buckets.items()})
+        real(buckets, flat, out, reverse)
+
+    monkeypatch.setattr(partition_di, "_walk_buckets", recording)
+    return flushes
+
+
+def _cells(flush):
+    return sum(math.prod(shape) * rows for shape, rows in flush.items())
+
+
+def test_stream_information_splits_stacks_across_flushes(monkeypatch):
+    joints = _joints_sharing_shapes() * 3
+    whole = stream_information(joints)
+    walked = _record_flushes(monkeypatch)
+    # the largest joint has 3**6 = 729 cells
+    monkeypatch.setattr(partition_di, "_STACK_CELLS", 2000)
+    monkeypatch.setattr(partition_di, "_STACK_MAX", 729)
+    split = stream_information(joints)
+    assert max(_cells(flush) for flush in walked) <= 2000
+    # some shape was stacked in more than one flush
+    stacked = [shape for flush in walked for shape, rows in flush.items() if rows > 1]
+    assert len(stacked) > len(set(stacked))
+    _assert_stream_matches_per_joint(joints, split)
+    for a, b in zip(split, whole):
+        assert np.allclose(a, b, rtol=0, atol=1e-12)
+
+
+def test_stream_buffer_stays_within_its_cell_budget(monkeypatch, tmp_path):
+    walked = _record_flushes(monkeypatch)
+    assert cli.main(["di-discrete", "--instances", "2", "--out", str(tmp_path)]) == 0
+    # the default size (1000 instances, 200 chains, n <= 3), then the
+    # benchmark's 3000 instances
+    for args in ([], ["--instances", "3000"]):
+        walked.clear()
+        tracemalloc.start()
+        try:
+            assert cli.main(["di-discrete", *args, "--out", str(tmp_path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert max(_cells(flush) for flush in walked) <= partition_di._STACK_CELLS
+        assert len(walked) >= 3
+        # the buffer is a mapping outside the traced heap; the stacks copied
+        # out of it, their temporaries and the draws stay under one buffer
+        assert peak <= 8 * partition_di._STACK_CELLS
