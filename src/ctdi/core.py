@@ -13,9 +13,10 @@ this module derives the streams: replica r draws from
 default_rng(SeedSequence((seed, r))), and a block gets the streams of up to
 _BLOCK consecutive replicas, so an estimate depends on neither the blocking,
 the replica chunking nor the number of jobs.  The Gaussian estimators draw
-and filter a whole block as (replicas, steps) arrays, the Poisson ones one
-trajectory per Generator.  No estimator uses SamplePath; it stays public
-because the benchmark's tracer wraps its constructor by name.
+and filter a whole block as (replicas, steps) arrays; the Poisson ones draw
+one trajectory per Generator and integrate the block's trajectories
+together.  No estimator uses SamplePath; it stays public because the
+benchmark's tracer wraps its constructor by name.
 """
 
 from __future__ import annotations
@@ -147,11 +148,11 @@ def poisson_loss(x, xhat):
     """Nonnegative-estimation loss x*ln(x/xhat) - x + xhat in nats.
 
     Conventions: 0*ln 0 = 0, so loss(0, v) = v; loss(x, 0) = +inf for x > 0.
-    Accepts scalars or arrays (broadcast); negative inputs are a domain error.
+    Accepts scalars or arrays (broadcast); negative or NaN inputs are a domain error.
     """
     xa = np.asarray(x, dtype=float)
     ha = np.asarray(xhat, dtype=float)
-    if np.any(xa < 0) or np.any(ha < 0):
+    if not ((xa >= 0).all() and (ha >= 0).all()):
         raise ValueError("poisson_loss arguments must be nonnegative")
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(xa > 0, xa * (np.log(xa) - np.log(ha)), 0.0)

@@ -102,8 +102,19 @@ class JointSequencePmf:
 
     def __post_init__(self):
         xs, ys = _checked_sizes(self.x_sizes, self.y_sizes)
-        p = np.array(self.probs, dtype=float).reshape(xs + ys)
-        if np.any(p < 0):
+        self._own(xs, ys, np.array(self.probs, dtype=float))
+
+    @classmethod
+    def _drawn(cls, xs, ys, probs) -> "JointSequencePmf":
+        """A joint over sizes already checked by _checked_sizes, owning a freshly drawn probs array."""
+        joint = object.__new__(cls)
+        joint._own(xs, ys, probs)
+        return joint
+
+    def _own(self, xs, ys, probs) -> None:
+        """Check probs, a float array no caller holds, make it read-only and store the fields."""
+        p = probs.reshape(xs + ys)
+        if (p < 0).any():
             raise ValueError("probabilities must be nonnegative")
         total = p.sum()
         if not math.isfinite(total):
@@ -319,8 +330,7 @@ def stream_information(joints, reverse: bool = True):
 def random_joint(rng: np.random.Generator, x_sizes, y_sizes) -> JointSequencePmf:
     """Uniformly random joint law (flat Dirichlet over the full state space)."""
     xs, ys = _checked_sizes(x_sizes, y_sizes)
-    probs = rng.dirichlet(np.ones(math.prod(xs + ys)))
-    return JointSequencePmf(xs, ys, probs)
+    return JointSequencePmf._drawn(xs, ys, rng.dirichlet(np.ones(math.prod(xs + ys))))
 
 
 def random_no_feedback_joint(rng: np.random.Generator, x_sizes, y_sizes) -> JointSequencePmf:
@@ -345,4 +355,4 @@ def random_no_feedback_joint(rng: np.random.Generator, x_sizes, y_sizes) -> Join
             + (1,) * (n - i - 1)
         )
         joint = joint * rows.reshape(kern_shape)
-    return JointSequencePmf(xs, ys, joint)
+    return JointSequencePmf._drawn(xs, ys, joint)

@@ -6,7 +6,11 @@ time since the last event: an exponentially tilted average of the input pmf.
 That renewal structure gives closed forms for the stationary intensity law,
 the interarrival density and the directed-information rate; the trajectory
 Monte Carlo estimators integrate the causal-estimation loss along simulated
-paths instead, so the two routes check each other.
+paths instead, so the two routes check each other.  Their block draws one
+trajectory per Generator and integrates the whole block in one
+trajectory_integral call: the pieces of every trajectory share integrand
+calls of at most _CHUNK_PIECES pieces, while each trajectory's sum runs over
+its own pieces only, so its value does not depend on its block.
 
 Rates are in nats per second.  All input pmfs must have strictly positive
 support.  Every analytic integral here runs to one error target, _QUAD_TOL,
@@ -100,8 +104,8 @@ class ChannelTrajectory:
     intensities: np.ndarray
 
     def __post_init__(self):
-        if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError("horizon must be positive and finite")
         epochs = _readonly(self.events)
         vals = _readonly(self.intensities)
         if epochs.ndim != 1 or vals.shape != epochs.shape:
@@ -110,10 +114,10 @@ class ChannelTrajectory:
             raise ValueError("trajectories start at an event at time 0")
         if epochs[-1] >= self.horizon:
             raise ValueError("event epochs must lie in [0, horizon)")
-        if np.any(np.diff(epochs) <= 0):
+        if not np.all(np.diff(epochs) > 0):
             raise ValueError("event epochs must be strictly increasing")
-        if np.any(vals <= 0):
-            raise ValueError("intensities must be strictly positive")
+        if not np.all((vals > 0) & (vals < math.inf)):
+            raise ValueError("intensities must be strictly positive and finite")
         object.__setattr__(self, "horizon", float(self.horizon))
         object.__setattr__(self, "events", epochs)
         object.__setattr__(self, "intensities", vals)
@@ -160,9 +164,13 @@ def renewal_posterior_mean(pmf: FinitePmf, elapsed):
     """
     support, probs = _positive_atoms(pmf)
     s = np.asarray(elapsed, dtype=float)
-    if np.any(s < 0):
+    if not (s >= 0).all():
         raise ValueError("elapsed time must be nonnegative")
-    w = probs * np.exp(-np.multiply.outer(s, support - support.min()))
+    # built atom by atom, where each product runs along a contiguous row of
+    # points, then laid out atoms last for the matrix product and the sum
+    w = np.exp(-np.multiply.outer(support - support.min(), s))
+    w *= probs.reshape(probs.shape + (1,) * s.ndim)
+    w = np.ascontiguousarray(np.moveaxis(w, 0, -1))
     out = (w @ support) / w.sum(axis=-1)
     if out.ndim == 0:
         return float(out)
@@ -186,7 +194,7 @@ def interarrival_density(pmf: FinitePmf, y):
     """Density of the wait between events: f(y) = sum_x p(x) x e^{-xy}."""
     support, probs = _positive_atoms(pmf)
     y_arr = np.asarray(y, dtype=float)
-    if np.any(y_arr < 0):
+    if not np.all(y_arr >= 0):
         raise ValueError("interarrival time must be nonnegative")
     vals = np.exp(-np.multiply.outer(y_arr, support)) @ (probs * support)
     if vals.ndim == 0:
@@ -306,47 +314,90 @@ def _panel_width(*pmfs) -> float:
     return 1.0 / spread if spread > 0 else math.inf
 
 
-# segments per integrand call of trajectory_integral and events per draw batch
-# of simulate_channel: bounds their memory, and a horizon-1e4 trajectory of the
-# {1, 2} channel (about 2e4 segments) is one block
+# events per draw batch of simulate_channel and segments per window of
+# trajectory_integral: bounds their memory, and a horizon-1e4 trajectory of the
+# {1, 2} channel (about 2e4 segments) is one window
 _BLOCK_SEGMENTS = 2**15
+# pieces per integrand call of trajectory_integral: bounds the integrand's temporaries
+_CHUNK_PIECES = 2**8
 
 
-def trajectory_integral(traj: ChannelTrajectory, integrand, t_lo: float = 0.0,
-                        panel: float = math.inf) -> float:
-    """int integrand(x_t, s_t) dt over [t_lo, horizon) along the trajectory.
+def trajectory_integral(trajs, integrand, t_lo: float = 0.0, panel: float = math.inf) -> list:
+    """int integrand(x_t, s_t) dt over [t_lo, horizon) along each trajectory, in order.
 
-    s_t is the elapsed time since the last event.  Each constant-intensity
-    segment is split at elapsed times panel, 2*panel, 4*panel, ... and every
-    piece gets a 16-node Gauss-Legendre rule, with one vectorized call of the
-    integrand per block of _BLOCK_SEGMENTS segments.  The default, one piece
-    per segment, suits integrands that do not depend on s; for the renewal
-    posterior mean pass the width 1/(max x - min x) of its fastest time
-    scale.
+    trajs is any iterable of ChannelTrajectory, consumed lazily; s_t is the
+    elapsed time since the last event.  Each constant-intensity segment is
+    split at elapsed times panel, 2*panel, 4*panel, ... and every piece gets
+    a 16-node Gauss-Legendre rule.  The default, one piece per segment, suits
+    integrands that do not depend on s; for the renewal posterior mean pass
+    the width 1/(max x - min x) of its fastest time scale.
+
+    Returns one float per trajectory.  The kept segments of consecutive
+    trajectories share windows of at most _BLOCK_SEGMENTS segments, a longer
+    trajectory taking several, and the integrand, which must act pointwise,
+    is called on runs of at most _CHUNK_PIECES pieces of a window.  The node
+    values are reduced per trajectory and window: one matrix product with the
+    weights over exactly its own rows, since a BLAS matrix-vector product
+    may round a row differently at another place in the matrix, then one dot
+    product with the half widths.  So a trajectory's value does not depend on
+    the trajectories beside it or on the piece limit.
     """
-    if not 0.0 <= t_lo < traj.horizon:
-        raise ValueError("need 0 <= t_lo < horizon")
-    starts, ends, xs = traj.segments()
-    lo = np.maximum(t_lo, starts) - starts
-    hi = ends - starts
-    keep = hi > lo
-    lo, hi, xs = lo[keep], hi[keep], xs[keep]
-    cuts = _geometric_edges(panel, float(hi.max())) if math.isfinite(panel) else None
+    totals, window, size = [], [], 0
+    for traj in trajs:
+        if not 0.0 <= t_lo < traj.horizon:
+            raise ValueError("need 0 <= t_lo < horizon")
+        starts, ends, xs = traj.segments()
+        lo = np.maximum(t_lo, starts) - starts
+        hi = ends - starts
+        keep = hi > lo
+        lo, hi, xs = lo[keep], hi[keep], xs[keep]
+        totals.append(0.0)
+        for b in range(0, lo.size, _BLOCK_SEGMENTS):
+            group = (lo[b:b + _BLOCK_SEGMENTS], hi[b:b + _BLOCK_SEGMENTS], xs[b:b + _BLOCK_SEGMENTS])
+            if size + group[0].size > _BLOCK_SEGMENTS:
+                _integrate_window(window, integrand, panel, totals)
+                window, size = [], 0
+            window.append((len(totals) - 1,) + group)
+            size += group[0].size
+    _integrate_window(window, integrand, panel, totals)
+    return totals
+
+
+def _integrate_window(window, integrand, panel, totals) -> None:
+    """Add each (owner, lo, hi, xs) group's integral over its pieces to totals[owner]."""
+    if not window:
+        return
+    owners, lo, hi, xs = zip(*window)
+    seg_bounds = np.cumsum([0] + [a.size for a in lo])
+    lo, hi, xs = np.concatenate(lo), np.concatenate(hi), np.concatenate(xs)
+    if math.isfinite(panel):
+        cuts = _geometric_edges(panel, float(hi.max()))
+        p_lo = np.clip(cuts[:-1], lo[:, None], hi[:, None])
+        p_hi = np.clip(cuts[1:], lo[:, None], hi[:, None])
+        keep = p_hi > p_lo
+        lo, hi = p_lo[keep], p_hi[keep]
+        xs = np.broadcast_to(xs[:, None], keep.shape)[keep]
+        bounds = np.append(0, np.cumsum(keep.sum(axis=1)))[seg_bounds].tolist()
+    else:
+        bounds = seg_bounds.tolist()
+    half = 0.5 * (hi - lo)
+    mid = lo + half
     nodes, weights = gauss_legendre(16)
-    total = 0.0
-    for b in range(0, lo.size, _BLOCK_SEGMENTS):
-        b_lo, b_hi, b_xs = (a[b:b + _BLOCK_SEGMENTS] for a in (lo, hi, xs))
-        if cuts is not None:
-            p_lo = np.clip(cuts[:-1], b_lo[:, None], b_hi[:, None])
-            p_hi = np.clip(cuts[1:], b_lo[:, None], b_hi[:, None])
-            keep = p_hi > p_lo
-            b_lo, b_hi = p_lo[keep], p_hi[keep]
-            b_xs = np.broadcast_to(b_xs[:, None], keep.shape)[keep]
-        half = 0.5 * (b_hi - b_lo)
-        s = (b_lo + half)[:, None] + half[:, None] * nodes
-        vals = integrand(np.repeat(b_xs, nodes.size), s.ravel()).reshape(s.shape)
-        total += float(half @ (vals @ weights))
-    return total
+    pending, g = [], 0  # rows of group g from earlier chunks
+    for c in range(0, bounds[-1], _CHUNK_PIECES):
+        d = min(c + _CHUNK_PIECES, bounds[-1])
+        s = mid[c:d, None] + half[c:d, None] * nodes
+        vals = integrand(np.repeat(xs[c:d], nodes.size), s.ravel()).reshape(s.shape)
+        while g < len(owners) and bounds[g + 1] <= d:
+            a, b = bounds[g], bounds[g + 1]
+            rows = vals[max(a, c) - c:b - c]
+            if pending:
+                rows = np.concatenate(pending + [rows])
+                pending = []
+            totals[owners[g]] += float(half[a:b] @ (rows @ weights))
+            g += 1
+        if g < len(owners) and bounds[g] < d:
+            pending.append(vals[max(bounds[g], c) - c:])
 
 
 def _posterior_loss(pmf, x, s):
@@ -354,9 +405,13 @@ def _posterior_loss(pmf, x, s):
 
 
 def _path_block(model, integrand, t_lo, panel, scale, gens) -> list:
-    """Each Generator's trajectory integral from t_lo, divided by scale: one replica each."""
-    return [trajectory_integral(simulate_channel(model, gen), integrand, t_lo, panel) / scale
-            for gen in gens]
+    """Each Generator's trajectory integral from t_lo, divided by scale: one replica each.
+
+    The trajectories are drawn in order as the one integral call consumes them.
+    """
+    values = trajectory_integral((simulate_channel(model, gen) for gen in gens),
+                                 integrand, t_lo, panel)
+    return [v / scale for v in values]
 
 
 def di_rate_mc(model: PoissonFeedbackModel, rng, replicas: int = 4,
@@ -399,7 +454,7 @@ def mismatched_relent_poisson(p_pmf: FinitePmf, q_pmf: FinitePmf, horizon: float
 def state_at(traj: ChannelTrajectory, times):
     """(elapsed time since last event, intensity in force) at each query time."""
     t = np.asarray(times, dtype=float)
-    if np.any(t < 0) or np.any(t >= traj.horizon):
+    if not np.all((t >= 0) & (t < traj.horizon)):
         raise ValueError("query times must lie in [0, horizon)")
     idx = np.searchsorted(traj.events, t, side="right") - 1
     return t - traj.events[idx], traj.intensities[idx]

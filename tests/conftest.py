@@ -4,9 +4,13 @@ These deliberately avoid the library's own quadrature/closed forms wherever
 they are used to judge it: entropies and information rates are re-estimated
 by plain Monte Carlo against the analytic densities, and the Gaussian
 mismatch value comes from a conjugate-prior derivation done here from
-scratch.  The Gaussian block estimators are judged against their own stages
-composed one replica at a time.
+scratch.  The discrete engine is judged against a brute-force conditional
+mutual information in relative-entropy form.  The Gaussian and Poisson block
+estimators are judged against their own stages composed one replica at a
+time.
 """
+
+import math
 
 import numpy as np
 
@@ -18,7 +22,8 @@ from ctdi.gaussian import (
     replay_filter,
     simulate_awgn,
 )
-from ctdi.poisson import interarrival_density, mean_inverse_intensity
+from ctdi.poisson import interarrival_density, mean_inverse_intensity, simulate_channel
+from ctdi.quadrature import gauss_legendre
 
 
 def plugin_rate_oracle(pmf, n_samples, seed):
@@ -96,4 +101,72 @@ def per_replica_gaussian_values(model, seed, replicas, q_filter=None):
         if q_filter is not None:
             value = causal_mmse_integral(x, q_filter(inc, model.dt), model.dt, [n])[0, 0] - value
         values.append(float(value))
+    return values
+
+
+def cmi_oracle(probs, a_axes, b_axes, c_axes):
+    """Brute-force I(A; B | C): move the axes to (A, B, C, rest), view the
+    tensor as 4-D, and sum p ln(p p_c / (p_ac p_bc)) over the cells with p > 0."""
+    groups = [list(a_axes), list(b_axes), list(c_axes)]
+    groups.append([ax for ax in range(probs.ndim) if not any(ax in g for g in groups)])
+    order = [ax for g in groups for ax in g]
+    shape = [math.prod(probs.shape[ax] for ax in g) for g in groups]
+    p = np.transpose(probs, order).reshape(shape).sum(axis=3)
+    p_ac = p.sum(axis=1, keepdims=True)
+    p_bc = p.sum(axis=0, keepdims=True)
+    p_c = p.sum(axis=(0, 1), keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = p * np.log(p * p_c / (p_ac * p_bc))
+    return float(np.sum(terms[p > 0]))
+
+
+def oracle_quantities(probs, n):
+    """(di, reverse di, mi, {grouping ends: grouped di}) from cmi_oracle alone;
+    axes 0..n-1 are X_1..X_n and n..2n-1 are Y_1..Y_n."""
+    x = list(range(n))
+    y = list(range(n, 2 * n))
+    di = sum(cmi_oracle(probs, x[:i], [y[i - 1]], y[: i - 1]) for i in range(1, n + 1))
+    rdi = sum(cmi_oracle(probs, y[: i - 1], [x[i - 1]], x[: i - 1]) for i in range(2, n + 1))
+    mi = cmi_oracle(probs, x, y, [])
+    grouped = {}
+    for mask in range(2 ** (n - 1)):
+        ends = tuple(e for e in range(1, n) if mask >> (e - 1) & 1) + (n,)
+        starts = (0,) + ends[:-1]
+        grouped[ends] = sum(cmi_oracle(probs, x[:e], y[s:e], y[:s])
+                            for s, e in zip(starts, ends))
+    return di, rdi, mi, grouped
+
+
+def per_trajectory_poisson_values(model, integrand, t_lo, panel, scale, seed, replicas):
+    """Each replica's Poisson estimate value, its trajectory integrated alone.
+
+    Replica r draws from RngSpec(seed).stream(r) through simulate_channel.
+    The kept part of each segment is split at elapsed times panel,
+    2 panel, 4 panel, ... (no split for an infinite panel), every piece gets
+    16 Gauss-Legendre nodes, and the trajectory's integral is one integrand
+    call, one matrix product with the weights and one dot product with the
+    half widths, divided by scale.  The block estimators must reproduce
+    these values bit for bit.
+    """
+    nodes, weights = gauss_legendre(16)
+    values = []
+    for rep in range(replicas):
+        starts, ends, xs = simulate_channel(model, RngSpec(seed).stream(rep)).segments()
+        lo = np.maximum(t_lo, starts) - starts
+        hi = ends - starts
+        keep = hi > lo
+        lo, hi, xs = lo[keep], hi[keep], xs[keep]
+        if math.isfinite(panel):
+            end = float(hi.max())
+            doublings = panel * 2.0 ** np.arange(max(0, math.ceil(math.log2(end / panel))))
+            cuts = np.concatenate(([0.0], doublings[doublings < end], [end]))
+            p_lo = np.clip(cuts[:-1], lo[:, None], hi[:, None])
+            p_hi = np.clip(cuts[1:], lo[:, None], hi[:, None])
+            keep = p_hi > p_lo
+            lo, hi = p_lo[keep], p_hi[keep]
+            xs = np.broadcast_to(xs[:, None], keep.shape)[keep]
+        half = 0.5 * (hi - lo)
+        s = (lo + half)[:, None] + half[:, None] * nodes
+        vals = integrand(np.repeat(xs, nodes.size), s.ravel()).reshape(s.shape)
+        values.append(float(half @ (vals @ weights)) / scale)
     return values

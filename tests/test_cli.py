@@ -348,6 +348,34 @@ def test_di_discrete_names_the_first_violation_in_draw_order(tmp_path, monkeypat
     assert json.loads((tmp_path / "di_discrete_manifest.json").read_text())["exit_status"] == 1
 
 
+def test_di_discrete_one_block_check_can_fail(tmp_path, monkeypatch, capsys):
+    # the one-block value is checked against a relative-entropy form of MI,
+    # not against the engine's own walk, so a wrong value is caught
+    real = cli.grouped_directed_info
+
+    def shifted(bump):
+        seen = []
+
+        def grouped(joint, grouping):
+            value = real(joint, grouping)
+            if len(grouping.ends) == 1:
+                seen.append(value)
+                if len(seen) == 2:  # the second chain
+                    value += bump
+            return value
+        return grouped
+
+    monkeypatch.setattr(cli, "grouped_directed_info", shifted(5e-11))
+    assert run(["di-discrete", "--instances", "10", "--chains", "3", "--out", str(tmp_path)]) == 0
+    monkeypatch.setattr(cli, "grouped_directed_info", shifted(1e-9))
+    assert run(["di-discrete", "--instances", "10", "--chains", "3", "--out", str(tmp_path)]) == 1
+    report = (tmp_path / "di_discrete_report.txt").read_text().splitlines()
+    assert report[-1] == "result: FAIL (grouping one-block vs mi, instance 1)"
+    assert capsys.readouterr().out.splitlines()[-1] == report[-1]
+    violation = json.loads((tmp_path / "di_discrete_violation.json").read_text())
+    assert (violation["suite"], violation["instance"]) == ("grouping one-block vs mi", 1)
+
+
 def test_jobs_env_default(tmp_path, monkeypatch):
     monkeypatch.setenv("CTDI_JOBS", "3")
     assert run(["di-discrete", "--replicas", "10", "--chains", "2",

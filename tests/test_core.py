@@ -75,6 +75,10 @@ def test_poisson_loss_values():
         poisson_loss(-1.0, 1.0)
     with pytest.raises(ValueError):
         poisson_loss(1.0, -1.0)
+    # NaN fails every comparison, so the check asks that all values pass
+    for x, xhat in ((math.nan, 1.0), (1.0, math.nan), ([1.0, math.nan], 1.0), (1.0, [2.0, math.nan])):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            poisson_loss(x, xhat)
 
 
 def test_poisson_loss_vectorized_and_nonnegative():

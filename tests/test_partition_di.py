@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import oracle_quantities
 from ctdi import cli, partition_di
 from ctdi.partition_di import (
     Grouping,
@@ -192,6 +193,17 @@ def test_joint_validation():
     with pytest.raises(ValueError, match="alphabet sizes must be integers"):
         random_joint(np.random.default_rng(0), (2,), (2.5,))
     assert JointSequencePmf((2.0,), (np.int64(2),), np.full(4, 0.25)).x_sizes == (2,)
+    # the joint keeps a read-only copy and leaves the caller's array writable
+    mine = np.full((2, 2), 0.25)
+    joint = JointSequencePmf((2,), (2,), mine)
+    assert mine.flags.writeable and not joint.probs.flags.writeable
+    assert not np.shares_memory(mine, joint.probs)
+    # random joints own their draws; the drawn sizes are checked like any others
+    drawn = random_joint(np.random.default_rng(0), (2, 3), (3, 2))
+    assert drawn.x_sizes == (2, 3) and drawn.probs.shape == (2, 3, 3, 2)
+    assert not drawn.probs.flags.writeable
+    with pytest.raises(ValueError, match="enumeration cap"):
+        random_no_feedback_joint(np.random.default_rng(0), (40, 40), (40, 40))
 
 
 def test_json_roundtrip():
@@ -227,41 +239,8 @@ def test_random_joints_check_the_state_cap_before_drawing():
             make(NoDraws(), (3,) * 7, (3,) * 7)
 
 
-def _cmi_oracle(probs, a_axes, b_axes, c_axes):
-    """Brute-force I(A; B | C): move the axes to (A, B, C, rest), view the
-    tensor as 4-D, and sum p ln(p p_c / (p_ac p_bc)) over the cells with p > 0."""
-    groups = [list(a_axes), list(b_axes), list(c_axes)]
-    groups.append([ax for ax in range(probs.ndim) if not any(ax in g for g in groups)])
-    order = [ax for g in groups for ax in g]
-    shape = [math.prod(probs.shape[ax] for ax in g) for g in groups]
-    p = np.transpose(probs, order).reshape(shape).sum(axis=3)
-    p_ac = p.sum(axis=1, keepdims=True)
-    p_bc = p.sum(axis=0, keepdims=True)
-    p_c = p.sum(axis=(0, 1), keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = p * np.log(p * p_c / (p_ac * p_bc))
-    return float(np.sum(terms[p > 0]))
-
-
-def _oracle_quantities(probs, n):
-    """(di, reverse di, mi, {grouping ends: grouped di}) from _cmi_oracle alone;
-    axes 0..n-1 are X_1..X_n and n..2n-1 are Y_1..Y_n."""
-    x = list(range(n))
-    y = list(range(n, 2 * n))
-    di = sum(_cmi_oracle(probs, x[:i], [y[i - 1]], y[: i - 1]) for i in range(1, n + 1))
-    rdi = sum(_cmi_oracle(probs, y[: i - 1], [x[i - 1]], x[: i - 1]) for i in range(2, n + 1))
-    mi = _cmi_oracle(probs, x, y, [])
-    grouped = {}
-    for mask in range(2 ** (n - 1)):
-        ends = tuple(e for e in range(1, n) if mask >> (e - 1) & 1) + (n,)
-        starts = (0,) + ends[:-1]
-        grouped[ends] = sum(_cmi_oracle(probs, x[:e], y[s:e], y[:s])
-                            for s, e in zip(starts, ends))
-    return di, rdi, mi, grouped
-
-
 def _assert_engine_matches_oracle(joint):
-    di, rdi, mi, grouped = _oracle_quantities(joint.probs, joint.n)
+    di, rdi, mi, grouped = oracle_quantities(joint.probs, joint.n)
     assert abs(directed_info(joint) - di) <= 1e-12
     assert abs(reverse_directed_info(joint) - rdi) <= 1e-12
     assert abs(mutual_information(joint) - mi) <= 1e-12
@@ -333,7 +312,7 @@ def test_stacked_walk_matches_per_joint_functions_and_oracle():
         n = group[0].n
         stack = np.stack([joint.probs for joint in group])
         di, rdi, mi = partition_di._walk_all(stack, n, 1, True)
-        oracles = [_oracle_quantities(joint.probs, n) for joint in group]
+        oracles = [oracle_quantities(joint.probs, n) for joint in group]
         for k, (joint, (o_di, o_rdi, o_mi, _)) in enumerate(zip(group, oracles)):
             for value, exact, oracle in ((di[k], directed_info(joint), o_di),
                                          (rdi[k], reverse_directed_info(joint), o_rdi),

@@ -6,9 +6,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import mc_entropy_oracle, plugin_rate_oracle, random_positive_pmf
+from conftest import (
+    mc_entropy_oracle,
+    per_trajectory_poisson_values,
+    plugin_rate_oracle,
+    random_positive_pmf,
+)
 from ctdi import poisson
-from ctdi.core import FinitePmf, RngSpec
+from ctdi.core import FinitePmf, RngSpec, poisson_loss
 from ctdi.poisson import (
     ChannelTrajectory,
     PoissonFeedbackModel,
@@ -103,6 +108,27 @@ def test_channel_trajectory_validation():
         ChannelTrajectory(2.0, [0.0, 1.0], [1.0])
     with pytest.raises(ValueError, match="strictly positive"):
         ChannelTrajectory(2.0, [0.0, 1.0], [1.0, 0.0])
+    # NaN fails every comparison, so each check asks that all values pass
+    for horizon, epochs, match in ((10.0, [0.0, math.nan], "strictly increasing"),
+                                   (10.0, [0.0, math.nan, 5.0], "strictly increasing"),
+                                   (math.nan, [0.0], "horizon must be positive and finite"),
+                                   (math.inf, [0.0], "horizon must be positive and finite")):
+        with pytest.raises(ValueError, match=match):
+            ChannelTrajectory(horizon, epochs, np.ones(len(epochs)))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="strictly positive and finite"):
+            ChannelTrajectory(10.0, [0.0, 1.0], [1.0, bad])
+
+
+def test_elapsed_and_query_times_refuse_nan():
+    for elapsed in (math.nan, [0.5, math.nan], -1.0):
+        with pytest.raises(ValueError, match="elapsed time must be nonnegative"):
+            renewal_posterior_mean(BINARY, elapsed)
+    with pytest.raises(ValueError, match="interarrival time must be nonnegative"):
+        interarrival_density(BINARY, [1.0, math.nan])
+    traj = ChannelTrajectory(4.0, [0.0, 1.0], [1.0, 2.0])
+    with pytest.raises(ValueError, match="query times"):
+        state_at(traj, [0.5, math.nan])
 
 
 def test_posterior_mean_from_prior_to_min_intensity():
@@ -186,7 +212,7 @@ def test_float_coincident_epochs_keep_the_last():
     for replica in (0, 283):
         traj = simulate_channel(model, RngSpec(0).stream(replica))
         assert np.all(np.diff(traj.events) > 0)
-        assert trajectory_integral(traj, lambda x, s: np.ones_like(s)) == pytest.approx(50.0, rel=1e-14)
+        assert trajectory_integral([traj], lambda x, s: np.ones_like(s))[0] == pytest.approx(50.0, rel=1e-14)
     # a level whose mean wait is below that spacing is refused before any draw
     PoissonFeedbackModel(FinitePmf([1.0, 1.4e14], [0.5, 0.5]), 50.0)
     with pytest.raises(ValueError, match=r"levels 1, 1\.5e\+14: .* horizon 50"):
@@ -262,7 +288,7 @@ def test_hazard_log_hazard_time_average_identity():
 
         vals.append(
             # the first panel is 1/(max x - min x) wide
-            trajectory_integral(traj, glng, t_lo=burn_in, panel=1.0) / (model.horizon - burn_in)
+            trajectory_integral([traj], glng, t_lo=burn_in, panel=1.0)[0] / (model.horizon - burn_in)
         )
     vals = np.asarray(vals)
     se = vals.std(ddof=1) / math.sqrt(len(vals))
@@ -272,7 +298,7 @@ def test_hazard_log_hazard_time_average_identity():
 def test_trajectory_integral_of_constant_is_window_length():
     model = PoissonFeedbackModel(BINARY, 50.0)
     traj = simulate_channel(model, RngSpec(2).stream(0))
-    val = trajectory_integral(traj, lambda x, s: np.ones_like(s), t_lo=10.0)
+    (val,) = trajectory_integral([traj], lambda x, s: np.ones_like(s), t_lo=10.0)
     assert val == pytest.approx(40.0, rel=1e-9)
 
 
@@ -282,7 +308,8 @@ def test_trajectory_integral_of_posterior_mean_matches_closed_form(lam2, block, 
     # with Z(s) = sum p(x) e^{-sx}, g = -d ln Z / ds, so the piece [a, b] of
     # elapsed time in a segment contributes -ln Z(b) + ln Z(a)
     if block is not None:
-        # about 400 segments, so the simulation and the integral span several blocks
+        # about 400 segments, so the simulation spans several draw batches and
+        # the integral several windows
         monkeypatch.setattr(poisson, "_BLOCK_SEGMENTS", block)
     def neg_log_z(s):
         return s - np.log(0.5 + 0.5 * np.exp(-s * (lam2 - 1.0)))
@@ -301,9 +328,97 @@ def test_trajectory_integral_of_posterior_mean_matches_closed_form(lam2, block, 
         lo = np.maximum(starts, t_lo)[inside] - starts[inside]
         hi = ends[inside] - starts[inside]
         closed = float(np.sum(neg_log_z(hi) - neg_log_z(lo)))
-        val = trajectory_integral(traj, lambda x, s: renewal_posterior_mean(pmf, s),
-                                  t_lo, panel=1.0 / (lam2 - 1.0))
+        (val,) = trajectory_integral([traj], lambda x, s: renewal_posterior_mean(pmf, s),
+                                     t_lo, panel=1.0 / (lam2 - 1.0))
         assert val == pytest.approx(closed, rel=1e-12, abs=0.0)
+
+
+def _posterior_loss(pmf):
+    return lambda x, s: poisson_loss(x, renewal_posterior_mean(pmf, s))
+
+
+def _excess_loss(p_pmf, q_pmf):
+    def loss(x, s):
+        gp = renewal_posterior_mean(p_pmf, s)
+        gq = renewal_posterior_mean(q_pmf, s)
+        return x * (np.log(gp) - np.log(gq)) + gq - gp
+    return loss
+
+
+def _panel(*pmfs):
+    support = np.concatenate([pmf.support for pmf in pmfs])
+    return 1.0 / (support.max() - support.min())
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_block_estimates_match_each_trajectory_alone(jobs):
+    # 37 replicas: two full 16-trajectory blocks and a partial one
+    replicas = 37
+    three = FinitePmf([0.5, 1.3, 2.9], [0.2, 0.5, 0.3])
+    for pmf, horizon in ((BINARY, 60.0), (FinitePmf([1.0, 100.0], [0.5, 0.5]), 40.0), (three, 80.0)):
+        model = PoissonFeedbackModel(pmf, horizon)
+        burn_in = default_burn_in(pmf)
+        oracle = per_trajectory_poisson_values(model, _posterior_loss(pmf), burn_in, _panel(pmf),
+                                               horizon - burn_in, 61, replicas)
+        est = di_rate_mc(model, rng=61, replicas=replicas, jobs=jobs)
+        assert repr(est.value) == repr(float(np.mean(oracle)))
+        assert repr(est.stderr) == repr(float(np.std(oracle, ddof=1) / math.sqrt(replicas)))
+        q = FinitePmf(pmf.support, np.linspace(1.0, 2.0, len(pmf)) / np.linspace(1.0, 2.0, len(pmf)).sum())
+        oracle = per_trajectory_poisson_values(model, _excess_loss(pmf, q), 0.0, _panel(pmf, q),
+                                               1.0, 62, replicas)
+        est = mismatched_relent_poisson(pmf, q, horizon, rng=62, replicas=replicas, jobs=jobs)
+        assert repr(est.value) == repr(float(np.mean(oracle)))
+        assert repr(est.stderr) == repr(float(np.std(oracle, ddof=1) / math.sqrt(replicas)))
+
+
+def test_block_integral_does_not_depend_on_the_piece_limit(monkeypatch):
+    model = PoissonFeedbackModel(FinitePmf([1.0, 3.0], [0.4, 0.6]), 50.0)
+    trajs = [simulate_channel(model, RngSpec(63).stream(r)) for r in range(16)]
+    loss = _posterior_loss(model.pmf)
+    block = trajectory_integral(trajs, loss, 10.0, 0.5)
+    assert len(block) == 16 and all(type(v) is float for v in block)
+    # a trajectory's value is the same alone, in a block and in a lazy iterable
+    assert [trajectory_integral([t], loss, 10.0, 0.5)[0] for t in trajs] == block
+    assert trajectory_integral(iter(trajs), loss, 10.0, 0.5) == block
+    # three pieces per integrand call split every trajectory over many calls
+    monkeypatch.setattr(poisson, "_CHUNK_PIECES", 3)
+    assert trajectory_integral(trajs, loss, 10.0, 0.5) == block
+    assert trajectory_integral(trajs[::-1], loss, 10.0, 0.5) == block[::-1]
+    # windows of 200 segments hold two or three of these trajectories whole
+    monkeypatch.setattr(poisson, "_BLOCK_SEGMENTS", 200)
+    assert trajectory_integral(trajs, loss, 10.0, 0.5) == block
+
+
+def test_block_integral_edge_cases():
+    loss = _posterior_loss(BINARY)
+    assert trajectory_integral([], loss) == []
+    assert trajectory_integral(iter([]), loss, 5.0, 1.0) == []
+    short = ChannelTrajectory(20.0, [0.0, 3.0], [1.0, 2.0])
+    long = ChannelTrajectory(50.0, [0.0, 30.0], [2.0, 1.0])
+    ones = trajectory_integral([long, short], lambda x, s: np.ones_like(s), 10.0)
+    assert ones == pytest.approx([40.0, 10.0], rel=1e-14)
+    # t_lo is checked against each trajectory's own horizon
+    for t_lo in (30.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="need 0 <= t_lo < horizon"):
+            trajectory_integral([long, short], loss, t_lo)
+
+
+def test_block_integral_memory_is_bounded_by_the_piece_limit(monkeypatch):
+    # 16 trajectories of about 2,700 segments: one integrand call on a whole
+    # window of about 2^15 segments held some 36 MB of temporaries
+    model = PoissonFeedbackModel(BINARY, 2000.0)
+
+    def peak():
+        tracemalloc.start()
+        try:
+            di_rate_mc(model, rng=64, replicas=16)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak() <= 16 * 2**20
+    monkeypatch.setattr(poisson, "_CHUNK_PIECES", 2**20)
+    assert peak() > 24 * 2**20
 
 
 def test_state_at_and_occupancy_manual():
