@@ -287,11 +287,15 @@ def cmd_poisson_capacity(cfg: ExperimentConfig) -> int:
     return 0 if ok else 1
 
 
-def _random_sizes(gen, max_n, max_alphabet):
-    n = int(gen.integers(1, max_n + 1))
+def _alphabet_sizes(gen, n, max_alphabet):
+    """The X then the Y alphabet sizes of a length-n joint, each in 2..max_alphabet."""
     xs = tuple(int(s) for s in gen.integers(2, max_alphabet + 1, size=n))
     ys = tuple(int(s) for s in gen.integers(2, max_alphabet + 1, size=n))
     return xs, ys
+
+
+def _random_sizes(gen, max_n, max_alphabet):
+    return _alphabet_sizes(gen, int(gen.integers(1, max_n + 1)), max_alphabet)
 
 
 def _joints(spec, stream, draw, count, max_n, max_alphabet):
@@ -360,9 +364,7 @@ def cmd_di_discrete(cfg: ExperimentConfig) -> int:
     max_increase = -np.inf
     for i in range(chains):
         n = 4
-        xs = tuple(int(s) for s in gen.integers(2, max_alphabet + 1, size=n))
-        ys = tuple(int(s) for s in gen.integers(2, max_alphabet + 1, size=n))
-        joint = random_joint(gen, xs, ys)
+        joint = random_joint(gen, *_alphabet_sizes(gen, n, max_alphabet))
         cuts = [1, 2, 3]
         gen.shuffle(cuts)
         ends = [n]

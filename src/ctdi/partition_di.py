@@ -15,16 +15,17 @@ information each start from the full tensor and share no marginal or entropy,
 and no sum of terms is telescoped; the conservation identity below therefore
 compares three independent computations.
 
-Each walk takes an optional leading batch axis: a stack of joints that share
-their alphabet sizes is walked in one pass, with every axis shifted by one and
-each entropy summed per joint (the same 1e-15 cutoff, cell by cell).  The
-public functions below walk one joint with no batch axis and are the
-bit-for-bit reference; a stacked value agrees with them to float rounding.
+Every walk takes a stack of joints that share their alphabet sizes, with a
+leading axis indexing the joints, and returns one value per joint; a lone
+joint is walked as a stack of one.  Each term computes its four entropies in
+one pass over the concatenated marginals, summed per joint and per marginal,
+so a joint's value does not depend on the stack it was walked in: the public
+functions below and stream_information agree bit for bit.
 stream_information evaluates a sequence of joints in stacks: it copies each
 joint's cells into a buffer of _STACK_CELLS cells, filed by shape, walks every
 shape's stack once the next joint would overfill the buffer, walks a joint
-alone when it is the only one of its shape or has more than _STACK_MAX cells,
-and returns the values in the order of the sequence.
+alone when it has more than _STACK_MAX cells, and returns the values in the
+order of the sequence.
 
 Directed information here is the sum over i of I(X^i; Y_i | Y^{i-1}); its
 reverse companion sums I(Y^{i-1}; X_i | X^{i-1}), and the two always add up
@@ -39,6 +40,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -102,7 +104,7 @@ class JointSequencePmf:
 
     def __post_init__(self):
         xs, ys = _checked_sizes(self.x_sizes, self.y_sizes)
-        self._own(xs, ys, np.array(self.probs, dtype=float))
+        self._own(xs, ys, np.array(self.probs, dtype=float, order="C"))
 
     @classmethod
     def _drawn(cls, xs, ys, probs) -> "JointSequencePmf":
@@ -145,72 +147,65 @@ class JointSequencePmf:
         )
 
 
-def _plogp(m: np.ndarray, batch: int = 0):
-    """Sum of m ln m over the cells of m above _ZERO: minus the entropy of m.
+def _cmi_term(m_abc: np.ndarray, a_axes, b_axes):
+    """I(A; B | C) = H(AC) + H(BC) - H(ABC) - H(C) per joint, and the A-C marginal.
 
-    With batch = 1 the leading axis indexes a stack of joints, and the sum is
-    taken per joint over the other axes.
-    """
-    if not batch:
-        m = m[m > _ZERO]
-        return float(np.dot(m, np.log(m)))
-    cells = np.where(m > _ZERO, m, 1.0)
-    np.log(cells, out=cells)
-    cells *= m
-    return np.add.reduce(cells.reshape(len(m), -1), axis=1)
-
-
-def _cmi_term(m_abc: np.ndarray, a_axes, b_axes, batch: int = 0):
-    """I(A; B | C) = H(AC) + H(BC) - H(ABC) - H(C), and the A-C marginal.
-
-    m_abc is p(A, B, C) with its summed-out axes kept at size one; C is every
-    axis in neither A nor B nor the batch axis.
+    m_abc is a stack of p(A, B, C), joints along axis 0, with its summed-out
+    axes kept at size one; C is every axis in neither A nor B nor axis 0.
     """
     m_ac = m_abc.sum(axis=b_axes, keepdims=True)
     m_bc = m_abc.sum(axis=a_axes, keepdims=True)
     m_c = m_bc.sum(axis=b_axes, keepdims=True)
-    return (_plogp(m_abc, batch) + _plogp(m_c, batch)
-            - _plogp(m_ac, batch) - _plogp(m_bc, batch)), m_ac
+    rows = [m.reshape(len(m_abc), -1) for m in (m_abc, m_c, m_ac, m_bc)]
+    cells = np.concatenate(rows, axis=1)
+    np.copyto(cells, 1.0, where=cells <= _ZERO)  # 1 ln 1 = 0
+    plogp = np.log(cells)
+    plogp *= cells
+    starts = list(accumulate((row.shape[1] for row in rows[:-1]), initial=0))
+    h = np.add.reduceat(plogp, starts, axis=1).T  # sum of m ln m per marginal
+    # elementwise, not as a product with (1, 1, -1, -1): a BLAS call may round
+    # a row differently by its position in the stack
+    return (h[0] + h[1]) - (h[2] + h[3]), m_ac
 
 
-def _axes(n: int, batch: int):
-    """The X and Y axes of a joint of length n after `batch` leading axes."""
-    return tuple(range(batch, batch + n)), tuple(range(batch + n, batch + 2 * n))
+def _axes(n: int):
+    """The X and Y axes of a stack of joints of length n."""
+    return tuple(range(1, n + 1)), tuple(range(n + 1, 2 * n + 1))
 
 
-def _mi_walk(probs, n, batch=0):
-    return _cmi_term(probs, *_axes(n, batch), batch)[0]
+def _mi_walk(probs, n):
+    return _cmi_term(probs, *_axes(n))[0]
 
 
-def _grouped_walk(probs, n, ends, batch=0):
+def _grouped_walk(probs, n, ends):
     """Sum over blocks j of I(X_1..X_{e_j}; Y-block j | Y_1..Y_{e_{j-1}}), last block first."""
-    xa, ya = _axes(n, batch)
+    xa, ya = _axes(n)
     total = 0.0
     m = probs
     starts = (0,) + ends[:-1]
     for prev, end in zip(reversed(starts), reversed(ends)):
         # m = p(x^end, y^end), so C is y^prev
-        term, m_ac = _cmi_term(m, xa[:end], ya[prev:end], batch)
+        term, m_ac = _cmi_term(m, xa[:end], ya[prev:end])
         total += term
         m = m_ac.sum(axis=xa[prev:end], keepdims=True)
     return total
 
 
-def _reverse_walk(probs, n, batch=0):
+def _reverse_walk(probs, n):
     """Sum over i of I(Y^{i-1}; X_i | X^{i-1}), last index first."""
-    xa, ya = _axes(n, batch)
-    total = np.zeros(len(probs)) if batch else 0.0  # n = 1 has no term
+    xa, ya = _axes(n)
+    total = np.zeros(len(probs))  # n = 1 has no term
     m = probs
     for i in range(n, 1, -1):
         m = m.sum(axis=ya[i - 1], keepdims=True)  # p(x^i, y^{i-1}), so C is x^{i-1}
-        term, m = _cmi_term(m, ya[: i - 1], (xa[i - 1],), batch)
+        term, m = _cmi_term(m, ya[: i - 1], (xa[i - 1],))
         total += term
     return total
 
 
 def mutual_information(joint: JointSequencePmf) -> float:
     """I(X^n; Y^n), the exact relative entropy between joint and product-of-marginals."""
-    return _mi_walk(joint.probs, joint.n)
+    return float(_mi_walk(joint.probs[None], joint.n)[0])
 
 
 @dataclass(frozen=True)
@@ -245,7 +240,7 @@ def grouped_directed_info(joint: JointSequencePmf, grouping: Grouping) -> float:
     """
     if grouping.n != joint.n:
         raise ValueError("grouping does not cover the sequence length")
-    return _grouped_walk(joint.probs, joint.n, grouping.ends)
+    return float(_grouped_walk(joint.probs[None], joint.n, grouping.ends)[0])
 
 
 def directed_info(joint: JointSequencePmf) -> float:
@@ -255,7 +250,7 @@ def directed_info(joint: JointSequencePmf) -> float:
 
 def reverse_directed_info(joint: JointSequencePmf) -> float:
     """Sum over i of I(Y^{i-1}; X_i | X^{i-1}); the i = 1 term is zero."""
-    return _reverse_walk(joint.probs, joint.n)
+    return float(_reverse_walk(joint.probs[None], joint.n)[0])
 
 
 def conservation_residual(joint: JointSequencePmf) -> float:
@@ -263,25 +258,19 @@ def conservation_residual(joint: JointSequencePmf) -> float:
     return directed_info(joint) + reverse_directed_info(joint) - mutual_information(joint)
 
 
-def _walk_all(probs, n, batch, reverse):
-    """(di, reverse di or 0, mi) of one joint or a stack, each from the full tensor."""
-    di = _grouped_walk(probs, n, tuple(range(1, n + 1)), batch)
-    rdi = _reverse_walk(probs, n, batch) if reverse else 0.0
-    return di, rdi, _mi_walk(probs, n, batch)
+def _walk_all(probs, n, reverse):
+    """(di, reverse di or zeros, mi) per joint of a stack, each from the full tensor."""
+    di = _grouped_walk(probs, n, tuple(range(1, n + 1)))
+    rdi = _reverse_walk(probs, n) if reverse else np.zeros(len(probs))
+    return di, rdi, _mi_walk(probs, n)
 
 
 def _walk_buckets(buckets, flat, out, reverse):
     """Walk every shape bucket of the flat buffer into the columns of out; empty the buckets."""
     for shape, (indices, offsets) in buckets.items():
-        n = len(shape) // 2
         size = math.prod(shape)
-        if len(indices) == 1:
-            values = _walk_all(flat[offsets[0]: offsets[0] + size].reshape(shape), n, 0, reverse)
-        else:
-            rows = np.stack([flat[o: o + size] for o in offsets]).reshape((len(indices),) + shape)
-            values = _walk_all(rows, n, 1, reverse)
-        for column, value in zip(out, values):
-            column[indices] = value
+        rows = np.stack([flat[o: o + size] for o in offsets]).reshape((len(indices),) + shape)
+        out[:, indices] = _walk_all(rows, len(shape) // 2, reverse)
     buckets.clear()
 
 
@@ -292,8 +281,10 @@ def stream_information(joints, reverse: bool = True):
     at most _STACK_MAX cells is copied into one buffer of _STACK_CELLS cells,
     filed by shape, and not kept; the buffer is walked stack by stack when the
     next joint would overfill it and before a larger joint is walked alone.
-    Returns three float arrays indexed like the iterable; with reverse=False
-    the reverse values are zeros and not computed.
+    Returns three float arrays indexed like the iterable, each value equal
+    bit for bit to that of directed_info, reverse_directed_info and
+    mutual_information on the joint; with reverse=False the reverse values
+    are zeros and not computed.
     """
     # an anonymous mapping, unmapped once the last view of it is gone, so its
     # pages go back to the system instead of staying in the heap; imported
@@ -314,8 +305,7 @@ def stream_information(joints, reverse: bool = True):
             _walk_buckets(buckets, flat, out, reverse)
             buffered = 0
         if big:
-            for column, value in zip(out, _walk_all(probs, joint.n, 0, reverse)):
-                column[count] = value
+            out[:, count: count + 1] = _walk_all(probs[None], joint.n, reverse)
         else:
             flat[buffered: buffered + probs.size] = probs.ravel()
             indices, offsets = buckets.setdefault(probs.shape, ([], []))

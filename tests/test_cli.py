@@ -323,16 +323,15 @@ def test_di_discrete_names_the_first_violation_in_draw_order(tmp_path, monkeypat
     hits = []
     real = partition_di._reverse_walk
 
-    def corrupted(probs, n, batch=0):
+    def corrupted(probs, n):
         # one nat too much reverse DI for the two target joints
-        rows = probs if batch else probs[None]
-        bump = np.zeros(len(rows))
-        for k, row in enumerate(rows):
+        bump = np.zeros(len(probs))
+        for k, row in enumerate(probs):
             for index, target in targets.items():
                 if row.shape == target.shape and np.array_equal(row, target):
                     bump[k] = 1.0
                     hits.append(index)
-        return real(probs, n, batch) + (bump if batch else bump[0])
+        return real(probs, n) + bump
 
     monkeypatch.setattr(partition_di, "_reverse_walk", corrupted)
     assert run(["di-discrete", "--instances", "40", "--chains", "2",
