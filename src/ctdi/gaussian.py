@@ -271,14 +271,18 @@ def causal_mmse_integral(x: np.ndarray, est: np.ndarray, dt: float, steps) -> np
     """Half the integrated squared filtering error of each row over its first k steps, k in steps.
 
     x and est are (..., n) arrays on one grid of step dt; est, a filter's
-    posterior means, is overwritten with the error x - est.  Returns an
-    (..., len(steps)) array of 0.5 * sum_{j<k} (x_j - est_j)^2 dt.
+    posterior means, is overwritten with the squared error.  Returns an
+    (..., len(steps)) array of 0.5 * sum_{j<k} (x_j - est_j)^2 dt, each sum
+    along its own row alone, so a row's values do not depend on its neighbours.
     """
     if np.shape(x) != est.shape:
         raise ValueError(f"signal {np.shape(x)} and filter {est.shape} blocks differ in shape")
-    err = np.subtract(x, est, out=est).reshape(-1, est.shape[-1])
-    out = np.array([[0.5 * float(np.dot(d[:k], d[:k])) * dt for k in steps] for d in err])
-    return out.reshape(est.shape[:-1] + (len(steps),))
+    err = np.subtract(x, est, out=est)
+    err *= err
+    out = np.empty(est.shape[:-1] + (len(steps),))
+    for i, k in enumerate(steps):
+        out[..., i] = np.add.reduce(err[..., :k], axis=-1)
+    return 0.5 * out * dt
 
 
 def closed_form_di_constant_signal(horizon: float) -> float:
@@ -295,7 +299,8 @@ def _block(model, steps, q_filter, gens) -> np.ndarray:
     exactly and integrates the error; with a q_filter, the mismatched
     filter's integrals minus the exact ones.  A filter at step j reads only
     the steps before it, so a row's prefix is the row a shorter horizon
-    draws.  Returns a (C, len(steps)) array.
+    draws.  Returns a (C, len(steps)) array.  A non-finite q_filter value
+    raises ValueError, any other non-finite integral RuntimeError.
     """
     if model.n_steps == 0:
         return np.zeros((len(gens), len(steps)))
@@ -309,11 +314,12 @@ def _block(model, steps, q_filter, gens) -> np.ndarray:
     vals = causal_mmse_integral(x, est, model.dt, steps)
     if q_filter is not None:
         q = np.array(q_filter(inc, model.dt), dtype=float)  # a copy: the integral overwrites it
-        if q.shape != inc.shape:
-            raise ValueError(f"q_filter returned shape {q.shape}, not the increments' {inc.shape}")
+        if q.shape != inc.shape or not np.isfinite(q).all():
+            raise ValueError(f"q_filter must return finite values of the increments' shape "
+                             f"{inc.shape}, got shape {q.shape}")
         vals = causal_mmse_integral(x, q, model.dt, steps) - vals
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("sample values must be finite")
+    if not np.isfinite(vals).all():
+        raise RuntimeError("a causal-MMSE integral is not finite")
     return vals
 
 

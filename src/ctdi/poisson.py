@@ -9,8 +9,8 @@ Monte Carlo estimators integrate the causal-estimation loss along simulated
 paths instead, so the two routes check each other.  Their block draws one
 trajectory per Generator and integrates the whole block in one
 trajectory_integral call: the pieces of every trajectory share integrand
-calls of at most _CHUNK_PIECES pieces, while each trajectory's sum runs over
-its own pieces only, so its value does not depend on its block.
+calls of at most _CHUNK_PIECES pieces, and every other step is elementwise or
+sums one trajectory's own pieces, so its value does not depend on its block.
 
 Rates are in nats per second.  All input pmfs must have strictly positive
 support.  Every analytic integral here runs to one error target, _QUAD_TOL,
@@ -137,7 +137,7 @@ def simulate_channel(model: PoissonFeedbackModel, gen: np.random.Generator) -> C
     """
     support, probs = model.pmf.support, model.pmf.probs
     horizon = model.horizon
-    mean_wait = float(np.dot(model.pmf.probs, 1.0 / model.pmf.support))
+    mean_wait = mean_inverse_intensity(model.pmf)
     epochs_parts, x_parts = [], []
     t = 0.0
     while t < horizon:
@@ -160,18 +160,19 @@ def renewal_posterior_mean(pmf: FinitePmf, elapsed):
 
     E[X | no event for s seconds] = sum x p(x) e^{-sx} / sum p(x) e^{-sx},
     evaluated with the smallest positive-mass atom factored out of the
-    exponentials, so the ratio never degenerates for finite s.
+    exponentials, so the ratio never degenerates for finite s.  The sums run
+    atom by atom, so a point's value does not depend on the points beside it.
     """
     support, probs = _positive_atoms(pmf)
     s = np.asarray(elapsed, dtype=float)
     if not (s >= 0).all():
         raise ValueError("elapsed time must be nonnegative")
-    # built atom by atom, where each product runs along a contiguous row of
-    # points, then laid out atoms last for the matrix product and the sum
-    w = np.exp(-np.multiply.outer(support - support.min(), s))
-    w *= probs.reshape(probs.shape + (1,) * s.ndim)
-    w = np.ascontiguousarray(np.moveaxis(w, 0, -1))
-    out = (w @ support) / w.sum(axis=-1)
+    lowest, num, den = support.min(), 0.0, 0.0
+    for x, p in zip(support, probs):
+        w = p * np.exp(-(x - lowest) * s)
+        num = num + w * x
+        den = den + w
+    out = num / den
     if out.ndim == 0:
         return float(out)
     return out
@@ -335,12 +336,11 @@ def trajectory_integral(trajs, integrand, t_lo: float = 0.0, panel: float = math
     Returns one float per trajectory.  The kept segments of consecutive
     trajectories share windows of at most _BLOCK_SEGMENTS segments, a longer
     trajectory taking several, and the integrand, which must act pointwise,
-    is called on runs of at most _CHUNK_PIECES pieces of a window.  The node
-    values are reduced per trajectory and window: one matrix product with the
-    weights over exactly its own rows, since a BLAS matrix-vector product
-    may round a row differently at another place in the matrix, then one dot
-    product with the half widths.  So a trajectory's value does not depend on
-    the trajectories beside it or on the piece limit.
+    is called on runs of at most _CHUNK_PIECES pieces of a window.  A piece's
+    integral, the sum of its node values times the weights times its half
+    width, is elementwise in the pieces, and each trajectory sums its own
+    piece integrals per window, so its value does not depend on the
+    trajectories beside it or on the piece limit.
     """
     totals, window, size = [], [], 0
     for traj in trajs:
@@ -383,21 +383,14 @@ def _integrate_window(window, integrand, panel, totals) -> None:
     half = 0.5 * (hi - lo)
     mid = lo + half
     nodes, weights = gauss_legendre(16)
-    pending, g = [], 0  # rows of group g from earlier chunks
-    for c in range(0, bounds[-1], _CHUNK_PIECES):
-        d = min(c + _CHUNK_PIECES, bounds[-1])
+    pieces = np.empty_like(half)
+    for c in range(0, pieces.size, _CHUNK_PIECES):
+        d = min(c + _CHUNK_PIECES, pieces.size)
         s = mid[c:d, None] + half[c:d, None] * nodes
         vals = integrand(np.repeat(xs[c:d], nodes.size), s.ravel()).reshape(s.shape)
-        while g < len(owners) and bounds[g + 1] <= d:
-            a, b = bounds[g], bounds[g + 1]
-            rows = vals[max(a, c) - c:b - c]
-            if pending:
-                rows = np.concatenate(pending + [rows])
-                pending = []
-            totals[owners[g]] += float(half[a:b] @ (rows @ weights))
-            g += 1
-        if g < len(owners) and bounds[g] < d:
-            pending.append(vals[max(bounds[g], c) - c:])
+        pieces[c:d] = (vals * weights).sum(axis=1) * half[c:d]
+    for owner, a, b in zip(owners, bounds[:-1], bounds[1:]):
+        totals[owner] += float(np.add.reduce(pieces[a:b]))
 
 
 def _posterior_loss(pmf, x, s):

@@ -144,9 +144,9 @@ def per_trajectory_poisson_values(model, integrand, t_lo, panel, scale, seed, re
     The kept part of each segment is split at elapsed times panel,
     2 panel, 4 panel, ... (no split for an infinite panel), every piece gets
     16 Gauss-Legendre nodes, and the trajectory's integral is one integrand
-    call, one matrix product with the weights and one dot product with the
-    half widths, divided by scale.  The block estimators must reproduce
-    these values bit for bit.
+    call on all its nodes, each piece's node values times the weights summed
+    and times its half width, and one sum of those piece integrals, divided
+    by scale.  The block estimators must reproduce these values bit for bit.
     """
     nodes, weights = gauss_legendre(16)
     values = []
@@ -168,5 +168,5 @@ def per_trajectory_poisson_values(model, integrand, t_lo, panel, scale, seed, re
         half = 0.5 * (hi - lo)
         s = (lo + half)[:, None] + half[:, None] * nodes
         vals = integrand(np.repeat(xs, nodes.size), s.ravel()).reshape(s.shape)
-        values.append(float(half @ (vals @ weights)) / scale)
+        values.append(float(np.add.reduce((vals * weights).sum(axis=1) * half)) / scale)
     return values

@@ -290,6 +290,18 @@ def test_internal_numerical_failure_exits_3_without_traceback(tmp_path, monkeypa
         "internal numerical failure: Gauss-Legendre panels did not reach tol=1e-11")
 
 
+def test_non_finite_gaussian_filter_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("ctdi.gaussian.exact_filter_constant_signal",
+                        lambda inc, dt: np.full(inc.shape, np.nan))
+    assert run(["gaussian-duncan", "--t-values", "0.2", "--dt", "0.01", "--replicas", "4",
+                "--jobs", "1", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: internal numerical failure: a causal-MMSE integral is not finite\n"
+    manifest = json.loads((tmp_path / "gaussian_duncan_manifest.json").read_text())
+    assert manifest["exit_status"] == 3
+    assert manifest["exit_reason"] == "internal numerical failure: a causal-MMSE integral is not finite"
+
+
 def test_poisson_capacity_rejects_replicas_knob(tmp_path):
     assert run(["poisson-capacity", "--replicas", "5", "--out", str(tmp_path)]) == 2
 

@@ -420,6 +420,17 @@ def test_mismatched_filter_must_keep_the_block_shape():
             mismatched_relent_gaussian(model, q_filter, rng=91, replicas=3)
 
 
+def test_non_finite_values_name_their_cause(monkeypatch):
+    model = constant_signal_model(0.2, 0.01)
+    # a non-finite mismatched filter is the caller's input
+    with pytest.raises(ValueError, match="finite values"):
+        mismatched_relent_gaussian(model, lambda inc, dt: np.full(inc.shape, np.nan), rng=91, replicas=3)
+    # a non-finite exact filter is a breakdown of the pipeline itself
+    monkeypatch.setattr(gaussian, "exact_filter_constant_signal", lambda inc, dt: np.full(inc.shape, np.nan))
+    with pytest.raises(RuntimeError, match="not finite"):
+        directed_info_gaussian_mc(model, rng=91, replicas=3)
+
+
 def test_block_memory_stays_within_three_buffers():
     # one block of 16 replicas at T = 2, dt = 1e-3 reuses its (16, 2000)
     # buffers in place; a copy per step of the pipeline would need about five

@@ -150,6 +150,21 @@ def test_posterior_mean_matches_bayes_formula():
     assert renewal_posterior_mean(pmf, s) == pytest.approx(direct, rel=1e-12)
 
 
+def test_posterior_mean_does_not_depend_on_its_neighbours():
+    # a point's value is the same alone, as a scalar or a one-point array,
+    # and at any offset in a longer array
+    gen = np.random.default_rng(65)
+    for atoms in (2, 3, 9):
+        pmf = FinitePmf(np.sort(gen.uniform(0.5, 5.0, size=atoms)), gen.dirichlet(np.ones(atoms)))
+        s = gen.exponential(2.0, size=4096)
+        full = renewal_posterior_mean(pmf, s)
+        assert [renewal_posterior_mean(pmf, v) for v in s] == full.tolist()
+        alone = np.concatenate([renewal_posterior_mean(pmf, s[i:i + 1]) for i in range(s.size)])
+        assert alone.tolist() == full.tolist()
+        for lo, hi in ((1, None), (3, None), (5, 4001), (7, 20), (4093, None)):
+            assert renewal_posterior_mean(pmf, s[lo:hi]).tolist() == full[lo:hi].tolist()
+
+
 def test_stationary_quantities_binary():
     st = stationary_intensity_pmf(BINARY)
     assert np.allclose(st.probs, [2.0 / 3.0, 1.0 / 3.0])
@@ -355,7 +370,9 @@ def test_block_estimates_match_each_trajectory_alone(jobs):
     # 37 replicas: two full 16-trajectory blocks and a partial one
     replicas = 37
     three = FinitePmf([0.5, 1.3, 2.9], [0.2, 0.5, 0.3])
-    for pmf, horizon in ((BINARY, 60.0), (FinitePmf([1.0, 100.0], [0.5, 0.5]), 40.0), (three, 80.0)):
+    nine = FinitePmf(np.linspace(0.5, 4.5, 9), np.arange(1.0, 10.0) / 45.0)
+    for pmf, horizon in ((BINARY, 60.0), (FinitePmf([1.0, 100.0], [0.5, 0.5]), 40.0), (three, 80.0),
+                         (nine, 40.0)):
         model = PoissonFeedbackModel(pmf, horizon)
         burn_in = default_burn_in(pmf)
         oracle = per_trajectory_poisson_values(model, _posterior_loss(pmf), burn_in, _panel(pmf),
