@@ -201,33 +201,14 @@ def exact_filter_constant_signal(inc: np.ndarray, dt: float, prior_var: float = 
     return est
 
 
-def _mixture_mean(loglik: np.ndarray, signals: np.ndarray) -> np.ndarray:
-    """Posterior mean of the signal over K latent atoms, along the last axis.
-
-    loglik is (..., n, K): each atom's unnormalized log posterior weight at
-    each step.  signals is the atoms' signal, (K,) when it is constant in
-    time, else shaped like loglik.  A single atom gets weight 1 exactly.
-    """
-    loglik = loglik - loglik.max(axis=-1, keepdims=True)
-    w = np.exp(loglik)
-    w /= w.sum(axis=-1, keepdims=True)
-    return w @ signals if signals.ndim == 1 else np.sum(w * signals, axis=-1)
-
-
 def discrete_prior_filter(prior: FinitePmf, inc: np.ndarray, dt: float) -> np.ndarray:
     """Posterior means of a constant signal drawn from a finite prior, along the last axis.
 
-    Posterior weights at time t are proportional to p(a) exp(a Y_t - a^2 t/2).
+    Posterior weights at time t are proportional to p(a) exp(a Y_t - a^2 t/2):
+    the replay filter of the no-policy model on inc's grid, with no power bound.
     """
-    a, p = prior.support, prior.probs
-    logp = np.log(np.where(p > 0, p, 1.0)) + np.where(p > 0, 0.0, -np.inf)
-    t = dt * np.arange(inc.shape[-1])
-    est = _cumulative_before(inc)
-    # row by row: (C, n, K) log weights would grow with the atom count and
-    # fall out of cache
-    for y in est.reshape(-1, est.shape[-1]):
-        y[:] = _mixture_mean(logp + np.multiply.outer(y, a) - 0.5 * np.multiply.outer(t, a * a), a)
-    return est
+    model = GaussianFeedbackModel(inc.shape[-1] * dt, dt, None, latent=prior, power_bound=math.inf)
+    return replay_filter(model, inc)
 
 
 def replay_filter(model: GaussianFeedbackModel, inc: np.ndarray) -> np.ndarray:
@@ -252,6 +233,12 @@ def replay_filter(model: GaussianFeedbackModel, inc: np.ndarray) -> np.ndarray:
 
 
 def _replay_rows(model: GaussianFeedbackModel, prior: FinitePmf, rows: np.ndarray) -> np.ndarray:
+    """Posterior means of one group of (r, n) rows, over the atoms of a trimmed prior.
+
+    Each atom's signal is replayed on the row and its log weight summed
+    over the steps before; the weights are normalized in place after their
+    maximum is subtracted, so a single atom gets weight 1 exactly.
+    """
     (r, n), k = rows.shape, len(prior)
     # row i * k + j replays atom j on row i, so each row's signals are laid
     # out as those of one row alone, which fixes the order of the sums over atoms
@@ -264,7 +251,10 @@ def _replay_rows(model: GaussianFeedbackModel, prior: FinitePmf, rows: np.ndarra
     np.cumsum(steps[:, :-1], axis=1, out=loglik[:, 1:])
     del steps  # one (r, n, k) array fewer alive in the mixture below
     loglik += np.log(prior.probs)
-    return _mixture_mean(loglik, signals)
+    loglik -= loglik.max(axis=-1, keepdims=True)
+    w = np.exp(loglik, out=loglik)
+    w /= w.sum(axis=-1, keepdims=True)
+    return np.sum(w * signals, axis=-1)
 
 
 def causal_mmse_integral(x: np.ndarray, est: np.ndarray, dt: float, steps) -> np.ndarray:
@@ -305,12 +295,10 @@ def _block(model, steps, q_filter, gens) -> np.ndarray:
     if model.n_steps == 0:
         return np.zeros((len(gens), len(steps)))
     x, inc = simulate_awgn(model, gens)
-    if model.policy is not None:
-        est = replay_filter(model, inc)
-    elif model.latent is None:
+    if model.latent is None:
         est = exact_filter_constant_signal(inc, model.dt)
     else:
-        est = discrete_prior_filter(model.latent, inc, model.dt)
+        est = replay_filter(model, inc)
     vals = causal_mmse_integral(x, est, model.dt, steps)
     if q_filter is not None:
         q = np.array(q_filter(inc, model.dt), dtype=float)  # a copy: the integral overwrites it

@@ -17,7 +17,6 @@ import numpy as np
 from ctdi.core import FinitePmf, RngSpec
 from ctdi.gaussian import (
     causal_mmse_integral,
-    discrete_prior_filter,
     exact_filter_constant_signal,
     replay_filter,
     simulate_awgn,
@@ -91,12 +90,10 @@ def per_replica_gaussian_values(model, seed, replicas, q_filter=None):
     values = []
     for rep in range(replicas):
         x, inc = simulate_awgn(model, [RngSpec(seed).stream(rep)])
-        if model.policy is not None:
-            est = replay_filter(model, inc)
-        elif model.latent is None:
+        if model.latent is None:
             est = exact_filter_constant_signal(inc, model.dt)
         else:
-            est = discrete_prior_filter(model.latent, inc, model.dt)
+            est = replay_filter(model, inc)
         value = causal_mmse_integral(x, est, model.dt, [n])[0, 0]
         if q_filter is not None:
             value = causal_mmse_integral(x, q_filter(inc, model.dt), model.dt, [n])[0, 0] - value

@@ -1,6 +1,8 @@
+import ast
 import functools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,14 +154,28 @@ def test_replay_filter_reconstructs_echo_signal_exactly():
         replay_filter(constant_signal_model(1.0, 0.001), inc)
 
 
+def _closed_form_mixture(prior, inc, dt):
+    # weights p(a) exp(a Y_t - a^2 t / 2), Y_t the sum of the increments before t
+    y = np.concatenate((np.zeros((len(inc), 1)), np.cumsum(inc[:, :-1], axis=1)), axis=1)
+    t = dt * np.arange(inc.shape[1])
+    a = prior.support
+    logw = np.log(prior.probs) + y[:, :, None] * a - 0.5 * t[:, None] * a * a
+    w = np.exp(logw - logw.max(axis=-1, keepdims=True))
+    return (w * a).sum(axis=-1) / w.sum(axis=-1)
+
+
 def test_replay_filter_tracks_discrete_posterior():
-    # without feedback the replayed likelihood mixture is the closed-form filter
-    prior = quantized_normal_prior(101)
-    model = constant_signal_model(1.0, 0.01, prior=prior)
-    _, inc = simulate_awgn(model, _streams(70, 8))
-    exact = discrete_prior_filter(prior, inc, model.dt)
-    replayed = replay_filter(model, inc)
-    assert np.max(np.abs(replayed - exact)) < 1e-12
+    # without feedback the exact filter is the closed-form likelihood mixture;
+    # the +-2e3 prior lies beyond DEFAULT_POWER_BOUND, which
+    # discrete_prior_filter does not apply
+    wide = FinitePmf([-2e3, 2e3], [0.5, 0.5])
+    assert wide.support.max() > gaussian.DEFAULT_POWER_BOUND
+    for prior in (quantized_normal_prior(101), wide):
+        model = GaussianFeedbackModel(1.0, 0.01, None, latent=prior, power_bound=math.inf)
+        _, inc = simulate_awgn(model, _streams(70, 8))
+        exact = _closed_form_mixture(prior, inc, model.dt)
+        for filt in (replay_filter(model, inc), discrete_prior_filter(prior, inc, model.dt)):
+            assert np.max(np.abs(filt - exact)) < 1e-12
 
 
 def test_replay_filter_two_point_prior_matches_tanh():
@@ -190,16 +206,19 @@ def test_replay_filter_tracks_feedback_posterior():
 
 
 def test_replay_filter_memory_is_bounded_by_row_groups(monkeypatch):
-    # a 101-atom prior on 2000 steps: replaying a whole 16-row block at once
-    # held about seven (16, 2000, 101) temporaries, some 150 MB
-    model = GaussianFeedbackModel(2.0, 1e-3, _gate, delay=1e-3, latent=quantized_normal_prior(101))
-    tracemalloc.start()
-    try:
-        directed_info_gaussian_mc(model, rng=5, replicas=16)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 50 * 2**20
+    # a 101-atom prior on 2000 steps, with a policy and without: replaying a
+    # whole 16-row block at once held about seven (16, 2000, 101)
+    # temporaries, some 150 MB
+    prior = quantized_normal_prior(101)
+    for model in (GaussianFeedbackModel(2.0, 1e-3, _gate, delay=1e-3, latent=prior),
+                  constant_signal_model(2.0, 1e-3, prior=prior)):
+        tracemalloc.start()
+        try:
+            directed_info_gaussian_mc(model, rng=5, replicas=16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 50 * 2**20
     # each row's arithmetic is its own, so any grouping gives the same bits:
     # 16 rows of 200 steps fit one group of the default budget
     short = GaussianFeedbackModel(0.2, 1e-3, _gate, delay=1e-3, latent=quantized_normal_prior(101))
@@ -208,6 +227,17 @@ def test_replay_filter_memory_is_bounded_by_row_groups(monkeypatch):
     for cells in (1, 5 * 200 * 101):
         monkeypatch.setattr(gaussian, "_REPLAY_CELLS", cells)
         assert np.array_equal(replay_filter(short, inc), whole)
+
+
+def test_gaussian_module_makes_no_matrix_product():
+    # a row's value must not depend on where the row sits in a BLAS call
+    tree = ast.parse(Path(gaussian.__file__).read_text(encoding="utf-8"))
+    banned = {"dot", "matmul", "einsum", "inner", "tensordot"}
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+             or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in banned]
+    assert found == []
 
 
 def test_duncan_with_feedback_matches_terminal_posterior_information():
