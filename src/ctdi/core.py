@@ -14,9 +14,9 @@ default_rng(SeedSequence((seed, r))), and a block gets the streams of up to
 _BLOCK consecutive replicas, so an estimate depends on neither the blocking,
 the replica chunking nor the number of jobs.  The Gaussian estimators draw
 and filter a whole block as (replicas, steps) arrays; the Poisson ones draw
-one trajectory per Generator and integrate the block's trajectories
-together.  No estimator uses SamplePath; it stays public because the
-benchmark's tracer wraps its constructor by name.
+one trajectory per Generator, a row group at a time, and integrate the
+block's trajectories together.  No estimator uses SamplePath; it stays
+public because the benchmark's tracer wraps its constructor by name.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,6 +176,9 @@ def map_replicas(worker, n_replicas: int, jobs: int = 1) -> list:
     jobs = max(1, int(jobs))
     if jobs == 1 or n_replicas == 1:
         return list(worker(0, n_replicas))
+    # imported here, so that a serial run never loads the process-pool machinery
+    from concurrent.futures import ProcessPoolExecutor
+
     bounds = np.linspace(0, n_replicas, min(n_replicas, jobs * 4) + 1).astype(int)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     out = []

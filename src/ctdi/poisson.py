@@ -7,10 +7,12 @@ That renewal structure gives closed forms for the stationary intensity law,
 the interarrival density and the directed-information rate; the trajectory
 Monte Carlo estimators integrate the causal-estimation loss along simulated
 paths instead, so the two routes check each other.  Their block draws one
-trajectory per Generator and integrates the whole block in one
-trajectory_integral call: the pieces of every trajectory share integrand
-calls of at most _CHUNK_PIECES pieces, and every other step is elementwise or
-sums one trajectory's own pieces, so its value does not depend on its block.
+trajectory per Generator, a row group at a time (_trajectories: one draw pass
+and one check per group, each trajectory bit for bit what its Generator draws
+alone), and integrates the whole block in one trajectory_integral call as the
+trajectories come: the pieces of every trajectory share integrand calls of at
+most _CHUNK_PIECES pieces, and every other step is elementwise or sums one
+trajectory's own pieces, so its value does not depend on its block.
 
 Rates are in nats per second.  All input pmfs must have strictly positive
 support.  Every analytic integral here runs to one error target, _QUAD_TOL,
@@ -90,6 +92,27 @@ class PoissonFeedbackModel:
         object.__setattr__(self, "horizon", float(self.horizon))
 
 
+def _check_trajectories(horizon: float, epochs: np.ndarray, vals: np.ndarray, bounds) -> None:
+    """Raise ValueError unless every row epochs[bounds[k]:bounds[k + 1]] is a trajectory's events.
+
+    vals holds each event's intensity, and every row shares the horizon.  The
+    rows are checked together; a row may start below the end of the row
+    before it, since each starts at 0.
+    """
+    bounds = np.asarray(bounds)
+    firsts, lasts = bounds[:-1], bounds[1:] - 1
+    if not (lasts >= firsts).all() or (epochs[firsts] != 0.0).any():
+        raise ValueError("trajectories start at an event at time 0")
+    if (epochs[lasts] >= horizon).any():
+        raise ValueError("event epochs must lie in [0, horizon)")
+    rises = epochs[1:] > epochs[:-1]
+    rises[firsts[1:] - 1] = True
+    if not rises.all():
+        raise ValueError("event epochs must be strictly increasing")
+    if not ((vals > 0) & (vals < math.inf)).all():
+        raise ValueError("intensities must be strictly positive and finite")
+
+
 @dataclass(frozen=True, eq=False)
 class ChannelTrajectory:
     """Event epochs on [0, horizon) and the intensity in force after each one.
@@ -110,15 +133,18 @@ class ChannelTrajectory:
         vals = _readonly(self.intensities)
         if epochs.ndim != 1 or vals.shape != epochs.shape:
             raise ValueError("need a one-dimensional array of epochs and one intensity per event")
-        if epochs.size == 0 or epochs[0] != 0.0:
-            raise ValueError("trajectories start at an event at time 0")
-        if epochs[-1] >= self.horizon:
-            raise ValueError("event epochs must lie in [0, horizon)")
-        if not np.all(np.diff(epochs) > 0):
-            raise ValueError("event epochs must be strictly increasing")
-        if not np.all((vals > 0) & (vals < math.inf)):
-            raise ValueError("intensities must be strictly positive and finite")
-        object.__setattr__(self, "horizon", float(self.horizon))
+        _check_trajectories(self.horizon, epochs, vals, [0, epochs.size])
+        self._own(float(self.horizon), epochs, vals)
+
+    @classmethod
+    def _drawn(cls, horizon: float, epochs: np.ndarray, vals: np.ndarray) -> "ChannelTrajectory":
+        """A trajectory over read-only arrays that _check_trajectories has passed."""
+        traj = object.__new__(cls)
+        traj._own(horizon, epochs, vals)
+        return traj
+
+    def _own(self, horizon, epochs, vals) -> None:
+        object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "events", epochs)
         object.__setattr__(self, "intensities", vals)
 
@@ -131,28 +157,102 @@ def simulate_channel(model: PoissonFeedbackModel, gen: np.random.Generator) -> C
     """Draw a trajectory from gen: X ~ pmf at each event, Exp(X) waits, truncated at the horizon.
 
     Draws come in batches of at most _BLOCK_SEGMENTS events, which bounds the
-    temporaries on a long horizon.  A wait below the float spacing of its
-    epoch repeats that epoch (or, where batch sums round apart, falls just
-    below it): only the last of such epochs, which bound no time, is kept.
+    temporaries on a long horizon, and of float-coincident epochs only the
+    last is kept (_kept).  This is the block of one of _trajectories, so gen
+    draws the same trajectory here as in any block.
     """
-    support, probs = model.pmf.support, model.pmf.probs
+    return next(_trajectories(model, [gen]))
+
+
+def _draws(pmf: FinitePmf, gens, size: int):
+    """(intensities, waits) of size events per Generator, one row each.
+
+    Row i holds what gens[i].choice(pmf.support, p=pmf.probs, size=size) and
+    then gens[i].exponential(1.0 / intensities) draw: the same uniforms and
+    standard exponentials, mapped through the same normalized cdf and scaled
+    the same way.  FinitePmf has already checked what choice would.
+    """
+    u = np.empty((len(gens), size))
+    e = np.empty_like(u)
+    for gen, row_u, row_e in zip(gens, u, e):
+        gen.random(out=row_u)
+        gen.standard_exponential(out=row_e)
+    cdf = pmf.probs.cumsum()
+    cdf /= cdf[-1]
+    xs = pmf.support[cdf.searchsorted(u, side="right")]
+    return xs, e * (1.0 / xs)
+
+
+def _kept(epochs: np.ndarray, horizon: float) -> np.ndarray:
+    """Mask of the epochs each row keeps: below the horizon and below every later kept one.
+
+    A wait below the float spacing of its epoch repeats that epoch (or, where
+    batch sums round apart, falls just below it): only the last of such
+    epochs is kept, as the others bound no time.
+    """
+    inside = epochs < horizon
+    later = np.minimum.accumulate(np.where(inside, epochs, np.inf)[:, ::-1], axis=1)[:, ::-1]
+    inside[:, :-1] &= epochs[:, :-1] < later[:, 1:]
+    return inside
+
+
+def _trajectories(model: PoissonFeedbackModel, gens):
+    """Each Generator's trajectory in order, drawn a row group at a time and yielded lazily.
+
+    A trajectory draws in batches of at most _BLOCK_SEGMENTS events, each
+    sized from the time left, and depends on its Generator alone.  The first
+    batch's size depends only on the model, so a row group of as many rows
+    as fit in _BLOCK_SEGMENTS cells draws it together (_draws): one cdf
+    search, one scaling and one row-wise cumsum.  A row that falls short of
+    the horizon draws on alone.  The rows of a group are checked together,
+    once, and become trajectories without a second check.
+    """
     horizon = model.horizon
     mean_wait = mean_inverse_intensity(model.pmf)
-    epochs_parts, x_parts = [], []
-    t = 0.0
-    while t < horizon:
-        batch = min(_BLOCK_SEGMENTS, max(16, int(1.3 * (horizon - t) / mean_wait) + 10))
-        xs = gen.choice(support, p=probs, size=batch)
-        waits = gen.exponential(1.0 / xs)
-        starts = t + np.concatenate(([0.0], np.cumsum(waits[:-1])))
-        keep = starts < horizon
-        epochs_parts.append(starts[keep])
-        x_parts.append(xs[keep])
-        t += float(waits.sum())
-    epochs = np.concatenate(epochs_parts)
-    later = np.minimum.accumulate(epochs[::-1])[::-1]
-    keep = np.append(epochs[:-1] < later[1:], True)
-    return ChannelTrajectory(horizon, epochs[keep], np.concatenate(x_parts)[keep])
+
+    def size(t):
+        """Events in the batch a row draws from its epoch t on."""
+        return min(_BLOCK_SEGMENTS, max(16, int(1.3 * (horizon - t) / mean_wait) + 10))
+
+    def batch(group, t):
+        """One draw batch per row from its epoch t on: (epochs, intensities, t + the waits' sum).
+
+        The size follows t[0]: rows draw together only from t = 0.
+        """
+        xs, waits = _draws(model.pmf, group, size(t[0]))
+        epochs = np.empty_like(waits)
+        epochs[:, 0] = 0.0
+        np.cumsum(waits[:, :-1], axis=1, out=epochs[:, 1:])
+        epochs += t[:, None]
+        return epochs, xs, t + waits.sum(axis=1)
+
+    def rows(group):
+        """The group's kept epochs and intensities, concatenated in row order, and the row bounds."""
+        epochs, xs, ends = batch(group, np.zeros(len(group)))
+        keep = _kept(epochs, horizon)
+        row_epochs, row_xs = [], []
+        for i in range(len(group)):
+            e, x, k = epochs[i:i + 1], xs[i:i + 1], keep[i:i + 1]
+            if ends[i] < horizon:
+                parts, t = [(e, x)], ends[i:i + 1]
+                while t[0] < horizon:
+                    *part, t = batch(group[i:i + 1], t)
+                    parts.append(part)
+                e, x = (np.hstack(arrays) for arrays in zip(*parts))
+                k = _kept(e, horizon)
+            row_epochs.append(e[k])
+            row_xs.append(x[k])
+        bounds = np.cumsum([0] + [r.size for r in row_epochs])
+        return np.concatenate(row_epochs), np.concatenate(row_xs), bounds
+
+    per_group = _BLOCK_SEGMENTS // size(0.0)
+    for g in range(0, len(gens), per_group):
+        epochs, xs, bounds = rows(gens[g:g + per_group])
+        _check_trajectories(horizon, epochs, xs, bounds)
+        epochs.flags.writeable = False
+        xs.flags.writeable = False
+        for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            yield ChannelTrajectory._drawn(horizon, epochs[a:b], xs[a:b])
 
 
 def renewal_posterior_mean(pmf: FinitePmf, elapsed):
@@ -315,9 +415,9 @@ def _panel_width(*pmfs) -> float:
     return 1.0 / spread if spread > 0 else math.inf
 
 
-# events per draw batch of simulate_channel and segments per window of
-# trajectory_integral: bounds their memory, and a horizon-1e4 trajectory of the
-# {1, 2} channel (about 2e4 segments) is one window
+# events per draw batch and cells per draw row group of _trajectories, and
+# segments per window of trajectory_integral: bounds their memory, and a
+# horizon-1e4 trajectory of the {1, 2} channel (about 2e4 segments) is one window
 _BLOCK_SEGMENTS = 2**15
 # pieces per integrand call of trajectory_integral: bounds the integrand's temporaries
 _CHUNK_PIECES = 2**8
@@ -402,8 +502,7 @@ def _path_block(model, integrand, t_lo, panel, scale, gens) -> list:
 
     The trajectories are drawn in order as the one integral call consumes them.
     """
-    values = trajectory_integral((simulate_channel(model, gen) for gen in gens),
-                                 integrand, t_lo, panel)
+    values = trajectory_integral(_trajectories(model, gens), integrand, t_lo, panel)
     return [v / scale for v in values]
 
 

@@ -7,7 +7,9 @@ mismatch value comes from a conjugate-prior derivation done here from
 scratch.  The discrete engine is judged against a brute-force conditional
 mutual information in relative-entropy form.  The Gaussian and Poisson block
 estimators are judged against their own stages composed one replica at a
-time.
+time.  Poisson trajectories are drawn here one Generator at a time with
+numpy's own choice and exponential, so the block draw is judged against
+them.
 """
 
 import math
@@ -21,7 +23,8 @@ from ctdi.gaussian import (
     replay_filter,
     simulate_awgn,
 )
-from ctdi.poisson import interarrival_density, mean_inverse_intensity, simulate_channel
+from ctdi import poisson
+from ctdi.poisson import interarrival_density, mean_inverse_intensity
 from ctdi.quadrature import gauss_legendre
 
 
@@ -134,10 +137,41 @@ def oracle_quantities(probs, n):
     return di, rdi, mi, grouped
 
 
+def reference_trajectory(model, gen):
+    """(epochs, intensities) of one trajectory drawn from gen alone.
+
+    Draws come in batches of at most poisson._BLOCK_SEGMENTS events, each
+    sized from the time left: gen.choice for the intensities, then
+    gen.exponential for the waits, epochs from the running sum of the waits
+    and the next batch from the total.  Epochs at or past the horizon are
+    dropped, and of epochs not below every later one (waits below the float
+    spacing of their epoch) only the last is kept.  The block draw must
+    reproduce these arrays bit for bit.
+    """
+    support, probs = model.pmf.support, model.pmf.probs
+    horizon = model.horizon
+    mean_wait = mean_inverse_intensity(model.pmf)
+    epochs_parts, x_parts = [], []
+    t = 0.0
+    while t < horizon:
+        batch = min(poisson._BLOCK_SEGMENTS, max(16, int(1.3 * (horizon - t) / mean_wait) + 10))
+        xs = gen.choice(support, p=probs, size=batch)
+        waits = gen.exponential(1.0 / xs)
+        starts = t + np.concatenate(([0.0], np.cumsum(waits[:-1])))
+        keep = starts < horizon
+        epochs_parts.append(starts[keep])
+        x_parts.append(xs[keep])
+        t += float(waits.sum())
+    epochs = np.concatenate(epochs_parts)
+    later = np.minimum.accumulate(epochs[::-1])[::-1]
+    keep = np.append(epochs[:-1] < later[1:], True)
+    return epochs[keep], np.concatenate(x_parts)[keep]
+
+
 def per_trajectory_poisson_values(model, integrand, t_lo, panel, scale, seed, replicas):
     """Each replica's Poisson estimate value, its trajectory integrated alone.
 
-    Replica r draws from RngSpec(seed).stream(r) through simulate_channel.
+    Replica r draws from RngSpec(seed).stream(r) through reference_trajectory.
     The kept part of each segment is split at elapsed times panel,
     2 panel, 4 panel, ... (no split for an infinite panel), every piece gets
     16 Gauss-Legendre nodes, and the trajectory's integral is one integrand
@@ -148,7 +182,8 @@ def per_trajectory_poisson_values(model, integrand, t_lo, panel, scale, seed, re
     nodes, weights = gauss_legendre(16)
     values = []
     for rep in range(replicas):
-        starts, ends, xs = simulate_channel(model, RngSpec(seed).stream(rep)).segments()
+        starts, xs = reference_trajectory(model, RngSpec(seed).stream(rep))
+        ends = np.append(starts[1:], model.horizon)
         lo = np.maximum(t_lo, starts) - starts
         hi = ends - starts
         keep = hi > lo

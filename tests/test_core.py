@@ -1,4 +1,5 @@
 import ast
+import concurrent.futures
 import functools
 import importlib
 import inspect
@@ -160,11 +161,25 @@ def test_map_replicas_pool_no_larger_than_chunks_or_cpus(monkeypatch):
             fut.set_result(fn(*args))
             return fut
 
-    monkeypatch.setattr(core, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     assert map_replicas(_square_range, 2, jobs=5000) == [0.0, 1.0]
     assert map_replicas(_square_range, 37, jobs=5000) == _square_range(0, 37)
     assert sizes == [min(2, cpus), min(37, cpus)]
+
+
+def test_serial_runs_do_not_load_the_process_pool():
+    import subprocess
+    import sys
+
+    # the pool is imported in map_replicas' parallel branch only
+    code = ("import sys, ctdi.cli\n"
+            "from ctdi.core import map_replicas\n"
+            "assert map_replicas(range, 3) == [0, 1, 2]\n"
+            "print('concurrent.futures.process' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def _first_draws(gens):

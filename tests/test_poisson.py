@@ -11,6 +11,7 @@ from conftest import (
     per_trajectory_poisson_values,
     plugin_rate_oracle,
     random_positive_pmf,
+    reference_trajectory,
 )
 from ctdi import poisson
 from ctdi.core import FinitePmf, RngSpec, poisson_loss
@@ -81,6 +82,48 @@ def test_simulation_is_reproducible():
     assert np.array_equal(a.intensities, b.intensities)
 
 
+def test_block_draws_are_choice_and_exponential():
+    # the float sum of ten 0.1s, as choice's cdf makes it, is not exactly 1
+    ten = FinitePmf(np.arange(1.0, 11.0), np.full(10, 0.1))
+    assert ten.probs.cumsum()[-1] != 1.0
+    for pmf in (FinitePmf([2.0], [1.0]), BINARY, FinitePmf([0.5, 1.3, 2.9], [0.2, 0.5, 0.3]),
+                FinitePmf(np.linspace(0.5, 4.5, 9), np.arange(1.0, 10.0) / 45.0),
+                FinitePmf([1.0, 3.0, 5.0], [0.3, 0.0, 0.7]), ten):
+        for seed, size in ((0, 16), (1, 97), (2, 500), (3, 1)):
+            gens = [RngSpec(seed).stream(r) for r in range(3)]
+            xs, waits = poisson._draws(pmf, gens, size)
+            for r, gen in enumerate(gens):
+                alone = RngSpec(seed).stream(r)
+                want = alone.choice(pmf.support, p=pmf.probs, size=size)
+                assert np.array_equal(xs[r], want)
+                assert np.array_equal(waits[r], alone.exponential(1.0 / want))
+                assert gen.random() == alone.random()
+
+
+@pytest.mark.parametrize("pmf, horizon, block, first", [
+    (BINARY, 100.0, 64, 64),
+    (FinitePmf([0.5, 40.0], [0.5, 0.5]), 30.0, None, 48),
+    (FinitePmf([0.5, 40.0], [0.5, 0.5]), 30.0, 100, 48),
+], ids=["several-batches", "second-batches", "two-row-groups"])
+def test_block_trajectories_match_each_generator_alone(pmf, horizon, block, first, monkeypatch):
+    # first: events in a row's first batch; 64 cells give every row several
+    # batches and a group of its own, 100 cells groups of two rows
+    if block is not None:
+        monkeypatch.setattr(poisson, "_BLOCK_SEGMENTS", block)
+    model = PoissonFeedbackModel(pmf, horizon)
+    trajs = list(poisson._trajectories(model, [RngSpec(66).stream(r) for r in range(64)]))
+    assert len(trajs) == 64
+    for r, traj in enumerate(trajs):
+        epochs, xs = reference_trajectory(model, RngSpec(66).stream(r))
+        assert np.array_equal(traj.events, epochs) and np.array_equal(traj.intensities, xs)
+        assert traj.horizon == horizon and not traj.events.flags.writeable
+    assert sum(len(t.events) > first for t in trajs) >= 2
+    for r in range(16):
+        alone = simulate_channel(model, RngSpec(66).stream(r))
+        assert np.array_equal(alone.events, trajs[r].events)
+        assert np.array_equal(alone.intensities, trajs[r].intensities)
+
+
 def test_trajectory_segments_shape():
     traj = ChannelTrajectory(5.0, [0.0, 1.0, 3.5], [1.0, 2.0, 1.0])
     starts, ends, xs = traj.segments()
@@ -118,6 +161,31 @@ def test_channel_trajectory_validation():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="strictly positive and finite"):
             ChannelTrajectory(10.0, [0.0, 1.0], [1.0, bad])
+
+
+def test_row_checks_name_a_bad_row_as_channel_trajectory_does(monkeypatch):
+    good = ([0.0, 0.5, 1.9], [1.0, 2.0, 1.0])
+    # each row starts at 0, so a row boundary may go backwards
+    rows = [good, ([0.0, 1.0], [2.0, 1.0]), ([0.0], [1.0])]
+    epochs, vals = (np.concatenate(arrays) for arrays in zip(*rows))
+    poisson._check_trajectories(2.0, epochs, vals, [0, 3, 5, 6])
+    for bad in (([0.1, 0.5], [1.0, 2.0]), ([0.0, 0.5, 0.5], [1.0, 2.0, 1.0]),
+                ([0.0, 2.0], [1.0, 2.0]), ([0.0, 0.5, 3.0], [1.0, 2.0, 1.0]),
+                ([0.0, 1.0], [1.0, math.nan]), ([0.0, 1.0], [0.0, 1.0])):
+        with pytest.raises(ValueError) as alone:
+            ChannelTrajectory(2.0, *bad)
+        for place in (1, 2):
+            group = [good, good]
+            group.insert(place, bad)
+            epochs, vals = (np.concatenate(arrays) for arrays in zip(*group))
+            bounds = np.cumsum([0] + [len(row[0]) for row in group])
+            with pytest.raises(ValueError) as together:
+                poisson._check_trajectories(2.0, epochs, vals, bounds)
+            assert str(together.value) == str(alone.value)
+    # drawn rows pass the same check: keeping the epochs past the horizon fails it
+    monkeypatch.setattr(poisson, "_kept", lambda epochs, horizon: np.ones(epochs.shape, bool))
+    with pytest.raises(ValueError, match=r"lie in \[0, horizon\)"):
+        simulate_channel(PoissonFeedbackModel(BINARY, 20.0), RngSpec(1).stream(0))
 
 
 def test_elapsed_and_query_times_refuse_nan():
@@ -436,6 +504,21 @@ def test_block_integral_memory_is_bounded_by_the_piece_limit(monkeypatch):
     assert peak() <= 16 * 2**20
     monkeypatch.setattr(poisson, "_CHUNK_PIECES", 2**20)
     assert peak() > 24 * 2**20
+
+
+def test_block_draw_memory_is_bounded_by_row_groups():
+    # at horizon 1e4 a first batch holds 17,343 events, so each row is its own
+    # group; drawing all 16 rows at once held some 19 MiB.  The value is the
+    # one the per-Generator draws give.
+    model = PoissonFeedbackModel(BINARY, 1e4)
+    tracemalloc.start()
+    try:
+        est = di_rate_mc(model, rng=3, replicas=16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert est.value == 0.07183338624529678
 
 
 def test_state_at_and_occupancy_manual():
