@@ -12,16 +12,20 @@ values per Generator in order (replicated_estimate: one value), and only
 this module derives the streams: replica r draws from
 default_rng(SeedSequence((seed, r))), and a block gets the streams of up to
 _BLOCK consecutive replicas, so an estimate depends on neither the blocking,
-the replica chunking nor the number of jobs.  The Gaussian estimators draw
-and filter a whole block as (replicas, steps) arrays; the Poisson ones draw
-one trajectory per Generator, a row group at a time, and integrate the
-block's trajectories together.  No estimator uses SamplePath; it stays
-public because the benchmark's tracer wraps its constructor by name.
+the replica chunking nor the number of jobs.  A worker derives its range's
+streams with RngSpec.streams, which hashes a run of _RUN replicas at once
+as uint32 vectors, bit-identical to default_rng(SeedSequence((seed, r))).
+The Gaussian estimators draw and filter a whole block as (replicas, steps)
+arrays; the Poisson ones draw one trajectory per Generator, a row group at
+a time, and integrate the block's trajectories together.  No estimator uses
+SamplePath; it stays public because the benchmark's tracer wraps its
+constructor by name.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -118,6 +122,8 @@ class RngSpec:
     Replica r draws from default_rng(SeedSequence((master_seed, r))), so any
     (master_seed, r) pair reproduces its stream bit-for-bit regardless of how
     many replicas run, in what order, or across how many processes.
+    stream(r) is numpy's own derivation of one stream; streams(start, stop)
+    derives a worker's range in vectorized runs, bit-identical to it.
     """
 
     master_seed: int
@@ -131,6 +137,88 @@ class RngSpec:
         if replica < 0:
             raise ValueError("replica index must be nonnegative")
         return np.random.default_rng(np.random.SeedSequence((self.master_seed, int(replica))))
+
+    def streams(self, start: int, stop: int):
+        """Lazily yield the Generators of replicas [start, stop), each equal to stream(r).
+
+        A run of up to _RUN replicas is hashed at once: its PCG64 seed words
+        are SeedSequence's pool mix and generate_state(4, np.uint64) computed
+        as uint32 vector arithmetic, which numpy's PCG64 then seeds itself
+        from.  Each replica index must fit in one 32-bit entropy word.
+        """
+        if not 0 <= start <= stop <= 2**32:
+            raise ValueError(f"replica range [{start}, {stop}) must lie within [0, 2**32]")
+        # imported here, so that importing ctdi never loads numpy.random
+        from numpy.random import PCG64, Generator
+        from numpy.random.bit_generator import ISeedSequence
+
+        ISeedSequence.register(_SeedWords)
+        for a in range(start, stop, _RUN):
+            for words in _pcg64_seed_words(self.master_seed, a, min(a + _RUN, stop)):
+                yield Generator(PCG64(_SeedWords(words)))
+
+
+# SeedSequence's hash constants (numpy.random.bit_generator, after O'Neill's
+# seed_seq_fe): the multipliers evolve the same way for every entropy, so a
+# run of replicas is hashed as uint32 vectors
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _pcg64_seed_words(master_seed: int, start: int, stop: int) -> np.ndarray:
+    """SeedSequence((master_seed, r)).generate_state(4, np.uint64) for r in [start, stop), as rows.
+
+    The entropy is master_seed's 32-bit words, least significant first (one
+    word for 0), then r; padded with zeros to the 4-word pool, since it
+    never exceeds 3 words.
+    """
+    r = np.arange(start, stop, dtype=np.uint32)
+    shifts = range(0, max(master_seed.bit_length(), 1), 32)
+    entropy = [np.full_like(r, master_seed >> s & _MASK32) for s in shifts] + [r]
+    entropy += [np.zeros_like(r)] * (4 - len(entropy))
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const
+        return value ^ value >> 16
+
+    pool = [hashmix(e) for e in entropy]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = _MIX_L * pool[dst] - _MIX_R * hashmix(pool[src])
+                pool[dst] = mixed ^ mixed >> 16
+    state = np.empty((r.size, 8), dtype=np.uint32)
+    const = _INIT_B
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const
+        state[:, i] = value ^ value >> 16
+    # pairs of words as little-endian uint64, as generate_state does
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _SeedWords:
+    """One replica's precomputed PCG64 seed words, posing as its SeedSequence.
+
+    Registered as a numpy ISeedSequence, so PCG64 seeds itself from them.
+    """
+
+    __slots__ = ("_words",)
+
+    def __init__(self, words):
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError("only PCG64's generate_state(4, np.uint64) is precomputed")
+        return self._words
 
 
 @dataclass(frozen=True)
@@ -196,19 +284,21 @@ def map_replicas(worker, n_replicas: int, jobs: int = 1) -> list:
 # replicas per block call: enough to amortize per-call overhead, few enough
 # that a block's (replicas, steps) buffers stay in cache
 _BLOCK = 16
+# replicas per vectorized stream derivation: enough that the hash's few
+# dozen vector operations cost little per replica
+_RUN = 16 * _BLOCK
 
 
 def _replica_range(block, master_seed: int, start: int, stop: int) -> list:
-    """block(gens) over [start, stop) in runs of _BLOCK, gens the streams of one run.
+    """block(gens) over [start, stop) in blocks of _BLOCK, gens the streams of one block.
 
-    Returns one (replicas, columns) array per run: arrays, not one object
+    Returns one (replicas, columns) array per block: arrays, not one object
     per replica, keep the collected values as compact as the values.
     """
-    spec = RngSpec(master_seed)
+    gens = RngSpec(master_seed).streams(start, stop)
     out = []
     for a in range(start, stop, _BLOCK):
-        vals = np.asarray(block([spec.stream(r) for r in range(a, min(a + _BLOCK, stop))]),
-                          dtype=float)
+        vals = np.asarray(block(list(itertools.islice(gens, _BLOCK))), dtype=float)
         out.append(vals.reshape(len(vals), -1))
     return out
 
@@ -228,6 +318,9 @@ def replicated_estimates(block, rng, replicas: int, jobs: int = 1) -> list[DiEst
         raise TypeError("replicated estimators need an RngSpec or integer master seed")
     if replicas < 1:
         raise ValueError(f"replicas must be at least 1, got {replicas}")
+    if replicas > 2**32:
+        # every replica index then fits in one entropy word of its stream
+        raise ValueError(f"replicas must be at most 2**32, got {replicas}")
     spec = rng if isinstance(rng, RngSpec) else RngSpec(int(rng))
     worker = functools.partial(_replica_range, block, spec.master_seed)
     rows = np.concatenate(map_replicas(worker, replicas, jobs))

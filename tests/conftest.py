@@ -9,7 +9,8 @@ mutual information in relative-entropy form.  The Gaussian and Poisson block
 estimators are judged against their own stages composed one replica at a
 time.  Poisson trajectories are drawn here one Generator at a time with
 numpy's own choice and exponential, so the block draw is judged against
-them.
+them.  count_streams counts the streams a run derives, so tests can show
+that a refused input draws none.
 """
 
 import math
@@ -202,3 +203,26 @@ def per_trajectory_poisson_values(model, integrand, t_lo, panel, scale, seed, re
         vals = integrand(np.repeat(xs, nodes.size), s.ravel()).reshape(s.shape)
         values.append(float(np.add.reduce((vals * weights).sum(axis=1) * half)) / scale)
     return values
+
+
+def count_streams(monkeypatch):
+    """Count every Generator RngSpec derives from here on; returns the one-element counter.
+
+    Both derivations count: each stream(r) call and each Generator that
+    streams(start, stop) yields.
+    """
+    calls = [0]
+    real_stream, real_streams = RngSpec.stream, RngSpec.streams
+
+    def stream(self, replica=0):
+        calls[0] += 1
+        return real_stream(self, replica)
+
+    def streams(self, start, stop):
+        for gen in real_streams(self, start, stop):
+            calls[0] += 1
+            yield gen
+
+    monkeypatch.setattr(RngSpec, "stream", stream)
+    monkeypatch.setattr(RngSpec, "streams", streams)
+    return calls

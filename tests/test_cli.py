@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import count_streams
 from ctdi import cli, partition_di
 from ctdi.cli import main
 from ctdi.core import RngSpec
@@ -13,19 +14,6 @@ from ctdi.partition_di import random_joint
 
 def run(args):
     return main(args)
-
-
-def _count_streams(monkeypatch):
-    """Count RngSpec.stream calls from here on; returns the one-element counter."""
-    calls = [0]
-    real = RngSpec.stream
-
-    def counting(self, replica=0):
-        calls[0] += 1
-        return real(self, replica)
-
-    monkeypatch.setattr(RngSpec, "stream", counting)
-    return calls
 
 
 def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
@@ -64,7 +52,7 @@ def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
         manifest = json.loads((tmp_path / f"{manifest_name}_manifest.json").read_text())
         assert manifest["exit_status"] == 2
     # a bad horizon anywhere in the list fails before any replica is drawn
-    streams = _count_streams(monkeypatch)
+    streams = count_streams(monkeypatch)
     for args in (["--t-values", "1,-1"], ["--t-values", "2,0.0005", "--dt", "1e-3"]):
         out = tmp_path / "horizons"
         assert run(["gaussian-duncan", *args, "--replicas", "5", "--out", str(out)]) == 2
@@ -81,6 +69,13 @@ def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
         assert streams == [0]
         assert not (out / "poisson_rate.csv").exists()
         assert json.loads((out / "poisson_rate_manifest.json").read_text())["exit_status"] == 2
+    # ... and so do more replicas than one entropy word of a stream can index
+    capsys.readouterr()
+    for command in ("gaussian-duncan", "poisson-rate"):
+        out = tmp_path / "many"
+        assert run([command, "--replicas", str(2**32 + 1), "--out", str(out)]) == 2
+        assert "replicas must be at most 2**32" in capsys.readouterr().err
+        assert streams == [0]
     # Poisson horizons that expect more events than the cap fail before a
     # trajectory is drawn
     capsys.readouterr()
@@ -149,7 +144,7 @@ def test_gaussian_duncan_draws_each_replica_stream_once(tmp_path, monkeypatch):
         real_write(path, header, rows)
 
     monkeypatch.setattr(cli, "write_csv", recording)
-    streams = _count_streams(monkeypatch)
+    streams = count_streams(monkeypatch)
     assert run(["gaussian-duncan", "--t-values", "0.5,1,0", "--replicas", "37",
                 "--out", str(tmp_path)]) == 0
     assert streams == [37]
@@ -242,7 +237,7 @@ def test_poisson_rate_level_guards(tmp_path, monkeypatch, capsys):
     # levels too far apart for the rate quadrature, and a level whose mean
     # wait is below the float spacing of the epochs near the horizon, are
     # usage errors found before any replica runs
-    streams = _count_streams(monkeypatch)
+    streams = count_streams(monkeypatch)
     for lam2, named in (("1e95", ("lambda1=1", "lambda2=1e+95")),
                         ("1e20", ("levels 1, 1e+20", "horizon 50"))):
         out = tmp_path / lam2

@@ -130,6 +130,39 @@ def test_rng_spec_reproducible_streams():
         RngSpec(-1)
 
 
+def test_streams_are_numpy_seed_sequence_streams():
+    run = core._RUN
+    # one- and two-word seeds (benchmark pass seeds have two), a range that
+    # starts past 0 and spans two runs, and the last replica indices one
+    # entropy word holds
+    for seed in (0, 1, 2**32 - 1, 2**32, 5 * 2**32 + 7, 2**64 - 1):
+        for start, stop in ((0, 1), (run - 5, 2 * run + 3), (2**32 - 3, 2**32)):
+            gens = list(RngSpec(seed).streams(start, stop))
+            assert len(gens) == stop - start
+            for r, gen in zip(range(start, stop), gens):
+                oracle = np.random.default_rng(np.random.SeedSequence((seed, r)))
+                assert gen.bit_generator.state == oracle.bit_generator.state
+                assert np.array_equal(gen.normal(size=100), oracle.normal(size=100))
+    assert list(RngSpec(3).streams(7, 7)) == []
+    # lazy: the first stream of the widest range comes from one run
+    first = next(RngSpec(3).streams(0, 2**32))
+    assert first.bit_generator.state == RngSpec(3).stream(0).bit_generator.state
+    for start, stop in ((-1, 2), (5, 4), (0, 2**32 + 1)):
+        with pytest.raises(ValueError, match="replica range"):
+            next(RngSpec(3).streams(start, stop))
+
+
+def test_importing_ctdi_does_not_load_numpy_random():
+    import subprocess
+    import sys
+
+    # numpy.random is imported where streams are derived, not at import
+    code = "import sys, ctdi, ctdi.cli\nprint('numpy.random' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
 def _square_range(start, stop):
     return [float(k * k) for k in range(start, stop)]
 
@@ -203,7 +236,8 @@ def test_replicated_estimate_mean_stderr_and_single_replica():
     assert single.value == draws[0] and math.isnan(single.stderr)
     with pytest.raises(TypeError):
         replicated_estimate(_first_draws, np.random.default_rng(0), 2)
-    for replicas in (0, -4):
+    # past 2**32 a replica index would need a second entropy word
+    for replicas in (0, -4, 2**32 + 1):
         with pytest.raises(ValueError):
             replicated_estimate(_first_draws, 12, replicas)
 
@@ -237,7 +271,9 @@ def _column_block(j, gens):
 
 
 def test_each_column_of_replicated_estimates_is_its_own_estimate():
-    for replicas in (1, 2, 37):
+    # up to several stream derivation runs, split into chunks that start
+    # inside them at jobs=2
+    for replicas in (1, 2, 37, 2 * core._RUN + 37):
         for jobs in (1, 2):
             ests = replicated_estimates(_rows_block, 12, replicas, jobs)
             assert len(ests) == 3

@@ -7,7 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import gaussian_mismatch_closed_form, per_replica_gaussian_values, quantized_normal_prior
+from conftest import (
+    count_streams,
+    gaussian_mismatch_closed_form,
+    per_replica_gaussian_values,
+    quantized_normal_prior,
+)
 from ctdi import gaussian
 from ctdi.core import FinitePmf, RngSpec
 from ctdi.gaussian import (
@@ -428,9 +433,7 @@ def test_sweep_rejects_models_it_cannot_share_a_path_between():
 
 def test_gaussian_latent_under_a_policy_is_refused_before_any_draw(monkeypatch):
     # a standard-normal latent under a policy has no exact filter
-    drawn = []
-    real = RngSpec.stream
-    monkeypatch.setattr(RngSpec, "stream", lambda self, r=0: drawn.append(r) or real(self, r))
+    streams = count_streams(monkeypatch)
     model = GaussianFeedbackModel(0.5, 0.01, lambda u, y: u, delay=0.01)
     q_filter = functools.partial(exact_filter_constant_signal, prior_var=4.0)
     for estimate in (functools.partial(directed_info_gaussian_mc, model),
@@ -438,7 +441,7 @@ def test_gaussian_latent_under_a_policy_is_refused_before_any_draw(monkeypatch):
                      functools.partial(mismatched_relent_gaussian, model, q_filter)):
         with pytest.raises(ValueError, match="exact filter"):
             estimate(rng=90, replicas=3)
-    assert drawn == []
+    assert streams == [0]
 
 
 def test_mismatched_filter_must_keep_the_block_shape():
