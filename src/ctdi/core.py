@@ -16,8 +16,15 @@ the replica chunking nor the number of jobs.  A worker derives its range's
 streams with RngSpec.streams, which hashes a run of _RUN replicas at once
 as uint32 vectors, bit-identical to default_rng(SeedSequence((seed, r))).
 The Gaussian estimators draw and filter a whole block as (replicas, steps)
-arrays; the Poisson ones draw one trajectory per Generator, a row group at
-a time, and integrate the block's trajectories together.  No estimator uses
+arrays, each worker reusing one block's buffer while a row's values still
+depend on its own stream alone; the Poisson ones draw one trajectory per
+Generator, a row group at a time, and integrate the block's trajectories
+together.  The Gaussian Duncan estimators go through controlled_estimates:
+a block returns each replica's Duncan integral Z and the martingale M =
+sum_k (X_k - Xhat_k)(inc_k - X_k dt), of mean exactly 0 because the filter
+reads only earlier increments, and the estimate is the mean of Z + cM with
+c fitted on the same replicas, or the plain mean below 32 replicas; the
+mismatched relative entropy keeps the plain mean.  No estimator uses
 SamplePath; it stays public because the benchmark's tracer wraps its
 constructor by name.
 """
@@ -41,6 +48,7 @@ __all__ = [
     "map_replicas",
     "replicated_estimate",
     "replicated_estimates",
+    "controlled_estimates",
     "write_csv",
 ]
 
@@ -303,6 +311,30 @@ def _replica_range(block, master_seed: int, start: int, stop: int) -> list:
     return out
 
 
+def _columns(block, rng, replicas: int, jobs: int):
+    """Each column of block(gens) over replicas independent streams, with the master seed.
+
+    The columns come as the rows of one array, each a contiguous vector, so a
+    column's reductions are those of the column computed alone.
+    """
+    if isinstance(rng, np.random.Generator):
+        raise TypeError("replicated estimators need an RngSpec or integer master seed")
+    if replicas < 1:
+        raise ValueError(f"replicas must be at least 1, got {replicas}")
+    if replicas > 2**32:
+        # every replica index then fits in one entropy word of its stream
+        raise ValueError(f"replicas must be at most 2**32, got {replicas}")
+    spec = rng if isinstance(rng, RngSpec) else RngSpec(int(rng))
+    worker = functools.partial(_replica_range, block, spec.master_seed)
+    return np.concatenate(map_replicas(worker, replicas, jobs)).T.copy(), spec.master_seed
+
+
+def _estimate(values: np.ndarray, master_seed: int) -> DiEstimate:
+    n = values.size
+    stderr = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else math.nan
+    return DiEstimate(float(values.mean()), stderr, n, master_seed)
+
+
 def replicated_estimates(block, rng, replicas: int, jobs: int = 1) -> list[DiEstimate]:
     """Mean and standard error of each column of block(gens) over replicas independent streams.
 
@@ -314,24 +346,40 @@ def replicated_estimates(block, rng, replicas: int, jobs: int = 1) -> list[DiEst
     jobs > 1.  The standard error is nan for a single replica, which has no
     spread to estimate it from, so it cannot pass for an exact zero.
     """
-    if isinstance(rng, np.random.Generator):
-        raise TypeError("replicated estimators need an RngSpec or integer master seed")
-    if replicas < 1:
-        raise ValueError(f"replicas must be at least 1, got {replicas}")
-    if replicas > 2**32:
-        # every replica index then fits in one entropy word of its stream
-        raise ValueError(f"replicas must be at most 2**32, got {replicas}")
-    spec = rng if isinstance(rng, RngSpec) else RngSpec(int(rng))
-    worker = functools.partial(_replica_range, block, spec.master_seed)
-    rows = np.concatenate(map_replicas(worker, replicas, jobs))
-    n = rows.shape[0]
-    # each column reduced as a contiguous vector, so its mean and stderr are
-    # those of the column estimated alone
-    columns = rows.T.copy()
-    return [DiEstimate(float(col.mean()),
-                       float(col.std(ddof=1) / math.sqrt(n)) if n > 1 else math.nan,
-                       n, spec.master_seed)
-            for col in columns]
+    columns, seed = _columns(block, rng, replicas, jobs)
+    return [_estimate(col, seed) for col in columns]
+
+
+# replicas below which a fitted control coefficient is too noisy to use
+_CONTROL_MIN = 32
+
+
+def controlled_estimates(block, rng, replicas: int, jobs: int = 1) -> list[DiEstimate]:
+    """replicated_estimates of value columns, each corrected by a zero-mean control column.
+
+    block returns rows of 2m values: m value columns Z, then m control
+    columns M with E[M] = 0, the j-th control paired with the j-th value.
+    Each estimate is the mean of Z + cM with c = -Cov(Z, M) / Var(M) fitted
+    on the same replicas (a regression control variate), and its standard
+    error is that of the combined values.  c is 0 when Var(M) is 0, and
+    below 32 replicas the plain mean of Z stays, since a coefficient fitted
+    on so few is mostly noise.
+    """
+    columns, seed = _columns(block, rng, replicas, jobs)
+    m = len(columns) // 2
+    return [_estimate(_controlled(z, c), seed) for z, c in zip(columns[:m], columns[m:])]
+
+
+def _controlled(values: np.ndarray, control: np.ndarray) -> np.ndarray:
+    """values + c * control with the variance-minimizing c, from elementwise means (no BLAS)."""
+    if values.size < _CONTROL_MIN:
+        return values
+    dc = control - control.mean()
+    var = np.mean(dc * dc)
+    if var == 0:
+        return values
+    coef = -np.mean((values - values.mean()) * dc) / var
+    return values + coef * control
 
 
 def replicated_estimate(block, rng, replicas: int, jobs: int = 1) -> DiEstimate:

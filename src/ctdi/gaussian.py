@@ -2,13 +2,24 @@
 
 A block is a (C, n) array: C replicas on a grid of n steps, time along the
 last axis.  Simulation uses per-step observation increments inc_k = X_k dt +
-sqrt(dt) Z_k, which keeps likelihood updates well conditioned.  By Duncan's
+sqrt(dt) z_k, which keeps likelihood updates well conditioned.  By Duncan's
 relation with feedback the directed information between the input and
 output paths is half the integrated causal mean-square error of the optimal
-filter, so every estimator runs one pipeline on each block: draw it
-(simulate_awgn), filter it exactly, integrate the error
-(causal_mmse_integral).  Filters estimate X at time t from increments
+filter, so every estimator runs one pipeline on each block: draw it (as
+simulate_awgn does), filter it exactly, integrate the error (as
+causal_mmse_integral does).  Filters estimate X at time t from increments
 strictly before t, and each row's values depend on its own stream alone.
+
+The directed-information estimate is the mean of Z + cM over replicas, Z =
+0.5 sum_k (X_k - Xhat_k)^2 dt the Duncan integral and M = sum_k (X_k -
+Xhat_k)(inc_k - X_k dt) the filtering error integrated against the
+channel's own noise.  Xhat_k reads only the increments before step k, so M
+has mean exactly 0, and Z + M is the pathwise log-likelihood ratio (Kadota,
+Zakai & Ziv 1971); core.controlled_estimates fits c = -Cov(Z, M) / Var(M)
+on the same replicas, or keeps the plain mean of Z below 32 replicas.  The
+mismatched relative entropy keeps the plain mean.  One estimate call's
+exact pipeline reuses one block's increment buffer, each worker process its
+own, and never hands it to caller code.
 
 Feedback delays are quantized to whole grid steps: the encoder at step k
 sees the cumulative output Y at step k - delay_steps, the sum of the
@@ -24,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiEstimate, FinitePmf, replicated_estimate, replicated_estimates
+from .core import DiEstimate, FinitePmf, controlled_estimates, replicated_estimate
 
 DEFAULT_POWER_BOUND = 1e3
 _STEP_CAP = 1_000_000
@@ -169,15 +180,39 @@ def simulate_awgn(model: GaussianFeedbackModel, gens) -> tuple[np.ndarray, np.nd
     n = model.n_steps
     if n == 0:
         raise ValueError("horizon shorter than one grid step")
-    u = np.empty(len(gens))
     inc = np.empty((len(gens), n))
+    return _simulate(model, gens, inc), inc
+
+
+def _simulate(model: GaussianFeedbackModel, gens, inc: np.ndarray) -> np.ndarray:
+    """simulate_awgn into inc, a (len(gens), n) buffer; returns the signal."""
+    u = np.empty(len(gens))
     for i, gen in enumerate(gens):
         if model.latent is None:
             u[i] = gen.standard_normal()
         else:
             u[i] = gen.choice(model.latent.support, p=model.latent.probs)
         gen.standard_normal(out=inc[i])
-    return _drive(model, u, inc, simulate=True), inc
+    return _drive(model, u, inc, simulate=True)
+
+
+class _Workspace:
+    """One block's increment buffer, reused by every block of one estimate call.
+
+    It pickles empty, so each worker process allocates its own, and a block
+    shorter than the first gets a row-prefix view.  Reusing it spares the
+    allocator from handing a fresh buffer back to the OS after every block.
+    """
+
+    _inc = None
+
+    def __reduce__(self):
+        return _Workspace, ()
+
+    def rows(self, count: int, n: int) -> np.ndarray:
+        if self._inc is None or len(self._inc) < count:
+            self._inc = np.empty((count, n))
+        return self._inc[:count]
 
 
 def _cumulative_before(inc: np.ndarray) -> np.ndarray:
@@ -269,10 +304,15 @@ def causal_mmse_integral(x: np.ndarray, est: np.ndarray, dt: float, steps) -> np
         raise ValueError(f"signal {np.shape(x)} and filter {est.shape} blocks differ in shape")
     err = np.subtract(x, est, out=est)
     err *= err
-    out = np.empty(est.shape[:-1] + (len(steps),))
+    return 0.5 * _prefix_sums(err, steps) * dt
+
+
+def _prefix_sums(terms: np.ndarray, steps) -> np.ndarray:
+    """sum_{j<k} terms_j along the last axis for each k in steps, each row reduced alone."""
+    out = np.empty(terms.shape[:-1] + (len(steps),))
     for i, k in enumerate(steps):
-        out[..., i] = np.add.reduce(err[..., :k], axis=-1)
-    return 0.5 * out * dt
+        out[..., i] = np.add.reduce(terms[..., :k], axis=-1)
+    return out
 
 
 def closed_form_di_constant_signal(horizon: float) -> float:
@@ -282,40 +322,75 @@ def closed_form_di_constant_signal(horizon: float) -> float:
     return 0.5 * math.log1p(horizon)
 
 
-def _block(model, steps, q_filter, gens) -> np.ndarray:
-    """Causal-MMSE integrals over the first k steps, each k in steps, of a block of replicas.
+def _exact_filter(model, inc: np.ndarray) -> np.ndarray:
+    """The exact posterior means of model on inc, a fresh array: conjugate or likelihood mixture."""
+    if model.latent is None:
+        return exact_filter_constant_signal(inc, model.dt)
+    return replay_filter(model, inc)
 
-    Draws the block at model's horizon, the longest of steps, filters it
-    exactly and integrates the error; with a q_filter, the mismatched
-    filter's integrals minus the exact ones.  A filter at step j reads only
+
+def _block(model, steps, ws, gens) -> np.ndarray:
+    """Duncan integrals and their martingale controls over the first k steps, each k in steps.
+
+    Draws a block of replicas at model's horizon, the longest of steps, into
+    the workspace ws, filters it exactly and returns a (C, 2 len(steps))
+    array: the causal-MMSE integrals Z, then the prefixes of
+    M = sum_j (x_j - est_j)(inc_j - x_j dt), the integral of the filtering
+    error against the channel's own noise.  A filter at step j reads only
     the steps before it, so a row's prefix is the row a shorter horizon
-    draws.  Returns a (C, len(steps)) array.  A non-finite q_filter value
-    raises ValueError, any other non-finite integral RuntimeError.
+    draws.  A non-finite value raises RuntimeError.
+    """
+    if model.n_steps == 0:
+        return np.zeros((len(gens), 2 * len(steps)))
+    inc = ws.rows(len(gens), model.n_steps)
+    x = _simulate(model, gens, inc)
+    est = _exact_filter(model, inc)
+    err = np.subtract(x, est, out=est)
+    # M = sum_j err_j (inc_j - x_j dt), summed over (inc_j / dt - x_j) err_j in place
+    inc *= 1.0 / model.dt
+    inc -= x
+    mart = _prefix_sums(np.multiply(inc, err, out=inc), steps) * model.dt
+    err *= err
+    vals = np.concatenate((0.5 * _prefix_sums(err, steps) * model.dt, mart), axis=1)
+    if not np.isfinite(vals).all():
+        duncan_finite = np.isfinite(vals[:, :len(steps)]).all()
+        what = "a martingale control" if duncan_finite else "a causal-MMSE integral"
+        raise RuntimeError(f"{what} is not finite")
+    return vals
+
+
+def _mismatch_block(model, steps, q_filter, gens) -> np.ndarray:
+    """Mismatched minus exact causal-MMSE integrals of a block, a (C, len(steps)) array.
+
+    q_filter is the caller's code, so it gets fresh arrays, never a reused
+    buffer.  A non-finite q_filter value raises ValueError, any other
+    non-finite integral RuntimeError.
     """
     if model.n_steps == 0:
         return np.zeros((len(gens), len(steps)))
     x, inc = simulate_awgn(model, gens)
-    if model.latent is None:
-        est = exact_filter_constant_signal(inc, model.dt)
-    else:
-        est = replay_filter(model, inc)
-    vals = causal_mmse_integral(x, est, model.dt, steps)
-    if q_filter is not None:
-        q = np.array(q_filter(inc, model.dt), dtype=float)  # a copy: the integral overwrites it
-        if q.shape != inc.shape or not np.isfinite(q).all():
-            raise ValueError(f"q_filter must return finite values of the increments' shape "
-                             f"{inc.shape}, got shape {q.shape}")
-        vals = causal_mmse_integral(x, q, model.dt, steps) - vals
+    vals = causal_mmse_integral(x, _exact_filter(model, inc), model.dt, steps)
+    q = np.array(q_filter(inc, model.dt), dtype=float)  # a copy: the integral overwrites it
+    if q.shape != inc.shape or not np.isfinite(q).all():
+        raise ValueError(f"q_filter must return finite values of the increments' shape "
+                         f"{inc.shape}, got shape {q.shape}")
+    vals = causal_mmse_integral(x, q, model.dt, steps) - vals
     if not np.isfinite(vals).all():
         raise RuntimeError("a causal-MMSE integral is not finite")
     return vals
 
 
 def _pipeline(model, steps, q_filter=None):
-    """The block function of model's estimates, checked before any stream is drawn."""
+    """The block function of model's estimates, checked before any stream is drawn.
+
+    The exact pipeline binds a fresh workspace, so one estimate call reuses
+    one block's buffer.
+    """
     if model.policy is not None and model.latent is None:
         raise ValueError("a standard-normal latent has an exact filter only with policy=None")
-    return functools.partial(_block, model, steps, q_filter)
+    if q_filter is None:
+        return functools.partial(_block, model, steps, _Workspace())
+    return functools.partial(_mismatch_block, model, steps, q_filter)
 
 
 def _shared(m: GaussianFeedbackModel) -> tuple:
@@ -330,9 +405,9 @@ def directed_info_gaussian_sweep(models, rng, replicas: int, jobs: int = 1) -> l
     The models may differ only in their horizons, which may come in any
     order and repeat: they share dt, policy, delay, latent and power bound.
     Replica r draws its stream once, at the longest horizon, and each
-    model's value is the causal-MMSE integral over its own prefix of that
-    path, which is what the model alone draws from replica r's stream.
-    Estimates come in the order of models.
+    model's values are the causal-MMSE integral and its martingale control
+    over its own prefix of that path, which is what the model alone draws
+    from replica r's stream.  Estimates come in the order of models.
     """
     models = list(models)
     if not models:
@@ -341,18 +416,19 @@ def directed_info_gaussian_sweep(models, rng, replicas: int, jobs: int = 1) -> l
     if any(_shared(m) != _shared(longest) for m in models):
         raise ValueError("swept models must share dt, policy, delay, latent and power bound")
     block = _pipeline(longest, [m.n_steps for m in models])
-    return replicated_estimates(block, rng, replicas, jobs)
+    return controlled_estimates(block, rng, replicas, jobs)
 
 
 def directed_info_gaussian_mc(model: GaussianFeedbackModel, rng, replicas: int,
                               jobs: int = 1) -> DiEstimate:
     """Directed information estimated as the mean causal-MMSE integral over replicas.
 
-    The one-model case of directed_info_gaussian_sweep.  Every replica is
-    filtered exactly: by the conjugate filter for a Gaussian latent without
-    a policy, by the finite-prior likelihood mixture otherwise.  A Gaussian
-    latent under a policy has no exact filter and raises ValueError before
-    any stream is drawn.
+    Its martingale control variate takes out part of the noise (see the
+    module docstring).  The one-model case of directed_info_gaussian_sweep.
+    Every replica is filtered exactly: by the conjugate filter for a Gaussian
+    latent without a policy, by the finite-prior likelihood mixture
+    otherwise.  A Gaussian latent under a policy has no exact filter and
+    raises ValueError before any stream is drawn.
     """
     return directed_info_gaussian_sweep([model], rng, replicas, jobs)[0]
 

@@ -24,7 +24,7 @@ from ctdi.gaussian import (
     replay_filter,
     simulate_awgn,
 )
-from ctdi import poisson
+from ctdi import core, poisson
 from ctdi.poisson import interarrival_density, mean_inverse_intensity
 from ctdi.quadrature import gauss_legendre
 
@@ -83,26 +83,42 @@ def random_positive_pmf(gen, max_atoms=3, lo=0.5, hi=3.0):
 
 
 def per_replica_gaussian_values(model, seed, replicas, q_filter=None):
-    """Each replica's Gaussian estimate value, run alone as a one-row block.
+    """Each replica's Gaussian estimate value and martingale control, run alone as a one-row block.
 
     Replica r draws from RngSpec(seed).stream(r) through simulate_awgn, the
     model's exact filter and causal_mmse_integral over the whole horizon;
     with a q_filter the value is the mismatched integral minus the exact
-    one.  The block estimators must reproduce these values bit for bit.
+    one.  The block estimators must reproduce these values bit for bit.  The
+    control is sum_k (x_k - est_k)(inc_k - x_k dt) of the exact filter.
+    Returns (values, controls), two lists.
     """
     n = model.n_steps
-    values = []
+    values, controls = [], []
     for rep in range(replicas):
         x, inc = simulate_awgn(model, [RngSpec(seed).stream(rep)])
         if model.latent is None:
             est = exact_filter_constant_signal(inc, model.dt)
         else:
             est = replay_filter(model, inc)
+        controls.append(float(np.sum((x - est) * (inc - x * model.dt))))
         value = causal_mmse_integral(x, est, model.dt, [n])[0, 0]
         if q_filter is not None:
             value = causal_mmse_integral(x, q_filter(inc, model.dt), model.dt, [n])[0, 0] - value
         values.append(float(value))
-    return values
+    return values, controls
+
+
+def controlled_mean(values, controls):
+    """The control-variate estimate recomputed from per-replica values and controls.
+
+    Z + cM with c = -Cov(Z, M) / Var(M), or the plain mean of Z below the
+    estimator's replica threshold or when M does not vary.
+    """
+    z, m = np.asarray(values), np.asarray(controls)
+    if z.size < core._CONTROL_MIN or np.var(m) == 0:
+        return float(np.mean(z))
+    c = -np.cov(z, m)[0, 1] / np.var(m, ddof=1)
+    return float(np.mean(z + c * m))
 
 
 def cmi_oracle(probs, a_axes, b_axes, c_axes):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import count_streams
-from ctdi import cli, partition_di
+from ctdi import cli, gaussian, partition_di
 from ctdi.cli import main
 from ctdi.core import RngSpec
 from ctdi.gaussian import constant_signal_model, directed_info_gaussian_mc
@@ -295,6 +295,25 @@ def test_non_finite_gaussian_filter_exits_3(tmp_path, monkeypatch, capsys):
     manifest = json.loads((tmp_path / "gaussian_duncan_manifest.json").read_text())
     assert manifest["exit_status"] == 3
     assert manifest["exit_reason"] == "internal numerical failure: a causal-MMSE integral is not finite"
+
+
+def test_non_finite_martingale_control_exits_3(tmp_path, monkeypatch, capsys):
+    # an infinite last increment: no filter value reads it, so every
+    # causal-MMSE integral stays finite and only the martingale control is not
+    real = gaussian._simulate
+
+    def corrupted(model, gens, inc):
+        x = real(model, gens, inc)
+        inc[:, -1] = np.inf
+        return x
+
+    monkeypatch.setattr(gaussian, "_simulate", corrupted)
+    assert run(["gaussian-duncan", "--t-values", "0.2", "--dt", "0.01", "--replicas", "40",
+                "--jobs", "1", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: internal numerical failure: a martingale control is not finite\n"
+    manifest = json.loads((tmp_path / "gaussian_duncan_manifest.json").read_text())
+    assert manifest["exit_status"] == 3
 
 
 def test_poisson_capacity_rejects_replicas_knob(tmp_path):

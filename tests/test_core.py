@@ -18,6 +18,7 @@ from ctdi.core import (
     FinitePmf,
     RngSpec,
     SamplePath,
+    controlled_estimates,
     map_replicas,
     poisson_loss,
     replicated_estimate,
@@ -286,6 +287,48 @@ def test_each_column_of_replicated_estimates_is_its_own_estimate():
     assert replicated_estimates(_first_draws, 12, 5) == [replicated_estimate(_first_draws, 12, 5)]
     with pytest.raises(ValueError):
         replicated_estimate(_rows_block, 12, 5)
+
+
+def _value_and_control(gens):
+    # Z = 1 + a + b/2 and the zero-mean control M = a, so c = -1 removes a
+    rows = []
+    for gen in gens:
+        a, b = gen.normal(size=2)
+        rows.append([1.0 + a + 0.5 * b, a])
+    return np.array(rows)
+
+
+def test_controlled_estimates_fit_the_control_coefficient():
+    for replicas in (core._CONTROL_MIN, 37, 2 * core._RUN + 37):
+        est, = controlled_estimates(_value_and_control, 12, replicas)
+        rows = _value_and_control([RngSpec(12).stream(r) for r in range(replicas)])
+        z, m = rows.T
+        c = -np.cov(z, m)[0, 1] / np.var(m, ddof=1)
+        combined = z + c * m
+        assert est.value == pytest.approx(combined.mean(), rel=1e-12)
+        assert est.stderr == pytest.approx(combined.std(ddof=1) / math.sqrt(replicas), rel=1e-12)
+        assert (est.replicas, est.master_seed) == (replicas, 12)
+        assert est.stderr < z.std(ddof=1) / math.sqrt(replicas)
+        # the worker split does not move a bit
+        assert repr(controlled_estimates(_value_and_control, 12, replicas, jobs=2)) == repr([est])
+    # below the threshold the plain mean of the values stays
+    few = core._CONTROL_MIN - 1
+    (plain, _) = replicated_estimates(_value_and_control, 12, few)
+    assert repr(controlled_estimates(_value_and_control, 12, few)) == repr([plain])
+
+
+def _rows_with_zero_controls(gens):
+    return np.column_stack((_rows_block(gens), np.zeros((len(gens), 3))))
+
+
+def test_a_constant_control_leaves_the_plain_estimate():
+    for replicas in (1, 37, 2 * core._RUN + 37):
+        for jobs in (1, 2):
+            assert repr(controlled_estimates(_rows_with_zero_controls, 12, replicas, jobs)) == repr(
+                replicated_estimates(_rows_block, 12, replicas, jobs))
+    # values and controls both exactly zero, as the delayed echo draws them
+    assert controlled_estimates(lambda gens: np.zeros((len(gens), 2)), 12, 40) == [
+        DiEstimate(0.0, 0.0, 40, 12)]
 
 
 def test_di_estimate_fields():

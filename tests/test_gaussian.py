@@ -1,6 +1,7 @@
 import ast
 import functools
 import math
+import pickle
 import tracemalloc
 from pathlib import Path
 
@@ -8,12 +9,13 @@ import numpy as np
 import pytest
 
 from conftest import (
+    controlled_mean,
     count_streams,
     gaussian_mismatch_closed_form,
     per_replica_gaussian_values,
     quantized_normal_prior,
 )
-from ctdi import gaussian
+from ctdi import core, gaussian
 from ctdi.core import FinitePmf, RngSpec
 from ctdi.gaussian import (
     GaussianFeedbackModel,
@@ -255,7 +257,7 @@ def test_duncan_with_feedback_matches_terminal_posterior_information():
     model = GaussianFeedbackModel(1.0, dt, _gate, delay=dt, latent=TWO_POINT)
     est = directed_info_gaussian_mc(model, rng=85, replicas=replicas)
     u = TWO_POINT.support[:, None]
-    mmse, info = [], []
+    mmse, controls, info = [], [], []
     for x, inc in zip(*simulate_awgn(model, _streams(85, replicas))):
         y_seen = np.concatenate(([0.0, 0.0], np.cumsum(inc)[:-2]))
         signals = u * np.where(u * y_seen > 0, 2.0, 0.5)
@@ -265,10 +267,11 @@ def test_duncan_with_feedback_matches_terminal_posterior_information():
         w = np.exp(before - before.max(axis=0))
         xhat = (w * signals).sum(axis=0) / w.sum(axis=0)
         mmse.append(0.5 * float(np.sum((x - xhat) ** 2)) * dt)
+        controls.append(float(np.sum((x - xhat) * (inc - x * dt))))
         end = loglik[:, -1] - loglik[:, -1].max()
         log_post = end - math.log(np.exp(end).sum())
         info.append(math.log(2.0) + float(np.sum(np.exp(log_post) * log_post)))
-    assert est.value == pytest.approx(float(np.mean(mmse)), rel=1e-12)
+    assert est.value == pytest.approx(controlled_mean(mmse, controls), rel=1e-12)
     diff = np.asarray(mmse) - np.asarray(info)
     assert abs(diff.mean()) < 4.0 * diff.std(ddof=1) / math.sqrt(replicas)
     # no feedback, X = U = +-1: I = T - E[ln cosh(T + sqrt(T) Z)] at T = 1
@@ -370,29 +373,41 @@ def test_block_path_is_the_per_replica_composition(monkeypatch, prior):
     else:
         policy = GaussianFeedbackModel(0.2, 0.01, _gate, delay=0.01, latent=prior)
         q_filter = functools.partial(discrete_prior_filter, TWO_POINT)
-    seen = []
-    real = gaussian.replicated_estimates
+    seen, seen_controls = [], []
 
-    def recording(block, rng, replicas, jobs=1):
-        def spy(gens):
-            vals = block(gens)
-            seen.extend(vals[:, 0])
-            return vals
+    def recording(real):
+        def estimates(block, rng, replicas, jobs=1):
+            def spy(gens):
+                vals = block(gens)
+                seen.extend(vals[:, 0])
+                seen_controls.extend(vals[:, 1:].ravel())
+                return vals
 
-        return real(spy, rng, replicas, jobs)
+            return real(spy, rng, replicas, jobs)
 
-    monkeypatch.setattr(gaussian, "replicated_estimates", recording)
-    monkeypatch.setattr(gaussian, "replicated_estimate", lambda *args: recording(*args)[0])
+        return estimates
+
+    monkeypatch.setattr(gaussian, "controlled_estimates", recording(core.controlled_estimates))
+    monkeypatch.setattr(gaussian, "replicated_estimate", recording(core.replicated_estimate))
     for model, q in ((constant, None), (policy, None), (constant, q_filter), (policy, _replay_q)):
+        # on both sides of the replica count below which the plain mean stays
         for replicas in (1, 16, 17, 37):
             seen.clear()
+            seen_controls.clear()
             if q is None:
                 est = directed_info_gaussian_mc(model, rng=86, replicas=replicas)
             else:
                 est = mismatched_relent_gaussian(model, q, rng=86, replicas=replicas)
-            oracle = per_replica_gaussian_values(model, 86, replicas, q)
+            oracle, controls = per_replica_gaussian_values(model, 86, replicas, q)
             assert seen == oracle
-            assert est.value == float(np.mean(oracle))
+            if q is None:
+                assert seen_controls == pytest.approx(controls, rel=1e-12, abs=1e-15)
+            else:
+                assert seen_controls == []  # the mismatch estimator has no control
+            if q is None and replicas >= core._CONTROL_MIN:
+                assert est.value == pytest.approx(controlled_mean(oracle, controls), rel=1e-12)
+            else:
+                assert est.value == float(np.mean(oracle))
 
 
 @pytest.mark.parametrize("prior", [None, THREE_POINT])
@@ -476,6 +491,72 @@ def test_block_memory_stays_within_three_buffers():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * (16 * 2000 * 8)
+
+
+def _peeking_filter(inc, dt):
+    # the conjugate posterior mean given the increments up to and including step k
+    return np.cumsum(inc, axis=-1) / (1.0 + dt * np.arange(1, inc.shape[-1] + 1))
+
+
+def test_martingale_control_has_zero_mean_only_under_a_causal_filter(monkeypatch):
+    # E[M] = 0 because the filter at step k reads only the increments before
+    # it; one that also reads inc_k correlates with that step's noise
+    for model in (constant_signal_model(1.0, 1e-3),
+                  constant_signal_model(1.0, 1e-2, prior=THREE_POINT),
+                  GaussianFeedbackModel(1.0, 1e-2, _gate, delay=2e-2, latent=TWO_POINT)):
+        _, mart = core.replicated_estimates(gaussian._pipeline(model, [model.n_steps]), 93, 4000)
+        assert abs(mart.value) < 4.0 * mart.stderr
+    monkeypatch.setattr(gaussian, "exact_filter_constant_signal", _peeking_filter)
+    model = constant_signal_model(1.0, 1e-3)
+    _, mart = core.replicated_estimates(gaussian._pipeline(model, [model.n_steps]), 93, 4000)
+    assert mart.value < -10.0 * mart.stderr
+
+
+def test_zero_horizon_blocks_return_zero_pairs():
+    block = gaussian._pipeline(constant_signal_model(0.0, 0.01), [0, 0])
+    assert np.array_equal(block(_streams(94, 3)), np.zeros((3, 4)))
+    est = directed_info_gaussian_mc(constant_signal_model(0.0, 0.01), rng=94, replicas=40)
+    assert est.value == 0.0 and est.stderr == 0.0
+
+
+def test_block_buffers_are_reused_across_blocks():
+    # counted in a fresh interpreter, whose allocator no earlier test has
+    # tuned: there a fresh pair of (16, 2000) buffers per block cost 93 minor
+    # page faults (glibc, x86-64 Linux), as the allocator handed them back
+    # to the OS; the difference of two sweeps leaves out each call's one
+    # workspace
+    pytest.importorskip("resource")
+    import subprocess
+    import sys
+
+    code = ("import resource\n"
+            "from ctdi.gaussian import constant_signal_model, directed_info_gaussian_sweep\n"
+            "model = constant_signal_model(2.0, 1e-3)\n"
+            "def faults(blocks):\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    directed_info_gaussian_sweep([model], rng=95, replicas=16 * blocks)\n"
+            "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
+            "faults(10)\n"
+            "print(faults(10), faults(50))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    few, many = map(int, proc.stdout.split())
+    assert many - few < 2 * 40
+
+
+def test_workspace_stays_private_to_one_estimate():
+    model = constant_signal_model(0.5, 0.01)
+    block = gaussian._pipeline(model, [model.n_steps])
+    block(_streams(96, 16))
+    # a worker gets an empty workspace, not the block's buffer
+    assert len(pickle.dumps(block)) < 16 * model.n_steps * 8
+    assert pickle.loads(pickle.dumps(block))(_streams(96, 16)).shape == (16, 2)
+    # arrays of the public functions are fresh: a later estimate leaves them alone
+    x, inc = simulate_awgn(model, _streams(96, 16))
+    est = exact_filter_constant_signal(inc, model.dt)
+    kept = [a.copy() for a in (x, inc, est)]
+    directed_info_gaussian_mc(model, rng=96, replicas=40)
+    assert all(np.array_equal(a, b) for a, b in zip((x, inc, est), kept))
 
 
 def test_delayed_echo_di_is_exactly_zero():
