@@ -66,7 +66,7 @@ def binary_rate(p: float, lambda1: float, lambda2: float) -> float:
         raise ValueError("intensities must be strictly positive")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    if p == 0.0 or p == 1.0 or lambda1 == lambda2:
+    if lambda1 == lambda2:
         return 0.0
     pmf = FinitePmf(np.array([lambda1, lambda2]), np.array([p, 1.0 - p]))
     return di_rate_analytic(pmf)

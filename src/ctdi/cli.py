@@ -4,7 +4,8 @@ Commands:
   gaussian-duncan   Monte Carlo directed information for the constant Gaussian
                     signal against the closed form 0.5*ln(1+T); the horizons
                     share one dt and replica r's stream, drawn once at the
-                    longest horizon.
+                    longest horizon.  A zero horizon is the empty prefix of
+                    each path: 0 with stderr 0 (nan with one replica).
   poisson-rate      Monte Carlo feedback-rate sweep over binary input weights
                     against the analytic rate; every weight is checked before
                     any replica runs.  A horizon may expect at most 10**6
@@ -234,21 +235,16 @@ def _finish(cfg: ExperimentConfig, started_iso: str, t0: float, status: int,
 def cmd_gaussian_duncan(cfg: ExperimentConfig) -> int:
     horizons = cfg.params["t_values"]
     # every horizon is validated before any replica runs
-    models = [constant_signal_model(t, cfg.params["dt"]) for t in horizons if t != 0.0]
-    estimates = iter(directed_info_gaussian_sweep(models, RngSpec(cfg.seed), cfg.params["replicas"],
-                                                  jobs=cfg.jobs) if models else [])
+    models = [constant_signal_model(t, cfg.params["dt"]) for t in horizons]
+    estimates = directed_info_gaussian_sweep(models, RngSpec(cfg.seed), cfg.params["replicas"],
+                                             jobs=cfg.jobs)
     rows = []
     ok = True
-    for horizon in horizons:
+    for horizon, est in zip(horizons, estimates):
         closed = closed_form_di_constant_signal(horizon)
-        if horizon == 0.0:
-            est_value, est_err = 0.0, 0.0
-        else:
-            est = next(estimates)
-            est_value, est_err = est.value, est.stderr
-        abs_error = abs(est_value - closed)
-        ok = ok and abs_error <= max(0.01 * closed, 3.0 * est_err)
-        rows.append((horizon, est_value, est_err, closed, abs_error))
+        abs_error = abs(est.value - closed)
+        ok = ok and abs_error <= max(0.01 * closed, 3.0 * est.stderr)
+        rows.append((horizon, est.value, est.stderr, closed, abs_error))
     write_csv(cfg.out_dir / "gaussian_duncan.csv",
               ["T", "mc_di", "stderr", "closed_form", "abs_error"], rows)
     return 0 if ok else 1

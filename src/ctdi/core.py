@@ -34,6 +34,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -131,18 +132,19 @@ class RngSpec:
     (master_seed, r) pair reproduces its stream bit-for-bit regardless of how
     many replicas run, in what order, or across how many processes.
     stream(r) is numpy's own derivation of one stream; streams(start, stop)
-    derives a worker's range in vectorized runs, bit-identical to it.
+    derives a worker's range in vectorized runs, bit-identical to it.  Seeds
+    and replica indices are integers, Python or numpy; others raise TypeError.
     """
 
     master_seed: int
 
     def __post_init__(self):
-        if not 0 <= int(self.master_seed) < 2**64:
+        object.__setattr__(self, "master_seed", operator.index(self.master_seed))
+        if not 0 <= self.master_seed < 2**64:
             raise ValueError("master_seed must fit in an unsigned 64-bit integer")
-        object.__setattr__(self, "master_seed", int(self.master_seed))
 
     def stream(self, replica: int = 0) -> np.random.Generator:
-        if replica < 0:
+        if operator.index(replica) < 0:
             raise ValueError("replica index must be nonnegative")
         return np.random.default_rng(np.random.SeedSequence((self.master_seed, int(replica))))
 
@@ -317,14 +319,13 @@ def _columns(block, rng, replicas: int, jobs: int):
     The columns come as the rows of one array, each a contiguous vector, so a
     column's reductions are those of the column computed alone.
     """
-    if isinstance(rng, np.random.Generator):
-        raise TypeError("replicated estimators need an RngSpec or integer master seed")
+    # a Generator, a float or a string seed raises TypeError here
+    spec = rng if isinstance(rng, RngSpec) else RngSpec(rng)
     if replicas < 1:
         raise ValueError(f"replicas must be at least 1, got {replicas}")
     if replicas > 2**32:
         # every replica index then fits in one entropy word of its stream
         raise ValueError(f"replicas must be at most 2**32, got {replicas}")
-    spec = rng if isinstance(rng, RngSpec) else RngSpec(int(rng))
     worker = functools.partial(_replica_range, block, spec.master_seed)
     return np.concatenate(map_replicas(worker, replicas, jobs)).T.copy(), spec.master_seed
 

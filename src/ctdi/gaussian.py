@@ -299,9 +299,12 @@ def causal_mmse_integral(x: np.ndarray, est: np.ndarray, dt: float, steps) -> np
     posterior means, is overwritten with the squared error.  Returns an
     (..., len(steps)) array of 0.5 * sum_{j<k} (x_j - est_j)^2 dt, each sum
     along its own row alone, so a row's values do not depend on its neighbours.
+    A k that is not an integer in [0, n] raises ValueError.
     """
     if np.shape(x) != est.shape:
         raise ValueError(f"signal {np.shape(x)} and filter {est.shape} blocks differ in shape")
+    if not all(isinstance(k, (int, np.integer)) and 0 <= k <= est.shape[-1] for k in steps):
+        raise ValueError(f"steps {list(steps)} must be integers in [0, {est.shape[-1]}]")
     err = np.subtract(x, est, out=est)
     err *= err
     return 0.5 * _prefix_sums(err, steps) * dt

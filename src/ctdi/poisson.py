@@ -429,9 +429,9 @@ def trajectory_integral(trajs, integrand, t_lo: float = 0.0, panel: float = math
     trajs is any iterable of ChannelTrajectory, consumed lazily; s_t is the
     elapsed time since the last event.  Each constant-intensity segment is
     split at elapsed times panel, 2*panel, 4*panel, ... and every piece gets
-    a 16-node Gauss-Legendre rule.  The default, one piece per segment, suits
-    integrands that do not depend on s; for the renewal posterior mean pass
-    the width 1/(max x - min x) of its fastest time scale.
+    a 16-node Gauss-Legendre rule; panel lies in (0, inf].  The default inf
+    (one piece per segment) suits integrands that do not depend on s; for the
+    renewal posterior mean pass 1/(max x - min x), its fastest time scale.
 
     Returns one float per trajectory.  The kept segments of consecutive
     trajectories share windows of at most _BLOCK_SEGMENTS segments, a longer
@@ -442,6 +442,8 @@ def trajectory_integral(trajs, integrand, t_lo: float = 0.0, panel: float = math
     piece integrals per window, so its value does not depend on the
     trajectories beside it or on the piece limit.
     """
+    if not panel > 0:
+        raise ValueError(f"panel must be positive, got {panel!r}")
     totals, window, size = [], [], 0
     for traj in trajs:
         if not 0.0 <= t_lo < traj.horizon:
@@ -470,16 +472,14 @@ def _integrate_window(window, integrand, panel, totals) -> None:
     owners, lo, hi, xs = zip(*window)
     seg_bounds = np.cumsum([0] + [a.size for a in lo])
     lo, hi, xs = np.concatenate(lo), np.concatenate(hi), np.concatenate(xs)
-    if math.isfinite(panel):
-        cuts = _geometric_edges(panel, float(hi.max()))
-        p_lo = np.clip(cuts[:-1], lo[:, None], hi[:, None])
-        p_hi = np.clip(cuts[1:], lo[:, None], hi[:, None])
-        keep = p_hi > p_lo
-        lo, hi = p_lo[keep], p_hi[keep]
-        xs = np.broadcast_to(xs[:, None], keep.shape)[keep]
-        bounds = np.append(0, np.cumsum(keep.sum(axis=1)))[seg_bounds].tolist()
-    else:
-        bounds = seg_bounds.tolist()
+    top = float(hi.max())
+    cuts = _geometric_edges(min(panel, top), top)
+    p_lo = np.clip(cuts[:-1], lo[:, None], hi[:, None])
+    p_hi = np.clip(cuts[1:], lo[:, None], hi[:, None])
+    keep = p_hi > p_lo
+    lo, hi = p_lo[keep], p_hi[keep]
+    xs = np.broadcast_to(xs[:, None], keep.shape)[keep]
+    bounds = np.append(0, np.cumsum(keep.sum(axis=1)))[seg_bounds].tolist()
     half = 0.5 * (hi - lo)
     mid = lo + half
     nodes, weights = gauss_legendre(16)
@@ -536,7 +536,6 @@ def mismatched_relent_poisson(p_pmf: FinitePmf, q_pmf: FinitePmf, horizon: float
     Q-matched causal predictor over the P-matched one; nonnegative up to
     Monte Carlo noise, and identically zero when Q equals P.
     """
-    _positive_atoms(q_pmf)
     model = PoissonFeedbackModel(p_pmf, horizon)
     block = functools.partial(_path_block, model, functools.partial(_excess_loss, p_pmf, q_pmf),
                               0.0, _panel_width(p_pmf, q_pmf), 1.0)

@@ -156,6 +156,21 @@ def test_gaussian_duncan_draws_each_replica_stream_once(tmp_path, monkeypatch):
         repr((0.0, 0.0, 0.0))]
 
 
+def test_gaussian_duncan_zero_horizon_is_the_sweeps_empty_prefix(tmp_path, monkeypatch):
+    # a zero horizon is estimated like any other: 0 on every replica
+    streams = count_streams(monkeypatch)
+    assert run(["gaussian-duncan", "--t-values", "0,0", "--replicas", "3",
+                "--out", str(tmp_path / "a")]) == 0
+    assert streams == [3]
+    lines = (tmp_path / "a" / "gaussian_duncan.csv").read_text().splitlines()
+    assert lines[1:] == ["0,0,0,0,0"] * 2
+    # one replica has no spread, so its stderr is nan, as in every estimate
+    assert run(["gaussian-duncan", "--t-values", "0", "--replicas", "1",
+                "--out", str(tmp_path / "b")]) == 0
+    lines = (tmp_path / "b" / "gaussian_duncan.csv").read_text().splitlines()
+    assert lines[1:] == ["0,0,nan,0,0"]
+
+
 def test_config_file_validation(tmp_path):
     bad_key = tmp_path / "bad_key.cfg"
     bad_key.write_text("writes_csv=yes\n")

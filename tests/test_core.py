@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import count_streams
 from ctdi import core
 from ctdi.core import (
     DiEstimate,
@@ -241,6 +242,28 @@ def test_replicated_estimate_mean_stderr_and_single_replica():
     for replicas in (0, -4, 2**32 + 1):
         with pytest.raises(ValueError):
             replicated_estimate(_first_draws, 12, replicas)
+
+
+def test_seeds_and_replica_indices_must_be_integers(monkeypatch):
+    # a float or string seed once truncated to an integer one, so two seeds shared streams
+    for seed in (12.9, 12.0, np.float64(12.0), "3", None):
+        with pytest.raises(TypeError):
+            RngSpec(seed)
+    for replica in (2.5, 2.0, np.float64(2.0), "2"):
+        with pytest.raises(TypeError):
+            RngSpec(3).stream(replica)
+    streams = count_streams(monkeypatch)
+    for seed in (12.9, "3"):
+        with pytest.raises(TypeError):
+            replicated_estimate(_first_draws, seed, 4)
+    assert streams == [0]
+    monkeypatch.undo()
+    # numpy integers keep their streams, up to the largest 64-bit seed
+    assert RngSpec(np.uint64(2**64 - 1)) == RngSpec(2**64 - 1)
+    assert type(RngSpec(np.int64(12)).master_seed) is int
+    state = RngSpec(np.int64(12)).stream(np.int64(3)).bit_generator.state
+    assert state == RngSpec(12).stream(3).bit_generator.state
+    assert replicated_estimate(_first_draws, np.int64(12), 5) == replicated_estimate(_first_draws, 12, 5)
 
 
 def test_blocks_get_at_most_16_streams_in_replica_order():

@@ -293,6 +293,17 @@ def test_causal_mmse_integral_requires_matching_grids():
         causal_mmse_integral(x, short, 0.1, [1])
 
 
+def test_causal_mmse_integral_refuses_steps_off_its_grid():
+    x = np.ones(4)
+    # a unit error at dt 0.5: each step adds 0.25
+    values = causal_mmse_integral(x, np.zeros(4), 0.5, [0, np.int64(2), 4])
+    assert values.tolist() == [0.0, 0.5, 1.0]
+    # past the end once read as the whole path, and -1 as all but the last step
+    for steps in ([9], [-1], [5], [0, 4, 5], [2.0], [np.float64(2.0)]):
+        with pytest.raises(ValueError, match="must be integers in \\[0, 4\\]"):
+            causal_mmse_integral(x, np.zeros(4), 0.5, steps)
+
+
 def test_closed_form_reference_values():
     assert closed_form_di_constant_signal(0.0) == 0.0
     assert closed_form_di_constant_signal(0.5) == pytest.approx(

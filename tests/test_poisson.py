@@ -7,7 +7,9 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import (
+    count_streams,
     mc_entropy_oracle,
+    mismatch_renewal_values,
     per_trajectory_poisson_values,
     plugin_rate_oracle,
     random_positive_pmf,
@@ -488,6 +490,17 @@ def test_block_integral_edge_cases():
             trajectory_integral([long, short], loss, t_lo)
 
 
+def test_trajectory_integral_refuses_a_panel_that_is_not_positive():
+    traj = ChannelTrajectory(20.0, [0.0, 3.0], [1.0, 2.0])
+    loss = _posterior_loss(BINARY)
+    # 0 once divided by zero, -1 hit a math domain error and nan passed as inf
+    for panel in (0.0, 0, -1.0, -math.inf, math.nan):
+        for trajs in ([traj], []):
+            with pytest.raises(ValueError, match="panel must be positive"):
+                trajectory_integral(trajs, loss, 0.0, panel)
+    assert trajectory_integral([traj], loss) == trajectory_integral([traj], loss, 0.0, math.inf)
+
+
 def test_block_integral_memory_is_bounded_by_the_piece_limit(monkeypatch):
     # 16 trajectories of about 2,700 segments: one integrand call on a whole
     # window of about 2^15 segments held some 36 MB of temporaries
@@ -572,6 +585,15 @@ def test_mismatch_zero_when_q_equals_p():
     assert est.stderr == 0.0
 
 
+def test_mismatch_refuses_a_nonpositive_q_level_before_any_draw(monkeypatch):
+    streams = count_streams(monkeypatch)
+    for level in (0.0, -1.0):
+        with pytest.raises(ValueError, match="strictly positive"):
+            mismatched_relent_poisson(BINARY, FinitePmf([level, 1.0], [0.5, 0.5]), 20.0, rng=4,
+                                      replicas=2)
+    assert streams == [0]
+
+
 def test_mismatch_nonnegative_and_seed_stable():
     q = FinitePmf([1.0, 2.0], [0.9, 0.1])
     a = mismatched_relent_poisson(BINARY, q, 400.0, rng=14, replicas=4)
@@ -581,3 +603,24 @@ def test_mismatch_nonnegative_and_seed_stable():
     spread = math.hypot(a.stderr, b.stderr)
     assert abs(a.value - b.value) < 4.0 * spread
 
+
+def test_mismatch_renewal_oracle_sides_agree():
+    # the estimation side of the renewal equation equals the definition side
+    # at a finite horizon, without Monte Carlo
+    gen = np.random.default_rng(4)
+    for _ in range(3):
+        p, q = random_positive_pmf(gen), random_positive_pmf(gen)
+        top = max(p.support.max(), q.support.max())
+        h = 5.0 / math.ceil(5.0 * top / 5e-3)  # h * max x <= 5e-3, 5 a whole number of steps
+        estimation, definition = mismatch_renewal_values(p, q, 5.0, h)
+        assert estimation > 0.0
+        assert abs(estimation - definition) < 1e-8
+
+
+def test_mismatch_estimate_matches_the_renewal_oracle():
+    q = FinitePmf([1.0, 3.0], [0.3, 0.7])
+    value = mismatch_renewal_values(BINARY, q, 50.0, 0.02)
+    # both sides read 4.1578798 at h = 5e-3; h = 0.02 is far inside the Monte Carlo noise
+    assert value == pytest.approx((4.157879830, 4.157879830), abs=2e-5)
+    est = mismatched_relent_poisson(BINARY, q, 50.0, rng=17, replicas=64)
+    assert abs(est.value - value[0]) < 4.0 * est.stderr
