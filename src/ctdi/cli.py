@@ -87,46 +87,11 @@ def _parse_int(text):
         raise CliError(f"cannot parse integer {text!r}") from exc
 
 
-# per-command parameter schemas: key -> (parser, default)
-SCHEMAS = {
-    "gaussian-duncan": {
-        "t_values": (_parse_float_list, [0.5, 1.0, 2.0]),
-        "dt": (_parse_float, 1e-3),
-        "replicas": (_parse_int, 100_000),
-    },
-    "poisson-rate": {
-        "lambda1": (_parse_float, 1.0),
-        "lambda2": (_parse_float, 2.0),
-        "p_values": (_parse_float_list, [round(0.1 * k, 1) for k in range(1, 10)]),
-        "horizon": (_parse_float, 1e4),
-        "replicas": (_parse_int, 6),
-    },
-    "poisson-capacity": {
-        "lambda1": (_parse_float, 1.0),
-        "lambda2_values": (_parse_float_list, [0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0]),
-        "tol": (_parse_float, 1e-6),
-    },
-    "di-discrete": {
-        "instances": (_parse_int, 1000),
-        "chains": (_parse_int, 200),
-        "max_n": (_parse_int, 3),
-        "max_alphabet": (_parse_int, 3),
-    },
-}
-
 _TOL_HELP = ("relative tolerance of the search on p: the search stops once the bracket "
              "is narrower than 2*tol*min(m, 1 - m), m its midpoint (default 1e-6)")
 
-# smallest allowed value of each integer key
-_MINIMUMS = {"replicas": 1, "instances": 1, "chains": 1, "max_n": 1, "max_alphabet": 2}
-
-# the knob --replicas steers, per command
-_REPLICA_KEY = {
-    "gaussian-duncan": "replicas",
-    "poisson-rate": "replicas",
-    "poisson-capacity": None,
-    "di-discrete": "instances",
-}
+# the length of every joint the grouping-chains suite of di-discrete draws
+_CHAIN_N = 4
 
 
 @dataclass
@@ -138,20 +103,6 @@ class ExperimentConfig:
     seed: int
     out_dir: Path
     jobs: int
-
-    def manifest(self, wall_clock: float, started: str) -> dict:
-        return {
-            "command": self.command,
-            "version": __version__,
-            "config": {
-                **{k: self.params[k] for k in sorted(self.params)},
-                "seed": self.seed,
-                "out": str(self.out_dir),
-                "jobs": self.jobs,
-            },
-            "started_utc": started,
-            "wall_clock_seconds": wall_clock,
-        }
 
 
 def _load_config_file(path: str) -> dict:
@@ -169,7 +120,7 @@ def _load_config_file(path: str) -> dict:
 
 
 def _resolve_config(command: str, args: argparse.Namespace) -> ExperimentConfig:
-    schema = SCHEMAS[command]
+    _, replica_key, schema = COMMANDS[command]
     raw = {}
     if args.config:
         raw.update(_load_config_file(args.config))
@@ -177,19 +128,14 @@ def _resolve_config(command: str, args: argparse.Namespace) -> ExperimentConfig:
     if unknown:
         raise CliError(f"unknown config keys for {command}: {', '.join(sorted(unknown))}")
     params = {}
-    for key, (parse, default) in schema.items():
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            params[key] = parse(flag_val)
-        elif key in raw:
-            params[key] = parse(raw[key])
-        else:
-            params[key] = default
-    rk = _REPLICA_KEY[command]
+    for key, (parse, default, _) in schema.items():
+        text = getattr(args, key, None)  # the flag wins over the file
+        text = raw.get(key) if text is None else text
+        params[key] = default if text is None else parse(text)
     if args.replicas is not None:
-        if rk is None:
+        if replica_key is None:
             raise CliError(f"{command} has no replication knob for --replicas")
-        params[rk] = _parse_int(args.replicas)
+        params[replica_key] = _parse_int(args.replicas)
     jobs = _parse_int(args.jobs if args.jobs is not None else os.environ.get("CTDI_JOBS", "1"))
     if jobs < 1:
         raise CliError(f"jobs must be at least 1, got {jobs}")
@@ -204,28 +150,31 @@ def _resolve_config(command: str, args: argparse.Namespace) -> ExperimentConfig:
 
 def _check_params(cfg: ExperimentConfig) -> None:
     """Reject an empty value list, which would run nothing, an integer below its
-    _MINIMUMS, and discrete sizes whose largest joint is over the enumeration cap."""
-    for key, value in cfg.params.items():
+    smallest value, and discrete sizes whose largest joint is over the enumeration cap."""
+    for key, (_, _, minimum) in COMMANDS[cfg.command][2].items():
+        value = cfg.params[key]
         if isinstance(value, list) and not value:
             raise CliError(f"{key} needs at least one value")
-        if key in _MINIMUMS and value < _MINIMUMS[key]:
-            raise CliError(f"{key} must be at least {_MINIMUMS[key]}, got {value}")
+        if minimum is not None and value < minimum:
+            raise CliError(f"{key} must be at least {minimum}, got {value}")
     if "max_alphabet" in cfg.params:
         alphabet, max_n = cfg.params["max_alphabet"], cfg.params["max_n"]
-        # the chains suite always draws n = 4; with an alphabet of at least 2,
-        # an exponent past the cap's bit length is over the cap, so the power
-        # is formed only for small exponents
-        exponent = 2 * max(max_n, 4)
+        # with an alphabet of at least 2, an exponent past the cap's bit length
+        # is over the cap, so the power is formed only for small exponents
+        exponent = 2 * max(max_n, _CHAIN_N)
         if exponent > _STATE_CAP.bit_length() or alphabet ** exponent > _STATE_CAP:
             raise CliError(f"max_alphabet {alphabet} and max_n {max_n} allow joints of up to "
-                           f"{alphabet}**{exponent} cells (n = max(max_n, 4) steps), more than "
-                           f"the enumeration cap {_STATE_CAP}")
+                           f"{alphabet}**{exponent} cells (n = max(max_n, {_CHAIN_N}) steps), "
+                           f"more than the enumeration cap {_STATE_CAP}")
 
 
 def _finish(cfg: ExperimentConfig, started_iso: str, t0: float, status: int,
             reason: str | None) -> None:
-    manifest = cfg.manifest(wall_clock=time.perf_counter() - t0, started=started_iso)
-    manifest["exit_status"] = status
+    manifest = {"command": cfg.command, "version": __version__,
+                "config": {**dict(sorted(cfg.params.items())), "seed": cfg.seed,
+                           "out": str(cfg.out_dir), "jobs": cfg.jobs},
+                "started_utc": started_iso, "wall_clock_seconds": time.perf_counter() - t0,
+                "exit_status": status}
     if reason is not None:
         manifest["exit_reason"] = reason
     path = cfg.out_dir / f"{cfg.command.replace('-', '_')}_manifest.json"
@@ -354,20 +303,16 @@ def cmd_di_discrete(cfg: ExperimentConfig) -> int:
         violation = ("conservation/sandwich", first,
                      _drawn_joint(spec, 0, random_joint, first, max_n, max_alphabet))
 
-    # grouping chains, one joint at a time: their n = 4 joints spread over up
-    # to 256 shapes, too many for stacks to pay
+    # grouping chains, one joint at a time: their joints spread over up to
+    # 256 shapes at the default alphabets, too many for stacks to pay.  Each
+    # chain refines the one block by the shuffled cuts, one cut at a time.
     gen = spec.stream(1)
     max_increase = -np.inf
     for i in range(chains):
-        n = 4
-        joint = random_joint(gen, *_alphabet_sizes(gen, n, max_alphabet))
-        cuts = [1, 2, 3]
+        joint = random_joint(gen, *_alphabet_sizes(gen, _CHAIN_N, max_alphabet))
+        cuts = list(range(1, _CHAIN_N))
         gen.shuffle(cuts)
-        ends = [n]
-        chain = [Grouping(tuple(sorted(ends)))]
-        for cut in cuts:
-            ends.append(cut)
-            chain.append(Grouping(tuple(sorted(ends))))
+        chain = [Grouping(tuple(sorted(cuts[:k] + [_CHAIN_N]))) for k in range(_CHAIN_N)]
         vals = [grouped_directed_info(joint, g) for g in chain]
         if abs(vals[0] - _relent_mi(joint)) > 1e-10:
             violation = violation or ("grouping one-block vs mi", i, joint)
@@ -375,7 +320,7 @@ def cmd_di_discrete(cfg: ExperimentConfig) -> int:
             max_increase = max(max_increase, b - a)
             if violation is None and b - a > 1e-12:
                 violation = ("grouping monotonicity", i, joint)
-    lines.append(f"grouping monotonicity: {chains} chains of length 4, max increase under refinement = {max_increase:.3e} (tolerance 1e-12)")
+    lines.append(f"grouping monotonicity: {chains} chains of length {_CHAIN_N}, max increase under refinement = {max_increase:.3e} (tolerance 1e-12)")
 
     # no-feedback: stacked as above, without the reverse walk
     nfb = max(1, instances // 5)
@@ -400,11 +345,32 @@ def cmd_di_discrete(cfg: ExperimentConfig) -> int:
     return 0 if ok else 1
 
 
-_RUNNERS = {
-    "gaussian-duncan": cmd_gaussian_duncan,
-    "poisson-rate": cmd_poisson_rate,
-    "poisson-capacity": cmd_poisson_capacity,
-    "di-discrete": cmd_di_discrete,
+# each command: its runner, the key --replicas sets (None: the flag is refused)
+# and its parameters, key -> (parser, default, smallest allowed value or None)
+COMMANDS = {
+    "gaussian-duncan": (cmd_gaussian_duncan, "replicas", {
+        "t_values": (_parse_float_list, [0.5, 1.0, 2.0], None),
+        "dt": (_parse_float, 1e-3, None),
+        "replicas": (_parse_int, 100_000, 1),
+    }),
+    "poisson-rate": (cmd_poisson_rate, "replicas", {
+        "lambda1": (_parse_float, 1.0, None),
+        "lambda2": (_parse_float, 2.0, None),
+        "p_values": (_parse_float_list, [round(0.1 * k, 1) for k in range(1, 10)], None),
+        "horizon": (_parse_float, 1e4, None),
+        "replicas": (_parse_int, 6, 1),
+    }),
+    "poisson-capacity": (cmd_poisson_capacity, None, {
+        "lambda1": (_parse_float, 1.0, None),
+        "lambda2_values": (_parse_float_list, [0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0], None),
+        "tol": (_parse_float, 1e-6, None),
+    }),
+    "di-discrete": (cmd_di_discrete, "instances", {
+        "instances": (_parse_int, 1000, 1),
+        "chains": (_parse_int, 200, 1),
+        "max_n": (_parse_int, 3, 1),
+        "max_alphabet": (_parse_int, 3, 2),
+    }),
 }
 
 
@@ -412,18 +378,15 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ctdi", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    reserved = {"config", "seed", "out", "replicas", "jobs"}
-    for command, schema in SCHEMAS.items():
+    for command, (_, _, schema) in COMMANDS.items():
         p = sub.add_parser(command)
         p.add_argument("--config", help="flat key=value parameter file")
         p.add_argument("--seed", help="master seed (default 0)")
         p.add_argument("--out", help="output directory (default: current)")
         p.add_argument("--replicas", help="replication count override")
         p.add_argument("--jobs", help="worker processes (default: CTDI_JOBS or 1)")
-        for key in schema:
-            if key in reserved:
-                # --replicas doubles as the schema key of the same name
-                continue
+        # --replicas doubles as the schema key of the same name
+        for key in (k for k in schema if k != "replicas"):
             p.add_argument(f"--{key.replace('_', '-')}", dest=key,
                            help=_TOL_HELP if key == "tol" else f"override config key {key}")
     return parser
@@ -444,7 +407,7 @@ def main(argv=None) -> int:
         started = datetime.datetime.now(datetime.timezone.utc).isoformat()
         t0 = time.perf_counter()
         _check_params(cfg)
-        status = _RUNNERS[args.command](cfg)
+        status = COMMANDS[args.command][0](cfg)
     except (CliError, ValueError, OSError) as exc:
         status, message = 2, str(exc)
     except RuntimeError as exc:

@@ -32,7 +32,8 @@ reverse companion sums I(Y^{i-1}; X_i | X^{i-1}), and the two always add up
 to the full mutual information I(X^n; Y^n).  Grouping consecutive indices
 into blocks coarsens the time order: one block recovers mutual information,
 singleton blocks recover directed information, and refining a grouping never
-increases the value.
+increases the value.  Mutual information is computed as exactly that: the
+grouped walk over the one block, a single term I(X^n; Y^n).
 """
 
 from __future__ import annotations
@@ -173,10 +174,6 @@ def _axes(n: int):
     return tuple(range(1, n + 1)), tuple(range(n + 1, 2 * n + 1))
 
 
-def _mi_walk(probs, n):
-    return _cmi_term(probs, *_axes(n))[0]
-
-
 def _grouped_walk(probs, n, ends):
     """Sum over blocks j of I(X_1..X_{e_j}; Y-block j | Y_1..Y_{e_{j-1}}), last block first."""
     xa, ya = _axes(n)
@@ -205,7 +202,7 @@ def _reverse_walk(probs, n):
 
 def mutual_information(joint: JointSequencePmf) -> float:
     """I(X^n; Y^n), the exact relative entropy between joint and product-of-marginals."""
-    return float(_mi_walk(joint.probs[None], joint.n)[0])
+    return float(_grouped_walk(joint.probs[None], joint.n, (joint.n,))[0])
 
 
 @dataclass(frozen=True)
@@ -262,7 +259,7 @@ def _walk_all(probs, n, reverse):
     """(di, reverse di or zeros, mi) per joint of a stack, each from the full tensor."""
     di = _grouped_walk(probs, n, tuple(range(1, n + 1)))
     rdi = _reverse_walk(probs, n) if reverse else np.zeros(len(probs))
-    return di, rdi, _mi_walk(probs, n)
+    return di, rdi, _grouped_walk(probs, n, (n,))
 
 
 def _walk_buckets(buckets, flat, out, reverse):

@@ -429,7 +429,10 @@ def trajectory_integral(trajs, integrand, t_lo: float = 0.0, panel: float = math
     trajs is any iterable of ChannelTrajectory, consumed lazily; s_t is the
     elapsed time since the last event.  Each constant-intensity segment is
     split at elapsed times panel, 2*panel, 4*panel, ... and every piece gets
-    a 16-node Gauss-Legendre rule; panel lies in (0, inf].  The default inf
+    a 16-node Gauss-Legendre rule; panel lies in (0, inf] and may not be
+    below any trajectory's math.ulp(horizon), the float spacing of its
+    epochs near the end: a finer panel resolves nothing and would cut a
+    segment thousands of times.  The default inf
     (one piece per segment) suits integrands that do not depend on s; for the
     renewal posterior mean pass 1/(max x - min x), its fastest time scale.
 
@@ -448,6 +451,9 @@ def trajectory_integral(trajs, integrand, t_lo: float = 0.0, panel: float = math
     for traj in trajs:
         if not 0.0 <= t_lo < traj.horizon:
             raise ValueError("need 0 <= t_lo < horizon")
+        if panel < math.ulp(traj.horizon):
+            raise ValueError(f"panel {panel!r} is below the float spacing "
+                             f"{math.ulp(traj.horizon)!r} of the horizon {traj.horizon!r}")
         starts, ends, xs = traj.segments()
         lo = np.maximum(t_lo, starts) - starts
         hi = ends - starts

@@ -10,9 +10,9 @@ estimators are judged against their own stages composed one replica at a
 time.  Poisson trajectories are drawn here one Generator at a time with
 numpy's own choice and exponential, so the block draw is judged against
 them.  count_streams counts the streams a run derives, so tests can show
-that a refused input draws none.  The Poisson mismatch has a finite-horizon
-value oracle that solves its renewal equation by quadrature, from the pmfs
-alone, without the package.
+that a refused input draws none.  The Poisson mismatch and the Poisson
+directed information have finite-horizon value oracles that solve their
+renewal equations by quadrature, from the pmfs alone, without the package.
 """
 
 import math
@@ -295,5 +295,40 @@ def mismatch_renewal_values(p_pmf, q_pmf, horizon, h):
         definition = _cumulative_trapezoid(fp * np.log(fp / fq), step) + sp * np.log(sp / sq)
         return [float(_solve_renewal(a, fp, step)[-1]) for a in (estimation, definition)]
 
-    coarse, fine = sides(h), sides(0.5 * h)
-    return tuple((4.0 * b - a) / 3.0 for a, b in zip(coarse, fine))
+    return _richardson(sides, h)
+
+
+def di_renewal_values(pmf, horizon, h):
+    """E of the integrated causal-estimation loss over [0, horizon), solved twice: (estimation, definition).
+
+    The same renewal equation as mismatch_renewal_values, with f the
+    interarrival density of pmf and S its survival function:
+    - estimation side, A(T) = sum_x p(x) int_0^T e^{-xs} l(x, g(s)) ds, with
+      the Poisson loss l(x, g) = x ln(x / g) - x + g;
+    - definition side, the mutual information between the input and the
+      first segment's law, A(T) = int_0^T sum_x p(x) x e^{-xw} ln(x e^{-xw}
+      / f(w)) dw + sum_x p(x) e^{-xT} ln(e^{-xT} / S(T)).
+    V(T) is then the directed information over [0, T], and the equality of
+    the sides at every T is the paper's causal-estimation identity for the
+    Poisson channel.  Solved at h and h / 2 with one Richardson step, as there.
+    """
+    x, p = np.asarray(pmf.support, dtype=float), np.asarray(pmf.probs, dtype=float)
+
+    def sides(step):
+        t = step * np.arange(round(horizon / step) + 1)
+        f, surv, g = _renewal_laws(pmf, t)
+        xt = np.multiply.outer(t, x)
+        w = p * np.exp(-xt)  # p(x) e^{-xt}
+        loss = x * np.log(x / g[:, None]) - x + g[:, None]
+        log_ratio = np.log(x) - xt - np.log(f)[:, None]  # ln(x e^{-xw} / f(w))
+        estimation = _cumulative_trapezoid((w * loss).sum(axis=1), step)
+        definition = (_cumulative_trapezoid((w * x * log_ratio).sum(axis=1), step)
+                      + (w * (-xt - np.log(surv)[:, None])).sum(axis=1))
+        return [float(_solve_renewal(a, f, step)[-1]) for a in (estimation, definition)]
+
+    return _richardson(sides, h)
+
+
+def _richardson(sides, h):
+    """(4 V_{h/2} - V_h) / 3 for each value sides(step) returns."""
+    return tuple((4.0 * b - a) / 3.0 for a, b in zip(sides(h), sides(0.5 * h)))

@@ -9,7 +9,7 @@ from ctdi import cli, gaussian, partition_di
 from ctdi.cli import main
 from ctdi.core import RngSpec
 from ctdi.gaussian import constant_signal_model, directed_info_gaussian_mc
-from ctdi.partition_di import random_joint
+from ctdi.partition_di import random_joint, random_no_feedback_joint
 
 
 def run(args):
@@ -414,6 +414,68 @@ def test_di_discrete_one_block_check_can_fail(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == report[-1]
     violation = json.loads((tmp_path / "di_discrete_violation.json").read_text())
     assert (violation["suite"], violation["instance"]) == ("grouping one-block vs mi", 1)
+
+
+def test_unparsable_flag_values_exit_2_before_the_manifest(tmp_path, capsys):
+    # a value that does not parse is a usage error found before the output
+    # directory is made, so no manifest is written
+    for args, message in ((["--dt", "abc"], "cannot parse number 'abc'"),
+                          (["--t-values", "1,x"], "cannot parse list value '1,x'")):
+        out = tmp_path / "bad"
+        assert run(["gaussian-duncan", *args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out / "gaussian_duncan_manifest.json").exists()
+
+
+def test_di_discrete_refinement_increase_fails(tmp_path, monkeypatch, capsys):
+    # the two-block grouping of the second chain reads one nat more than
+    # the one block it refines
+    real = cli.grouped_directed_info
+    chains = []
+
+    def grouped(joint, grouping):
+        if len(grouping.ends) == 1:
+            chains.append(joint)
+        value = real(joint, grouping)
+        return value + 1.0 if len(chains) == 2 and len(grouping.ends) == 2 else value
+
+    monkeypatch.setattr(cli, "grouped_directed_info", grouped)
+    assert run(["di-discrete", "--instances", "10", "--chains", "3", "--out", str(tmp_path)]) == 1
+    report = (tmp_path / "di_discrete_report.txt").read_text().splitlines()
+    assert report[-1] == "result: FAIL (grouping monotonicity, instance 1)"
+    assert report[2].startswith("grouping monotonicity: 3 chains of length 4, max increase")
+    assert capsys.readouterr().out.splitlines()[-1] == report[-1]
+    violation = json.loads((tmp_path / "di_discrete_violation.json").read_text())
+    assert (violation["suite"], violation["instance"]) == ("grouping monotonicity", 1)
+    assert violation["joint"] == json.loads(chains[1].to_json())
+    assert json.loads((tmp_path / "di_discrete_manifest.json").read_text())["exit_status"] == 1
+
+
+def test_di_discrete_no_feedback_gap_fails(tmp_path, monkeypatch, capsys):
+    # the no-feedback suite's joints at seed 0, drawn as the command draws them
+    gen = RngSpec(0).stream(2)
+    joints = [random_no_feedback_joint(gen, *cli._random_sizes(gen, 3, 3)) for _ in range(8)]
+    target = joints[3].probs
+    real = partition_di._walk_all
+
+    def corrupted(probs, n, reverse):
+        di, rdi, mi = real(probs, n, reverse)
+        if not reverse:
+            # DI above MI by more than the 1e-9 tolerance for the target joint
+            di = di + np.array([1e-8 if row.shape == target.shape and np.array_equal(row, target)
+                                else 0.0 for row in probs])
+        return di, rdi, mi
+
+    monkeypatch.setattr(partition_di, "_walk_all", corrupted)
+    assert run(["di-discrete", "--instances", "40", "--chains", "2", "--out", str(tmp_path)]) == 1
+    report = (tmp_path / "di_discrete_report.txt").read_text().splitlines()
+    assert report[-1] == "result: FAIL (no-feedback di == mi, instance 3)"
+    assert report[-2].startswith("no-feedback: 8 instances, max |di - mi| = 1.000e-08")
+    assert capsys.readouterr().out.splitlines()[-1] == report[-1]
+    violation = json.loads((tmp_path / "di_discrete_violation.json").read_text())
+    assert (violation["suite"], violation["instance"]) == ("no-feedback di == mi", 3)
+    assert violation["joint"] == json.loads(joints[3].to_json())
+    assert json.loads((tmp_path / "di_discrete_manifest.json").read_text())["exit_status"] == 1
 
 
 def test_jobs_env_default(tmp_path, monkeypatch):

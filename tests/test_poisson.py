@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from conftest import (
     count_streams,
+    di_renewal_values,
     mc_entropy_oracle,
     mismatch_renewal_values,
     per_trajectory_poisson_values,
@@ -501,6 +502,17 @@ def test_trajectory_integral_refuses_a_panel_that_is_not_positive():
     assert trajectory_integral([traj], loss) == trajectory_integral([traj], loss, 0.0, math.inf)
 
 
+def test_trajectory_integral_refuses_a_panel_below_the_horizons_float_spacing():
+    traj = ChannelTrajectory(20.0, [0.0, 3.0], [1.0, 2.0])
+    ones = lambda x, s: np.ones_like(s)  # noqa: E731
+    # 5e-324 overflowed the cut count, and 1e-300 made about 1,000 cuts per segment
+    for panel in (5e-324, 1e-300, math.ulp(20.0) / 2):
+        with pytest.raises(ValueError, match=f"panel {panel!r} is below the float spacing"):
+            trajectory_integral([traj], ones, 0.0, panel)
+    # a panel of one float spacing is still cut and integrated
+    assert trajectory_integral([traj], ones, 0.0, math.ulp(20.0)) == pytest.approx([20.0], rel=1e-12)
+
+
 def test_block_integral_memory_is_bounded_by_the_piece_limit(monkeypatch):
     # 16 trajectories of about 2,700 segments: one integrand call on a whole
     # window of about 2^15 segments held some 36 MB of temporaries
@@ -624,3 +636,27 @@ def test_mismatch_estimate_matches_the_renewal_oracle():
     assert value == pytest.approx((4.157879830, 4.157879830), abs=2e-5)
     est = mismatched_relent_poisson(BINARY, q, 50.0, rng=17, replicas=64)
     assert abs(est.value - value[0]) < 4.0 * est.stderr
+
+
+def test_di_renewal_oracle_sides_agree():
+    # the causal-estimation loss integrates to the directed information at a
+    # finite horizon: the paper's Poisson identity, without Monte Carlo
+    gen = np.random.default_rng(4)
+    for _ in range(3):
+        pmf = random_positive_pmf(gen)
+        h = 5.0 / math.ceil(5.0 * pmf.support.max() / 5e-3)  # h * max x <= 5e-3
+        estimation, definition = di_renewal_values(pmf, 5.0, h)
+        assert estimation > 0.0
+        assert abs(estimation - definition) < 1e-8
+
+
+def test_di_rate_after_burn_in_matches_the_renewal_oracle():
+    # both sides read 3.6026985776 at h = 5e-3; h = 0.02 is within 6e-6 of it
+    assert di_renewal_values(BINARY, 50.0, 0.02) == pytest.approx((3.6026985776,) * 2, abs=2e-5)
+    # a short horizon, where the burn-in of 10 cuts off half the path: the
+    # estimate averages the loss over [10, 20), whose mean is (V(20) - V(10)) / 10
+    model = PoissonFeedbackModel(BINARY, 20.0)
+    assert default_burn_in(BINARY) == 10.0
+    expected = (di_renewal_values(BINARY, 20.0, 0.02)[0] - di_renewal_values(BINARY, 10.0, 0.02)[0]) / 10.0
+    est = di_rate_mc(model, rng=5, replicas=64)
+    assert abs(est.value - expected) < 4.0 * est.stderr
