@@ -145,8 +145,8 @@ def optimize_binary(lambda1: float, lambda2: float, tol: float = 1e-6) -> Capaci
     lie in (0, 1); a tol below float resolution stops once no new point
     inside the bracket differs from the best one.  Coincident levels carry no information
     for any p; that case returns a zero rate flagged degenerate (the
-    objective is flat).  Levels more than about 1e90 apart raise ValueError
-    at the first rate evaluated.
+    objective is flat).  Levels more than about 1e90 apart, or one below the
+    smallest normal float, raise ValueError at the first rate evaluated.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")

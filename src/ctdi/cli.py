@@ -402,8 +402,7 @@ def main(argv=None) -> int:
     message = None
     try:
         cfg = _resolve_config(args.command, args)
-        if not cfg.out_dir.exists():
-            cfg.out_dir.mkdir(parents=True)
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
         started = datetime.datetime.now(datetime.timezone.utc).isoformat()
         t0 = time.perf_counter()
         _check_params(cfg)

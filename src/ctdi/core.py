@@ -25,8 +25,8 @@ sum_k (X_k - Xhat_k)(inc_k - X_k dt), of mean exactly 0 because the filter
 reads only earlier increments, and the estimate is the mean of Z + cM with
 c fitted on the same replicas, or the plain mean below 32 replicas; the
 mismatched relative entropy keeps the plain mean.  No estimator uses
-SamplePath; it stays public because the benchmark's tracer wraps its
-constructor by name.
+SamplePath and it is not exported; it stays only because the benchmark's
+tracer wraps its constructor by attribute.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "SamplePath",
     "FinitePmf",
     "RngSpec",
     "DiEstimate",

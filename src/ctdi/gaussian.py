@@ -377,7 +377,8 @@ def _mismatch_block(model, steps, q_filter, gens) -> np.ndarray:
     if q.shape != inc.shape or not np.isfinite(q).all():
         raise ValueError(f"q_filter must return finite values of the increments' shape "
                          f"{inc.shape}, got shape {q.shape}")
-    vals = causal_mmse_integral(x, q, model.dt, steps) - vals
+    with np.errstate(over="ignore"):  # a huge finite q squares to inf, refused below
+        vals = causal_mmse_integral(x, q, model.dt, steps) - vals
     if not np.isfinite(vals).all():
         raise RuntimeError("a causal-MMSE integral is not finite")
     return vals

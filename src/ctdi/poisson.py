@@ -14,10 +14,10 @@ trajectories come: the pieces of every trajectory share integrand calls of at
 most _CHUNK_PIECES pieces, and every other step is elementwise or sums one
 trajectory's own pieces, so its value does not depend on its block.
 
-Rates are in nats per second.  All input pmfs must have strictly positive
-support.  Every analytic integral here runs to one error target, _QUAD_TOL,
-and di_rate_analytic first refuses levels too far apart to resolve at it
-(_check_resolvable, beside the panel layout _panel_edges).
+Rates are in nats per second.  Every input level must be at least _TINY, the
+smallest normal float.  Every analytic integral here runs to one error
+target, _QUAD_TOL, and di_rate_analytic first refuses levels too far apart
+to resolve at it (_check_resolvable, beside the panel layout _panel_edges).
 """
 
 from __future__ import annotations
@@ -51,12 +51,20 @@ __all__ = [
 
 _EVENT_CAP = 1_000_000
 _QUAD_TOL = 1e-11  # error target of every analytic integral in this module
+_TINY = float(np.finfo(float).tiny)  # the smallest level: below it 1/x overflows
+
+
+def _check_levels(levels: np.ndarray) -> np.ndarray:
+    """levels, after refusing any below _TINY; the first is named lambda<i>, i its place."""
+    if (low := levels < _TINY).any():
+        raise ValueError(f"channel input intensities must be strictly positive and at least "
+                         f"{_TINY:.6g}: lambda{low.argmax() + 1}={levels[low][0]:.6g}")
+    return levels
 
 
 def _positive_atoms(pmf: FinitePmf):
-    """Support/probs restricted to atoms with positive mass, after validation."""
-    if np.any(pmf.support <= 0):
-        raise ValueError("channel input intensities must be strictly positive")
+    """Support/probs restricted to atoms with positive mass, after _check_levels."""
+    _check_levels(pmf.support)
     mask = pmf.probs > 0
     return pmf.support[mask], pmf.probs[mask]
 
@@ -343,15 +351,16 @@ def _check_resolvable(levels) -> None:
     (1 - 1/e) ln r nats, so its 10- and 20-node sums differ by ulps of up to
     eps (1 - 1/e) ln r, and bisection halves ulp and share alike: it
     converges only if eps (1 - 1/e) ln(r) N <= 0.9 _QUAD_TOL, that is up to
-    about r = 1e90.  The extreme levels are named lambda<i>, i their place.
+    about r = 1e90, with ln r a difference of logs so that no ratio overflows.
     """
-    levels = np.asarray(levels, dtype=float)
-    r = levels.max() / levels.min()
-    ulp = np.finfo(float).eps * (1.0 - 1.0 / math.e) * math.log(r)
-    if ulp * (math.log2(50.0 * r) + 2.0) > 0.9 * _QUAD_TOL:
-        i, j = sorted((int(levels.argmin()), int(levels.argmax())))
+    levels = _check_levels(np.asarray(levels, dtype=float))
+    i, j = sorted((int(levels.argmin()), int(levels.argmax())))
+    ln_r = abs(math.log(levels[j]) - math.log(levels[i]))
+    ulp = np.finfo(float).eps * (1.0 - 1.0 / math.e) * ln_r
+    if ulp * (math.log2(50.0) + ln_r / math.log(2.0) + 2.0) > 0.9 * _QUAD_TOL:
         raise ValueError(f"levels lambda{i + 1}={levels[i]:.6g} and lambda{j + 1}={levels[j]:.6g} "
-                         f"are {r:.3g} apart, more than the rate quadrature resolves (about 1e90)")
+                         f"are 10^{ln_r / math.log(10.0):.3g} apart, more than the rate quadrature "
+                         f"resolves (about 1e90)")
 
 
 def interarrival_entropy(pmf: FinitePmf) -> float:
@@ -369,9 +378,11 @@ def interarrival_entropy(pmf: FinitePmf) -> float:
 
 
 def mean_interarrival_quadrature(pmf: FinitePmf) -> float:
-    """E[Y] evaluated by quadrature against the interarrival density."""
-    return integrate_panels(lambda y: y * interarrival_density(pmf, y),
-                            _panel_edges(pmf, "mean"), tol=0.9 * _QUAD_TOL)
+    """E[Y] by quadrature on the support divided by its smallest level, as di_rate_analytic does."""
+    lowest = float(_positive_atoms(pmf)[0].min())
+    norm = FinitePmf(pmf.support / lowest, pmf.probs)
+    return integrate_panels(lambda y: y * interarrival_density(norm, y),
+                            _panel_edges(norm, "mean"), tol=0.9 * _QUAD_TOL) / lowest
 
 
 def di_rate_analytic(pmf: FinitePmf) -> float:

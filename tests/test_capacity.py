@@ -32,6 +32,20 @@ def test_binary_rate_validation():
         binary_rate(0.5, 0.0, 2.0)
     with pytest.raises(ValueError):
         binary_rate(0.5, 1.0, -2.0)
+    for lam1, lam2 in ((0.0, 2.0), (1.0, -2.0)):
+        with pytest.raises(ValueError, match="strictly positive"):
+            optimize_binary(lam1, lam2)
+
+
+def test_levels_below_the_smallest_normal_float_are_refused():
+    # 1/x overflows below np.finfo(float).tiny, so the rate there would read
+    # 0 at a p_star near 1; at tiny itself the scale law still holds
+    with pytest.raises(ValueError, match="lambda1=1e-310"):
+        optimize_binary(1e-310, 3e-310)
+    tiny = np.finfo(float).tiny
+    low = optimize_binary(tiny, 3 * tiny)
+    assert abs(low.p_star - optimize_binary(1.0, 3.0).p_star) <= 1e-6
+    assert low.rate_star > 0.0
 
 
 def test_binary_rate_swap_symmetry():
@@ -164,7 +178,8 @@ def test_capacity_curve_checks_every_level_first(monkeypatch):
     # quadrature included, fails before any level is optimized
     evaluations = []
     monkeypatch.setattr(capacity, "binary_rate", lambda *args, **kwargs: evaluations.append(args))
-    for levels in ([2.0, -1.0], [2.0, math.nan], [2.0, math.inf], [2.0, 1e95], [1e-95, 2.0]):
+    for levels in ([2.0, -1.0], [2.0, math.nan], [2.0, math.inf], [2.0, 1e95], [1e-95, 2.0],
+                   [2.0, 1e-310]):
         with pytest.raises(ValueError, match="lambda2"):
             capacity_curve(1.0, levels)
     assert evaluations == []

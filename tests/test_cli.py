@@ -285,6 +285,18 @@ def test_poisson_capacity_level_ratio_cap(tmp_path, monkeypatch, capsys):
     assert json.loads((out / "poisson_capacity_manifest.json").read_text())["exit_status"] == 2
 
 
+def test_subnormal_levels_are_usage_errors(tmp_path, capsys):
+    # below the smallest normal float 1/x overflows: the level is named and
+    # nothing is written but the manifest
+    for command, args in (("poisson-capacity", ["--lambda1", "1e-310", "--lambda2-values", "3e-310"]),
+                          ("poisson-rate", ["--lambda1", "1e-310", "--lambda2", "3e-310"])):
+        out = tmp_path / command
+        assert run([command, *args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "lambda1=1e-310" in err and "Traceback" not in err
+        assert [p.name for p in out.iterdir()] == [f"{command.replace('-', '_')}_manifest.json"]
+
+
 def test_internal_numerical_failure_exits_3_without_traceback(tmp_path, monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise RuntimeError("Gauss-Legendre panels did not reach tol=1e-11")
@@ -425,6 +437,20 @@ def test_unparsable_flag_values_exit_2_before_the_manifest(tmp_path, capsys):
         assert run(["gaussian-duncan", *args, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (out / "gaussian_duncan_manifest.json").exists()
+
+
+def test_out_naming_a_file_fails_before_any_work(tmp_path, monkeypatch, capsys):
+    # --out must be a directory: a file there is a usage error found before
+    # any stream is drawn, reported once, and the file is left as it was
+    target = tmp_path / "taken"
+    target.write_bytes(b"keep\n")
+    streams = count_streams(monkeypatch)
+    assert run(["gaussian-duncan", "--t-values", "0.5,1", "--replicas", "2000",
+                "--out", str(target)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(target) in err[0]
+    assert streams == [0]
+    assert target.read_bytes() == b"keep\n"
 
 
 def test_di_discrete_refinement_increase_fails(tmp_path, monkeypatch, capsys):

@@ -59,6 +59,8 @@ def test_finite_pmf_validation():
             FinitePmf([1.0, bad], [0.5, 0.5])
     with pytest.raises(ValueError):
         FinitePmf([1.0, 2.0], [0.5, math.nan])
+    with pytest.raises(ValueError, match="matching nonempty"):
+        FinitePmf([1.0, 2.0], [1.0])
 
 
 def test_finite_pmf_trimmed():
@@ -130,6 +132,8 @@ def test_rng_spec_reproducible_streams():
     assert not np.array_equal(a, c)
     with pytest.raises(ValueError):
         RngSpec(-1)
+    with pytest.raises(ValueError, match="replica index"):
+        spec.stream(-1)
 
 
 def test_streams_are_numpy_seed_sequence_streams():
@@ -174,6 +178,7 @@ def test_map_replicas_parallel_matches_serial():
     parallel = map_replicas(_square_range, 37, jobs=3)
     assert serial == parallel
     assert serial == [float(k * k) for k in range(37)]
+    assert map_replicas(_square_range, 0, jobs=3) == []
 
 
 def test_map_replicas_pool_no_larger_than_chunks_or_cpus(monkeypatch):
@@ -364,14 +369,13 @@ def test_di_estimate_fields():
 _UNUSED_EXPORTS_ALLOWED = {
     "quadrature.adaptive_simpson": "the benchmark traces it by name until its quadrature "
                                    "metrics read integrate_panels; then it is deleted",
-    "core.SamplePath": "the benchmark's tracer wraps SamplePath.__init__ by name for its "
-                       "core.SamplePath metrics; no estimator builds one",
 }
 
 
 def test_every_export_has_a_user():
     # a name in a module's __all__ must be referenced by some src module or by
-    # the acceptance gate; the package's re-exports in __init__ are not uses
+    # the acceptance gate; SamplePath, which the tracer wraps by attribute, is
+    # in no __all__
     root = Path(__file__).resolve().parent.parent
     sources = [p for p in sorted((root / "src" / "ctdi").glob("*.py")) if p.name != "__init__.py"]
     exports, used = [], set()
@@ -390,6 +394,19 @@ def test_every_export_has_a_user():
     unused = [name for name in exports
               if name.split(".")[1] not in used and name not in _UNUSED_EXPORTS_ALLOWED]
     assert unused == []
+
+
+def test_package_binds_no_module_export():
+    # each public name is imported from its module: the package binds the
+    # modules and __version__, and no name of any module's __all__
+    import ctdi
+    from ctdi import capacity, cli, gaussian, partition_di, poisson, quadrature
+
+    modules = (capacity, cli, core, gaussian, partition_di, poisson, quadrature)
+    bound = sorted({name for m in modules for name in m.__all__ if hasattr(ctdi, name)})
+    assert bound == []
+    assert "SamplePath" not in core.__all__ and not hasattr(ctdi, "SamplePath")
+    assert isinstance(ctdi.__version__, str)
 
 
 def test_benchmark_call_metrics_name_traced_entry_points():

@@ -92,6 +92,8 @@ def test_simulation_reproducible():
     x2, y2 = simulate_awgn(model, [RngSpec(63).stream(7)])
     assert np.array_equal(x1, x2)
     assert np.array_equal(y1, y2)
+    with pytest.raises(ValueError, match="shorter than one grid step"):
+        simulate_awgn(constant_signal_model(0.0, 0.01), [RngSpec(63).stream(7)])
 
 
 def test_power_bound_guards_runaway_policies():
@@ -113,6 +115,9 @@ def test_exact_filter_gain_formula():
     assert np.allclose(filt, [0.0, 0.5 / 1.5])
     wide = exact_filter_constant_signal(inc, 0.5, prior_var=4.0)
     assert np.allclose(wide, [0.0, 4.0 * 0.5 / 3.0])
+    for prior_var in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="prior variance"):
+            exact_filter_constant_signal(inc, 0.5, prior_var=prior_var)
 
 
 def test_exact_filter_posterior_variance_is_achieved():
@@ -484,6 +489,9 @@ def test_non_finite_values_name_their_cause(monkeypatch):
     # a non-finite mismatched filter is the caller's input
     with pytest.raises(ValueError, match="finite values"):
         mismatched_relent_gaussian(model, lambda inc, dt: np.full(inc.shape, np.nan), rng=91, replicas=3)
+    # finite values whose squared error overflows are a breakdown, with no warning
+    with pytest.raises(RuntimeError, match="causal-MMSE integral is not finite"):
+        mismatched_relent_gaussian(model, lambda inc, dt: np.full(inc.shape, 1e200), rng=91, replicas=3)
     # a non-finite exact filter is a breakdown of the pipeline itself
     monkeypatch.setattr(gaussian, "exact_filter_constant_signal", lambda inc, dt: np.full(inc.shape, np.nan))
     with pytest.raises(RuntimeError, match="not finite"):
@@ -527,6 +535,9 @@ def test_zero_horizon_blocks_return_zero_pairs():
     block = gaussian._pipeline(constant_signal_model(0.0, 0.01), [0, 0])
     assert np.array_equal(block(_streams(94, 3)), np.zeros((3, 4)))
     est = directed_info_gaussian_mc(constant_signal_model(0.0, 0.01), rng=94, replicas=40)
+    assert est.value == 0.0 and est.stderr == 0.0
+    q_filter = functools.partial(exact_filter_constant_signal, prior_var=4.0)
+    est = mismatched_relent_gaussian(constant_signal_model(0.0, 0.01), q_filter, rng=94, replicas=40)
     assert est.value == 0.0 and est.stderr == 0.0
 
 

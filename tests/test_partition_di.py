@@ -122,6 +122,8 @@ def test_grouping_extremes():
         assert one == pytest.approx(mi, abs=1e-10)
         assert singles == pytest.approx(di, abs=1e-12)
         assert di <= one + 1e-12
+    with pytest.raises(ValueError, match="does not cover"):
+        grouped_directed_info(joint, Grouping.one_block(n + 1))
 
 
 def test_grouping_refinement_monotone_chains():
@@ -194,6 +196,8 @@ def test_joint_validation():
         JointSequencePmf((2.9,), (2,), np.full(4, 0.25))
     with pytest.raises(ValueError, match="alphabet sizes must be integers"):
         random_joint(np.random.default_rng(0), (2,), (2.5,))
+    with pytest.raises(ValueError, match="at least 1"):
+        JointSequencePmf((2, 0), (2, 2), np.zeros((2, 0, 2, 2)))
     assert JointSequencePmf((2.0,), (np.int64(2),), np.full(4, 0.25)).x_sizes == (2,)
     # the joint keeps a read-only copy and leaves the caller's array writable
     mine = np.full((2, 2), 0.25)

@@ -1,6 +1,7 @@
 import functools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -288,6 +289,49 @@ def test_level_ratio_cap_follows_the_panel_layout():
         pmf = FinitePmf(support, np.full(len(support), 1.0 / len(support)))
         with pytest.raises(ValueError, match=named):
             di_rate_analytic(pmf)
+
+
+def test_levels_below_the_smallest_normal_float_are_refused():
+    # below np.finfo(float).tiny 1/x overflows, so E[1/X] and the rate would
+    # read inf and 0; the first such level is named by its place
+    tiny = np.finfo(float).tiny
+    base = di_rate_analytic(FinitePmf([1.0, 3.0], [0.5, 0.5]))
+    at = di_rate_analytic(FinitePmf([2.0**-1000, 3 * 2.0**-1000], [0.5, 0.5]))
+    assert at == base * 2.0**-1000
+    assert di_rate_analytic(FinitePmf([tiny, 3 * tiny], [0.5, 0.5])) > 0.0
+    for support, named in (([2.0**-1030, 3 * 2.0**-1030], "lambda1=8.69169e-311"),
+                           ([1.0, 3e-310], "lambda2=3e-310"),
+                           ([1.0, 0.0], "lambda2=0")):
+        pmf = FinitePmf(support, [0.5, 0.5])
+        for fn in (di_rate_analytic, mean_inverse_intensity, interarrival_entropy,
+                   lambda pmf: PoissonFeedbackModel(pmf, 10.0)):
+            with pytest.raises(ValueError, match=f"strictly positive and at least .*{named}"):
+                fn(pmf)
+
+
+def test_level_ratio_guard_does_not_overflow():
+    # the ratio of levels 1e-300 and 1e300 overflows; its log does not
+    for support in ([1e-300, 1e300], [1e300, 2.0, 1e-300]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"lambda1=1e[-+]300 and lambda\d=1e[-+]300"):
+                di_rate_analytic(FinitePmf(support, np.full(len(support), 1.0 / len(support))))
+
+
+def test_mean_interarrival_scales_exactly_at_small_levels():
+    # the integral runs on the support normalized by its smallest level, so
+    # the absolute error target holds at any scale
+    base = mean_interarrival_quadrature(BINARY)
+    for k in (18, 30, 60):
+        pmf = FinitePmf([2.0**-k, 2.0**(1 - k)], [0.5, 0.5])
+        assert mean_interarrival_quadrature(pmf) == base * 2**k
+
+
+def test_entropy_tail_bound_doubles_at_fast_levels():
+    # at levels 2^80 {1, 2} the first truncation point 50/lam leaves a tail
+    # envelope above 1/e, so the tail bound doubles it
+    fast = interarrival_entropy(FinitePmf([2.0**80, 2.0**81], [0.5, 0.5]))
+    assert abs(fast - (interarrival_entropy(BINARY) - 80 * math.log(2.0))) <= 1e-12
 
 
 def test_float_coincident_epochs_keep_the_last():

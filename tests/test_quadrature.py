@@ -38,5 +38,8 @@ def test_integrate_panels_reports_nonconvergence():
     # amount proportional to the panel width, as does the panel's share of tol
     with pytest.raises(RuntimeError):
         integrate_panels(lambda t: np.where(t < 1.0 / 3.0, 0.0, 1.0), [0.0, 1.0], tol=1e-12)
+    # a fast oscillation over a long range outgrows the panel budget first
+    with pytest.raises(RuntimeError, match="panels unconverged"):
+        integrate_panels(lambda t: np.sin(1e4 * t) ** 2 * np.exp(-t), [0.0, 1e3], tol=1e-13)
     with pytest.raises(ValueError):
         integrate_panels(np.exp, [1.0, 0.0])
