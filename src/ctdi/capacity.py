@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FinitePmf
-from .poisson import (_check_resolvable, di_rate_analytic, mean_interarrival_quadrature,
-                      mean_inverse_intensity)
+from .poisson import (_check_levels, _check_resolvable, di_rate_analytic,
+                      mean_interarrival_quadrature, mean_inverse_intensity)
 
 __all__ = [
     "CapacityPoint",
@@ -60,10 +60,10 @@ class CapacityPoint:
 def binary_rate(p: float, lambda1: float, lambda2: float) -> float:
     """Analytic rate of the binary input putting weight p on lambda1.
 
-    Exactly zero at p in {0, 1} and whenever the two levels coincide.
+    Exactly zero at p in {0, 1} and whenever the two levels coincide.  A
+    level below the smallest normal float raises ValueError, coincident or not.
     """
-    if lambda1 <= 0 or lambda2 <= 0:
-        raise ValueError("intensities must be strictly positive")
+    _check_levels(np.array([lambda1, lambda2], dtype=float))
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     if lambda1 == lambda2:
@@ -145,13 +145,13 @@ def optimize_binary(lambda1: float, lambda2: float, tol: float = 1e-6) -> Capaci
     lie in (0, 1); a tol below float resolution stops once no new point
     inside the bracket differs from the best one.  Coincident levels carry no information
     for any p; that case returns a zero rate flagged degenerate (the
-    objective is flat).  Levels more than about 1e90 apart, or one below the
-    smallest normal float, raise ValueError at the first rate evaluated.
+    objective is flat).  A level below the smallest normal float raises
+    ValueError first, and levels more than about 1e90 apart at the first
+    rate evaluated.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
-    if lambda1 <= 0 or lambda2 <= 0:
-        raise ValueError("intensities must be strictly positive")
+    _check_levels(np.array([lambda1, lambda2], dtype=float))
     if lambda1 == lambda2:
         return CapacityPoint(lambda1, lambda2, 0.5, 0.0, degenerate=True)
     p_star, rate_star = _brent_max(lambda p: binary_rate(p, lambda1, lambda2), tol)
@@ -163,12 +163,14 @@ def capacity_curve(lambda1: float, lambda2_values, tol: float = 1e-6) -> list[Ca
 
     A zero second level can never fire, so no information flows and the rate
     is zero by convention (reported with all mass on the live symbol).
-    Every level is checked before any is optimized.
+    Every level is checked before any is optimized, lambda1 against the
+    smallest normal float even when every lambda2 is 0.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
     if not 0.0 < lambda1 < math.inf:
         raise ValueError(f"lambda1 must be positive and finite, got {lambda1}")
+    _check_levels(np.array([lambda1], dtype=float))
     levels = [float(lam2) for lam2 in lambda2_values]
     for lam2 in levels:
         if not 0.0 <= lam2 < math.inf:

@@ -24,9 +24,11 @@ Configuration is a flat key=value file with comma-separated lists; every key
 can also be set by a flag of the same name (flag wins).  All commands write a
 CSV (or report) plus a manifest echoing the resolved configuration, and runs
 are byte-reproducible given the same seed.  Exit status: 0 on pass, 1 when a
-scientific tolerance is violated, 2 on usage or configuration errors, 3 on
-an internal numerical failure (quadrature that does not converge, or a tail
-bound that is never met).  Once the output directory exists, the manifest
+scientific tolerance is violated, 2 on usage or configuration errors (any
+ValueError or OSError), 3 on an internal failure: a numerical one
+(quadrature that does not converge, a tail bound that is never met, a
+non-finite error integral) or any other exception, reported as one line
+that names its type.  Once the output directory exists, the manifest
 records the exit status, and for status 3 the one-line reason.
 """
 
@@ -62,29 +64,25 @@ __all__ = ["main", "ExperimentConfig", "cmd_gaussian_duncan", "cmd_poisson_rate"
            "cmd_poisson_capacity", "cmd_di_discrete"]
 
 
-class CliError(Exception):
-    """Bad usage or configuration; maps to exit status 2."""
-
-
 def _parse_float_list(text):
     try:
         return [float(tok) for tok in str(text).split(",") if tok.strip() != ""]
     except ValueError as exc:
-        raise CliError(f"cannot parse list value {text!r}") from exc
+        raise ValueError(f"cannot parse list value {text!r}") from exc
 
 
 def _parse_float(text):
     try:
         return float(text)
     except ValueError as exc:
-        raise CliError(f"cannot parse number {text!r}") from exc
+        raise ValueError(f"cannot parse number {text!r}") from exc
 
 
 def _parse_int(text):
     try:
         return int(str(text), 10)
     except ValueError as exc:
-        raise CliError(f"cannot parse integer {text!r}") from exc
+        raise ValueError(f"cannot parse integer {text!r}") from exc
 
 
 _TOL_HELP = ("relative tolerance of the search on p: the search stops once the bracket "
@@ -113,7 +111,7 @@ def _load_config_file(path: str) -> dict:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise CliError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         out[key.strip()] = value.strip()
     return out
@@ -126,7 +124,7 @@ def _resolve_config(command: str, args: argparse.Namespace) -> ExperimentConfig:
         raw.update(_load_config_file(args.config))
     unknown = set(raw) - set(schema)
     if unknown:
-        raise CliError(f"unknown config keys for {command}: {', '.join(sorted(unknown))}")
+        raise ValueError(f"unknown config keys for {command}: {', '.join(sorted(unknown))}")
     params = {}
     for key, (parse, default, _) in schema.items():
         text = getattr(args, key, None)  # the flag wins over the file
@@ -134,11 +132,11 @@ def _resolve_config(command: str, args: argparse.Namespace) -> ExperimentConfig:
         params[key] = default if text is None else parse(text)
     if args.replicas is not None:
         if replica_key is None:
-            raise CliError(f"{command} has no replication knob for --replicas")
+            raise ValueError(f"{command} has no replication knob for --replicas")
         params[replica_key] = _parse_int(args.replicas)
     jobs = _parse_int(args.jobs if args.jobs is not None else os.environ.get("CTDI_JOBS", "1"))
     if jobs < 1:
-        raise CliError(f"jobs must be at least 1, got {jobs}")
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     return ExperimentConfig(
         command=command,
         params=params,
@@ -154,18 +152,18 @@ def _check_params(cfg: ExperimentConfig) -> None:
     for key, (_, _, minimum) in COMMANDS[cfg.command][2].items():
         value = cfg.params[key]
         if isinstance(value, list) and not value:
-            raise CliError(f"{key} needs at least one value")
+            raise ValueError(f"{key} needs at least one value")
         if minimum is not None and value < minimum:
-            raise CliError(f"{key} must be at least {minimum}, got {value}")
+            raise ValueError(f"{key} must be at least {minimum}, got {value}")
     if "max_alphabet" in cfg.params:
         alphabet, max_n = cfg.params["max_alphabet"], cfg.params["max_n"]
         # with an alphabet of at least 2, an exponent past the cap's bit length
         # is over the cap, so the power is formed only for small exponents
         exponent = 2 * max(max_n, _CHAIN_N)
         if exponent > _STATE_CAP.bit_length() or alphabet ** exponent > _STATE_CAP:
-            raise CliError(f"max_alphabet {alphabet} and max_n {max_n} allow joints of up to "
-                           f"{alphabet}**{exponent} cells (n = max(max_n, {_CHAIN_N}) steps), "
-                           f"more than the enumeration cap {_STATE_CAP}")
+            raise ValueError(f"max_alphabet {alphabet} and max_n {max_n} allow joints of up to "
+                             f"{alphabet}**{exponent} cells (n = max(max_n, {_CHAIN_N}) steps), "
+                             f"more than the enumeration cap {_STATE_CAP}")
 
 
 def _finish(cfg: ExperimentConfig, started_iso: str, t0: float, status: int,
@@ -209,8 +207,8 @@ def cmd_poisson_rate(cfg: ExperimentConfig) -> int:
         model = PoissonFeedbackModel(pmf, horizon)
         burn_in = default_burn_in(pmf)
         if burn_in >= horizon:
-            raise CliError(f"horizon {horizon:g} is not longer than the burn-in {burn_in:g} "
-                           f"at p = {p:g}")
+            raise ValueError(f"horizon {horizon:g} is not longer than the burn-in {burn_in:g} "
+                             f"at p = {p:g}")
         legs.append((p, analytic, model))
     rows = []
     ok = True
@@ -407,10 +405,12 @@ def main(argv=None) -> int:
         t0 = time.perf_counter()
         _check_params(cfg)
         status = COMMANDS[args.command][0](cfg)
-    except (CliError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         status, message = 2, str(exc)
     except RuntimeError as exc:
         status, message = 3, f"internal numerical failure: {exc}"
+    except Exception as exc:  # a fault of the program itself, still one line and a manifest
+        status, message = 3, f"internal failure: {type(exc).__name__}: {exc}"
     if message is not None:
         print(f"error: {message}", file=sys.stderr)
     if started is not None:

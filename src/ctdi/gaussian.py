@@ -5,10 +5,12 @@ last axis.  Simulation uses per-step observation increments inc_k = X_k dt +
 sqrt(dt) z_k, which keeps likelihood updates well conditioned.  By Duncan's
 relation with feedback the directed information between the input and
 output paths is half the integrated causal mean-square error of the optimal
-filter, so every estimator runs one pipeline on each block: draw it (as
-simulate_awgn does), filter it exactly, integrate the error (as
+filter, so every estimator runs one pipeline on each block: draw it with
+simulate_awgn, filter it exactly, integrate the error (as
 causal_mmse_integral does).  Filters estimate X at time t from increments
 strictly before t, and each row's values depend on its own stream alone.
+A zero horizon is the empty block, (C, 0): the same pipeline draws only
+the latents, every filter returns (C, 0) and every integral reads 0.
 
 The directed-information estimate is the mean of Z + cM over replicas, Z =
 0.5 sum_k (X_k - Xhat_k)^2 dt the Duncan integral and M = sum_k (X_k -
@@ -76,7 +78,8 @@ class GaussianFeedbackModel:
     the observed past, so the posterior is a likelihood mixture over the
     atoms.  A standard-normal latent has an exact filter only with
     policy=None.  The grid has at most _STEP_CAP steps, so no simulation
-    buffer grows past a few hundred megabytes.
+    buffer grows past a few hundred megabytes.  A delay is inf or at least
+    one grid step, and a power bound is nonnegative (NaN is neither).
     """
 
     horizon: float
@@ -97,9 +100,12 @@ class GaussianFeedbackModel:
         n = int(round(steps))
         if abs(n * self.dt - self.horizon) > 1e-9 * max(self.dt, self.horizon):
             raise ValueError("horizon must be a whole number of grid steps")
+        if not self.delay >= self.dt * (1 - 1e-9):  # NaN and -inf too
+            raise ValueError(f"feedback delay must be at least one grid step, or inf, "
+                             f"got {self.delay}")
+        if not self.power_bound >= 0:
+            raise ValueError(f"power bound must be nonnegative, got {self.power_bound}")
         if math.isfinite(self.delay):
-            if self.delay < self.dt * (1 - 1e-9):
-                raise ValueError("a finite feedback delay must be at least one grid step")
             d = int(round(self.delay / self.dt))
             if abs(d * self.dt - self.delay) > 1e-9 * self.delay:
                 raise ValueError("feedback delay must be a whole number of grid steps")
@@ -170,22 +176,19 @@ def _drive(model: GaussianFeedbackModel, u: np.ndarray, inc: np.ndarray,
     return x
 
 
-def simulate_awgn(model: GaussianFeedbackModel, gens) -> tuple[np.ndarray, np.ndarray]:
+def simulate_awgn(model: GaussianFeedbackModel, gens, inc: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """Draw a block: (signal, observation increments), (C, n) arrays, row i from gens[i].
 
-    Each stream draws its latent and then its step noises, so a replay from
-    the same stream is bit-identical, and a shorter horizon draws a prefix
-    of the same row.  Without a policy the signal is a read-only broadcast.
+    The increments are drawn into inc, a (len(gens), n) buffer, or into a
+    fresh one when inc is None.  Each stream draws its latent and then its
+    step noises, so a replay from the same stream is bit-identical, and a
+    shorter horizon draws a prefix of the same row; a zero horizon draws
+    only the latents and returns (C, 0) arrays.  Without a policy the
+    signal is a read-only broadcast.
     """
-    n = model.n_steps
-    if n == 0:
-        raise ValueError("horizon shorter than one grid step")
-    inc = np.empty((len(gens), n))
-    return _simulate(model, gens, inc), inc
-
-
-def _simulate(model: GaussianFeedbackModel, gens, inc: np.ndarray) -> np.ndarray:
-    """simulate_awgn into inc, a (len(gens), n) buffer; returns the signal."""
+    if inc is None:
+        inc = np.empty((len(gens), model.n_steps))
     u = np.empty(len(gens))
     for i, gen in enumerate(gens):
         if model.latent is None:
@@ -193,7 +196,7 @@ def _simulate(model: GaussianFeedbackModel, gens, inc: np.ndarray) -> np.ndarray
         else:
             u[i] = gen.choice(model.latent.support, p=model.latent.probs)
         gen.standard_normal(out=inc[i])
-    return _drive(model, u, inc, simulate=True)
+    return _drive(model, u, inc, simulate=True), inc
 
 
 class _Workspace:
@@ -215,14 +218,6 @@ class _Workspace:
         return self._inc[:count]
 
 
-def _cumulative_before(inc: np.ndarray) -> np.ndarray:
-    """Cumulative observation at each grid time (last axis), from increments strictly before it."""
-    out = np.empty_like(inc)
-    out[..., 0] = 0.0
-    np.cumsum(inc[..., :-1], axis=-1, out=out[..., 1:])
-    return out
-
-
 def exact_filter_constant_signal(inc: np.ndarray, dt: float, prior_var: float = 1.0) -> np.ndarray:
     """Posterior means of a constant signal under a centered Gaussian prior, along the last axis.
 
@@ -231,7 +226,9 @@ def exact_filter_constant_signal(inc: np.ndarray, dt: float, prior_var: float = 
     """
     if not prior_var > 0:
         raise ValueError("prior variance must be positive")
-    est = _cumulative_before(inc)
+    est = np.empty_like(inc)  # Y at each step: the sum of the increments before it
+    est[..., :1] = 0.0
+    np.cumsum(inc[..., :-1], axis=-1, out=est[..., 1:])
     est *= prior_var / (1.0 + prior_var * (dt * np.arange(inc.shape[-1])))
     return est
 
@@ -259,9 +256,10 @@ def replay_filter(model: GaussianFeedbackModel, inc: np.ndarray) -> np.ndarray:
     if model.latent is None:
         raise ValueError("replay filtering needs a finite-support latent prior")
     prior = model.latent.trimmed()
-    rows = inc.reshape(-1, inc.shape[-1])
+    n = inc.shape[-1]
+    rows = inc.reshape(math.prod(inc.shape[:-1]), n)
     est = np.empty_like(rows)
-    group = max(1, _REPLAY_CELLS // (rows.shape[1] * len(prior)))
+    group = max(1, _REPLAY_CELLS // max(1, n * len(prior)))
     for a in range(0, len(rows), group):
         est[a:a + group] = _replay_rows(model, prior, rows[a:a + group])
     return est.reshape(inc.shape)
@@ -282,7 +280,7 @@ def _replay_rows(model: GaussianFeedbackModel, prior: FinitePmf, rows: np.ndarra
     steps = signals * rows[:, :, None]
     steps -= 0.5 * model.dt * signals * signals
     loglik = np.empty_like(steps)
-    loglik[:, 0] = 0.0
+    loglik[:, :1] = 0.0
     np.cumsum(steps[:, :-1], axis=1, out=loglik[:, 1:])
     del steps  # one (r, n, k) array fewer alive in the mixture below
     loglik += np.log(prior.probs)
@@ -343,10 +341,7 @@ def _block(model, steps, ws, gens) -> np.ndarray:
     the steps before it, so a row's prefix is the row a shorter horizon
     draws.  A non-finite value raises RuntimeError.
     """
-    if model.n_steps == 0:
-        return np.zeros((len(gens), 2 * len(steps)))
-    inc = ws.rows(len(gens), model.n_steps)
-    x = _simulate(model, gens, inc)
+    x, inc = simulate_awgn(model, gens, ws.rows(len(gens), model.n_steps))
     est = _exact_filter(model, inc)
     err = np.subtract(x, est, out=est)
     # M = sum_j err_j (inc_j - x_j dt), summed over (inc_j / dt - x_j) err_j in place
@@ -369,8 +364,6 @@ def _mismatch_block(model, steps, q_filter, gens) -> np.ndarray:
     buffer.  A non-finite q_filter value raises ValueError, any other
     non-finite integral RuntimeError.
     """
-    if model.n_steps == 0:
-        return np.zeros((len(gens), len(steps)))
     x, inc = simulate_awgn(model, gens)
     vals = causal_mmse_integral(x, _exact_filter(model, inc), model.dt, steps)
     q = np.array(q_filter(inc, model.dt), dtype=float)  # a copy: the integral overwrites it

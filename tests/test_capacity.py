@@ -37,6 +37,21 @@ def test_binary_rate_validation():
             optimize_binary(lam1, lam2)
 
 
+def test_coincident_and_silent_levels_meet_the_level_floor():
+    # no rate is computed for these, yet a level below the smallest normal
+    # float is refused as for any other pair
+    for refused in (lambda: optimize_binary(1e-310, 1e-310),
+                    lambda: binary_rate(0.5, 1e-310, 1e-310),
+                    lambda: capacity_curve(1e-310, [0.0]),
+                    lambda: capacity_curve(1e-310, [0.0, 0.0])):
+        with pytest.raises(ValueError, match="lambda1=1e-310"):
+            refused()
+    # the coincident and silent shortcuts themselves stand above the floor
+    assert binary_rate(0.5, 2.0, 2.0) == 0.0
+    assert optimize_binary(2.0, 2.0).degenerate
+    assert capacity_curve(2.0, [0.0])[0].rate_star == 0.0
+
+
 def test_levels_below_the_smallest_normal_float_are_refused():
     # 1/x overflows below np.finfo(float).tiny, so the rate there would read
     # 0 at a p_star near 1; at tiny itself the scale law still holds

@@ -297,6 +297,40 @@ def test_subnormal_levels_are_usage_errors(tmp_path, capsys):
         assert [p.name for p in out.iterdir()] == [f"{command.replace('-', '_')}_manifest.json"]
 
 
+def test_subnormal_first_level_with_silent_second_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "cap"
+    assert run(["poisson-capacity", "--lambda1", "1e-310", "--lambda2-values", "0",
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "lambda1=1e-310" in err and "Traceback" not in err
+    assert [p.name for p in out.iterdir()] == ["poisson_capacity_manifest.json"]
+
+
+def test_any_other_exception_exits_3_with_one_line_and_a_manifest(tmp_path, monkeypatch, capsys):
+    # a fault of the program, not of the run's numbers: still exit 3, one
+    # line naming the exception's type, and a manifest recording it
+    def fail(*args, **kwargs):
+        return 1 / 0
+
+    monkeypatch.setattr("ctdi.cli.capacity_curve", fail)
+    assert run(["poisson-capacity", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: internal failure: ZeroDivisionError: division by zero\n"
+    manifest = json.loads((tmp_path / "poisson_capacity_manifest.json").read_text())
+    assert manifest["exit_status"] == 3
+    assert manifest["exit_reason"] == "internal failure: ZeroDivisionError: division by zero"
+
+
+def test_unwritable_manifest_exits_2_with_one_line(tmp_path, capsys):
+    # the run itself passes; a directory where the manifest goes is an OSError
+    (tmp_path / "gaussian_duncan_manifest.json").mkdir()
+    assert run(["gaussian-duncan", "--t-values", "0", "--replicas", "3",
+                "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "gaussian_duncan_manifest.json" in err
+
+
 def test_internal_numerical_failure_exits_3_without_traceback(tmp_path, monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise RuntimeError("Gauss-Legendre panels did not reach tol=1e-11")
@@ -327,14 +361,14 @@ def test_non_finite_gaussian_filter_exits_3(tmp_path, monkeypatch, capsys):
 def test_non_finite_martingale_control_exits_3(tmp_path, monkeypatch, capsys):
     # an infinite last increment: no filter value reads it, so every
     # causal-MMSE integral stays finite and only the martingale control is not
-    real = gaussian._simulate
+    real = gaussian.simulate_awgn
 
-    def corrupted(model, gens, inc):
-        x = real(model, gens, inc)
+    def corrupted(model, gens, inc=None):
+        x, inc = real(model, gens, inc)
         inc[:, -1] = np.inf
-        return x
+        return x, inc
 
-    monkeypatch.setattr(gaussian, "_simulate", corrupted)
+    monkeypatch.setattr(gaussian, "simulate_awgn", corrupted)
     assert run(["gaussian-duncan", "--t-values", "0.2", "--dt", "0.01", "--replicas", "40",
                 "--jobs", "1", "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err

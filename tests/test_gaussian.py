@@ -66,6 +66,15 @@ def test_model_validation():
     for horizon, dt in ((1.0, 1e-7), (2.0, 1e-6), (1e300, 1e-300)):
         with pytest.raises(ValueError, match="step cap"):
             constant_signal_model(horizon, dt)
+    # a NaN delay would fail only at the first draw, and -inf would run as
+    # no feedback at all; both are refused when the model is built
+    for delay in (math.nan, -math.inf):
+        with pytest.raises(ValueError, match="feedback delay"):
+            GaussianFeedbackModel(1.0, 0.1, _gate, delay=delay, latent=TWO_POINT)
+    for bound in (math.nan, -1.0):
+        with pytest.raises(ValueError, match="power bound"):
+            GaussianFeedbackModel(1.0, 0.1, None, latent=TWO_POINT, power_bound=bound)
+    assert GaussianFeedbackModel(1.0, 0.1, None, latent=TWO_POINT, power_bound=math.inf)
 
 
 def test_zero_signal_increments_are_pure_noise():
@@ -92,8 +101,9 @@ def test_simulation_reproducible():
     x2, y2 = simulate_awgn(model, [RngSpec(63).stream(7)])
     assert np.array_equal(x1, x2)
     assert np.array_equal(y1, y2)
-    with pytest.raises(ValueError, match="shorter than one grid step"):
-        simulate_awgn(constant_signal_model(0.0, 0.01), [RngSpec(63).stream(7)])
+    # a zero horizon draws only the latent: the empty prefix of every row
+    x, inc = simulate_awgn(constant_signal_model(0.0, 0.01), [RngSpec(63).stream(7)])
+    assert x.shape == inc.shape == (1, 0)
 
 
 def test_power_bound_guards_runaway_policies():
@@ -539,6 +549,33 @@ def test_zero_horizon_blocks_return_zero_pairs():
     q_filter = functools.partial(exact_filter_constant_signal, prior_var=4.0)
     est = mismatched_relent_gaussian(constant_signal_model(0.0, 0.01), q_filter, rng=94, replicas=40)
     assert est.value == 0.0 and est.stderr == 0.0
+    # the general pipeline on (C, 0) blocks, for every filter: each
+    # estimate reads exactly 0 with stderr 0
+    finite = constant_signal_model(0.0, 0.01, prior=THREE_POINT)
+    for model in (finite, delayed_echo_model(0.0, 0.01, 0.03),
+                  GaussianFeedbackModel(0.0, 0.01, _gate, delay=0.01, latent=TWO_POINT)):
+        est = directed_info_gaussian_mc(model, rng=94, replicas=40)
+        assert (est.value, est.stderr) == (0.0, 0.0)
+    est = mismatched_relent_gaussian(finite, functools.partial(discrete_prior_filter, TWO_POINT),
+                                     rng=94, replicas=40)
+    assert (est.value, est.stderr) == (0.0, 0.0)
+    models = [constant_signal_model(t, 0.01) for t in (0.0, 0.3, 0.0, 0.1, 0.0)]
+    sweep = directed_info_gaussian_sweep(models, rng=94, replicas=40)
+    assert [(e.value, e.stderr) for e in sweep[::2]] == [(0.0, 0.0)] * 3
+    assert all(e.value > 0.0 for e in sweep[1::2])
+    zeros = directed_info_gaussian_sweep(models[::2], rng=94, replicas=40)
+    assert [(e.value, e.stderr) for e in zeros] == [(0.0, 0.0)] * 3
+
+
+@pytest.mark.parametrize("shape", [(3, 0), (0, 0), (0,)])
+def test_public_filters_take_empty_blocks(shape):
+    inc = np.empty(shape)
+    gate = GaussianFeedbackModel(0.0, 0.01, _gate, delay=0.01, latent=TWO_POINT)
+    for est in (exact_filter_constant_signal(inc, 0.01),
+                discrete_prior_filter(THREE_POINT, inc, 0.01),
+                replay_filter(gate, inc)):
+        assert est.shape == shape
+    assert causal_mmse_integral(np.empty(shape), np.empty(shape), 0.01, [0]).shape == shape[:-1] + (1,)
 
 
 def test_block_buffers_are_reused_across_blocks():

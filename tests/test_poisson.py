@@ -601,6 +601,10 @@ def test_state_at_and_occupancy_manual():
     assert np.allclose(occ_tail, [0.5, 0.5])
     with pytest.raises(ValueError):
         state_at(traj, [4.0])
+    # an empty or reversed window, or one past the horizon, has no fractions
+    for t_lo, t_hi in ((2.0, 2.0), (3.0, 1.0), (0.0, 4.5), (-1.0, 2.0)):
+        with pytest.raises(ValueError, match="t_lo < t_hi <= horizon"):
+            occupancy_fractions(traj, [1.0, 2.0], t_lo=t_lo, t_hi=t_hi)
 
 
 def test_occupancy_converges_to_stationary_law():
