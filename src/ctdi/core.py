@@ -8,25 +8,26 @@ instances can be shared freely across threads and worker processes.
 
 Replica protocol: a Monte Carlo estimator hands replicated_estimates a
 function block(gens) of a list of numpy Generators that returns one row of
-values per Generator in order (replicated_estimate: one value), and only
-this module derives the streams: replica r draws from
-default_rng(SeedSequence((seed, r))), and a block gets the streams of up to
-_BLOCK consecutive replicas, so an estimate depends on neither the blocking,
-the replica chunking nor the number of jobs.  A worker derives its range's
-streams with RngSpec.streams, which hashes a run of _RUN replicas at once
-as uint32 vectors, bit-identical to default_rng(SeedSequence((seed, r))).
-The Gaussian estimators draw and filter a whole block as (replicas, steps)
-arrays, each worker reusing one block's buffer while a row's values still
-depend on its own stream alone; the Poisson ones draw one trajectory per
-Generator, a row group at a time, and integrate the block's trajectories
-together.  The Gaussian Duncan estimators go through controlled_estimates:
-a block returns each replica's Duncan integral Z and the martingale M =
+values per Generator in order, and only this module derives the streams:
+replica r draws from default_rng(SeedSequence((seed, r))), and a block gets
+the streams of up to _BLOCK consecutive replicas, so an estimate depends on
+neither the blocking, the replica chunking nor the number of jobs.  A
+worker derives its range's streams with RngSpec.streams, which hashes a run
+of _RUN replicas at once as uint32 vectors, bit-identical to
+default_rng(SeedSequence((seed, r))).  The Gaussian estimators draw and
+filter a whole block as (replicas, steps) arrays, each worker reusing one
+block's buffer while a row's values still depend on its own stream alone;
+the Poisson ones draw one trajectory per Generator, a row group at a time,
+and integrate the block's trajectories together.  An estimator may follow
+its values with k groups of zero-mean control columns: the Gaussian Duncan
+estimators return each replica's Duncan integral Z, the martingale M =
 sum_k (X_k - Xhat_k)(inc_k - X_k dt), of mean exactly 0 because the filter
-reads only earlier increments, and the estimate is the mean of Z + cM with
-c fitted on the same replicas, or the plain mean below 32 replicas; the
-mismatched relative entropy keeps the plain mean.  No estimator uses
-SamplePath and it is not exported; it stays only because the benchmark's
-tracer wraps its constructor by attribute.
+reads only earlier increments, and H = u^2 - E[u^2] of the replica's
+latent, and each estimate is the mean of Z + c1 M + c2 H with (c1, c2)
+fitted on the same replicas, or the plain mean below 32 replicas.  The
+Poisson estimators and the mismatched relative entropy have no controls.
+No estimator uses SamplePath and it is not exported; it stays only because
+the benchmark's tracer wraps its constructor by attribute.
 """
 
 from __future__ import annotations
@@ -46,9 +47,7 @@ __all__ = [
     "DiEstimate",
     "poisson_loss",
     "map_replicas",
-    "replicated_estimate",
     "replicated_estimates",
-    "controlled_estimates",
     "write_csv",
 ]
 
@@ -159,12 +158,11 @@ class RngSpec:
             raise ValueError(f"replica range [{start}, {stop}) must lie within [0, 2**32]")
         # imported here, so that importing ctdi never loads numpy.random
         from numpy.random import PCG64, Generator
-        from numpy.random.bit_generator import ISeedSequence
 
-        ISeedSequence.register(_SeedWords)
+        seed_words = _seed_words_class()
         for a in range(start, stop, _RUN):
             for words in _pcg64_seed_words(self.master_seed, a, min(a + _RUN, stop)):
-                yield Generator(PCG64(_SeedWords(words)))
+                yield Generator(PCG64(seed_words(words)))
 
 
 # SeedSequence's hash constants (numpy.random.bit_generator, after O'Neill's
@@ -213,21 +211,27 @@ def _pcg64_seed_words(master_seed: int, start: int, stop: int) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-class _SeedWords:
-    """One replica's precomputed PCG64 seed words, posing as its SeedSequence.
+@functools.cache
+def _seed_words_class() -> type:
+    """The class of one replica's precomputed PCG64 seed words, posing as its SeedSequence.
 
-    Registered as a numpy ISeedSequence, so PCG64 seeds itself from them.
+    A subclass of numpy's ISeedSequence, so PCG64 seeds itself from the
+    words, and passes PCG64's isinstance check faster than a class
+    registered with that ABC would.  It is defined on first use, so that
+    importing ctdi never loads numpy.random.
     """
+    from numpy.random.bit_generator import ISeedSequence
 
-    __slots__ = ("_words",)
+    class _SeedWords(ISeedSequence):
+        def __init__(self, words):
+            self._words = words
 
-    def __init__(self, words):
-        self._words = words
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or dtype is not np.uint64:
+                raise ValueError("only PCG64's generate_state(4, np.uint64) is precomputed")
+            return self._words
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or dtype is not np.uint64:
-            raise ValueError("only PCG64's generate_state(4, np.uint64) is precomputed")
-        return self._words
+    return _SeedWords
 
 
 @dataclass(frozen=True)
@@ -335,8 +339,9 @@ def _estimate(values: np.ndarray, master_seed: int) -> DiEstimate:
     return DiEstimate(float(values.mean()), stderr, n, master_seed)
 
 
-def replicated_estimates(block, rng, replicas: int, jobs: int = 1) -> list[DiEstimate]:
-    """Mean and standard error of each column of block(gens) over replicas independent streams.
+def replicated_estimates(block, rng, replicas: int, jobs: int = 1,
+                         controls: int = 0) -> list[DiEstimate]:
+    """Mean and standard error of each value column of block(gens) over independent streams.
 
     block maps a list of Generators, the streams of consecutive replicas, to
     one row of values per Generator in order (or one value, a one-column
@@ -345,47 +350,49 @@ def replicated_estimates(block, rng, replicas: int, jobs: int = 1) -> list[DiEst
     its own stream from the master seed.  block must be picklable when
     jobs > 1.  The standard error is nan for a single replica, which has no
     spread to estimate it from, so it cannot pass for an exact zero.
+
+    With controls = k >= 1 each row holds (k + 1) m values: m value columns
+    Z, then k groups of m control columns, each of known mean 0, the i-th
+    control of every group paired with the i-th value.  Each estimate is
+    then the mean of Z + sum_a c_a M_a with c fitted on the same replicas (a
+    regression control variate), and its standard error is that of the
+    combined values; see _controlled.
     """
     columns, seed = _columns(block, rng, replicas, jobs)
-    return [_estimate(col, seed) for col in columns]
+    m, rest = divmod(len(columns), controls + 1)
+    if rest:
+        raise ValueError(f"{len(columns)} columns do not split into values and "
+                         f"{controls} control groups")
+    return [_estimate(_controlled(columns[i], columns[m + i::m]), seed) for i in range(m)]
 
 
 # replicas below which a fitted control coefficient is too noisy to use
 _CONTROL_MIN = 32
 
 
-def controlled_estimates(block, rng, replicas: int, jobs: int = 1) -> list[DiEstimate]:
-    """replicated_estimates of value columns, each corrected by a zero-mean control column.
+def _controlled(values: np.ndarray, controls: np.ndarray) -> np.ndarray:
+    """values + sum_a c_a controls_a with the variance-minimizing c.
 
-    block returns rows of 2m values: m value columns Z, then m control
-    columns M with E[M] = 0, the j-th control paired with the j-th value.
-    Each estimate is the mean of Z + cM with c = -Cov(Z, M) / Var(M) fitted
-    on the same replicas (a regression control variate), and its standard
-    error is that of the combined values.  c is 0 when Var(M) is 0, and
-    below 32 replicas the plain mean of Z stays, since a coefficient fitted
-    on so few is mostly noise.
+    c solves the k x k normal equations Cov(M) c = -Cov(M, Z) over the
+    controls that vary, each entry an elementwise mean over the replicas
+    (no matrix product); a control of zero variance is dropped, since it
+    carries no information and would make the equations singular.  Below
+    _CONTROL_MIN replicas the values stay as they are, since coefficients
+    fitted on so few are mostly noise.
     """
-    columns, seed = _columns(block, rng, replicas, jobs)
-    m = len(columns) // 2
-    return [_estimate(_controlled(z, c), seed) for z, c in zip(columns[:m], columns[m:])]
-
-
-def _controlled(values: np.ndarray, control: np.ndarray) -> np.ndarray:
-    """values + c * control with the variance-minimizing c, from elementwise means (no BLAS)."""
     if values.size < _CONTROL_MIN:
         return values
-    dc = control - control.mean()
-    var = np.mean(dc * dc)
-    if var == 0:
+    dev = [c - c.mean() for c in controls]
+    kept = [a for a, d in enumerate(dev) if np.mean(d * d) > 0]
+    if not kept:
         return values
-    coef = -np.mean((values - values.mean()) * dc) / var
-    return values + coef * control
-
-
-def replicated_estimate(block, rng, replicas: int, jobs: int = 1) -> DiEstimate:
-    """The one estimate of replicated_estimates for a block of one value per Generator."""
-    (est,) = replicated_estimates(block, rng, replicas, jobs)
-    return est
+    dz = values - values.mean()
+    cov = [[np.mean(dev[a] * dev[b]) for b in kept] for a in kept]
+    coef = np.linalg.solve(cov, [-np.mean(dz * dev[a]) for a in kept])
+    out = values
+    for a, c in zip(kept, coef):
+        out = out + c * controls[a]
+    return out
 
 
 def write_csv(path, header, rows) -> None:

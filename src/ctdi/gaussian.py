@@ -12,16 +12,20 @@ strictly before t, and each row's values depend on its own stream alone.
 A zero horizon is the empty block, (C, 0): the same pipeline draws only
 the latents, every filter returns (C, 0) and every integral reads 0.
 
-The directed-information estimate is the mean of Z + cM over replicas, Z =
-0.5 sum_k (X_k - Xhat_k)^2 dt the Duncan integral and M = sum_k (X_k -
-Xhat_k)(inc_k - X_k dt) the filtering error integrated against the
-channel's own noise.  Xhat_k reads only the increments before step k, so M
-has mean exactly 0, and Z + M is the pathwise log-likelihood ratio (Kadota,
-Zakai & Ziv 1971); core.controlled_estimates fits c = -Cov(Z, M) / Var(M)
-on the same replicas, or keeps the plain mean of Z below 32 replicas.  The
-mismatched relative entropy keeps the plain mean.  One estimate call's
-exact pipeline reuses one block's increment buffer, each worker process its
-own, and never hands it to caller code.
+The directed-information estimate is the mean of Z + c1 M + c2 H over
+replicas, Z = 0.5 sum_k (X_k - Xhat_k)^2 dt the Duncan integral and M =
+sum_k (X_k - Xhat_k)(inc_k - X_k dt) the filtering error integrated against
+the channel's own noise.  Xhat_k reads only the increments before step k,
+so M has mean exactly 0, and Z + M is the pathwise log-likelihood ratio
+(Kadota, Zakai & Ziv 1971).  H = u^2 - E[u^2] is the latent's squared draw
+less its second moment, 1 for the standard normal and sum_a p(a) a^2 for a
+finite prior, so it has mean exactly 0 too; it adds nothing where u^2 is
+constant (the +-1 prior, the delayed echo's point mass), and the fit then
+drops it.  core.replicated_estimates fits (c1, c2) on the same replicas
+(a multiple regression control variate), or keeps the plain mean of Z
+below 32 replicas.  The mismatched relative entropy keeps the plain mean.
+One estimate call's exact pipeline reuses one block's increment buffer,
+each worker process its own, and never hands it to caller code.
 
 Feedback delays are quantized to whole grid steps: the encoder at step k
 sees the cumulative output Y at step k - delay_steps, the sum of the
@@ -37,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiEstimate, FinitePmf, controlled_estimates, replicated_estimate
+from .core import DiEstimate, FinitePmf, replicated_estimates
 
 DEFAULT_POWER_BOUND = 1e3
 _STEP_CAP = 1_000_000
@@ -176,20 +180,21 @@ def _drive(model: GaussianFeedbackModel, u: np.ndarray, inc: np.ndarray,
     return x
 
 
-def simulate_awgn(model: GaussianFeedbackModel, gens, inc: np.ndarray | None = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
+def simulate_awgn(model: GaussianFeedbackModel, gens, inc: np.ndarray | None = None, *,
+                  latents: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Draw a block: (signal, observation increments), (C, n) arrays, row i from gens[i].
 
     The increments are drawn into inc, a (len(gens), n) buffer, or into a
-    fresh one when inc is None.  Each stream draws its latent and then its
+    fresh one when inc is None, and the latents into latents, a (len(gens),)
+    buffer, when it is given.  Each stream draws its latent and then its
     step noises, so a replay from the same stream is bit-identical, and a
     shorter horizon draws a prefix of the same row; a zero horizon draws
     only the latents and returns (C, 0) arrays.  Without a policy the
-    signal is a read-only broadcast.
+    signal is a read-only broadcast of the latents.
     """
     if inc is None:
         inc = np.empty((len(gens), model.n_steps))
-    u = np.empty(len(gens))
+    u = np.empty(len(gens)) if latents is None else latents
     for i, gen in enumerate(gens):
         if model.latent is None:
             u[i] = gen.standard_normal()
@@ -330,18 +335,27 @@ def _exact_filter(model, inc: np.ndarray) -> np.ndarray:
     return replay_filter(model, inc)
 
 
+def _second_moment(model) -> float:
+    """E[u^2] of model's latent: 1 for the standard normal, sum_a p(a) a^2 for a finite prior."""
+    if model.latent is None:
+        return 1.0
+    return float(np.sum(model.latent.probs * model.latent.support ** 2))
+
+
 def _block(model, steps, ws, gens) -> np.ndarray:
-    """Duncan integrals and their martingale controls over the first k steps, each k in steps.
+    """Duncan integrals and their two controls over the first k steps, each k in steps.
 
     Draws a block of replicas at model's horizon, the longest of steps, into
-    the workspace ws, filters it exactly and returns a (C, 2 len(steps))
+    the workspace ws, filters it exactly and returns a (C, 3 len(steps))
     array: the causal-MMSE integrals Z, then the prefixes of
     M = sum_j (x_j - est_j)(inc_j - x_j dt), the integral of the filtering
-    error against the channel's own noise.  A filter at step j reads only
+    error against the channel's own noise, then H = u^2 - E[u^2] of each
+    row's latent u, the same for every k.  A filter at step j reads only
     the steps before it, so a row's prefix is the row a shorter horizon
     draws.  A non-finite value raises RuntimeError.
     """
-    x, inc = simulate_awgn(model, gens, ws.rows(len(gens), model.n_steps))
+    u = np.empty(len(gens))
+    x, inc = simulate_awgn(model, gens, ws.rows(len(gens), model.n_steps), latents=u)
     est = _exact_filter(model, inc)
     err = np.subtract(x, est, out=est)
     # M = sum_j err_j (inc_j - x_j dt), summed over (inc_j / dt - x_j) err_j in place
@@ -349,7 +363,8 @@ def _block(model, steps, ws, gens) -> np.ndarray:
     inc -= x
     mart = _prefix_sums(np.multiply(inc, err, out=inc), steps) * model.dt
     err *= err
-    vals = np.concatenate((0.5 * _prefix_sums(err, steps) * model.dt, mart), axis=1)
+    second = np.broadcast_to((u * u - _second_moment(model))[:, None], mart.shape)
+    vals = np.concatenate((0.5 * _prefix_sums(err, steps) * model.dt, mart, second), axis=1)
     if not np.isfinite(vals).all():
         duncan_finite = np.isfinite(vals[:, :len(steps)]).all()
         what = "a martingale control" if duncan_finite else "a causal-MMSE integral"
@@ -404,7 +419,8 @@ def directed_info_gaussian_sweep(models, rng, replicas: int, jobs: int = 1) -> l
     Replica r draws its stream once, at the longest horizon, and each
     model's values are the causal-MMSE integral and its martingale control
     over its own prefix of that path, which is what the model alone draws
-    from replica r's stream.  Estimates come in the order of models.
+    from replica r's stream, and the replica's second-moment control.
+    Estimates come in the order of models.
     """
     models = list(models)
     if not models:
@@ -413,19 +429,20 @@ def directed_info_gaussian_sweep(models, rng, replicas: int, jobs: int = 1) -> l
     if any(_shared(m) != _shared(longest) for m in models):
         raise ValueError("swept models must share dt, policy, delay, latent and power bound")
     block = _pipeline(longest, [m.n_steps for m in models])
-    return controlled_estimates(block, rng, replicas, jobs)
+    return replicated_estimates(block, rng, replicas, jobs, controls=2)
 
 
 def directed_info_gaussian_mc(model: GaussianFeedbackModel, rng, replicas: int,
                               jobs: int = 1) -> DiEstimate:
     """Directed information estimated as the mean causal-MMSE integral over replicas.
 
-    Its martingale control variate takes out part of the noise (see the
-    module docstring).  The one-model case of directed_info_gaussian_sweep.
-    Every replica is filtered exactly: by the conjugate filter for a Gaussian
-    latent without a policy, by the finite-prior likelihood mixture
-    otherwise.  A Gaussian latent under a policy has no exact filter and
-    raises ValueError before any stream is drawn.
+    Its martingale and second-moment control variates take out most of the
+    noise (see the module docstring).  The one-model case of
+    directed_info_gaussian_sweep.  Every replica is filtered exactly: by the
+    conjugate filter for a Gaussian latent without a policy, by the
+    finite-prior likelihood mixture otherwise.  A Gaussian latent under a
+    policy has no exact filter and raises ValueError before any stream is
+    drawn.
     """
     return directed_info_gaussian_sweep([model], rng, replicas, jobs)[0]
 
@@ -441,4 +458,5 @@ def mismatched_relent_gaussian(model: GaussianFeedbackModel, q_filter, rng,
     maps a (C, n) block of observation increments to the mismatched
     posterior means, an array of that shape; any other shape raises ValueError.
     """
-    return replicated_estimate(_pipeline(model, [model.n_steps], q_filter), rng, replicas, jobs)
+    (est,) = replicated_estimates(_pipeline(model, [model.n_steps], q_filter), rng, replicas, jobs)
+    return est

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiEstimate, FinitePmf, _readonly, poisson_loss, replicated_estimate
+from .core import DiEstimate, FinitePmf, _readonly, poisson_loss, replicated_estimates
 from .quadrature import gauss_legendre, integrate_panels
 
 __all__ = [
@@ -536,7 +536,8 @@ def di_rate_mc(model: PoissonFeedbackModel, rng, replicas: int = 4,
         raise ValueError("burn-in must be shorter than the horizon")
     block = functools.partial(_path_block, model, functools.partial(_posterior_loss, model.pmf),
                               burn_in, _panel_width(model.pmf), model.horizon - burn_in)
-    return replicated_estimate(block, rng, replicas, jobs)
+    (est,) = replicated_estimates(block, rng, replicas, jobs)
+    return est
 
 
 def _excess_loss(p_pmf, q_pmf, x, s):
@@ -556,7 +557,8 @@ def mismatched_relent_poisson(p_pmf: FinitePmf, q_pmf: FinitePmf, horizon: float
     model = PoissonFeedbackModel(p_pmf, horizon)
     block = functools.partial(_path_block, model, functools.partial(_excess_loss, p_pmf, q_pmf),
                               0.0, _panel_width(p_pmf, q_pmf), 1.0)
-    return replicated_estimate(block, rng, replicas, jobs)
+    (est,) = replicated_estimates(block, rng, replicas, jobs)
+    return est
 
 
 def state_at(traj: ChannelTrajectory, times):

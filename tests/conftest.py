@@ -85,42 +85,64 @@ def random_positive_pmf(gen, max_atoms=3, lo=0.5, hi=3.0):
 
 
 def per_replica_gaussian_values(model, seed, replicas, q_filter=None):
-    """Each replica's Gaussian estimate value and martingale control, run alone as a one-row block.
+    """Each replica's Gaussian estimate value and its two controls, run alone as a one-row block.
 
     Replica r draws from RngSpec(seed).stream(r) through simulate_awgn, the
     model's exact filter and causal_mmse_integral over the whole horizon;
     with a q_filter the value is the mismatched integral minus the exact
     one.  The block estimators must reproduce these values bit for bit.  The
-    control is sum_k (x_k - est_k)(inc_k - x_k dt) of the exact filter.
-    Returns (values, controls), two lists.
+    martingale control is sum_k (x_k - est_k)(inc_k - x_k dt) of the exact
+    filter.  The second-moment control is u^2 - E[u^2], with u the first
+    draw of a fresh RngSpec(seed).stream(r), drawn here with numpy's own
+    standard_normal or choice, and E[u^2] 1 for the standard normal and
+    sum_a p(a) a^2 for a finite prior.  Returns (values, martingales,
+    second moments), three lists.
     """
     n = model.n_steps
-    values, controls = [], []
+    if model.latent is None:
+        moment = 1.0
+    else:
+        moment = sum(p * a * a for a, p in zip(model.latent.support, model.latent.probs))
+    values, martingales, seconds = [], [], []
     for rep in range(replicas):
         x, inc = simulate_awgn(model, [RngSpec(seed).stream(rep)])
         if model.latent is None:
             est = exact_filter_constant_signal(inc, model.dt)
         else:
             est = replay_filter(model, inc)
-        controls.append(float(np.sum((x - est) * (inc - x * model.dt))))
+        martingales.append(float(np.sum((x - est) * (inc - x * model.dt))))
         value = causal_mmse_integral(x, est, model.dt, [n])[0, 0]
         if q_filter is not None:
             value = causal_mmse_integral(x, q_filter(inc, model.dt), model.dt, [n])[0, 0] - value
         values.append(float(value))
-    return values, controls
+        gen = RngSpec(seed).stream(rep)
+        if model.latent is None:
+            u = gen.standard_normal()
+        else:
+            u = gen.choice(model.latent.support, p=model.latent.probs)
+        seconds.append(float(u * u - moment))
+    return values, martingales, seconds
 
 
-def controlled_mean(values, controls):
-    """The control-variate estimate recomputed from per-replica values and controls.
+def controlled_values(values, *controls):
+    """Each replica's control-variate value, recomputed from per-replica values and k controls.
 
-    Z + cM with c = -Cov(Z, M) / Var(M), or the plain mean of Z below the
-    estimator's replica threshold or when M does not vary.
+    Z + sum_a c_a M_a with c the least-squares fit (np.linalg.lstsq) of the
+    centred -Z on the centred controls that vary, or Z itself below the
+    estimator's replica threshold or when no control varies.
     """
-    z, m = np.asarray(values), np.asarray(controls)
-    if z.size < core._CONTROL_MIN or np.var(m) == 0:
-        return float(np.mean(z))
-    c = -np.cov(z, m)[0, 1] / np.var(m, ddof=1)
-    return float(np.mean(z + c * m))
+    z = np.asarray(values, dtype=float)
+    ms = [np.asarray(m, dtype=float) for m in controls if np.var(m) > 0]
+    if z.size < core._CONTROL_MIN or not ms:
+        return z
+    centred = np.column_stack([m - m.mean() for m in ms])
+    coef = np.linalg.lstsq(centred, z.mean() - z, rcond=None)[0]
+    return z + np.column_stack(ms) @ coef
+
+
+def controlled_mean(values, *controls):
+    """The control-variate estimate: the mean of controlled_values."""
+    return float(np.mean(controlled_values(values, *controls)))
 
 
 def cmi_oracle(probs, a_axes, b_axes, c_axes):

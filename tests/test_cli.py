@@ -363,8 +363,8 @@ def test_non_finite_martingale_control_exits_3(tmp_path, monkeypatch, capsys):
     # causal-MMSE integral stays finite and only the martingale control is not
     real = gaussian.simulate_awgn
 
-    def corrupted(model, gens, inc=None):
-        x, inc = real(model, gens, inc)
+    def corrupted(model, gens, inc=None, **kwargs):
+        x, inc = real(model, gens, inc, **kwargs)
         inc[:, -1] = np.inf
         return x, inc
 

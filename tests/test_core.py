@@ -12,17 +12,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import count_streams
+from conftest import controlled_values, count_streams
 from ctdi import core
 from ctdi.core import (
     DiEstimate,
     FinitePmf,
     RngSpec,
     SamplePath,
-    controlled_estimates,
     map_replicas,
     poisson_loss,
-    replicated_estimate,
     replicated_estimates,
 )
 
@@ -226,13 +224,19 @@ def _first_draws(gens):
     return [float(gen.normal()) for gen in gens]
 
 
+def replicated_estimate(block, rng, replicas, jobs=1):
+    # the one estimate of a one-column block
+    (est,) = replicated_estimates(block, rng, replicas, jobs)
+    return est
+
+
 def _oracle_draws(seed, replicas):
     # replica r draws from SeedSequence((seed, r)), derived here independently
     return np.array([np.random.default_rng(np.random.SeedSequence((seed, r))).normal()
                      for r in range(replicas)])
 
 
-def test_replicated_estimate_mean_stderr_and_single_replica():
+def test_replicated_estimates_mean_stderr_and_single_replica():
     est = replicated_estimate(_first_draws, RngSpec(12), 5)
     draws = _oracle_draws(12, 5)
     assert est.value == pytest.approx(draws.mean(), rel=1e-15)
@@ -313,49 +317,87 @@ def test_each_column_of_replicated_estimates_is_its_own_estimate():
                 assert (est.replicas, est.master_seed) == (replicas, 12)
     # a one-value block is a one-column row
     assert replicated_estimates(_first_draws, 12, 5) == [replicated_estimate(_first_draws, 12, 5)]
-    with pytest.raises(ValueError):
-        replicated_estimate(_rows_block, 12, 5)
+    # three columns split into no value and control groups of equal size
+    for controls in (1, 3):
+        with pytest.raises(ValueError, match="do not split"):
+            replicated_estimates(_rows_block, 12, 5, controls=controls)
 
 
-def _value_and_control(gens):
-    # Z = 1 + a + b/2 and the zero-mean control M = a, so c = -1 removes a
+def _values_and_controls(gens):
+    # values Z = 1 + a + c/2 + b/10 and Z' = 2 + a - c + d/10, then the
+    # group of controls M = (a, a + b) and the group H = (c, b + c), all of
+    # mean 0: with both groups each value keeps only its last term
     rows = []
     for gen in gens:
-        a, b = gen.normal(size=2)
-        rows.append([1.0 + a + 0.5 * b, a])
+        a, b, c, d = gen.normal(size=4)
+        rows.append([1.0 + a + 0.5 * c + 0.1 * b, 2.0 + a - c + 0.1 * d, a, a + b, c, b + c])
     return np.array(rows)
 
 
-def test_controlled_estimates_fit_the_control_coefficient():
+def _first_columns(count, gens):
+    return _values_and_controls(gens)[:, :count]
+
+
+def test_controls_fit_their_coefficients():
+    # every value against an independent least-squares fit on the same
+    # replicas, with no control (k = 0), the M group (k = 1) and both groups
+    # (k = 2); from _CONTROL_MIN replicas on, across stream derivation runs
     for replicas in (core._CONTROL_MIN, 37, 2 * core._RUN + 37):
-        est, = controlled_estimates(_value_and_control, 12, replicas)
-        rows = _value_and_control([RngSpec(12).stream(r) for r in range(replicas)])
-        z, m = rows.T
-        c = -np.cov(z, m)[0, 1] / np.var(m, ddof=1)
-        combined = z + c * m
-        assert est.value == pytest.approx(combined.mean(), rel=1e-12)
-        assert est.stderr == pytest.approx(combined.std(ddof=1) / math.sqrt(replicas), rel=1e-12)
-        assert (est.replicas, est.master_seed) == (replicas, 12)
-        assert est.stderr < z.std(ddof=1) / math.sqrt(replicas)
-        # the worker split does not move a bit
-        assert repr(controlled_estimates(_value_and_control, 12, replicas, jobs=2)) == repr([est])
+        rows = _values_and_controls([RngSpec(12).stream(r) for r in range(replicas)])
+        for k in (0, 1, 2):
+            block = functools.partial(_first_columns, 2 * (k + 1))
+            ests = replicated_estimates(block, 12, replicas, controls=k)
+            assert len(ests) == 2
+            for j, est in enumerate(ests):
+                combined = controlled_values(rows[:, j], *rows[:, 2 + j:2 * (k + 1):2].T)
+                assert est.value == pytest.approx(combined.mean(), rel=1e-12)
+                assert est.stderr == pytest.approx(
+                    combined.std(ddof=1) / math.sqrt(replicas), rel=1e-12)
+                assert (est.replicas, est.master_seed) == (replicas, 12)
+            # the worker split does not move a bit
+            assert repr(replicated_estimates(block, 12, replicas, jobs=2, controls=k)) == repr(ests)
+        # each group takes out more of the noise, and both nearly all of it
+        for j in (0, 1):
+            plain, one, two = (replicated_estimates(functools.partial(_first_columns, 2 * (k + 1)),
+                                                    12, replicas, controls=k)[j].stderr
+                               for k in (0, 1, 2))
+            assert plain > one > two and two < 0.2 * plain
     # below the threshold the plain mean of the values stays
     few = core._CONTROL_MIN - 1
-    (plain, _) = replicated_estimates(_value_and_control, 12, few)
-    assert repr(controlled_estimates(_value_and_control, 12, few)) == repr([plain])
+    plain = replicated_estimates(_values_and_controls, 12, few)[:2]
+    assert repr(replicated_estimates(_values_and_controls, 12, few, controls=2)) == repr(plain)
 
 
-def _rows_with_zero_controls(gens):
-    return np.column_stack((_rows_block(gens), np.zeros((len(gens), 3))))
+def _with_zero_controls(count, gens):
+    # _first_columns with a group of zero controls appended
+    vals = _first_columns(count, gens)
+    return np.column_stack((vals, np.zeros((len(gens), 2))))
+
+
+def _with_constant_control(gens):
+    # both groups, the second value's H control constant
+    vals = _values_and_controls(gens)
+    vals[:, 5] = 3.0
+    return vals
 
 
 def test_a_constant_control_leaves_the_plain_estimate():
+    # a control of zero variance is dropped, so k controls give the k - 1
+    # control result bit for bit, down to the plain estimate
     for replicas in (1, 37, 2 * core._RUN + 37):
         for jobs in (1, 2):
-            assert repr(controlled_estimates(_rows_with_zero_controls, 12, replicas, jobs)) == repr(
-                replicated_estimates(_rows_block, 12, replicas, jobs))
-    # values and controls both exactly zero, as the delayed echo draws them
-    assert controlled_estimates(lambda gens: np.zeros((len(gens), 2)), 12, 40) == [
+            for k in (1, 2):
+                fewer = replicated_estimates(functools.partial(_first_columns, 2 * k), 12,
+                                             replicas, jobs, controls=k - 1)
+                padded = replicated_estimates(functools.partial(_with_zero_controls, 2 * k), 12,
+                                              replicas, jobs, controls=k)
+                assert repr(padded) == repr(fewer)
+            one = replicated_estimates(functools.partial(_first_columns, 4), 12, replicas, jobs,
+                                       controls=1)
+            mixed = replicated_estimates(_with_constant_control, 12, replicas, jobs, controls=2)
+            assert repr(mixed[1]) == repr(one[1])
+    # values and controls all exactly zero, as the delayed echo draws them
+    assert replicated_estimates(lambda gens: np.zeros((len(gens), 3)), 12, 40, controls=2) == [
         DiEstimate(0.0, 0.0, 40, 12)]
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import (
     controlled_mean,
+    controlled_values,
     count_streams,
     gaussian_mismatch_closed_form,
     per_replica_gaussian_values,
@@ -399,39 +400,38 @@ def test_block_path_is_the_per_replica_composition(monkeypatch, prior):
     else:
         policy = GaussianFeedbackModel(0.2, 0.01, _gate, delay=0.01, latent=prior)
         q_filter = functools.partial(discrete_prior_filter, TWO_POINT)
-    seen, seen_controls = [], []
+    seen = []
 
-    def recording(real):
-        def estimates(block, rng, replicas, jobs=1):
-            def spy(gens):
-                vals = block(gens)
-                seen.extend(vals[:, 0])
-                seen_controls.extend(vals[:, 1:].ravel())
-                return vals
+    def spy_estimates(block, rng, replicas, jobs=1, controls=0):
+        def spy(gens):
+            vals = block(gens)
+            seen.extend(vals)
+            return vals
 
-            return real(spy, rng, replicas, jobs)
+        return core.replicated_estimates(spy, rng, replicas, jobs, controls)
 
-        return estimates
-
-    monkeypatch.setattr(gaussian, "controlled_estimates", recording(core.controlled_estimates))
-    monkeypatch.setattr(gaussian, "replicated_estimate", recording(core.replicated_estimate))
+    monkeypatch.setattr(gaussian, "replicated_estimates", spy_estimates)
     for model, q in ((constant, None), (policy, None), (constant, q_filter), (policy, _replay_q)):
         # on both sides of the replica count below which the plain mean stays
         for replicas in (1, 16, 17, 37):
             seen.clear()
-            seen_controls.clear()
             if q is None:
                 est = directed_info_gaussian_mc(model, rng=86, replicas=replicas)
             else:
                 est = mismatched_relent_gaussian(model, q, rng=86, replicas=replicas)
-            oracle, controls = per_replica_gaussian_values(model, 86, replicas, q)
-            assert seen == oracle
+            oracle, martingales, seconds = per_replica_gaussian_values(model, 86, replicas, q)
+            rows = np.array(seen)
+            assert list(rows[:, 0]) == oracle
             if q is None:
-                assert seen_controls == pytest.approx(controls, rel=1e-12, abs=1e-15)
+                # the value, its martingale control, then its second-moment control
+                assert rows.shape == (replicas, 3)
+                assert list(rows[:, 1]) == pytest.approx(martingales, rel=1e-12, abs=1e-15)
+                assert list(rows[:, 2]) == pytest.approx(seconds, rel=1e-12, abs=1e-15)
             else:
-                assert seen_controls == []  # the mismatch estimator has no control
+                assert rows.shape == (replicas, 1)  # the mismatch estimator has no control
             if q is None and replicas >= core._CONTROL_MIN:
-                assert est.value == pytest.approx(controlled_mean(oracle, controls), rel=1e-12)
+                assert est.value == pytest.approx(controlled_mean(oracle, martingales, seconds),
+                                                  rel=1e-12)
             else:
                 assert est.value == float(np.mean(oracle))
 
@@ -529,21 +529,65 @@ def _peeking_filter(inc, dt):
 
 def test_martingale_control_has_zero_mean_only_under_a_causal_filter(monkeypatch):
     # E[M] = 0 because the filter at step k reads only the increments before
-    # it; one that also reads inc_k correlates with that step's noise
+    # it; one that also reads inc_k correlates with that step's noise.  The
+    # second-moment control H = u^2 - E[u^2] has mean 0 too, and is exactly
+    # 0 under the +-1 prior, whose u^2 is 1
     for model in (constant_signal_model(1.0, 1e-3),
                   constant_signal_model(1.0, 1e-2, prior=THREE_POINT),
                   GaussianFeedbackModel(1.0, 1e-2, _gate, delay=2e-2, latent=TWO_POINT)):
-        _, mart = core.replicated_estimates(gaussian._pipeline(model, [model.n_steps]), 93, 4000)
+        _, mart, second = core.replicated_estimates(
+            gaussian._pipeline(model, [model.n_steps]), 93, 4000)
         assert abs(mart.value) < 4.0 * mart.stderr
+        if model.latent is TWO_POINT:
+            assert (second.value, second.stderr) == (0.0, 0.0)
+        else:
+            assert abs(second.value) < 4.0 * second.stderr
     monkeypatch.setattr(gaussian, "exact_filter_constant_signal", _peeking_filter)
     model = constant_signal_model(1.0, 1e-3)
-    _, mart = core.replicated_estimates(gaussian._pipeline(model, [model.n_steps]), 93, 4000)
+    _, mart, _ = core.replicated_estimates(gaussian._pipeline(model, [model.n_steps]), 93, 4000)
     assert mart.value < -10.0 * mart.stderr
 
 
+def test_second_moment_control_reads_a_wrong_moment(monkeypatch):
+    # the zero-mean check of H has the power to catch a second moment 5 %
+    # off: a zero horizon draws only the latents, so 150,000 replicas are
+    # cheap, and their H reads the true moment within 4 stderr and the wrong
+    # one more than 10 stderr away (about 14 expected)
+    real = gaussian._second_moment
+    monkeypatch.setattr(gaussian, "_second_moment", lambda model: 1.05 * real(model))
+    model = constant_signal_model(0.0, 0.01)
+    *_, wrong = core.replicated_estimates(gaussian._pipeline(model, [0]), 93, 150_000)
+    assert wrong.value < -10.0 * wrong.stderr
+    assert abs(wrong.value + 0.05) < 4.0 * wrong.stderr
+
+
+def test_second_moment_control_cuts_the_variance_of_the_bench_sweep():
+    # the benchmark's gaussian-duncan configuration: with H as well as M the
+    # pooled stderr^2 of the three rows is at least 5 times below that of M
+    # alone (7.5 times at this seed), the same replicas fitted both ways
+    models = [constant_signal_model(t, 1e-3) for t in (0.5, 1.0, 2.0)]
+    rows = []
+
+    def recording(gens):
+        rows.append(block(gens))
+        return rows[-1]
+
+    block = gaussian._pipeline(models[-1], [m.n_steps for m in models])
+    both = core.replicated_estimates(recording, 0, 4000, controls=2)
+    vals = np.concatenate(rows)
+    alone = [controlled_values(vals[:, j], vals[:, 3 + j]) for j in range(3)]
+    pooled_alone = sum(v.var(ddof=1) / v.size for v in alone)
+    assert sum(e.stderr ** 2 for e in both) * 5.0 < pooled_alone
+
+
 def test_zero_horizon_blocks_return_zero_pairs():
+    # the integrals and martingales are exactly 0; the second-moment
+    # controls are each latent's u^2 - 1, which the fit weights by 0
     block = gaussian._pipeline(constant_signal_model(0.0, 0.01), [0, 0])
-    assert np.array_equal(block(_streams(94, 3)), np.zeros((3, 4)))
+    vals = block(_streams(94, 3))
+    assert np.array_equal(vals[:, :4], np.zeros((3, 4)))
+    u = np.array([gen.standard_normal() for gen in _streams(94, 3)])
+    assert np.array_equal(vals[:, 4:], np.column_stack((u * u - 1.0, u * u - 1.0)))
     est = directed_info_gaussian_mc(constant_signal_model(0.0, 0.01), rng=94, replicas=40)
     assert est.value == 0.0 and est.stderr == 0.0
     q_filter = functools.partial(exact_filter_constant_signal, prior_var=4.0)
@@ -609,7 +653,7 @@ def test_workspace_stays_private_to_one_estimate():
     block(_streams(96, 16))
     # a worker gets an empty workspace, not the block's buffer
     assert len(pickle.dumps(block)) < 16 * model.n_steps * 8
-    assert pickle.loads(pickle.dumps(block))(_streams(96, 16)).shape == (16, 2)
+    assert pickle.loads(pickle.dumps(block))(_streams(96, 16)).shape == (16, 3)
     # arrays of the public functions are fresh: a later estimate leaves them alone
     x, inc = simulate_awgn(model, _streams(96, 16))
     est = exact_filter_constant_signal(inc, model.dt)
