@@ -18,14 +18,19 @@ default_rng(SeedSequence((seed, r))).  The Gaussian estimators draw and
 filter a whole block as (replicas, steps) arrays, each worker reusing one
 block's buffer while a row's values still depend on its own stream alone;
 the Poisson ones draw one trajectory per Generator, a row group at a time,
-and integrate the block's trajectories together.  An estimator may follow
+and integrate each segment in closed form.  An estimator may follow
 its values with k groups of zero-mean control columns: the Gaussian Duncan
 estimators return each replica's Duncan integral Z, the martingale M =
 sum_k (X_k - Xhat_k)(inc_k - X_k dt), of mean exactly 0 because the filter
 reads only earlier increments, and H = u^2 - E[u^2] of the replica's
 latent, and each estimate is the mean of Z + c1 M + c2 H with (c1, c2)
 fitted on the same replicas, or the plain mean below 32 replicas.  The
-Poisson estimators and the mismatched relative entropy have no controls.
+Poisson estimators (the rate and the mismatched relative entropy) return
+each replica's path integral Z and one control, M = sum over events of
+ln(A/B) - int X ln(A/B) dt, the compensated counting process of the log
+ratio of the two predictors they compare; M has mean exactly 0 because
+both predictors read only the past.  The Gaussian mismatched relative
+entropy has no controls.
 No estimator uses SamplePath and it is not exported; it stays only because
 the benchmark's tracer wraps its constructor by attribute.
 """
@@ -120,6 +125,18 @@ class FinitePmf:
         if mask.all():
             return self
         return FinitePmf(self.support[mask], self.probs[mask])
+
+
+def _inverse_cdf(pmf: FinitePmf, u):
+    """The support points at uniforms u, as Generator.choice(pmf.support, p=pmf.probs) maps its own.
+
+    choice draws one uniform per value and searches the normalized cdf, so
+    where gen.random() drew u this is what choice would have drawn.
+    FinitePmf has already checked what choice would.
+    """
+    cdf = pmf.probs.cumsum()
+    cdf /= cdf[-1]
+    return pmf.support[cdf.searchsorted(u, side="right")]
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiEstimate, FinitePmf, replicated_estimates
+from .core import DiEstimate, FinitePmf, _inverse_cdf, replicated_estimates
 
 DEFAULT_POWER_BOUND = 1e3
 _STEP_CAP = 1_000_000
@@ -187,7 +187,10 @@ def simulate_awgn(model: GaussianFeedbackModel, gens, inc: np.ndarray | None = N
     The increments are drawn into inc, a (len(gens), n) buffer, or into a
     fresh one when inc is None, and the latents into latents, a (len(gens),)
     buffer, when it is given.  Each stream draws its latent and then its
-    step noises, so a replay from the same stream is bit-identical, and a
+    step noises: a standard normal, or for a finite prior the uniform that
+    gen.choice(support, p=probs) would draw, the block's uniforms mapped
+    through the prior's cdf together (core._inverse_cdf), so the latent is
+    choice's.  A replay from the same stream is bit-identical, and a
     shorter horizon draws a prefix of the same row; a zero horizon draws
     only the latents and returns (C, 0) arrays.  Without a policy the
     signal is a read-only broadcast of the latents.
@@ -196,11 +199,10 @@ def simulate_awgn(model: GaussianFeedbackModel, gens, inc: np.ndarray | None = N
         inc = np.empty((len(gens), model.n_steps))
     u = np.empty(len(gens)) if latents is None else latents
     for i, gen in enumerate(gens):
-        if model.latent is None:
-            u[i] = gen.standard_normal()
-        else:
-            u[i] = gen.choice(model.latent.support, p=model.latent.probs)
+        u[i] = gen.standard_normal() if model.latent is None else gen.random()
         gen.standard_normal(out=inc[i])
+    if model.latent is not None:
+        u[:] = _inverse_cdf(model.latent, u)
     return _drive(model, u, inc, simulate=True), inc
 
 

@@ -7,12 +7,18 @@ That renewal structure gives closed forms for the stationary intensity law,
 the interarrival density and the directed-information rate; the trajectory
 Monte Carlo estimators integrate the causal-estimation loss along simulated
 paths instead, so the two routes check each other.  Their block draws one
-trajectory per Generator, a row group at a time (_trajectories: one draw pass
-and one check per group, each trajectory bit for bit what its Generator draws
-alone), and integrates the whole block in one trajectory_integral call as the
-trajectories come: the pieces of every trajectory share integrand calls of at
-most _CHUNK_PIECES pieces, and every other step is elementwise or sums one
-trajectory's own pieces, so its value does not depend on its block.
+trajectory per Generator, a row group at a time (_groups: one draw pass and
+one check per group, each trajectory bit for bit what its Generator draws
+alone), and integrates each segment in closed form (_path_block): both
+integrands are x a(s) + b(s) in the elapsed time s, and the posterior mean g
+is the hazard of the interarrival law, so a segment needs only g's log-ratio
+integral L(s) = int_0^s ln(g / min x), read from one table per pmf plus one
+16-node Gauss-Legendre piece (_LogHazard).  Each estimate fits one control,
+the compensated counting process of the log predictor ratio (Bremaud, Point
+Processes and Queues, 1981), of mean exactly 0.  Every step is elementwise
+or sums one trajectory's own segments, so a value does not depend on its
+block.  trajectory_integral, the generic piecewise integrator, is kept for
+integrands with no closed form.
 
 Rates are in nats per second.  Every input level must be at least _TINY, the
 smallest normal float.  Every analytic integral here runs to one error
@@ -28,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiEstimate, FinitePmf, _readonly, poisson_loss, replicated_estimates
+from .core import DiEstimate, FinitePmf, _inverse_cdf, _readonly, replicated_estimates
 from .quadrature import gauss_legendre, integrate_panels
 
 __all__ = [
@@ -178,16 +184,14 @@ def _draws(pmf: FinitePmf, gens, size: int):
     Row i holds what gens[i].choice(pmf.support, p=pmf.probs, size=size) and
     then gens[i].exponential(1.0 / intensities) draw: the same uniforms and
     standard exponentials, mapped through the same normalized cdf and scaled
-    the same way.  FinitePmf has already checked what choice would.
+    the same way (core._inverse_cdf).
     """
     u = np.empty((len(gens), size))
     e = np.empty_like(u)
     for gen, row_u, row_e in zip(gens, u, e):
         gen.random(out=row_u)
         gen.standard_exponential(out=row_e)
-    cdf = pmf.probs.cumsum()
-    cdf /= cdf[-1]
-    xs = pmf.support[cdf.searchsorted(u, side="right")]
+    xs = _inverse_cdf(pmf, u)
     return xs, e * (1.0 / xs)
 
 
@@ -204,7 +208,7 @@ def _kept(epochs: np.ndarray, horizon: float) -> np.ndarray:
     return inside
 
 
-def _trajectories(model: PoissonFeedbackModel, gens):
+def _groups(model: PoissonFeedbackModel, gens):
     """Each Generator's trajectory in order, drawn a row group at a time and yielded lazily.
 
     A trajectory draws in batches of at most _BLOCK_SEGMENTS events, each
@@ -213,7 +217,8 @@ def _trajectories(model: PoissonFeedbackModel, gens):
     as fit in _BLOCK_SEGMENTS cells draws it together (_draws): one cdf
     search, one scaling and one row-wise cumsum.  A row that falls short of
     the horizon draws on alone.  The rows of a group are checked together,
-    once, and become trajectories without a second check.
+    once, and each group is yielded as read-only (epochs, intensities,
+    bounds) arrays, row k being epochs[bounds[k]:bounds[k + 1]].
     """
     horizon = model.horizon
     mean_wait = mean_inverse_intensity(model.pmf)
@@ -259,28 +264,51 @@ def _trajectories(model: PoissonFeedbackModel, gens):
         _check_trajectories(horizon, epochs, xs, bounds)
         epochs.flags.writeable = False
         xs.flags.writeable = False
+        yield epochs, xs, bounds
+
+
+def _trajectories(model: PoissonFeedbackModel, gens):
+    """Each Generator's trajectory of _groups in order, without a second check."""
+    for epochs, xs, bounds in _groups(model, gens):
         for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-            yield ChannelTrajectory._drawn(horizon, epochs[a:b], xs[a:b])
+            yield ChannelTrajectory._drawn(model.horizon, epochs[a:b], xs[a:b])
+
+
+def _excess_hazard(support: np.ndarray, probs: np.ndarray, s):
+    """(g(s) - lam, D(s)) at the elapsed times s, lam the smallest of the positive-mass atoms.
+
+    g(s) = sum x p(x) e^{-xs} / sum p(x) e^{-xs} and D(s) = sum p(x)
+    e^{-(x - lam) s}, which lies in (0, 1] for every finite s; g - lam is
+    the ratio of sum (x - lam) p(x) e^{-(x - lam) s} to D, so a point mass
+    reads exactly 0.  The sums run atom by atom, so a point's value does not
+    depend on the points beside it.
+    """
+    excess, den = np.zeros_like(s), np.zeros_like(s)
+    for gap, p in zip(support - support.min(), probs):
+        if gap == 0.0:
+            den += p
+            continue
+        w = np.exp(-gap * s)
+        w *= p
+        den += w
+        w *= gap
+        excess += w
+    return excess / den, den
 
 
 def renewal_posterior_mean(pmf: FinitePmf, elapsed):
     """Causal posterior mean of the intensity given a quiet spell of the given length.
 
     E[X | no event for s seconds] = sum x p(x) e^{-sx} / sum p(x) e^{-sx},
-    evaluated with the smallest positive-mass atom factored out of the
-    exponentials, so the ratio never degenerates for finite s.  The sums run
-    atom by atom, so a point's value does not depend on the points beside it.
+    evaluated as the smallest positive-mass atom plus its excess
+    (_excess_hazard), so the ratio never degenerates for finite s and a
+    point's value does not depend on the points beside it.
     """
     support, probs = _positive_atoms(pmf)
     s = np.asarray(elapsed, dtype=float)
     if not (s >= 0).all():
         raise ValueError("elapsed time must be nonnegative")
-    lowest, num, den = support.min(), 0.0, 0.0
-    for x, p in zip(support, probs):
-        w = p * np.exp(-(x - lowest) * s)
-        num = num + w * x
-        den = den + w
-    out = num / den
+    out = support.min() + _excess_hazard(support, probs, s)[0]
     if out.ndim == 0:
         return float(out)
     return out
@@ -426,7 +454,7 @@ def _panel_width(*pmfs) -> float:
     return 1.0 / spread if spread > 0 else math.inf
 
 
-# events per draw batch and cells per draw row group of _trajectories, and
+# events per draw batch and cells per draw row group of _groups, and
 # segments per window of trajectory_integral: bounds their memory, and a
 # horizon-1e4 trajectory of the {1, 2} channel (about 2e4 segments) is one window
 _BLOCK_SEGMENTS = 2**15
@@ -510,17 +538,116 @@ def _integrate_window(window, integrand, panel, totals) -> None:
         totals[owner] += float(np.add.reduce(pieces[a:b]))
 
 
-def _posterior_loss(pmf, x, s):
-    return poisson_loss(x, renewal_posterior_mean(pmf, s))
+# segments per integrand call of the estimators' blocks (_LogHazard._pieces):
+# each holds 17 points per segment in a few temporaries, so this bounds them
+_CHUNK_SEGMENTS = 2**8
 
 
-def _path_block(model, integrand, t_lo, panel, scale, gens) -> list:
-    """Each Generator's trajectory integral from t_lo, divided by scale: one replica each.
+class _LogHazard:
+    """Closed-form path integrals of one pmf's renewal posterior mean g.
 
-    The trajectories are drawn in order as the one integral call consumes them.
+    g is the hazard -d/ds ln S(s) of the interarrival law, S(s) = sum p(x)
+    e^{-xs}.  Relative to lam, the smallest positive-mass atom, and D(s) =
+    S(s) e^{lam s}: int_lo^hi g ds = lam (hi - lo) - [ln D]_lo^hi, writing
+    [F]_lo^hi for F(hi) - F(lo), and int_lo^hi ln g ds = ln(lam) (hi - lo) +
+    [L]_lo^hi with L(s) = int_0^s ln(g / lam).  L is tabulated once per
+    estimate, at the panel starts 0, panel, 2 panel, 4 panel, ... below top
+    (_geometric_edges; the estimators pass the horizon, the longest elapsed
+    time), one 16-node Gauss-Legendre piece per panel, cumulatively summed;
+    at a point it is the table value at its panel's start plus one piece
+    from there.  A point's values depend on the point alone, not on top or
+    its neighbours.
     """
-    values = trajectory_integral(_trajectories(model, gens), integrand, t_lo, panel)
-    return [v / scale for v in values]
+
+    def __init__(self, pmf: FinitePmf, panel: float, top: float):
+        self.support, self.probs = _positive_atoms(pmf)
+        self.lam = float(self.support.min())
+        # g / lam <= max x / lam, which overflows only for levels over about 1e308 apart
+        self.near = math.isfinite(float(self.support.max()) / self.lam)
+        self.starts = _geometric_edges(min(panel, top), top)[:-1]
+        self.table = np.zeros(self.starts.size)
+        np.cumsum(self._pieces(self.starts[:-1], self.starts[1:])[0], out=self.table[1:])
+        self.ln_d0 = float(self._pieces(np.zeros(1), np.zeros(1))[2][0])
+
+    def _pieces(self, a: np.ndarray, b: np.ndarray):
+        """(int_a^b ln(g / lam), ln(g(b) / lam), ln D(b)) for each pair of points a <= b.
+
+        In runs of _CHUNK_SEGMENTS pairs, each with 16 Gauss-Legendre nodes and b.
+        """
+        nodes, weights = gauss_legendre(16)
+        out = np.empty((3, b.size))
+        for c in range(0, b.size, _CHUNK_SEGMENTS):
+            lo, hi = a[c:c + _CHUNK_SEGMENTS], b[c:c + _CHUNK_SEGMENTS]
+            half = 0.5 * (hi - lo)
+            s = np.empty((hi.size, nodes.size + 1))
+            np.add((lo + half)[:, None], half[:, None] * nodes, out=s[:, :-1])
+            s[:, -1] = hi
+            excess, den = _excess_hazard(self.support, self.probs, s)
+            if self.near:
+                log_g = np.log1p(excess / self.lam)
+            else:
+                log_g = np.log(self.lam + excess) - math.log(self.lam)
+            out[0, c:c + hi.size] = (log_g[:, :-1] * weights).sum(axis=1) * half
+            out[1, c:c + hi.size] = log_g[:, -1]
+            out[2, c:c + hi.size] = np.log(den[:, -1])
+        return out
+
+    def segments(self, lo: np.ndarray, hi: np.ndarray):
+        """([L]_lo^hi, ln(g(hi) / lam), [ln D]_lo^hi) of each segment [lo, hi) of elapsed time.
+
+        Only the segments that start inside, lo > 0 (the one that straddles
+        the burn-in), need L and ln D at lo; L(0) = 0 and ln D(0) = ln_d0.
+        """
+        k = self.starts.searchsorted(hi, side="right") - 1
+        piece, log_g, ln_d = self._pieces(self.starts[k], hi)
+        ell = self.table[k] + piece
+        ln_d_lo = np.full_like(ln_d, self.ln_d0)
+        inside = np.flatnonzero(lo > 0)
+        if inside.size:
+            k = self.starts.searchsorted(lo[inside], side="right") - 1
+            piece, _, ln_d_lo[inside] = self._pieces(self.starts[k], lo[inside])
+            ell[inside] -= self.table[k] + piece
+        return ell, log_g, ln_d - ln_d_lo
+
+
+def _path_block(model, hazards, t_lo, scale, gens) -> np.ndarray:
+    """Each Generator's (Z, M) over [t_lo, horizon), divided by scale: one row per replica.
+
+    hazards is (A, B): each is a _LogHazard, whose predictor is its pmf's
+    renewal posterior mean, or None, whose predictor is the true intensity x.  Z integrates
+    the excess loss x ln(g_A / g_B) + g_B - g_A along the path, and M is the
+    compensated counting process of ln(g_A / g_B): its sum over the events
+    in (t_lo, horizon) less int x ln(g_A / g_B) dt, of mean exactly 0, since
+    the predictors read only the past.  On a segment of intensity x each
+    predictor contributes its _LogHazard.segments terms (all 0 for the true
+    intensity, with lam = x), so a point mass or A equal to B reads exactly
+    0.  The trajectories come a row group at a time
+    (_groups), and each row sums its own segments in order (np.bincount),
+    so its values do not depend on the rows beside it.
+    """
+    horizon = model.horizon
+    rows = []
+    for epochs, xs, bounds in _groups(model, gens):
+        last = bounds[1:] - 1  # each row's last segment ends at the horizon, not at an event
+        ends = np.append(epochs[1:], horizon)
+        ends[last] = horizon
+        event = np.ones(epochs.size, bool)
+        event[last] = False
+        owner = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+        lo = np.maximum(t_lo, epochs) - epochs
+        hi = ends - epochs
+        keep = hi > lo
+        lo, hi, x, event, owner = lo[keep], hi[keep], xs[keep], event[keep], owner[keep]
+        (ell_a, log_a, ln_d_a, lam_a), (ell_b, log_b, ln_d_b, lam_b) = (
+            (0.0, 0.0, 0.0, x) if h is None else (*h.segments(lo, hi), h.lam) for h in hazards)
+        log_lam = np.log(lam_a) - np.log(lam_b)
+        dt = hi - lo
+        x_ell = x * (ell_a - ell_b)
+        z = x_ell + dt * (x * log_lam + lam_b - lam_a) + ln_d_a - ln_d_b
+        m = np.where(event, log_a - log_b + log_lam, 0.0) - x_ell - dt * x * log_lam
+        count = len(bounds) - 1
+        rows.append(np.column_stack([np.bincount(owner, z, count), np.bincount(owner, m, count)]))
+    return np.concatenate(rows) / scale
 
 
 def di_rate_mc(model: PoissonFeedbackModel, rng, replicas: int = 4,
@@ -528,22 +655,18 @@ def di_rate_mc(model: PoissonFeedbackModel, rng, replicas: int = 4,
     """Monte Carlo rate: time-average of loss(X_t, posterior mean) after burn-in.
 
     The integrand realizes the causal-estimation identity, so its long-run
-    time average converges to di_rate_analytic.
+    time average converges to di_rate_analytic.  Each replica's integral
+    comes in closed form (_path_block), with the compensated counting
+    process of ln(X / g) as its control (core.replicated_estimates).
     """
     if burn_in is None:
         burn_in = default_burn_in(model.pmf)
     if burn_in >= model.horizon:
         raise ValueError("burn-in must be shorter than the horizon")
-    block = functools.partial(_path_block, model, functools.partial(_posterior_loss, model.pmf),
-                              burn_in, _panel_width(model.pmf), model.horizon - burn_in)
-    (est,) = replicated_estimates(block, rng, replicas, jobs)
+    hazard = _LogHazard(model.pmf, _panel_width(model.pmf), model.horizon)
+    block = functools.partial(_path_block, model, (None, hazard), burn_in, model.horizon - burn_in)
+    (est,) = replicated_estimates(block, rng, replicas, jobs, controls=1)
     return est
-
-
-def _excess_loss(p_pmf, q_pmf, x, s):
-    gp = renewal_posterior_mean(p_pmf, s)
-    gq = renewal_posterior_mean(q_pmf, s)
-    return x * (np.log(gp) - np.log(gq)) + gq - gp
 
 
 def mismatched_relent_poisson(p_pmf: FinitePmf, q_pmf: FinitePmf, horizon: float,
@@ -552,12 +675,14 @@ def mismatched_relent_poisson(p_pmf: FinitePmf, q_pmf: FinitePmf, horizon: float
 
     Estimated over [0, horizon) as E_P of the integrated excess loss of the
     Q-matched causal predictor over the P-matched one; nonnegative up to
-    Monte Carlo noise, and identically zero when Q equals P.
+    Monte Carlo noise, and identically zero when Q equals P.  The control is
+    the compensated counting process of ln(g_P / g_Q) (_path_block).
     """
     model = PoissonFeedbackModel(p_pmf, horizon)
-    block = functools.partial(_path_block, model, functools.partial(_excess_loss, p_pmf, q_pmf),
-                              0.0, _panel_width(p_pmf, q_pmf), 1.0)
-    (est,) = replicated_estimates(block, rng, replicas, jobs)
+    panel = _panel_width(p_pmf, q_pmf)
+    hazards = tuple(_LogHazard(pmf, panel, model.horizon) for pmf in (p_pmf, q_pmf))
+    block = functools.partial(_path_block, model, hazards, 0.0, 1.0)
+    (est,) = replicated_estimates(block, rng, replicas, jobs, controls=1)
     return est
 
 

@@ -12,7 +12,8 @@ numpy's own choice and exponential, so the block draw is judged against
 them.  count_streams counts the streams a run derives, so tests can show
 that a refused input draws none.  The Poisson mismatch and the Poisson
 directed information have finite-horizon value oracles that solve their
-renewal equations by quadrature, from the pmfs alone, without the package.
+renewal equations by quadrature, from the pmfs alone, without the package,
+and the Poisson channel's peak-limited capacity has Kabanov's closed form.
 """
 
 import math
@@ -143,6 +144,26 @@ def controlled_values(values, *controls):
 def controlled_mean(values, *controls):
     """The control-variate estimate: the mean of controlled_values."""
     return float(np.mean(controlled_values(values, *controls)))
+
+
+def peak_limited_capacity(a, b):
+    """Capacity of the Poisson channel with intensity in [a, b], feedback or not, nats per second.
+
+    C(a, b) = max_q [q phi(b) + (1 - q) phi(a) - phi(q b + (1 - q) a)] with
+    phi(x) = x ln x (Kabanov, Theory Probab. Appl. 23(1), 1978; Davis, IEEE
+    Trans. IT 26(6), 1980), at the maximizing mean intensity m = exp((phi(b) -
+    phi(a)) / (b - a) - 1); 0 when a = b.
+    """
+    a, b = sorted((float(a), float(b)))
+    if a == b:
+        return 0.0
+
+    def phi(x):
+        return x * math.log(x) if x > 0 else 0.0
+
+    m = math.exp((phi(b) - phi(a)) / (b - a) - 1.0)
+    q = (m - a) / (b - a)
+    return q * phi(b) + (1.0 - q) * phi(a) - phi(m)
 
 
 def cmi_oracle(probs, a_axes, b_axes, c_axes):

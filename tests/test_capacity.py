@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from conftest import random_positive_pmf
+from conftest import peak_limited_capacity, random_positive_pmf
 from ctdi import capacity
 from ctdi.capacity import (
     CapacityPoint,
@@ -13,7 +13,8 @@ from ctdi.capacity import (
     optimize_binary,
     unit_cost_identity_check,
 )
-from ctdi.poisson import di_rate_analytic
+from ctdi.core import FinitePmf
+from ctdi.poisson import PoissonFeedbackModel, di_rate_analytic, di_rate_mc
 
 
 def test_binary_rate_endpoints_and_degenerate_levels():
@@ -244,3 +245,37 @@ def test_capacity_point_validation():
         CapacityPoint(1.0, 2.0, p_star=1.5, rate_star=0.1)
     with pytest.raises(ValueError):
         CapacityPoint(1.0, 2.0, p_star=0.5, rate_star=-0.1)
+
+
+def test_rates_stay_below_the_peak_limited_capacity():
+    # feedback does not raise the capacity C(a, b) of the Poisson channel with
+    # intensity in [a, b], so no rate of a law on [a, b] exceeds it
+    levels = [0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0]
+    for pt in capacity_curve(1.0, levels):
+        assert pt.rate_star <= peak_limited_capacity(1.0, pt.lambda2)
+    gen = np.random.default_rng(36)
+    for atoms in (2, 2, 2, 2, 2, 3, 3, 3, 3, 3):
+        support = np.sort(gen.uniform(0.2, 20.0, size=atoms))
+        pmf = FinitePmf(support, gen.dirichlet(np.ones(atoms)))
+        assert di_rate_analytic(pmf) <= peak_limited_capacity(support[0], support[-1])
+    # the binary optimum falls away from C as the levels part: a finding, not a bound
+    for ratio, share in ((2.0, 0.900), (4.0, 0.700), (10.0, 0.438)):
+        rate = optimize_binary(1.0, ratio).rate_star
+        assert rate / peak_limited_capacity(1.0, ratio) == pytest.approx(share, abs=1e-3)
+
+
+def test_peak_limited_capacity_scales_linearly_under_dilation():
+    for a, b in ((1.0, 2.0), (0.25, 1.0), (1.0, 100.0), (0.0, 3.0)):
+        base = peak_limited_capacity(a, b)
+        assert base > 0.0
+        for k in (0.5, 3.0, 1e3):
+            assert peak_limited_capacity(k * a, k * b) == pytest.approx(k * base, rel=1e-12)
+
+
+def test_monte_carlo_rates_stay_below_the_peak_limited_capacity():
+    # the poisson-rate benchmark's size: levels {1, 2}, horizon 50, 48 replicas
+    bound = peak_limited_capacity(1.0, 2.0)
+    for p in np.linspace(0.1, 0.9, 9):
+        model = PoissonFeedbackModel(FinitePmf([1.0, 2.0], [p, 1.0 - p]), 50.0)
+        est = di_rate_mc(model, rng=0, replicas=48)
+        assert est.value <= bound + 4.0 * est.stderr

@@ -208,6 +208,20 @@ def test_gaussian_duncan_small_run_and_reproducibility(tmp_path):
     assert "exit_reason" not in manifest
 
 
+def test_csvs_do_not_depend_on_the_job_count(tmp_path):
+    # the seed contract at the CLI, with the fitted controls engaged (48 and
+    # 64 replicas): the same seed writes the same bytes at --jobs 1 and 2
+    for args, name in ((["poisson-rate", "--horizon", "50", "--replicas", "48"], "poisson_rate.csv"),
+                       (["gaussian-duncan", "--t-values", "0.2,0.5", "--dt", "0.01",
+                         "--replicas", "64"], "gaussian_duncan.csv")):
+        csvs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"{name}-{jobs}"
+            assert run(args + ["--seed", "3", "--jobs", jobs, "--out", str(out)]) == 0
+            csvs.append((out / name).read_bytes())
+        assert csvs[0] == csvs[1]
+
+
 def test_flag_overrides_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment line\nt_values=0.5\ndt=0.01\nreplicas=200\n")

@@ -411,6 +411,13 @@ def test_di_estimate_fields():
 _UNUSED_EXPORTS_ALLOWED = {
     "quadrature.adaptive_simpson": "the benchmark traces it by name until its quadrature "
                                    "metrics read integrate_panels; then it is deleted",
+    "poisson.trajectory_integral": "the generic path integrator, which the Poisson estimators "
+                                   "replaced by their closed form; the benchmark's tracer and "
+                                   "its per-layer metrics name it",
+    "poisson.renewal_posterior_mean": "the causal posterior mean itself; the estimators integrate "
+                                      "it in closed form, and the benchmark counts its points",
+    "core.poisson_loss": "the causal-estimation loss itself; the estimators integrate it in "
+                         "closed form, and the benchmark counts its points",
 }
 
 

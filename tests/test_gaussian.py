@@ -107,6 +107,21 @@ def test_simulation_reproducible():
     assert x.shape == inc.shape == (1, 0)
 
 
+def test_finite_prior_latents_are_choice_draws():
+    # the block maps its streams' uniforms through the prior's cdf at once:
+    # each latent, and the step noises after it, are what its stream draws alone
+    model = constant_signal_model(0.2, 0.01, prior=THREE_POINT)
+    gens = [RngSpec(71).stream(r) for r in range(200)]
+    latents = np.empty(len(gens))
+    _, inc = simulate_awgn(model, gens, latents=latents)
+    for r, (u, row) in enumerate(zip(latents, inc)):
+        alone = RngSpec(71).stream(r)
+        assert u == alone.choice(THREE_POINT.support, p=THREE_POINT.probs)
+        noise = alone.standard_normal(model.n_steps) * math.sqrt(model.dt)
+        assert np.array_equal(row, noise + u * model.dt)
+    assert set(latents.tolist()) == set(THREE_POINT.support.tolist())
+
+
 def test_power_bound_guards_runaway_policies():
     latent = FinitePmf([0.0], [1.0])
     model = GaussianFeedbackModel(1.0, 0.1, lambda u, y: 50.0, delay=0.1,

@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import (
+    controlled_mean,
     count_streams,
     di_renewal_values,
     mc_entropy_oracle,
@@ -18,7 +19,7 @@ from conftest import (
     reference_trajectory,
 )
 from ctdi import poisson
-from ctdi.core import FinitePmf, RngSpec, poisson_loss
+from ctdi.core import FinitePmf, RngSpec, poisson_loss, replicated_estimates
 from ctdi.poisson import (
     ChannelTrajectory,
     PoissonFeedbackModel,
@@ -371,10 +372,12 @@ def test_rate_against_plugin_oracle():
 
 
 def test_rate_mc_point_mass_is_exactly_zero():
+    # from 32 replicas on the control is fitted, and its zero variance drops it
     model = PoissonFeedbackModel(FinitePmf([2.0], [1.0]), 200.0)
-    est = di_rate_mc(model, rng=3, replicas=2, burn_in=5.0)
-    assert est.value == 0.0
-    assert est.stderr == 0.0
+    for replicas in (2, 40):
+        est = di_rate_mc(model, rng=3, replicas=replicas, burn_in=5.0)
+        assert est.value == 0.0
+        assert est.stderr == 0.0
 
 
 def test_rate_mc_matches_analytic_binary():
@@ -480,27 +483,76 @@ def _panel(*pmfs):
     return 1.0 / (support.max() - support.min())
 
 
+def _hazards(model, pmfs, panel):
+    """The estimators' (A, B) predictors: None for the true intensity, else the pmf's table."""
+    return tuple(None if pmf is None else poisson._LogHazard(pmf, panel, model.horizon)
+                 for pmf in pmfs)
+
+
+def _block_rows(model, pmfs, t_lo, panel, scale, seed, replicas):
+    """Each replica's (Z, M) row, drawn and integrated in the estimators' blocks of 16 streams."""
+    gens = list(RngSpec(seed).streams(0, replicas))
+    hazards = _hazards(model, pmfs, panel)
+    return np.concatenate([poisson._path_block(model, hazards, t_lo, scale, gens[a:a + 16])
+                           for a in range(0, replicas, 16)])
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_block_estimates_match_each_trajectory_alone(jobs):
-    # 37 replicas: two full 16-trajectory blocks and a partial one
+    # 37 replicas: two full 16-trajectory blocks and a partial one.  Each
+    # replica's closed-form Z is its trajectory's piecewise quadrature alone
+    # to the quadrature's precision, and the estimate, with its control
+    # engaged, is the fit on those rows whatever the job count
     replicas = 37
     three = FinitePmf([0.5, 1.3, 2.9], [0.2, 0.5, 0.3])
     nine = FinitePmf(np.linspace(0.5, 4.5, 9), np.arange(1.0, 10.0) / 45.0)
-    for pmf, horizon in ((BINARY, 60.0), (FinitePmf([1.0, 100.0], [0.5, 0.5]), 40.0), (three, 80.0),
-                         (nine, 40.0)):
+    for pmf, horizon in ((BINARY, 60.0), (FinitePmf([1.0, 10.0], [0.5, 0.5]), 40.0),
+                         (FinitePmf([1.0, 100.0], [0.5, 0.5]), 40.0), (three, 80.0), (nine, 40.0)):
         model = PoissonFeedbackModel(pmf, horizon)
         burn_in = default_burn_in(pmf)
         oracle = per_trajectory_poisson_values(model, _posterior_loss(pmf), burn_in, _panel(pmf),
                                                horizon - burn_in, 61, replicas)
+        rows = _block_rows(model, (None, pmf), burn_in, _panel(pmf), horizon - burn_in, 61, replicas)
+        np.testing.assert_allclose(rows[:, 0], oracle, rtol=1e-10, atol=0.0)
         est = di_rate_mc(model, rng=61, replicas=replicas, jobs=jobs)
-        assert repr(est.value) == repr(float(np.mean(oracle)))
-        assert repr(est.stderr) == repr(float(np.std(oracle, ddof=1) / math.sqrt(replicas)))
+        assert repr(est) == repr(di_rate_mc(model, rng=61, replicas=replicas, jobs=1))
+        assert est.value == pytest.approx(controlled_mean(rows[:, 0], rows[:, 1]), rel=1e-12)
         q = FinitePmf(pmf.support, np.linspace(1.0, 2.0, len(pmf)) / np.linspace(1.0, 2.0, len(pmf)).sum())
         oracle = per_trajectory_poisson_values(model, _excess_loss(pmf, q), 0.0, _panel(pmf, q),
                                                1.0, 62, replicas)
+        rows = _block_rows(model, (pmf, q), 0.0, _panel(pmf, q), 1.0, 62, replicas)
+        np.testing.assert_allclose(rows[:, 0], oracle, rtol=1e-10, atol=0.0)
         est = mismatched_relent_poisson(pmf, q, horizon, rng=62, replicas=replicas, jobs=jobs)
-        assert repr(est.value) == repr(float(np.mean(oracle)))
-        assert repr(est.stderr) == repr(float(np.std(oracle, ddof=1) / math.sqrt(replicas)))
+        assert repr(est) == repr(mismatched_relent_poisson(pmf, q, horizon, rng=62,
+                                                           replicas=replicas, jobs=1))
+        assert est.value == pytest.approx(controlled_mean(rows[:, 0], rows[:, 1]), rel=1e-12)
+
+
+def test_closed_form_holds_for_levels_over_1e308_apart():
+    # g / min x then overflows, so the log-ratio is taken as a difference of logs
+    p = FinitePmf([1e-300, 1e10], [0.5, 0.5])
+    q = FinitePmf([1e-300, 1e10], [0.3, 0.7])
+    model = PoissonFeedbackModel(p, 50.0)
+    for pmfs, t_lo, loss in (((None, p), 1e-9, _posterior_loss(p)), ((p, q), 0.0, _excess_loss(p, q))):
+        oracle = per_trajectory_poisson_values(model, loss, t_lo, _panel(p, q), 1.0, 5, 20)
+        rows = _block_rows(model, pmfs, t_lo, _panel(p, q), 1.0, 5, 20)
+        np.testing.assert_allclose(rows[:, 0], oracle, rtol=1e-10, atol=0.0)
+        assert np.isfinite(rows).all()
+
+
+@pytest.mark.parametrize("lam2", [2.0, 10.0, 100.0])
+def test_martingale_controls_have_mean_zero(lam2):
+    # M, the compensated counting process of ln(X / g) (or of ln(g_P / g_Q)),
+    # has mean exactly 0 under the channel's law, burn-in or not
+    pmf = FinitePmf([1.0, lam2], [0.5, 0.5])
+    q = FinitePmf([1.0, lam2], [0.8, 0.2])
+    model = PoissonFeedbackModel(pmf, 30.0)
+    burn_in = default_burn_in(pmf)
+    for pmfs, t_lo, scale in (((None, pmf), burn_in, 30.0 - burn_in), ((pmf, q), 0.0, 1.0)):
+        block = functools.partial(poisson._path_block, model, _hazards(model, pmfs, _panel(pmf, q)),
+                                  t_lo, scale)
+        _, m = replicated_estimates(block, rng=68, replicas=400)
+        assert m.stderr > 0.0 and abs(m.value) < 4.0 * m.stderr
 
 
 def test_block_integral_does_not_depend_on_the_piece_limit(monkeypatch):
@@ -558,8 +610,9 @@ def test_trajectory_integral_refuses_a_panel_below_the_horizons_float_spacing():
 
 
 def test_block_integral_memory_is_bounded_by_the_piece_limit(monkeypatch):
-    # 16 trajectories of about 2,700 segments: one integrand call on a whole
-    # window of about 2^15 segments held some 36 MB of temporaries
+    # 16 trajectories of about 2,700 segments, in row groups of nine: one
+    # integrand call on a whole group's 17 points per segment held some
+    # 18 MiB of temporaries
     model = PoissonFeedbackModel(BINARY, 2000.0)
 
     def peak():
@@ -570,9 +623,9 @@ def test_block_integral_memory_is_bounded_by_the_piece_limit(monkeypatch):
         finally:
             tracemalloc.stop()
 
-    assert peak() <= 16 * 2**20
-    monkeypatch.setattr(poisson, "_CHUNK_PIECES", 2**20)
-    assert peak() > 24 * 2**20
+    assert peak() <= 8 * 2**20
+    monkeypatch.setattr(poisson, "_CHUNK_SEGMENTS", 2**20)
+    assert peak() > 14 * 2**20
 
 
 def test_block_draw_memory_is_bounded_by_row_groups():
@@ -587,7 +640,7 @@ def test_block_draw_memory_is_bounded_by_row_groups():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
-    assert est.value == 0.07183338624529678
+    assert est.value == 0.07183338624529689
 
 
 def test_state_at_and_occupancy_manual():
@@ -640,9 +693,10 @@ def test_renewal_filter_matches_binned_conditional_means():
 
 
 def test_mismatch_zero_when_q_equals_p():
-    est = mismatched_relent_poisson(BINARY, BINARY, 100.0, rng=4, replicas=2)
-    assert est.value == 0.0
-    assert est.stderr == 0.0
+    for replicas in (2, 40):
+        est = mismatched_relent_poisson(BINARY, BINARY, 100.0, rng=4, replicas=replicas)
+        assert est.value == 0.0
+        assert est.stderr == 0.0
 
 
 def test_mismatch_refuses_a_nonpositive_q_level_before_any_draw(monkeypatch):
