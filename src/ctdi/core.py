@@ -341,6 +341,7 @@ def _columns(block, rng, replicas: int, jobs: int):
     """
     # a Generator, a float or a string seed raises TypeError here
     spec = rng if isinstance(rng, RngSpec) else RngSpec(rng)
+    replicas = operator.index(replicas)  # a float raises TypeError, as a float seed does
     if replicas < 1:
         raise ValueError(f"replicas must be at least 1, got {replicas}")
     if replicas > 2**32:

@@ -17,8 +17,9 @@ integral L(s) = int_0^s ln(g / min x), read from one table per pmf plus one
 the compensated counting process of the log predictor ratio (Bremaud, Point
 Processes and Queues, 1981), of mean exactly 0.  Every step is elementwise
 or sums one trajectory's own segments, so a value does not depend on its
-block.  trajectory_integral, the generic piecewise integrator, is kept for
-integrands with no closed form.
+block.  trajectory_integral, the generic piecewise integrator for integrands
+with no closed form, takes one trajectory at a time and calls its integrand
+on _CHUNK_SEGMENTS segments at a time, the bound _LogHazard's pieces share.
 
 Rates are in nats per second.  Every input level must be at least _TINY, the
 smallest normal float.  Every analytic integral here runs to one error
@@ -172,10 +173,11 @@ def simulate_channel(model: PoissonFeedbackModel, gen: np.random.Generator) -> C
 
     Draws come in batches of at most _BLOCK_SEGMENTS events, which bounds the
     temporaries on a long horizon, and of float-coincident epochs only the
-    last is kept (_kept).  This is the block of one of _trajectories, so gen
+    last is kept (_kept).  This is the row group of one of _groups, so gen
     draws the same trajectory here as in any block.
     """
-    return next(_trajectories(model, [gen]))
+    epochs, xs, _ = next(_groups(model, [gen]))
+    return ChannelTrajectory._drawn(model.horizon, epochs, xs)
 
 
 def _draws(pmf: FinitePmf, gens, size: int):
@@ -265,13 +267,6 @@ def _groups(model: PoissonFeedbackModel, gens):
         epochs.flags.writeable = False
         xs.flags.writeable = False
         yield epochs, xs, bounds
-
-
-def _trajectories(model: PoissonFeedbackModel, gens):
-    """Each Generator's trajectory of _groups in order, without a second check."""
-    for epochs, xs, bounds in _groups(model, gens):
-        for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-            yield ChannelTrajectory._drawn(model.horizon, epochs[a:b], xs[a:b])
 
 
 def _excess_hazard(support: np.ndarray, probs: np.ndarray, s):
@@ -454,12 +449,14 @@ def _panel_width(*pmfs) -> float:
     return 1.0 / spread if spread > 0 else math.inf
 
 
-# events per draw batch and cells per draw row group of _groups, and
-# segments per window of trajectory_integral: bounds their memory, and a
-# horizon-1e4 trajectory of the {1, 2} channel (about 2e4 segments) is one window
+# events per draw batch and cells per draw row group of _groups: bounds the
+# draw temporaries, and a horizon-1e4 trajectory of the {1, 2} channel (about
+# 2e4 segments) is one batch
 _BLOCK_SEGMENTS = 2**15
-# pieces per integrand call of trajectory_integral: bounds the integrand's temporaries
-_CHUNK_PIECES = 2**8
+# segments per integrand call of both path integrals: _LogHazard._pieces holds
+# 17 points per segment in a few temporaries, and trajectory_integral 16 per
+# piece, a few pieces per segment, so this bounds them
+_CHUNK_SEGMENTS = 2**8
 
 
 def trajectory_integral(trajs, integrand, t_lo: float = 0.0, panel: float = math.inf) -> list:
@@ -467,26 +464,25 @@ def trajectory_integral(trajs, integrand, t_lo: float = 0.0, panel: float = math
 
     trajs is any iterable of ChannelTrajectory, consumed lazily; s_t is the
     elapsed time since the last event.  Each constant-intensity segment is
-    split at elapsed times panel, 2*panel, 4*panel, ... and every piece gets
-    a 16-node Gauss-Legendre rule; panel lies in (0, inf] and may not be
-    below any trajectory's math.ulp(horizon), the float spacing of its
-    epochs near the end: a finer panel resolves nothing and would cut a
-    segment thousands of times.  The default inf
-    (one piece per segment) suits integrands that do not depend on s; for the
-    renewal posterior mean pass 1/(max x - min x), its fastest time scale.
+    split at elapsed times panel, 2*panel, 4*panel, ... (_geometric_edges)
+    and every piece gets a 16-node Gauss-Legendre rule; panel lies in
+    (0, inf] and may not be below any trajectory's math.ulp(horizon), the
+    float spacing of its epochs near the end: a finer panel resolves nothing
+    and would cut a segment thousands of times.  The default inf (one piece
+    per segment) suits integrands that do not depend on s; for the renewal
+    posterior mean pass 1/(max x - min x), its fastest time scale.
 
-    Returns one float per trajectory.  The kept segments of consecutive
-    trajectories share windows of at most _BLOCK_SEGMENTS segments, a longer
-    trajectory taking several, and the integrand, which must act pointwise,
-    is called on runs of at most _CHUNK_PIECES pieces of a window.  A piece's
-    integral, the sum of its node values times the weights times its half
-    width, is elementwise in the pieces, and each trajectory sums its own
-    piece integrals per window, so its value does not depend on the
-    trajectories beside it or on the piece limit.
+    Returns one float per trajectory.  Each trajectory is integrated on its
+    own: the integrand, which must act pointwise, is called on the pieces of
+    at most _CHUNK_SEGMENTS of its segments at a time, and the piece
+    integrals, elementwise in the pieces, are summed in order by one
+    np.add.reduce, so a value depends neither on the trajectories beside it
+    nor on the chunk size.
     """
     if not panel > 0:
         raise ValueError(f"panel must be positive, got {panel!r}")
-    totals, window, size = [], [], 0
+    nodes, weights = gauss_legendre(16)
+    totals = []
     for traj in trajs:
         if not 0.0 <= t_lo < traj.horizon:
             raise ValueError("need 0 <= t_lo < horizon")
@@ -498,49 +494,20 @@ def trajectory_integral(trajs, integrand, t_lo: float = 0.0, panel: float = math
         hi = ends - starts
         keep = hi > lo
         lo, hi, xs = lo[keep], hi[keep], xs[keep]
-        totals.append(0.0)
-        for b in range(0, lo.size, _BLOCK_SEGMENTS):
-            group = (lo[b:b + _BLOCK_SEGMENTS], hi[b:b + _BLOCK_SEGMENTS], xs[b:b + _BLOCK_SEGMENTS])
-            if size + group[0].size > _BLOCK_SEGMENTS:
-                _integrate_window(window, integrand, panel, totals)
-                window, size = [], 0
-            window.append((len(totals) - 1,) + group)
-            size += group[0].size
-    _integrate_window(window, integrand, panel, totals)
+        top = float(hi.max())
+        cuts = _geometric_edges(min(panel, top), top)
+        pieces = []
+        for c in range(0, lo.size, _CHUNK_SEGMENTS):
+            a, b = lo[c:c + _CHUNK_SEGMENTS, None], hi[c:c + _CHUNK_SEGMENTS, None]
+            p_lo, p_hi = np.clip(cuts[:-1], a, b), np.clip(cuts[1:], a, b)
+            inside = p_hi > p_lo
+            half = 0.5 * (p_hi[inside] - p_lo[inside])
+            s = (p_lo[inside] + half)[:, None] + half[:, None] * nodes
+            x = np.broadcast_to(xs[c:c + _CHUNK_SEGMENTS, None], inside.shape)[inside]
+            vals = integrand(np.repeat(x, nodes.size), s.ravel()).reshape(s.shape)
+            pieces.append((vals * weights).sum(axis=1) * half)
+        totals.append(float(np.add.reduce(np.concatenate(pieces))))
     return totals
-
-
-def _integrate_window(window, integrand, panel, totals) -> None:
-    """Add each (owner, lo, hi, xs) group's integral over its pieces to totals[owner]."""
-    if not window:
-        return
-    owners, lo, hi, xs = zip(*window)
-    seg_bounds = np.cumsum([0] + [a.size for a in lo])
-    lo, hi, xs = np.concatenate(lo), np.concatenate(hi), np.concatenate(xs)
-    top = float(hi.max())
-    cuts = _geometric_edges(min(panel, top), top)
-    p_lo = np.clip(cuts[:-1], lo[:, None], hi[:, None])
-    p_hi = np.clip(cuts[1:], lo[:, None], hi[:, None])
-    keep = p_hi > p_lo
-    lo, hi = p_lo[keep], p_hi[keep]
-    xs = np.broadcast_to(xs[:, None], keep.shape)[keep]
-    bounds = np.append(0, np.cumsum(keep.sum(axis=1)))[seg_bounds].tolist()
-    half = 0.5 * (hi - lo)
-    mid = lo + half
-    nodes, weights = gauss_legendre(16)
-    pieces = np.empty_like(half)
-    for c in range(0, pieces.size, _CHUNK_PIECES):
-        d = min(c + _CHUNK_PIECES, pieces.size)
-        s = mid[c:d, None] + half[c:d, None] * nodes
-        vals = integrand(np.repeat(xs[c:d], nodes.size), s.ravel()).reshape(s.shape)
-        pieces[c:d] = (vals * weights).sum(axis=1) * half[c:d]
-    for owner, a, b in zip(owners, bounds[:-1], bounds[1:]):
-        totals[owner] += float(np.add.reduce(pieces[a:b]))
-
-
-# segments per integrand call of the estimators' blocks (_LogHazard._pieces):
-# each holds 17 points per segment in a few temporaries, so this bounds them
-_CHUNK_SEGMENTS = 2**8
 
 
 class _LogHazard:
@@ -663,6 +630,8 @@ def di_rate_mc(model: PoissonFeedbackModel, rng, replicas: int = 4,
         burn_in = default_burn_in(model.pmf)
     if burn_in >= model.horizon:
         raise ValueError("burn-in must be shorter than the horizon")
+    if not burn_in >= 0.0:
+        raise ValueError(f"burn-in must be nonnegative, got {burn_in!r}")
     hazard = _LogHazard(model.pmf, _panel_width(model.pmf), model.horizon)
     block = functools.partial(_path_block, model, (None, hazard), burn_in, model.horizon - burn_in)
     (est,) = replicated_estimates(block, rng, replicas, jobs, controls=1)

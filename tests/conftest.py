@@ -14,6 +14,9 @@ that a refused input draws none.  The Poisson mismatch and the Poisson
 directed information have finite-horizon value oracles that solve their
 renewal equations by quadrature, from the pmfs alone, without the package,
 and the Poisson channel's peak-limited capacity has Kabanov's closed form.
+The Poisson directed-information rate also follows the paper's partition
+definition: the exact rate of the output sampled at step dt, which tends to
+it as dt shrinks.
 """
 
 import math
@@ -370,6 +373,34 @@ def di_renewal_values(pmf, horizon, h):
         return [float(_solve_renewal(a, f, step)[-1]) for a in (estimation, definition)]
 
     return _richardson(sides, h)
+
+
+def sampled_poisson_di_rate(pmf, dt):
+    """Directed-information rate of the output sampled at step dt, by the paper's partition definition.
+
+    On a grid of step dt the output is one event indicator per step, 1 with
+    probability q(x) = 1 - e^{-x dt}, and X is redrawn after every event.
+    Given the output past, the next indicator depends only on the count e of
+    quiet steps since the last event, and in the stationary regime (x, e)
+    has the law pi(x, e) proportional to p(x) (1 - q(x))^e, whose total is
+    sum p / q.  With h the binary entropy in nats and g(e) = sum_x pi(x, e)
+    q(x) / pi(e), the directed information per step is sum_e pi(e) h(g(e)) -
+    sum pi(x, e) h(q(x)); divided by dt it is the rate.  The summand at e
+    is a Jensen gap that shrinks like p(x) e^{-x dt e} for the second
+    smallest level x, once the posterior settles on the smallest, so the
+    sum stops where that is below e^{-60} of the smallest level's mass.
+    """
+    x, p = np.asarray(pmf.support, dtype=float), np.asarray(pmf.probs, dtype=float)
+    q = -np.expm1(-x * dt)
+
+    def h(u):
+        return -u * np.log(u) - (1.0 - u) * np.log1p(-u)
+
+    second = np.sort(x)[1]
+    e = np.arange(math.ceil((60.0 - math.log(p[x.argmin()])) / (second * dt)))
+    pi = p * np.exp(-np.multiply.outer(e, x) * dt) / (p / q).sum()
+    pi_e = pi.sum(axis=1)
+    return float((pi_e * h(pi @ q / pi_e) - pi @ h(q)).sum()) / dt
 
 
 def _richardson(sides, h):

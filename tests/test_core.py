@@ -23,6 +23,8 @@ from ctdi.core import (
     poisson_loss,
     replicated_estimates,
 )
+from ctdi.gaussian import GaussianFeedbackModel, directed_info_gaussian_mc
+from ctdi.poisson import PoissonFeedbackModel, di_rate_mc
 
 
 def test_sample_path_basics():
@@ -273,6 +275,21 @@ def test_seeds_and_replica_indices_must_be_integers(monkeypatch):
     state = RngSpec(np.int64(12)).stream(np.int64(3)).bit_generator.state
     assert state == RngSpec(12).stream(3).bit_generator.state
     assert replicated_estimate(_first_draws, np.int64(12), 5) == replicated_estimate(_first_draws, 12, 5)
+
+
+@pytest.mark.parametrize("estimate, replicas", [
+    (lambda n: di_rate_mc(PoissonFeedbackModel(FinitePmf([1.0, 2.0], [0.5, 0.5]), 50.0), 3, n), 2.9),
+    (lambda n: directed_info_gaussian_mc(GaussianFeedbackModel(0.5, 0.1, None), 3, n), 40.7),
+    (lambda n: directed_info_gaussian_mc(GaussianFeedbackModel(0.5, 0.1, None), 3, n), np.float64(4.0)),
+], ids=["poisson", "gaussian", "gaussian-whole-float"])
+def test_replica_counts_must_be_integers(estimate, replicas, monkeypatch):
+    # 2.9 once ran 2 replicas and 40.7 ran 40
+    streams = count_streams(monkeypatch)
+    with pytest.raises(TypeError):
+        estimate(replicas)
+    assert streams == [0]
+    monkeypatch.undo()
+    assert repr(estimate(np.int64(int(replicas)))) == repr(estimate(int(replicas)))
 
 
 def test_blocks_get_at_most_16_streams_in_replica_order():

@@ -17,6 +17,7 @@ from conftest import (
     plugin_rate_oracle,
     random_positive_pmf,
     reference_trajectory,
+    sampled_poisson_di_rate,
 )
 from ctdi import poisson
 from ctdi.core import FinitePmf, RngSpec, poisson_loss, replicated_estimates
@@ -116,17 +117,20 @@ def test_block_trajectories_match_each_generator_alone(pmf, horizon, block, firs
     if block is not None:
         monkeypatch.setattr(poisson, "_BLOCK_SEGMENTS", block)
     model = PoissonFeedbackModel(pmf, horizon)
-    trajs = list(poisson._trajectories(model, [RngSpec(66).stream(r) for r in range(64)]))
-    assert len(trajs) == 64
-    for r, traj in enumerate(trajs):
+    rows = [(epochs[a:b], xs[a:b])
+            for epochs, xs, bounds in poisson._groups(model, [RngSpec(66).stream(r) for r in range(64)])
+            for a, b in zip(bounds[:-1], bounds[1:])]
+    assert len(rows) == 64
+    for r, (events, intensities) in enumerate(rows):
         epochs, xs = reference_trajectory(model, RngSpec(66).stream(r))
-        assert np.array_equal(traj.events, epochs) and np.array_equal(traj.intensities, xs)
-        assert traj.horizon == horizon and not traj.events.flags.writeable
-    assert sum(len(t.events) > first for t in trajs) >= 2
+        assert np.array_equal(events, epochs) and np.array_equal(intensities, xs)
+        assert not events.flags.writeable and not intensities.flags.writeable
+    assert sum(len(events) > first for events, _ in rows) >= 2
     for r in range(16):
         alone = simulate_channel(model, RngSpec(66).stream(r))
-        assert np.array_equal(alone.events, trajs[r].events)
-        assert np.array_equal(alone.intensities, trajs[r].intensities)
+        assert alone.horizon == horizon
+        assert np.array_equal(alone.events, rows[r][0])
+        assert np.array_equal(alone.intensities, rows[r][1])
 
 
 def test_trajectory_segments_shape():
@@ -404,6 +408,38 @@ def test_rate_mc_validation():
         di_rate_mc(model, rng=np.random.default_rng(0), replicas=2)
 
 
+@pytest.mark.parametrize("burn_in", [-40.0, -math.inf, math.nan])
+def test_rate_mc_refuses_a_burn_in_below_zero_or_nan(burn_in, monkeypatch):
+    # -40 once integrated over [0, T) but divided by T + 40, nan read nan and
+    # -inf read an exact 0.0 +- 0.0
+    model = PoissonFeedbackModel(BINARY, 50.0)
+    streams = count_streams(monkeypatch)
+    with pytest.raises(ValueError, match="burn-in must be nonnegative"):
+        di_rate_mc(model, rng=3, replicas=48, burn_in=burn_in)
+    assert streams == [0]
+
+
+@pytest.mark.parametrize("support, probs", [
+    ([1.0, 2.0], [0.5, 0.5]),
+    ([1.0, 2.0], [0.9, 0.1]),
+    ([1.0, 10.0], [0.5, 0.5]),
+    ([1.0, 100.0], [0.5, 0.5]),
+    ([1.0, 3.0, 7.0], [1 / 3, 1 / 3, 1 / 3]),
+], ids=["1-2", "1-2-p0.1", "1-10", "1-100", "1-3-7"])
+def test_sampled_output_di_rate_tends_to_the_analytic_rate(support, probs):
+    # the paper's definition: the DI rate of the output sampled at step dt
+    # converges to the continuous-time rate at first order in dt, and two
+    # Richardson steps over dt max x in {1e-2, 5e-3, 2.5e-3} leave O(dt^3)
+    pmf = FinitePmf(support, probs)
+    exact = di_rate_analytic(pmf)
+    rates = [sampled_poisson_di_rate(pmf, c / max(support)) for c in (1e-2, 5e-3, 2.5e-3)]
+    errors = [r - exact for r in rates]
+    assert errors[0] / errors[1] == pytest.approx(2.0, abs=0.05)
+    assert errors[1] / errors[2] == pytest.approx(2.0, abs=0.05)
+    first = [2.0 * b - a for a, b in zip(rates, rates[1:])]
+    assert abs((4.0 * first[1] - first[0]) / 3.0 - exact) <= 1e-9
+
+
 def test_hazard_log_hazard_time_average_identity():
     # the long-run time average of g ln g equals (1 - h(Y)) / E[1/X]
     # because g is the hazard rate of the interarrival law and the survival
@@ -564,12 +600,12 @@ def test_block_integral_does_not_depend_on_the_piece_limit(monkeypatch):
     # a trajectory's value is the same alone, in a block and in a lazy iterable
     assert [trajectory_integral([t], loss, 10.0, 0.5)[0] for t in trajs] == block
     assert trajectory_integral(iter(trajs), loss, 10.0, 0.5) == block
-    # three pieces per integrand call split every trajectory over many calls
-    monkeypatch.setattr(poisson, "_CHUNK_PIECES", 3)
+    # three segments per integrand call split every trajectory over many calls
+    monkeypatch.setattr(poisson, "_CHUNK_SEGMENTS", 3)
     assert trajectory_integral(trajs, loss, 10.0, 0.5) == block
     assert trajectory_integral(trajs[::-1], loss, 10.0, 0.5) == block[::-1]
-    # windows of 200 segments hold two or three of these trajectories whole
-    monkeypatch.setattr(poisson, "_BLOCK_SEGMENTS", 200)
+    # one integrand call per trajectory
+    monkeypatch.setattr(poisson, "_CHUNK_SEGMENTS", 2**20)
     assert trajectory_integral(trajs, loss, 10.0, 0.5) == block
 
 
@@ -626,6 +662,28 @@ def test_block_integral_memory_is_bounded_by_the_piece_limit(monkeypatch):
     assert peak() <= 8 * 2**20
     monkeypatch.setattr(poisson, "_CHUNK_SEGMENTS", 2**20)
     assert peak() > 14 * 2**20
+
+
+def test_trajectory_integral_memory_is_bounded_by_the_chunk_size(monkeypatch):
+    # four trajectories of about 2e4 segments and 4.2 pieces per segment:
+    # windows of 2**15 segments held some 9 MiB of piece layout, and one
+    # integrand call on a whole trajectory some 80 MiB of temporaries
+    pmf = FinitePmf([1.0, 100.0], [0.5, 0.5])
+    model = PoissonFeedbackModel(pmf, 1e4)
+    trajs = [simulate_channel(model, RngSpec(7).stream(r)) for r in range(4)]
+    loss = _posterior_loss(pmf)
+
+    def peak():
+        tracemalloc.start()
+        try:
+            trajectory_integral(trajs, loss, 0.0, _panel(pmf))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak() <= 4 * 2**20
+    monkeypatch.setattr(poisson, "_CHUNK_SEGMENTS", 2**20)
+    assert peak() > 40 * 2**20
 
 
 def test_block_draw_memory_is_bounded_by_row_groups():
