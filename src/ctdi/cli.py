@@ -26,10 +26,10 @@ CSV (or report) plus a manifest echoing the resolved configuration, and runs
 are byte-reproducible given the same seed.  Exit status: 0 on pass, 1 when a
 scientific tolerance is violated, 2 on usage or configuration errors (any
 ValueError or OSError), 3 on an internal failure: a numerical one
-(quadrature that does not converge, a tail bound that is never met, a
-non-finite error integral) or any other exception, reported as one line
-that names its type.  Once the output directory exists, the manifest
-records the exit status, and for status 3 the one-line reason.
+(quadrature that does not converge, a non-finite error integral) or any
+other exception, reported as one line that names its type.  Once the
+output directory exists, the manifest records the exit status, and for
+status 3 the one-line reason.
 """
 
 from __future__ import annotations
@@ -199,6 +199,8 @@ def cmd_gaussian_duncan(cfg: ExperimentConfig) -> int:
 
 def cmd_poisson_rate(cfg: ExperimentConfig) -> int:
     lam1, lam2, horizon = cfg.params["lambda1"], cfg.params["lambda2"], cfg.params["horizon"]
+    if lam1 == lam2:
+        raise ValueError(f"lambda1={lam1:.6g} and lambda2={lam2:.6g} are equal, not two levels")
     # every weight, its model and its burn-in are validated before any replica runs
     legs = []
     for p in cfg.params["p_values"]:

@@ -23,8 +23,10 @@ on _CHUNK_SEGMENTS segments at a time, the bound _LogHazard's pieces share.
 
 Rates are in nats per second.  Every input level must be at least _TINY, the
 smallest normal float.  Every analytic integral here runs to one error
-target, _QUAD_TOL, and di_rate_analytic first refuses levels too far apart
-to resolve at it (_check_resolvable, beside the panel layout _panel_edges).
+target, _QUAD_TOL; the interarrival integrals run on fixed panels up to 50
+on the support divided by its smallest level (_normalized_integral), and
+di_rate_analytic first refuses levels too far apart for them
+(_check_resolvable).
 """
 
 from __future__ import annotations
@@ -149,17 +151,7 @@ class ChannelTrajectory:
         if epochs.ndim != 1 or vals.shape != epochs.shape:
             raise ValueError("need a one-dimensional array of epochs and one intensity per event")
         _check_trajectories(self.horizon, epochs, vals, [0, epochs.size])
-        self._own(float(self.horizon), epochs, vals)
-
-    @classmethod
-    def _drawn(cls, horizon: float, epochs: np.ndarray, vals: np.ndarray) -> "ChannelTrajectory":
-        """A trajectory over read-only arrays that _check_trajectories has passed."""
-        traj = object.__new__(cls)
-        traj._own(horizon, epochs, vals)
-        return traj
-
-    def _own(self, horizon, epochs, vals) -> None:
-        object.__setattr__(self, "horizon", horizon)
+        object.__setattr__(self, "horizon", float(self.horizon))
         object.__setattr__(self, "events", epochs)
         object.__setattr__(self, "intensities", vals)
 
@@ -177,7 +169,7 @@ def simulate_channel(model: PoissonFeedbackModel, gen: np.random.Generator) -> C
     draws the same trajectory here as in any block.
     """
     epochs, xs, _ = next(_groups(model, [gen]))
-    return ChannelTrajectory._drawn(model.horizon, epochs, xs)
+    return ChannelTrajectory(model.horizon, epochs, xs)
 
 
 def _draws(pmf: FinitePmf, gens, size: int):
@@ -340,37 +332,31 @@ def _geometric_edges(first: float, end: float) -> np.ndarray:
     return np.concatenate(([0.0], doublings[doublings < end], [end]))
 
 
-def _panel_edges(pmf: FinitePmf, weight: str) -> np.ndarray:
-    """Geometric panel edges from 0 to a truncation point a whose tail bound is below 0.1*_QUAD_TOL.
+def _normalized_integral(pmf: FinitePmf, fn):
+    """(int_0^50 fn(f(y), y) dy, lam), f the wait density of pmf's support divided by lam.
 
-    The first panel is one fast time constant 1/max(x) wide and each later
-    one doubles.  For y >= a the density is dominated by C e^{-lam y} with
-    lam the smallest positive-mass atom; the bound integrates that envelope
-    against either -u ln u (entropy tail) or y (mean tail).
+    lam is the smallest positive-mass level, and only positive-mass atoms
+    are divided; a pmf whose smallest is already 1.0 is used as it is.  On
+    the normalized support every x >= 1, so x e^{-xy} <= e^{-y} for y >= 1
+    and f(y) <= e^{-y}: both y f and -f ln f (increasing in f below 1/e) are
+    below y e^{-y} there, whose tail past y = 50 is 51 e^{-50} < 1e-20.  The
+    panels are fixed: 0, 1 / max(x / lam), doubling up to 50
+    (_geometric_edges).
     """
     support, probs = _positive_atoms(pmf)
     lam = float(support.min())
-    a = 50.0 / lam
-    for _ in range(32):
-        c = float(np.dot(probs * support, np.exp(-(support - lam) * a)))
-        peak = c * math.exp(-lam * a)
-        if weight == "entropy":
-            # valid once the envelope is below 1/e, where -u ln u is increasing
-            tail = math.inf if peak >= 1 / math.e else peak * (lam * a + 1 - math.log(c)) / lam
-        else:
-            tail = peak * (a + 1 / lam) / lam
-        if tail < 0.1 * _QUAD_TOL:
-            return _geometric_edges(1.0 / float(support.max()), a)
-        a *= 2.0
-    raise RuntimeError("analytic tail bound did not reach the error target")
+    norm = pmf if lam == 1.0 else FinitePmf(support / lam, probs)
+    edges = _geometric_edges(1.0 / (float(support.max()) / lam), 50.0)
+    return integrate_panels(lambda y: fn(interarrival_density(norm, y), y), edges,
+                            tol=0.9 * _QUAD_TOL), lam
 
 
 def _check_resolvable(levels) -> None:
     """Refuse positive levels too far apart for the entropy quadrature to resolve at _QUAD_TOL.
 
     Normalized to {1, r}, r the ratio of the extreme levels, the entropy
-    integral runs over N <= log2(50 r) + 2 doubling panels from 1/r
-    (_panel_edges) that share 0.9 _QUAD_TOL.  The first panel holds up to
+    integral runs over the N <= log2(50 r) + 2 doubling panels from 1/r to 50
+    (_normalized_integral) that share 0.9 _QUAD_TOL.  The first panel holds up to
     (1 - 1/e) ln r nats, so its 10- and 20-node sums differ by ulps of up to
     eps (1 - 1/e) ln r, and bisection halves ulp and share alike: it
     converges only if eps (1 - 1/e) ln(r) N <= 0.9 _QUAD_TOL, that is up to
@@ -389,23 +375,22 @@ def _check_resolvable(levels) -> None:
 def interarrival_entropy(pmf: FinitePmf) -> float:
     """Differential entropy of the wait between events, -int f ln f, in nats.
 
-    Gauss-Legendre panels out to a point where the analytic tail bound is
-    negligible against _QUAD_TOL.
+    Integrated on the support divided by its smallest level lam
+    (_normalized_integral), then shifted by -ln lam: dividing the wait by
+    lam adds ln lam to the entropy.
     """
-    def integrand(y):
-        f = interarrival_density(pmf, y)
+    def integrand(f, y):
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(f > 0, -f * np.log(f), 0.0)
 
-    return integrate_panels(integrand, _panel_edges(pmf, "entropy"), tol=0.9 * _QUAD_TOL)
+    h, lam = _normalized_integral(pmf, integrand)
+    return h - math.log(lam)
 
 
 def mean_interarrival_quadrature(pmf: FinitePmf) -> float:
-    """E[Y] by quadrature on the support divided by its smallest level, as di_rate_analytic does."""
-    lowest = float(_positive_atoms(pmf)[0].min())
-    norm = FinitePmf(pmf.support / lowest, pmf.probs)
-    return integrate_panels(lambda y: y * interarrival_density(norm, y),
-                            _panel_edges(norm, "mean"), tol=0.9 * _QUAD_TOL) / lowest
+    """E[Y] by quadrature on the support divided by its smallest level (_normalized_integral)."""
+    mean, lam = _normalized_integral(pmf, lambda f, y: y * f)
+    return mean / lam
 
 
 def di_rate_analytic(pmf: FinitePmf) -> float:

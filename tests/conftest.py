@@ -16,7 +16,9 @@ renewal equations by quadrature, from the pmfs alone, without the package,
 and the Poisson channel's peak-limited capacity has Kabanov's closed form.
 The Poisson directed-information rate also follows the paper's partition
 definition: the exact rate of the output sampled at step dt, which tends to
-it as dt shrinks.
+it as dt shrinks, and on n steps the enumerated joint of the sampled channel
+gives the exact engine a directed information that a recursion over the
+quiet-step count gives too.
 """
 
 import math
@@ -30,6 +32,7 @@ from ctdi.gaussian import (
     replay_filter,
     simulate_awgn,
 )
+from ctdi.partition_di import JointSequencePmf
 from ctdi import core, poisson
 from ctdi.poisson import interarrival_density, mean_inverse_intensity
 from ctdi.quadrature import gauss_legendre
@@ -375,6 +378,11 @@ def di_renewal_values(pmf, horizon, h):
     return _richardson(sides, h)
 
 
+def _binary_entropy(u):
+    """h(u) = -u ln u - (1 - u) ln(1 - u) in nats, for u in (0, 1)."""
+    return -u * np.log(u) - (1.0 - u) * np.log1p(-u)
+
+
 def sampled_poisson_di_rate(pmf, dt):
     """Directed-information rate of the output sampled at step dt, by the paper's partition definition.
 
@@ -392,15 +400,53 @@ def sampled_poisson_di_rate(pmf, dt):
     """
     x, p = np.asarray(pmf.support, dtype=float), np.asarray(pmf.probs, dtype=float)
     q = -np.expm1(-x * dt)
-
-    def h(u):
-        return -u * np.log(u) - (1.0 - u) * np.log1p(-u)
-
     second = np.sort(x)[1]
     e = np.arange(math.ceil((60.0 - math.log(p[x.argmin()])) / (second * dt)))
     pi = p * np.exp(-np.multiply.outer(e, x) * dt) / (p / q).sum()
     pi_e = pi.sum(axis=1)
-    return float((pi_e * h(pi @ q / pi_e) - pi @ h(q)).sum()) / dt
+    return float((pi_e * _binary_entropy(pi @ q / pi_e) - pi @ _binary_entropy(q)).sum()) / dt
+
+
+def sampled_poisson_joint(pmf, dt, n):
+    """JointSequencePmf of (X^n, Y^n) for the output sampled at step dt, by enumeration.
+
+    X_1 ~ pmf, Y_k = 1 with probability q(X_k) = 1 - e^{-X_k dt}, and X_{k+1}
+    is X_k after Y_k = 0 and a fresh draw from pmf after Y_k = 1.  The law is
+    built on the axes (x_1, y_1, ..., x_n, y_n), one emission and one
+    transition factor per step, and then reordered to (x^n, y^n).
+    """
+    x, p = np.asarray(pmf.support, dtype=float), np.asarray(pmf.probs, dtype=float)
+    q = -np.expm1(-x * dt)
+    emit = np.column_stack([1.0 - q, q])  # [x, y]
+    move = np.empty((x.size, 2, x.size))  # [x, y, next x]
+    move[:, 0] = np.eye(x.size)
+    move[:, 1] = p
+    law = p
+    for k in range(n):
+        law = law[..., None] * emit
+        if k < n - 1:
+            law = law[..., None] * move
+    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    return JointSequencePmf((x.size,) * n, (2,) * n, np.transpose(law, order))
+
+
+def sampled_poisson_di(pmf, dt, n):
+    """The n per-step terms I(X^k; Y_k | Y^{k-1}) of the output sampled at step dt, by recursion.
+
+    w[e, x] = P(e quiet steps since the last event or the start, X_k = x)
+    starts at w[0] = pmf.  Y^{k-1} fixes e, so with h the binary entropy
+    and g(e) = sum_x w[e, x] q(x) / P(e), the k-th term is sum_e P(e) h(g(e))
+    - sum w h(q).  Then w'[e + 1] = w[e] (1 - q) and w'[0] = (sum w q) pmf.
+    """
+    x, p = np.asarray(pmf.support, dtype=float), np.asarray(pmf.probs, dtype=float)
+    q = -np.expm1(-x * dt)
+    w = p[None, :]
+    terms = np.empty(n)
+    for k in range(n):
+        mass = w.sum(axis=1)
+        terms[k] = (mass * _binary_entropy(w @ q / mass)).sum() - (w @ _binary_entropy(q)).sum()
+        w = np.vstack([(w @ q).sum() * p, w * (1.0 - q)])
+    return terms
 
 
 def _richardson(sides, h):

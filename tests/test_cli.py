@@ -283,6 +283,19 @@ def test_poisson_rate_level_guards(tmp_path, monkeypatch, capsys):
                 "--seed", "2", "--out", str(tmp_path / "1e12")]) == 0
 
 
+def test_poisson_rate_equal_levels_are_named(tmp_path, monkeypatch, capsys):
+    # one level twice is no binary input: both flags are named before any
+    # replica runs, not left to the pmf's "support points must be distinct"
+    streams = count_streams(monkeypatch)
+    out = tmp_path / "equal"
+    assert run(["poisson-rate", "--lambda1", "1", "--lambda2", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "lambda1=1 and lambda2=1" in err and "Traceback" not in err
+    assert streams == [0]
+    assert not (out / "poisson_rate.csv").exists()
+    assert json.loads((out / "poisson_rate_manifest.json").read_text())["exit_status"] == 2
+
+
 def test_poisson_capacity_level_ratio_cap(tmp_path, monkeypatch, capsys):
     # levels about 1e90 apart are the widest the rate quadrature resolves;
     # one beyond it is a usage error, found before any level is optimized

@@ -17,10 +17,14 @@ from conftest import (
     plugin_rate_oracle,
     random_positive_pmf,
     reference_trajectory,
+    sampled_poisson_di,
     sampled_poisson_di_rate,
+    sampled_poisson_joint,
 )
 from ctdi import poisson
+from ctdi.capacity import unit_cost_identity_check
 from ctdi.core import FinitePmf, RngSpec, poisson_loss, replicated_estimates
+from ctdi.partition_di import directed_info, mutual_information
 from ctdi.poisson import (
     ChannelTrajectory,
     PoissonFeedbackModel,
@@ -286,7 +290,7 @@ def test_level_ratio_cap_follows_the_panel_layout():
     # panels for levels {1, r}; levels past its cap are a usage error, not
     # a quadrature that fails to converge
     for r in (2.0, 1e50, 1e90):
-        edges = poisson._panel_edges(FinitePmf([1.0, r], [0.5, 0.5]), "entropy")
+        edges = poisson._geometric_edges(1.0 / r, 50.0)
         assert len(edges) - 1 <= math.log2(50.0 * r) + 2.0
     assert di_rate_analytic(FinitePmf([1.0, 1e90], [0.5, 0.5])) > 0.0
     for support, named in (([1.0, 1e95], r"lambda1=1 and lambda2=1e\+95"),
@@ -332,11 +336,31 @@ def test_mean_interarrival_scales_exactly_at_small_levels():
         assert mean_interarrival_quadrature(pmf) == base * 2**k
 
 
-def test_entropy_tail_bound_doubles_at_fast_levels():
-    # at levels 2^80 {1, 2} the first truncation point 50/lam leaves a tail
-    # envelope above 1/e, so the tail bound doubles it
+def test_entropy_at_fast_levels_shifts_by_the_log_scale():
+    # at levels 2^80 {1, 2} the entropy is that of {1, 2}, integrated on the
+    # same normalized panels, less 80 ln 2
     fast = interarrival_entropy(FinitePmf([2.0**80, 2.0**81], [0.5, 0.5]))
     assert abs(fast - (interarrival_entropy(BINARY) - 80 * math.log(2.0))) <= 1e-12
+
+
+def test_zero_mass_level_is_not_normalized():
+    # only positive-mass atoms are divided by the smallest level, so a
+    # zero-mass atom at 1e-300 leaves no level of 1e-310 behind
+    pmf = FinitePmf([1e-300, 1e10], [0.0, 1.0])
+    assert mean_interarrival_quadrature(pmf) == pytest.approx(1e-10, rel=1e-12)
+    assert unit_cost_identity_check(pmf) < 1e-8
+
+
+def test_entropy_at_wide_raw_levels_is_integrated_normalized():
+    # on the raw scale these levels left the Gauss-Legendre panels
+    # unconverged; normalized, the integral is the one di_rate_analytic uses
+    support = [1.3289927154989756e198, 3.2654420053080986e244, 7.288230913433954e270]
+    probs = [0.03220621648965967, 0.1699530815117523, 0.797840701998588]
+    h = interarrival_entropy(FinitePmf(support, probs))
+    lam = support[0]
+    norm = interarrival_entropy(FinitePmf([x / lam for x in support], probs))
+    assert math.isfinite(h)
+    assert abs(h - (norm - math.log(lam))) <= 1e-9
 
 
 def test_float_coincident_epochs_keep_the_last():
@@ -438,6 +462,29 @@ def test_sampled_output_di_rate_tends_to_the_analytic_rate(support, probs):
     assert errors[1] / errors[2] == pytest.approx(2.0, abs=0.05)
     first = [2.0 * b - a for a, b in zip(rates, rates[1:])]
     assert abs((4.0 * first[1] - first[0]) / 3.0 - exact) <= 1e-9
+
+
+@pytest.mark.parametrize("support, probs, scale, max_n", [
+    ([1.0, 2.0], [0.5, 0.5], 0.5, 6),
+    ([1.0, 10.0], [0.5, 0.5], 0.1, 6),
+    ([1.0, 3.0, 7.0], [1 / 3, 1 / 3, 1 / 3], 0.3, 4),
+], ids=["1-2", "1-10", "1-3-7"])
+def test_sampled_output_di_by_enumeration_matches_the_recursion(support, probs, scale, max_n):
+    # the paper's partition definition on n steps: directed_info of the
+    # enumerated joint of (X^n, Y^n) is the quiet-count recursion, feedback
+    # (X redrawn after each event) keeps it well below the mutual
+    # information, and far from the start the recursion's per-step term is
+    # the stationary rate times dt
+    pmf = FinitePmf(support, probs)
+    dt = scale / max(support)
+    terms = sampled_poisson_di(pmf, dt, 800)
+    for n in range(1, max_n + 1):
+        joint = sampled_poisson_joint(pmf, dt, n)
+        di = directed_info(joint)
+        assert abs(di - terms[:n].sum()) <= 1e-12
+    if max_n == 6:
+        assert mutual_information(joint) - di > 0.1
+    assert abs(terms[799] / dt - sampled_poisson_di_rate(pmf, dt)) <= 1e-9
 
 
 def test_hazard_log_hazard_time_average_identity():
