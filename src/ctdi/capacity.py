@@ -13,9 +13,9 @@ comparisons alone: a point worse than the best so far rules out everything
 beyond it, since any point between the best and the maximum of a
 quasi-concave function is at least as good as the best.  Its parabolic
 steps, which pay off because the rate is smooth, only choose where to look
-next, so the maximum stays inside the bracket whatever they propose.  The
-rates come from poisson.di_rate_analytic at poisson._QUAD_TOL, and
-capacity_curve checks every level with its guard, poisson._check_resolvable.
+next, so the maximum stays inside the bracket whatever they propose.  It
+runs on the slower level's weight, whose optimum nears 0 as the levels part,
+and capacity_curve checks every level with the rate's guard, _check_ratio.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FinitePmf
-from .poisson import (_check_levels, _check_resolvable, di_rate_analytic,
+from .poisson import (_check_levels, _check_ratio, di_rate_analytic,
                       mean_interarrival_quadrature, mean_inverse_intensity)
 
 __all__ = [
@@ -134,28 +134,29 @@ def _brent_max(fn, tol: float):
 
 
 def optimize_binary(lambda1: float, lambda2: float, tol: float = 1e-6) -> CapacityPoint:
-    """Maximize the quasi-concave binary rate over p by Brent's method.
+    """Maximize the quasi-concave binary rate by Brent's method on the slower level's weight q.
 
-    Golden-section steps bracket the maximum and parabolic steps through
-    the three best points converge on it (Brent, 1973).  It stops once the
-    bracket is narrower than 2*tol*min(m, 1 - m), m its midpoint, so tol is
-    relative to the distance from the nearer end of [0, 1] and optima near
-    p = 0 or 1 (widely separated levels) are resolved.  p_star is the best
-    point evaluated in the final bracket and rate_star its rate.  tol must
-    lie in (0, 1); a tol below float resolution stops once no new point
-    inside the bracket differs from the best one.  Coincident levels carry no information
-    for any p; that case returns a zero rate flagged degenerate (the
-    objective is flat).  A level below the smallest normal float raises
-    ValueError first, and levels more than about 1e90 apart at the first
-    rate evaluated.
+    q nears 0 as the levels part (about ln(r) / r at ratio r), and p_star,
+    the weight on lambda1, is q or 1 - q.  Golden-section steps bracket the
+    maximum and parabolic steps through the three best points converge on it
+    (Brent, 1973).  It stops once the bracket is narrower than 2*tol*min(m,
+    1 - m), m its midpoint, so tol is relative to the nearer end of [0, 1]
+    and optima near q = 0 are resolved.  q is the best point evaluated in the
+    final bracket and rate_star its rate.  tol must lie in (0, 1); a tol
+    below float resolution stops once no new point inside the bracket
+    differs from the best one.  Coincident levels carry no information for
+    any p; that case returns a zero rate flagged degenerate (the objective
+    is flat).  A level below the smallest normal float raises ValueError
+    first, and levels more than about 3.6e306 apart at the first rate.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
     _check_levels(np.array([lambda1, lambda2], dtype=float))
     if lambda1 == lambda2:
         return CapacityPoint(lambda1, lambda2, 0.5, 0.0, degenerate=True)
-    p_star, rate_star = _brent_max(lambda p: binary_rate(p, lambda1, lambda2), tol)
-    return CapacityPoint(lambda1, lambda2, p_star, rate_star)
+    slow, fast = sorted((lambda1, lambda2))
+    q, rate_star = _brent_max(lambda q: binary_rate(q, slow, fast), tol)
+    return CapacityPoint(lambda1, lambda2, q if slow == lambda1 else 1.0 - q, rate_star)
 
 
 def capacity_curve(lambda1: float, lambda2_values, tol: float = 1e-6) -> list[CapacityPoint]:
@@ -176,7 +177,7 @@ def capacity_curve(lambda1: float, lambda2_values, tol: float = 1e-6) -> list[Ca
         if not 0.0 <= lam2 < math.inf:
             raise ValueError(f"intensities must be nonnegative and finite, got lambda2={lam2!r}")
         if lam2 > 0.0:
-            _check_resolvable((lambda1, lam2))
+            _check_ratio((lambda1, lam2))
     out = []
     for lam2 in levels:
         if lam2 == 0.0:

@@ -9,11 +9,11 @@ Commands:
   poisson-rate      Monte Carlo feedback-rate sweep over binary input weights
                     against the analytic rate; every weight is checked before
                     any replica runs.  A horizon may expect at most 10**6
-                    events, and levels more than about 1e90 apart or with a
+                    events, and levels more than about 3.6e306 apart or with a
                     mean wait below the float spacing of the horizon are refused.
-  poisson-capacity  Optimized binary rate as a function of the second level,
-                    by Brent's method on the weight; every level is checked
-                    first, and levels more than about 1e90 apart are refused.
+  poisson-capacity  Optimized binary rate against the second level, by Brent's
+                    method on the slower level's weight; every level is checked
+                    first, and levels more than about 3.6e306 apart are refused.
   di-discrete       Property sweeps of the exact discrete engine
                     (conservation, sandwich, grouping monotonicity, no-feedback);
                     the conservation and no-feedback joints are evaluated in

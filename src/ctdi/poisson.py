@@ -24,9 +24,8 @@ on _CHUNK_SEGMENTS segments at a time, the bound _LogHazard's pieces share.
 Rates are in nats per second.  Every input level must be at least _TINY, the
 smallest normal float.  Every analytic integral here runs to one error
 target, _QUAD_TOL; the interarrival integrals run on fixed panels up to 50
-on the support divided by its smallest level (_normalized_integral), and
-di_rate_analytic first refuses levels too far apart for them
-(_check_resolvable).
+on the support divided by its smallest level (_normalized_integral), which
+first refuses levels more than about 3.6e306 apart (_check_ratio).
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ __all__ = [
     "renewal_posterior_mean",
     "stationary_intensity_pmf",
     "interarrival_density",
-    "interarrival_entropy",
     "mean_inverse_intensity",
     "mean_interarrival_quadrature",
     "di_rate_analytic",
@@ -332,88 +330,82 @@ def _geometric_edges(first: float, end: float) -> np.ndarray:
     return np.concatenate(([0.0], doublings[doublings < end], [end]))
 
 
-def _normalized_integral(pmf: FinitePmf, fn):
-    """(int_0^50 fn(f(y), y) dy, lam), f the wait density of pmf's support divided by lam.
-
-    lam is the smallest positive-mass level, and only positive-mass atoms
-    are divided; a pmf whose smallest is already 1.0 is used as it is.  On
-    the normalized support every x >= 1, so x e^{-xy} <= e^{-y} for y >= 1
-    and f(y) <= e^{-y}: both y f and -f ln f (increasing in f below 1/e) are
-    below y e^{-y} there, whose tail past y = 50 is 51 e^{-50} < 1e-20.  The
-    panels are fixed: 0, 1 / max(x / lam), doubling up to 50
-    (_geometric_edges).
-    """
-    support, probs = _positive_atoms(pmf)
-    lam = float(support.min())
-    norm = pmf if lam == 1.0 else FinitePmf(support / lam, probs)
-    edges = _geometric_edges(1.0 / (float(support.max()) / lam), 50.0)
-    return integrate_panels(lambda y: fn(interarrival_density(norm, y), y), edges,
-                            tol=0.9 * _QUAD_TOL), lam
-
-
-def _check_resolvable(levels) -> None:
-    """Refuse positive levels too far apart for the entropy quadrature to resolve at _QUAD_TOL.
-
-    Normalized to {1, r}, r the ratio of the extreme levels, the entropy
-    integral runs over the N <= log2(50 r) + 2 doubling panels from 1/r to 50
-    (_normalized_integral) that share 0.9 _QUAD_TOL.  The first panel holds up to
-    (1 - 1/e) ln r nats, so its 10- and 20-node sums differ by ulps of up to
-    eps (1 - 1/e) ln r, and bisection halves ulp and share alike: it
-    converges only if eps (1 - 1/e) ln(r) N <= 0.9 _QUAD_TOL, that is up to
-    about r = 1e90, with ln r a difference of logs so that no ratio overflows.
-    """
+def _check_ratio(levels) -> None:
+    """Refuse levels whose ratio r overflows 50 r, the normalized panels' span: r above about 3.6e306."""
     levels = _check_levels(np.asarray(levels, dtype=float))
     i, j = sorted((int(levels.argmin()), int(levels.argmax())))
-    ln_r = abs(math.log(levels[j]) - math.log(levels[i]))
-    ulp = np.finfo(float).eps * (1.0 - 1.0 / math.e) * ln_r
-    if ulp * (math.log2(50.0) + ln_r / math.log(2.0) + 2.0) > 0.9 * _QUAD_TOL:
+    # a ratio of Python floats overflows to inf without a warning
+    if not 50.0 * (float(levels.max()) / float(levels.min())) < math.inf:
         raise ValueError(f"levels lambda{i + 1}={levels[i]:.6g} and lambda{j + 1}={levels[j]:.6g} "
-                         f"are 10^{ln_r / math.log(10.0):.3g} apart, more than the rate quadrature "
-                         f"resolves (about 1e90)")
+                         f"are more than 3.6e+306 apart, the widest ratio the rate quadrature spans")
 
 
-def interarrival_entropy(pmf: FinitePmf) -> float:
-    """Differential entropy of the wait between events, -int f ln f, in nats.
+def _normalized_integral(pmf: FinitePmf, integrand):
+    """(int_0^50 integrand(x, p)(y) dy, lam), x the positive-mass levels divided by lam, p their weights.
 
-    Integrated on the support divided by its smallest level lam
-    (_normalized_integral), then shifted by -ln lam: dividing the wait by
-    lam adds ln lam to the entropy.
+    lam is the smallest positive-mass level, so every x >= 1; _check_ratio runs first.
+    For y >= 2, x e^{-xy} <= e^{-y} and x^2 y e^{-xy} <= y e^{-y}, so y f (f
+    the wait density) and di_rate_analytic's integrand are below (H(p) + y)
+    e^{-y}, whose tail past 50 is (H(p) + 51) e^{-50} < 1e-19 for up to 1e9
+    atoms.  The panels are fixed: 0, 1 / max x, doubling up to 50 (_geometric_edges).
     """
-    def integrand(f, y):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(f > 0, -f * np.log(f), 0.0)
-
-    h, lam = _normalized_integral(pmf, integrand)
-    return h - math.log(lam)
+    support, probs = _positive_atoms(pmf)
+    _check_ratio(support)
+    lam = float(support.min())
+    x = support / lam
+    edges = _geometric_edges(1.0 / float(x.max()), 50.0)
+    return integrate_panels(integrand(x, probs), edges, tol=0.9 * _QUAD_TOL), lam
 
 
 def mean_interarrival_quadrature(pmf: FinitePmf) -> float:
     """E[Y] by quadrature on the support divided by its smallest level (_normalized_integral)."""
-    mean, lam = _normalized_integral(pmf, lambda f, y: y * f)
+    def integrand(x, p):
+        norm = FinitePmf(x, p)
+        return lambda y: y * interarrival_density(norm, y)
+
+    mean, lam = _normalized_integral(pmf, integrand)
     return mean / lam
 
 
 def di_rate_analytic(pmf: FinitePmf) -> float:
     """Directed-information rate of the feedback channel, nats per second.
 
-    Equals one event's worth of mutual information per mean interarrival:
-    (h(Y) - h(Y|X)) / E[1/X].  The entropy difference is dilation invariant,
-    so it is evaluated on the support normalized by its smallest point; the
-    computed rate then scales exactly linearly when the support is scaled by
-    a power of two.  The per-event information is clamped at 0, where nearly
-    equal levels would otherwise leave a cancellation residue below it.
-    Levels more than about 1e90 apart raise ValueError (_check_resolvable).
+    One event's mutual information per mean wait, I / E[1/X], with I = sum_i
+    p_i D(Exp(x_i) || f), f the wait density (Cover and Thomas, Elements of
+    Information Theory, 2006, sec. 2.4).  On the normalized support
+    (_normalized_integral) I = int sum_i w_i l_i dy, w_i = p_i x_i e^{-x_i y}
+    and l_i = ln(x_i e^{-x_i y} / f) = -logsumexp_j(ln p_j + ln(x_j / x_i) -
+    (x_j - x_i) y), summed atom by atom: every term is of the size of I, so
+    nothing cancels.  ln p of the heaviest atom is log1p(-(sum of the
+    others)): beside a weight below 2^-53 it is stored as 1.0, and ln 1.0
+    would put the rate a nat low at weights near 1e-20.  The rate scales
+    exactly with the levels under powers of two, and a rounding residue
+    below 0 (nearly equal levels) is clamped.
     """
     support, probs = _positive_atoms(pmf)
-    _check_resolvable(support)
     if support.size == 1:
         return 0.0
-    norm = FinitePmf(support / support.min(), probs)
-    per_event = (
-        interarrival_entropy(norm)
-        - 1.0
-        + float(np.dot(probs, np.log(norm.support)))
-    )
+    heavy = int(probs.argmax())
+    log_p = np.log(probs)
+    log_p[heavy] = math.log1p(-float(np.delete(probs, heavy).sum()))
+
+    def integrand(x, p):
+        log_x = np.log(x)
+        # row j: ln p_j + ln(x_j / x_i) and x_j - x_i, atoms i on axis 1 and points
+        # on axis 2; the log ratio is formed first, so the heavy atom's ln p survives
+        offsets = (log_p[:, None] + (log_x[:, None] - log_x))[:, :, None]
+        gaps = (x[:, None] - x)[:, :, None]
+        xs, px = x[:, None], (p * x)[:, None]
+
+        def relent(y):
+            acc = offsets[0] - gaps[0] * y
+            for offset, gap in zip(offsets[1:], gaps[1:]):
+                np.logaddexp(acc, offset - gap * y, out=acc)
+            return -(px * np.exp(-xs * y) * acc).sum(axis=0)
+
+        return relent
+
+    per_event, _ = _normalized_integral(pmf, integrand)
     return max(per_event, 0.0) / mean_inverse_intensity(pmf)
 
 

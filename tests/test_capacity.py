@@ -132,7 +132,9 @@ def test_brent_search_evaluations_per_level(monkeypatch):
     capacity_curve(1.0, [0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0])
     per_level = {}
     for args in calls:
-        per_level[args[2]] = per_level.get(args[2], 0) + 1
+        # the search passes the slower level first, so lambda2 is either level but 1
+        (lam2,) = set(args[1:]) - {1.0}
+        per_level[lam2] = per_level.get(lam2, 0) + 1
     assert sorted(per_level) == [0.25, 0.5, 2.0, 4.0, 8.0, 16.0]
     assert max(per_level.values()) <= 15
 
@@ -194,11 +196,39 @@ def test_capacity_curve_checks_every_level_first(monkeypatch):
     # quadrature included, fails before any level is optimized
     evaluations = []
     monkeypatch.setattr(capacity, "binary_rate", lambda *args, **kwargs: evaluations.append(args))
-    for levels in ([2.0, -1.0], [2.0, math.nan], [2.0, math.inf], [2.0, 1e95], [1e-95, 2.0],
+    for levels in ([2.0, -1.0], [2.0, math.nan], [2.0, math.inf], [2.0, 1e307], [1e-307, 2.0],
                    [2.0, 1e-310]):
         with pytest.raises(ValueError, match="lambda2"):
             capacity_curve(1.0, levels)
     assert evaluations == []
+
+
+def test_rate_at_wide_ratios_matches_high_precision_references():
+    # I / (p + q / r), with I = sum_i p_i int x_i e^{-x_i y} ln(x_i e^{-x_i y} / f(y)) dy
+    # over the law {1: p, r: q}, q = 1 - p held exactly, by mpmath.quad at 60
+    # digits on breakpoints 0, 2^k / r (up to 1), 10, 60 and inf.  Below
+    # p = 2^-53 the pmf stores q as 1.0, and reading ln q as 0 would put the
+    # rate a nat low at p = 1e-20.
+    references = {(1e-20, 1e16): 0.004704699716016454511, (1e-20, 1e30): 47.05170185517574349,
+                  (1e-29, 1e16): 6.777496769681999990e-12, (1e-29, 1e30): 61.61360699711574985}
+    for (p, r), reference in references.items():
+        assert abs(binary_rate(p, 1.0, r) - reference) <= 1e-12 * reference
+
+
+def test_optimum_up_to_level_ratios_of_1e300():
+    # the search runs on the slower level's weight, which nears ln(r) / r,
+    # so the optimum keeps growing with the ratio, beats a log grid of
+    # weights, and mirrors exactly: levels {1, 10^-k} are {10^k, 1} scaled
+    # by 10^-k
+    grid = np.logspace(-307.0, 0.0, 600)
+    up, down = [], []
+    for k in (4, 16, 30, 100, 300):
+        far = optimize_binary(1.0, 10.0**k)
+        assert far.rate_star >= max(binary_rate(p, 1.0, 10.0**k) for p in grid)
+        up.append(far.rate_star)
+        down.append(optimize_binary(1.0, 10.0**-k).rate_star / 10.0**-k)
+    assert all(lo <= hi for lo, hi in zip(up, up[1:]))
+    assert down == pytest.approx(up, rel=1e-9)
 
 
 def test_rate_grows_with_level_separation():

@@ -267,10 +267,11 @@ def test_poisson_rate_level_guards(tmp_path, monkeypatch, capsys):
     # wait is below the float spacing of the epochs near the horizon, are
     # usage errors found before any replica runs
     streams = count_streams(monkeypatch)
-    for lam2, named in (("1e95", ("lambda1=1", "lambda2=1e+95")),
-                        ("1e20", ("levels 1, 1e+20", "horizon 50"))):
-        out = tmp_path / lam2
-        assert run(["poisson-rate", "--lambda2", lam2, "--horizon", "50", "--p-values", "0.5",
+    for levels, named in ((["--lambda1", "1e-300", "--lambda2", "1e10"],
+                           ("lambda1=1e-300", "lambda2=1e+10")),
+                          (["--lambda2", "1e20"], ("levels 1, 1e+20", "horizon 50"))):
+        out = tmp_path / levels[-1]
+        assert run(["poisson-rate", *levels, "--horizon", "50", "--p-values", "0.5",
                     "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert all(name in err for name in named) and "Traceback" not in err
@@ -297,16 +298,17 @@ def test_poisson_rate_equal_levels_are_named(tmp_path, monkeypatch, capsys):
 
 
 def test_poisson_capacity_level_ratio_cap(tmp_path, monkeypatch, capsys):
-    # levels about 1e90 apart are the widest the rate quadrature resolves;
-    # one beyond it is a usage error, found before any level is optimized
-    assert run(["poisson-capacity", "--lambda2-values", "1e90", "--out", str(tmp_path)]) == 0
+    # the rate quadrature spans level ratios up to about 3.6e306; one beyond
+    # it is a usage error, found before any level is optimized
+    assert run(["poisson-capacity", "--lambda2-values", "2,1e-91", "--out", str(tmp_path)]) == 0
     evaluations = []
     monkeypatch.setattr("ctdi.capacity.binary_rate", lambda *args, **kwargs: evaluations.append(1))
     capsys.readouterr()
     out = tmp_path / "wide"
-    assert run(["poisson-capacity", "--lambda2-values", "2,1e-91", "--out", str(out)]) == 2
+    assert run(["poisson-capacity", "--lambda1", "1e-300", "--lambda2-values", "2,1e10",
+                "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "lambda1=1" in err and "lambda2=1e-91" in err and "Traceback" not in err
+    assert "lambda1=1e-300" in err and "lambda2=1e+10" in err and "Traceback" not in err
     assert evaluations == []
     assert not (out / "poisson_capacity.csv").exists()
     assert json.loads((out / "poisson_capacity_manifest.json").read_text())["exit_status"] == 2

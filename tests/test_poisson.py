@@ -11,6 +11,8 @@ from conftest import (
     controlled_mean,
     count_streams,
     di_renewal_values,
+    entropy_form_rate,
+    interarrival_entropy,
     mc_entropy_oracle,
     mismatch_renewal_values,
     per_trajectory_poisson_values,
@@ -32,7 +34,6 @@ from ctdi.poisson import (
     di_rate_analytic,
     di_rate_mc,
     interarrival_density,
-    interarrival_entropy,
     mean_interarrival_quadrature,
     mean_inverse_intensity,
     mismatched_relent_poisson,
@@ -286,18 +287,24 @@ def test_interarrival_entropy_against_mc_oracle():
 
 
 def test_level_ratio_cap_follows_the_panel_layout():
-    # _check_resolvable's derivation counts at most log2(50 r) + 2 entropy
-    # panels for levels {1, r}; levels past its cap are a usage error, not
-    # a quadrature that fails to converge
-    for r in (2.0, 1e50, 1e90):
+    # levels {1, r} take at most log2(50 r) + 2 normalized panels, which stay
+    # finite while 50 r does: up to r of about 3.6e306
+    for r in (2.0, 1e50, 1e90, 1e300, 3.5e306):
         edges = poisson._geometric_edges(1.0 / r, 50.0)
         assert len(edges) - 1 <= math.log2(50.0 * r) + 2.0
-    assert di_rate_analytic(FinitePmf([1.0, 1e90], [0.5, 0.5])) > 0.0
-    for support, named in (([1.0, 1e95], r"lambda1=1 and lambda2=1e\+95"),
-                           ([3.0, 1e-95, 2.0, 7e-95], r"lambda1=3 and lambda2=1e-95")):
+    for r in (1e95, 3.5e306):
+        rate = di_rate_analytic(FinitePmf([1.0, r], [0.5, 0.5]))
+        assert math.isfinite(rate) and rate > 0.0
+    # past the cap both integrals refuse the levels, naming them, and warn of nothing
+    for support, named in (([1e-300, 1e10], r"lambda1=1e-300 and lambda2=1e\+10"),
+                           ([1.0, 3.7e306], r"lambda1=1 and lambda2=3\.7e\+306"),
+                           ([3.0, 1e-307, 2.0, 7e-307], r"lambda1=3 and lambda2=1e-307")):
         pmf = FinitePmf(support, np.full(len(support), 1.0 / len(support)))
-        with pytest.raises(ValueError, match=named):
-            di_rate_analytic(pmf)
+        for fn in (di_rate_analytic, mean_interarrival_quadrature):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=named):
+                    fn(pmf)
 
 
 def test_levels_below_the_smallest_normal_float_are_refused():
@@ -312,7 +319,7 @@ def test_levels_below_the_smallest_normal_float_are_refused():
                            ([1.0, 3e-310], "lambda2=3e-310"),
                            ([1.0, 0.0], "lambda2=0")):
         pmf = FinitePmf(support, [0.5, 0.5])
-        for fn in (di_rate_analytic, mean_inverse_intensity, interarrival_entropy,
+        for fn in (di_rate_analytic, mean_inverse_intensity, mean_interarrival_quadrature,
                    lambda pmf: PoissonFeedbackModel(pmf, 10.0)):
             with pytest.raises(ValueError, match=f"strictly positive and at least .*{named}"):
                 fn(pmf)
@@ -353,7 +360,7 @@ def test_zero_mass_level_is_not_normalized():
 
 def test_entropy_at_wide_raw_levels_is_integrated_normalized():
     # on the raw scale these levels left the Gauss-Legendre panels
-    # unconverged; normalized, the integral is the one di_rate_analytic uses
+    # unconverged; normalized, they are the panels di_rate_analytic uses
     support = [1.3289927154989756e198, 3.2654420053080986e244, 7.288230913433954e270]
     probs = [0.03220621648965967, 0.1699530815117523, 0.797840701998588]
     h = interarrival_entropy(FinitePmf(support, probs))
@@ -382,7 +389,7 @@ def test_rate_zero_for_deterministic_intensity():
     assert di_rate_analytic(FinitePmf([3.0], [1.0])) == 0.0
     pm = FinitePmf([1.0, 3.0], [1.0, 0.0])
     assert di_rate_analytic(pm) == 0.0
-    # nearly equal levels: the entropy difference cancels to below zero
+    # nearly equal levels: a rounding residue below zero is clamped
     assert di_rate_analytic(FinitePmf([1.0, 1.0 + 1e-9], [0.5, 0.5])) >= 0.0
 
 
@@ -397,6 +404,17 @@ def test_rate_against_plugin_oracle():
     rate = di_rate_analytic(BINARY)
     oracle = plugin_rate_oracle(BINARY, 1_000_000, seed=77)
     assert abs(rate - oracle) < 1e-3
+
+
+def test_rate_matches_the_entropy_form_oracle():
+    # the relative-entropy integral against h(Y) - h(Y|X) on random laws of
+    # 2-4 atoms with levels from e^-5 to e^5
+    gen = np.random.default_rng(38)
+    for _ in range(300):
+        k = int(gen.integers(2, 5))
+        pmf = FinitePmf(np.exp(gen.uniform(-5.0, 5.0, size=k)), gen.dirichlet(np.ones(k)))
+        oracle = entropy_form_rate(pmf)
+        assert abs(di_rate_analytic(pmf) - oracle) <= 1e-10 * oracle
 
 
 def test_rate_mc_point_mass_is_exactly_zero():
