@@ -351,10 +351,24 @@ def _columns(block, rng, replicas: int, jobs: int):
     return np.concatenate(map_replicas(worker, replicas, jobs)).T.copy(), spec.master_seed
 
 
+def _unit(values: np.ndarray) -> float:
+    """2^-e, e the math.frexp exponent of the largest finite |value| (at least -1022, so 2^-e is finite).
+
+    Scaled by it the largest value lies in [0.5, 1), so no square of a value
+    overflows or underflows; a power of two scales every sum, product,
+    square root and solve exactly, so the statistics of the scaled values,
+    divided back, are those of the raw values wherever those stay finite.
+    """
+    top = float(np.abs(values[np.isfinite(values)]).max(initial=0.0))
+    return math.ldexp(1.0, -max(math.frexp(top)[1], -1022))
+
+
 def _estimate(values: np.ndarray, master_seed: int) -> DiEstimate:
     n = values.size
-    stderr = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else math.nan
-    return DiEstimate(float(values.mean()), stderr, n, master_seed)
+    unit = _unit(values)
+    scaled = values * unit
+    stderr = float(scaled.std(ddof=1) / math.sqrt(n)) / unit if n > 1 else math.nan
+    return DiEstimate(float(scaled.mean()) / unit, stderr, n, master_seed)
 
 
 def replicated_estimates(block, rng, replicas: int, jobs: int = 1,
@@ -396,21 +410,24 @@ def _controlled(values: np.ndarray, controls: np.ndarray) -> np.ndarray:
     (no matrix product); a control of zero variance is dropped, since it
     carries no information and would make the equations singular.  Below
     _CONTROL_MIN replicas the values stay as they are, since coefficients
-    fitted on so few are mostly noise.
+    fitted on so few are mostly noise.  The fit runs on the values and the
+    controls each scaled by one power of two (_unit), so the normal
+    equations neither overflow nor underflow and pivot as on the raw columns.
     """
     if values.size < _CONTROL_MIN:
         return values
+    unit_z, unit_c = _unit(values), _unit(controls)
+    z, controls = values * unit_z, controls * unit_c
     dev = [c - c.mean() for c in controls]
     kept = [a for a, d in enumerate(dev) if np.mean(d * d) > 0]
     if not kept:
         return values
-    dz = values - values.mean()
+    dz = z - z.mean()
     cov = [[np.mean(dev[a] * dev[b]) for b in kept] for a in kept]
     coef = np.linalg.solve(cov, [-np.mean(dz * dev[a]) for a in kept])
-    out = values
     for a, c in zip(kept, coef):
-        out = out + c * controls[a]
-    return out
+        z = z + c * controls[a]
+    return z / unit_z
 
 
 def write_csv(path, header, rows) -> None:

@@ -45,6 +45,7 @@ from .core import DiEstimate, FinitePmf, _inverse_cdf, replicated_estimates
 
 DEFAULT_POWER_BOUND = 1e3
 _STEP_CAP = 1_000_000
+_TINY = float(np.finfo(float).tiny)  # the smallest step: below it 1/dt, the martingale's scale, overflows
 _REPLAY_CELLS = 2**20  # (row, step, atom) cells per replay group: bounds its temporaries
 
 __all__ = [
@@ -82,8 +83,9 @@ class GaussianFeedbackModel:
     the observed past, so the posterior is a likelihood mixture over the
     atoms.  A standard-normal latent has an exact filter only with
     policy=None.  The grid has at most _STEP_CAP steps, so no simulation
-    buffer grows past a few hundred megabytes.  A delay is inf or at least
-    one grid step, and a power bound is nonnegative (NaN is neither).
+    buffer grows past a few hundred megabytes.  dt is at least _TINY, the
+    smallest normal float, a delay is inf or at least one grid step, and a
+    power bound is nonnegative (NaN is neither).
     """
 
     horizon: float
@@ -94,8 +96,9 @@ class GaussianFeedbackModel:
     power_bound: float = DEFAULT_POWER_BOUND
 
     def __post_init__(self):
-        if not 0 < self.dt < math.inf:
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not _TINY <= self.dt < math.inf:
+            raise ValueError(f"dt must be finite and at least {_TINY:.6g}, the smallest normal "
+                             f"float, got {self.dt}")
         if not 0 <= self.horizon < math.inf:
             raise ValueError(f"horizon must be nonnegative and finite, got {self.horizon}")
         steps = self.horizon / self.dt

@@ -24,7 +24,7 @@ on _CHUNK_SEGMENTS segments at a time, the bound _LogHazard's pieces share.
 Rates are in nats per second.  Every input level must be at least _TINY, the
 smallest normal float.  Every analytic integral here runs to one error
 target, _QUAD_TOL; the interarrival integrals run on fixed panels up to 50
-on the support divided by its smallest level (_normalized_integral), which
+on the support divided by its smallest level (_normalized), which
 first refuses levels more than about 3.6e306 apart (_check_ratio).
 """
 
@@ -340,8 +340,8 @@ def _check_ratio(levels) -> None:
                          f"are more than 3.6e+306 apart, the widest ratio the rate quadrature spans")
 
 
-def _normalized_integral(pmf: FinitePmf, integrand):
-    """(int_0^50 integrand(x, p)(y) dy, lam), x the positive-mass levels divided by lam, p their weights.
+def _normalized(pmf: FinitePmf):
+    """(x, p, lam, edges): the positive-mass levels divided by lam, their weights, lam and panels.
 
     lam is the smallest positive-mass level, so every x >= 1; _check_ratio runs first.
     For y >= 2, x e^{-xy} <= e^{-y} and x^2 y e^{-xy} <= y e^{-y}, so y f (f
@@ -353,18 +353,15 @@ def _normalized_integral(pmf: FinitePmf, integrand):
     _check_ratio(support)
     lam = float(support.min())
     x = support / lam
-    edges = _geometric_edges(1.0 / float(x.max()), 50.0)
-    return integrate_panels(integrand(x, probs), edges, tol=0.9 * _QUAD_TOL), lam
+    return x, probs, lam, _geometric_edges(1.0 / float(x.max()), 50.0)
 
 
 def mean_interarrival_quadrature(pmf: FinitePmf) -> float:
-    """E[Y] by quadrature on the support divided by its smallest level (_normalized_integral)."""
-    def integrand(x, p):
-        norm = FinitePmf(x, p)
-        return lambda y: y * interarrival_density(norm, y)
-
-    mean, lam = _normalized_integral(pmf, integrand)
-    return mean / lam
+    """E[Y] by quadrature on the support divided by its smallest level (_normalized)."""
+    x, p, lam, edges = _normalized(pmf)
+    norm = FinitePmf(x, p)
+    return integrate_panels(lambda y: y * interarrival_density(norm, y), edges,
+                            tol=0.9 * _QUAD_TOL) / lam
 
 
 def di_rate_analytic(pmf: FinitePmf) -> float:
@@ -373,39 +370,33 @@ def di_rate_analytic(pmf: FinitePmf) -> float:
     One event's mutual information per mean wait, I / E[1/X], with I = sum_i
     p_i D(Exp(x_i) || f), f the wait density (Cover and Thomas, Elements of
     Information Theory, 2006, sec. 2.4).  On the normalized support
-    (_normalized_integral) I = int sum_i w_i l_i dy, w_i = p_i x_i e^{-x_i y}
+    (_normalized) I = int sum_i w_i l_i dy, w_i = p_i x_i e^{-x_i y}
     and l_i = ln(x_i e^{-x_i y} / f) = -logsumexp_j(ln p_j + ln(x_j / x_i) -
     (x_j - x_i) y), summed atom by atom: every term is of the size of I, so
-    nothing cancels.  ln p of the heaviest atom is log1p(-(sum of the
-    others)): beside a weight below 2^-53 it is stored as 1.0, and ln 1.0
-    would put the rate a nat low at weights near 1e-20.  The rate scales
-    exactly with the levels under powers of two, and a rounding residue
-    below 0 (nearly equal levels) is clamped.
+    nothing cancels, and a point mass reads exactly 0.  ln p of the heaviest
+    atom is log1p(-(sum of the others)): beside a weight below 2^-53 it is
+    stored as 1.0, and ln 1.0 would put the rate a nat low at weights near
+    1e-20.  The rate scales exactly with the levels under powers of two, and
+    a rounding residue below 0 (nearly equal levels) is clamped.
     """
-    support, probs = _positive_atoms(pmf)
-    if support.size == 1:
-        return 0.0
-    heavy = int(probs.argmax())
-    log_p = np.log(probs)
-    log_p[heavy] = math.log1p(-float(np.delete(probs, heavy).sum()))
+    x, p, _, edges = _normalized(pmf)
+    heavy = int(p.argmax())
+    log_p = np.log(p)
+    log_p[heavy] = math.log1p(-float(np.delete(p, heavy).sum()))
+    log_x = np.log(x)
+    # row j: ln p_j + ln(x_j / x_i) and x_j - x_i, atoms i on axis 1 and points
+    # on axis 2; the log ratio is formed first, so the heavy atom's ln p survives
+    offsets = (log_p[:, None] + (log_x[:, None] - log_x))[:, :, None]
+    gaps = (x[:, None] - x)[:, :, None]
+    xs, px = x[:, None], (p * x)[:, None]
 
-    def integrand(x, p):
-        log_x = np.log(x)
-        # row j: ln p_j + ln(x_j / x_i) and x_j - x_i, atoms i on axis 1 and points
-        # on axis 2; the log ratio is formed first, so the heavy atom's ln p survives
-        offsets = (log_p[:, None] + (log_x[:, None] - log_x))[:, :, None]
-        gaps = (x[:, None] - x)[:, :, None]
-        xs, px = x[:, None], (p * x)[:, None]
+    def relent(y):
+        acc = offsets[0] - gaps[0] * y
+        for offset, gap in zip(offsets[1:], gaps[1:]):
+            np.logaddexp(acc, offset - gap * y, out=acc)
+        return -(px * np.exp(-xs * y) * acc).sum(axis=0)
 
-        def relent(y):
-            acc = offsets[0] - gaps[0] * y
-            for offset, gap in zip(offsets[1:], gaps[1:]):
-                np.logaddexp(acc, offset - gap * y, out=acc)
-            return -(px * np.exp(-xs * y) * acc).sum(axis=0)
-
-        return relent
-
-    per_event, _ = _normalized_integral(pmf, integrand)
+    per_event = integrate_panels(relent, edges, tol=0.9 * _QUAD_TOL)
     return max(per_event, 0.0) / mean_inverse_intensity(pmf)
 
 
@@ -547,10 +538,9 @@ class _LogHazard:
         ell = self.table[k] + piece
         ln_d_lo = np.full_like(ln_d, self.ln_d0)
         inside = np.flatnonzero(lo > 0)
-        if inside.size:
-            k = self.starts.searchsorted(lo[inside], side="right") - 1
-            piece, _, ln_d_lo[inside] = self._pieces(self.starts[k], lo[inside])
-            ell[inside] -= self.table[k] + piece
+        k = self.starts.searchsorted(lo[inside], side="right") - 1
+        piece, _, ln_d_lo[inside] = self._pieces(self.starts[k], lo[inside])
+        ell[inside] -= self.table[k] + piece
         return ell, log_g, ln_d - ln_d_lo
 
 

@@ -38,13 +38,13 @@ from ctdi.gaussian import (
 from ctdi.partition_di import JointSequencePmf
 from ctdi import core, poisson
 from ctdi.poisson import interarrival_density, mean_inverse_intensity
-from ctdi.quadrature import gauss_legendre
+from ctdi.quadrature import gauss_legendre, integrate_panels
 
 
 def plugin_rate_oracle(pmf, n_samples, seed):
     """I(X;Y)/E[1/X] by sampling one event: I = E[ln f(Y|X) - ln f(Y)]."""
     gen = np.random.default_rng(seed)
-    x = gen.choice(pmf.support, p=pmf.probs, size=n_samples)
+    x = core._inverse_cdf(pmf, gen.random(n_samples))
     y = gen.exponential(1.0 / x)
     ll = np.log(x) - x * y - np.log(interarrival_density(pmf, y))
     return float(ll.mean()) / mean_inverse_intensity(pmf)
@@ -56,17 +56,15 @@ def interarrival_entropy(pmf):
     Dividing the wait by lam adds ln lam to the entropy, so the normalized
     integral is shifted by -ln lam.
     """
-    def integrand(x, p):
-        norm = FinitePmf(x, p)
+    x, p, lam, edges = poisson._normalized(pmf)
+    norm = FinitePmf(x, p)
 
-        def neg_f_log_f(y):
-            f = interarrival_density(norm, y)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return np.where(f > 0, -f * np.log(f), 0.0)
+    def neg_f_log_f(y):
+        f = interarrival_density(norm, y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(f > 0, -f * np.log(f), 0.0)
 
-        return neg_f_log_f
-
-    h, lam = poisson._normalized_integral(pmf, integrand)
+    h = integrate_panels(neg_f_log_f, edges, tol=0.9 * poisson._QUAD_TOL)
     return h - math.log(lam)
 
 

@@ -43,6 +43,10 @@ def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
             # numerical breakdowns
             ("gaussian-duncan", "gaussian_duncan", ["--t-values", "inf"]),
             ("gaussian-duncan", "gaussian_duncan", ["--t-values", "1", "--dt", "inf"]),
+            # a subnormal step is refused as Poisson levels below the smallest
+            # normal float are, not left to fail as a non-finite control
+            ("gaussian-duncan", "gaussian_duncan", ["--t-values", "5e-324", "--dt", "5e-324"]),
+            ("gaussian-duncan", "gaussian_duncan", ["--t-values", "1e-310", "--dt", "1e-310"]),
             ("poisson-rate", "poisson_rate", ["--horizon", "inf"]),
             ("poisson-capacity", "poisson_capacity", ["--lambda2-values", "inf"]),
             ("poisson-capacity", "poisson_capacity", ["--lambda1", "inf", "--lambda2-values", "0"]),
@@ -282,6 +286,27 @@ def test_poisson_rate_level_guards(tmp_path, monkeypatch, capsys):
     # simulation drops instead of failing its own epoch check
     assert run(["poisson-rate", "--lambda2", "1e12", "--horizon", "50", "--p-values", "0.5",
                 "--seed", "2", "--out", str(tmp_path / "1e12")]) == 0
+
+
+def test_estimates_hold_at_extreme_level_scales(tmp_path):
+    # the replica statistics run on columns scaled by a power of two, so
+    # levels near 1e160 do not overflow their squares into nan and levels
+    # near 1e-160 do not underflow the stderr to 0; the suite turns a
+    # RuntimeWarning into an error, so each run is also warning-free
+    for lam1, lam2, horizon in (("1e160", "2e160", "5e-157"), ("1e-160", "2e-160", "5e163")):
+        out = tmp_path / lam1
+        assert run(["poisson-rate", "--lambda1", lam1, "--lambda2", lam2, "--horizon", horizon,
+                    "--replicas", "48", "--p-values", "0.5", "--out", str(out)]) == 0
+        row = (out / "poisson_rate.csv").read_text().splitlines()[1].split(",")
+        mc, stderr = float(row[2]), float(row[3])
+        assert np.isfinite(mc) and 0.0 < stderr < np.inf
+    # at T = dt = 1e-300 the Duncan value is T / 2, within 1e-12 relative
+    for seed in ("0", "2"):
+        out = tmp_path / f"gaussian{seed}"
+        assert run(["gaussian-duncan", "--t-values", "1e-300", "--dt", "1e-300",
+                    "--replicas", "64", "--seed", seed, "--out", str(out)]) == 0
+        row = (out / "gaussian_duncan.csv").read_text().splitlines()[1].split(",")
+        assert abs(float(row[1]) - 5e-301) <= 1e-12 * 5e-301
 
 
 def test_poisson_rate_equal_levels_are_named(tmp_path, monkeypatch, capsys):

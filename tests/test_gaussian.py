@@ -62,6 +62,12 @@ def test_model_validation():
     for horizon, dt in ((math.inf, 0.1), (math.nan, 0.1), (1.0, math.inf), (1.0, math.nan)):
         with pytest.raises(ValueError):
             constant_signal_model(horizon, dt)
+    # a subnormal step overflows the martingale control; the smallest normal one does not
+    for dt in (5e-324, 1e-310):
+        with pytest.raises(ValueError, match="dt must be finite and at least"):
+            constant_signal_model(dt, dt)
+    tiny = float(np.finfo(float).tiny)
+    assert constant_signal_model(tiny, tiny).n_steps == 1
     # grids are capped at 1e6 steps; the cap itself is allowed
     assert constant_signal_model(1.0, 1e-6).n_steps == 1_000_000
     for horizon, dt in ((1.0, 1e-7), (2.0, 1e-6), (1e300, 1e-300)):

@@ -426,6 +426,22 @@ def test_rate_mc_point_mass_is_exactly_zero():
         assert est.stderr == 0.0
 
 
+def test_rate_mc_scales_exactly_with_the_levels():
+    # levels 2^k {1, 2} over horizon 50 / 2^k dilate time by 2^-k: the same
+    # draws give 2^k times the rate and its stderr, since the replica
+    # statistics scale by powers of two, out to where raw squares overflow
+    # (k = 1000) or underflow (k = -1000)
+    def rate(scale):
+        model = PoissonFeedbackModel(FinitePmf([scale, 2.0 * scale], [0.5, 0.5]), 50.0 / scale)
+        return di_rate_mc(model, rng=4, replicas=48)
+
+    base = rate(1.0)
+    for k in (-1000, -500, -100, 100, 500, 1000):
+        est = rate(2.0**k)
+        assert abs(est.value / 2.0**k - base.value) <= 1e-12 * base.value
+        assert abs(est.stderr / 2.0**k - base.stderr) <= 1e-12 * base.stderr
+
+
 def test_rate_mc_matches_analytic_binary():
     model = PoissonFeedbackModel(BINARY, 3000.0)
     est = di_rate_mc(model, rng=12, replicas=3)
