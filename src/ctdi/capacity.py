@@ -14,8 +14,11 @@ beyond it, since any point between the best and the maximum of a
 quasi-concave function is at least as good as the best.  Its parabolic
 steps, which pay off because the rate is smooth, only choose where to look
 next, so the maximum stays inside the bracket whatever they propose.  It
-runs on the slower level's weight, whose optimum nears 0 as the levels part,
-and capacity_curve checks every level with the rate's guard, _check_ratio.
+runs on the slower level's weight q, whose optimum nears 0 as the levels
+part, and reports it as q_star beside p_star, the weight on lambda1.
+capacity_curve checks every level with the rate's guard, _check_ratio, then
+advances every level's search in lock-step (_lock_step), one batched rate
+quadrature per round; optimize_binary is the same driver over one level.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FinitePmf
-from .poisson import (_check_levels, _check_ratio, di_rate_analytic,
-                      mean_interarrival_quadrature, mean_inverse_intensity)
+from .poisson import (_check_levels, _check_ratio, _rates, mean_interarrival_quadrature,
+                      mean_inverse_intensity)
 
 __all__ = [
     "CapacityPoint",
@@ -42,39 +45,70 @@ _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0  # the golden-section fraction
 
 @dataclass(frozen=True)
 class CapacityPoint:
-    """Optimized binary input: weight p_star on lambda1 and the achieved rate."""
+    """Optimized binary input: weight p_star on lambda1, the rate, and q_star on the slower level.
+
+    The search runs on q_star, and p_star is q_star or 1 - q_star: below
+    2^-53 beside a faster lambda1, p_star rounds to 1, a law of rate 0.
+    Left out, q_star is taken from p_star.
+    """
 
     lambda1: float
     lambda2: float
     p_star: float
     rate_star: float
     degenerate: bool = False
+    q_star: float | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.p_star <= 1.0:
             raise ValueError("p_star must lie in [0, 1]")
         if self.rate_star < 0:
             raise ValueError("rate_star must be nonnegative")
+        if self.q_star is None:
+            q = self.p_star if self.lambda1 < self.lambda2 else 1.0 - self.p_star
+            object.__setattr__(self, "q_star", q)
+        if not 0.0 <= self.q_star <= 1.0:
+            raise ValueError("q_star must lie in [0, 1]")
 
 
-def binary_rate(p: float, lambda1: float, lambda2: float) -> float:
-    """Analytic rate of the binary input putting weight p on lambda1.
+def binary_rate(p, lambda1: float, lambda2: float):
+    """Analytic rate of the binary input putting weight p on lambda1; p a weight or an array of them.
 
-    Exactly zero at p in {0, 1} and whenever the two levels coincide.  A
-    level below the smallest normal float raises ValueError, coincident or not.
+    Every weight's rate comes from one batched rate quadrature
+    (_binary_rates), each what it is alone.  Exactly zero at p in {0, 1} and
+    whenever the two levels coincide.  A level below the smallest normal
+    float raises ValueError, coincident or not, and so do a weight outside
+    [0, 1] and levels more than about 3.6e306 apart.
     """
     _check_levels(np.array([lambda1, lambda2], dtype=float))
-    if not 0.0 <= p <= 1.0:
+    weights = np.asarray(p, dtype=float)
+    if not ((0.0 <= weights) & (weights <= 1.0)).all():
         raise ValueError("p must lie in [0, 1]")
     if lambda1 == lambda2:
-        return 0.0
-    pmf = FinitePmf(np.array([lambda1, lambda2]), np.array([p, 1.0 - p]))
-    return di_rate_analytic(pmf)
+        rates = np.zeros_like(weights)
+    else:
+        _check_ratio((lambda1, lambda2))
+        rates = _binary_rates(weights, lambda1, lambda2)
+    return float(rates) if rates.ndim == 0 else rates
 
 
-def _brent_max(fn, tol: float):
-    """Maximize a quasi-concave fn on [0, 1] by Brent's method; (best point, its value).
+def _binary_rates(p, lambda1, lambda2) -> np.ndarray:
+    """Rates of the binary laws with weight p on lambda1 and 1 - p on lambda2, elementwise.
 
+    One di_rate_analytic batch (poisson._rates) over the broadcast
+    arguments; the level pairs must be distinct and pass _check_ratio.
+    """
+    p, lambda1, lambda2 = np.broadcast_arrays(p, lambda1, lambda2)
+    levels = np.stack((lambda1, lambda2), axis=-1).reshape(-1, 2)
+    probs = np.stack((p, 1.0 - p), axis=-1).reshape(-1, 2)
+    return _rates(levels, probs).reshape(p.shape)
+
+
+def _brent_max(tol: float):
+    """Maximize a quasi-concave fn on [0, 1] by Brent's method, as a generator.
+
+    It yields each point to evaluate and is sent fn's value there (fu =
+    yield u); it returns (best point, its value) in its StopIteration.
     The bracket [a, b] always holds the maximum.  x is the best point so far,
     w the second best and v the previous w.  The next point is the vertex of
     the parabola through them when that lies inside the bracket and moves
@@ -85,7 +119,7 @@ def _brent_max(fn, tol: float):
     """
     a, b = 0.0, 1.0
     x = w = v = _CGOLD
-    fx = fw = fv = fn(x)
+    fx = fw = fv = yield x
     d = e = 0.0  # the last step and the one before it
     # 2 tol min(m, 1 - m), m the midpoint
     while b - a > (width := tol * min(a + b, 2.0 - a - b)):
@@ -112,7 +146,7 @@ def _brent_max(fn, tol: float):
         # at float resolution no new point inside (a, b) differs from x
         if u == x or not a < u < b:
             break
-        fu = fn(u)
+        fu = yield u
         if fu >= fx:
             if u >= x:
                 a = x
@@ -133,30 +167,57 @@ def _brent_max(fn, tol: float):
     return x, fx
 
 
+def _lock_step(pairs, tol: float) -> list[CapacityPoint]:
+    """Optimized points of checked level pairs, every pair's search advancing together.
+
+    Each round sends every pending search (_brent_max on the slower level's
+    weight q) its point's rate from one _binary_rates call; a rate does not
+    depend on its batch, so each search takes the steps it takes alone.
+    Coincident levels are flagged degenerate with a zero rate at weight 0.5.
+    """
+    out = [CapacityPoint(lam1, lam2, 0.5, 0.0, degenerate=True) if lam1 == lam2 else None
+           for lam1, lam2 in pairs]
+    levels = {i: sorted(pair) for i, pair in enumerate(pairs) if pair[0] != pair[1]}
+    searches = {i: _brent_max(tol) for i in levels}
+    points = {i: next(search) for i, search in searches.items()}
+    while points:
+        pending = list(points)
+        slow, fast = np.array([levels[i] for i in pending]).T
+        rates = _binary_rates(np.array([points[i] for i in pending]), slow, fast)
+        for i, rate in zip(pending, rates.tolist()):
+            try:
+                points[i] = searches[i].send(rate)
+            except StopIteration as stop:
+                del points[i]
+                (lam1, lam2), (q, rate_star) = pairs[i], stop.value
+                p_star = q if levels[i][0] == lam1 else 1.0 - q
+                out[i] = CapacityPoint(lam1, lam2, p_star, rate_star, q_star=q)
+    return out
+
+
 def optimize_binary(lambda1: float, lambda2: float, tol: float = 1e-6) -> CapacityPoint:
     """Maximize the quasi-concave binary rate by Brent's method on the slower level's weight q.
 
-    q nears 0 as the levels part (about ln(r) / r at ratio r), and p_star,
-    the weight on lambda1, is q or 1 - q.  Golden-section steps bracket the
-    maximum and parabolic steps through the three best points converge on it
-    (Brent, 1973).  It stops once the bracket is narrower than 2*tol*min(m,
-    1 - m), m its midpoint, so tol is relative to the nearer end of [0, 1]
-    and optima near q = 0 are resolved.  q is the best point evaluated in the
-    final bracket and rate_star its rate.  tol must lie in (0, 1); a tol
-    below float resolution stops once no new point inside the bracket
-    differs from the best one.  Coincident levels carry no information for
-    any p; that case returns a zero rate flagged degenerate (the objective
-    is flat).  A level below the smallest normal float raises ValueError
-    first, and levels more than about 3.6e306 apart at the first rate.
+    q nears 0 as the levels part (about ln(r) / r at ratio r); q_star is the
+    best q and p_star, the weight on lambda1, is q or 1 - q.  Golden-section
+    steps bracket the maximum and parabolic steps through the three best
+    points converge on it (Brent, 1973).  It stops once the bracket is
+    narrower than 2*tol*min(m, 1 - m), m its midpoint, so tol is relative to
+    the nearer end of [0, 1] and optima near q = 0 are resolved.  q is the
+    best point evaluated in the final bracket and rate_star its rate.  tol
+    must lie in (0, 1); a tol below float resolution stops once no new point
+    inside the bracket differs from the best one.  Coincident levels carry
+    no information for any p; that case returns a zero rate flagged
+    degenerate (the objective is flat).  A level below the smallest normal
+    float, or levels more than about 3.6e306 apart, raise ValueError first.
+    This is capacity_curve's lock-step search over one pair.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
     _check_levels(np.array([lambda1, lambda2], dtype=float))
-    if lambda1 == lambda2:
-        return CapacityPoint(lambda1, lambda2, 0.5, 0.0, degenerate=True)
-    slow, fast = sorted((lambda1, lambda2))
-    q, rate_star = _brent_max(lambda q: binary_rate(q, slow, fast), tol)
-    return CapacityPoint(lambda1, lambda2, q if slow == lambda1 else 1.0 - q, rate_star)
+    if lambda1 != lambda2:
+        _check_ratio((lambda1, lambda2))
+    return _lock_step([(lambda1, lambda2)], tol)[0]
 
 
 def capacity_curve(lambda1: float, lambda2_values, tol: float = 1e-6) -> list[CapacityPoint]:
@@ -165,7 +226,8 @@ def capacity_curve(lambda1: float, lambda2_values, tol: float = 1e-6) -> list[Ca
     A zero second level can never fire, so no information flows and the rate
     is zero by convention (reported with all mass on the live symbol).
     Every level is checked before any is optimized, lambda1 against the
-    smallest normal float even when every lambda2 is 0.
+    smallest normal float even when every lambda2 is 0.  The levels' searches
+    advance in lock-step (_lock_step), each point what optimize_binary finds.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
@@ -178,13 +240,9 @@ def capacity_curve(lambda1: float, lambda2_values, tol: float = 1e-6) -> list[Ca
             raise ValueError(f"intensities must be nonnegative and finite, got lambda2={lam2!r}")
         if lam2 > 0.0:
             _check_ratio((lambda1, lam2))
-    out = []
-    for lam2 in levels:
-        if lam2 == 0.0:
-            out.append(CapacityPoint(lambda1, 0.0, 1.0, 0.0, degenerate=True))
-        else:
-            out.append(optimize_binary(lambda1, lam2, tol=tol))
-    return out
+    found = iter(_lock_step([(lambda1, lam2) for lam2 in levels if lam2 > 0.0], tol))
+    return [next(found) if lam2 > 0.0 else CapacityPoint(lambda1, 0.0, 1.0, 0.0, degenerate=True)
+            for lam2 in levels]
 
 
 def unit_cost_identity_check(pmf: FinitePmf) -> float:

@@ -7,13 +7,17 @@ Commands:
                     longest horizon.  A zero horizon is the empty prefix of
                     each path: 0 with stderr 0 (nan with one replica).
   poisson-rate      Monte Carlo feedback-rate sweep over binary input weights
-                    against the analytic rate; every weight is checked before
-                    any replica runs.  A horizon may expect at most 10**6
-                    events, and levels more than about 3.6e306 apart or with a
-                    mean wait below the float spacing of the horizon are refused.
+                    against the analytic rate, one batched quadrature over all
+                    the weights; every weight is checked before any replica
+                    runs.  A horizon may expect at most 10**6 events, and
+                    levels more than about 3.6e306 apart or with a mean wait
+                    below the float spacing of the horizon are refused.
   poisson-capacity  Optimized binary rate against the second level, by Brent's
-                    method on the slower level's weight; every level is checked
-                    first, and levels more than about 3.6e306 apart are refused.
+                    method on the slower level's weight (the q_star column,
+                    beside p_star on lambda1); every level is checked first,
+                    levels more than about 3.6e306 apart are refused, and the
+                    levels' searches advance together on one batched rate
+                    quadrature per round.
   di-discrete       Property sweeps of the exact discrete engine
                     (conservation, sandwich, grouping monotonicity, no-feedback);
                     the conservation and no-feedback joints are evaluated in
@@ -201,10 +205,11 @@ def cmd_poisson_rate(cfg: ExperimentConfig) -> int:
     lam1, lam2, horizon = cfg.params["lambda1"], cfg.params["lambda2"], cfg.params["horizon"]
     if lam1 == lam2:
         raise ValueError(f"lambda1={lam1:.6g} and lambda2={lam2:.6g} are equal, not two levels")
-    # every weight, its model and its burn-in are validated before any replica runs
+    # every weight, its model and its burn-in are validated before any replica
+    # runs; the analytic rates come from one batched call over all the weights
+    weights = cfg.params["p_values"]
     legs = []
-    for p in cfg.params["p_values"]:
-        analytic = binary_rate(p, lam1, lam2)
+    for p, analytic in zip(weights, binary_rate(np.array(weights), lam1, lam2).tolist()):
         pmf = FinitePmf(np.array([lam1, lam2]), np.array([p, 1.0 - p]))
         model = PoissonFeedbackModel(pmf, horizon)
         burn_in = default_burn_in(pmf)
@@ -226,9 +231,9 @@ def cmd_poisson_rate(cfg: ExperimentConfig) -> int:
 def cmd_poisson_capacity(cfg: ExperimentConfig) -> int:
     lam1 = cfg.params["lambda1"]
     points = capacity_curve(lam1, cfg.params["lambda2_values"], tol=cfg.params["tol"])
-    rows = [(pt.lambda2, pt.p_star, pt.rate_star) for pt in points]
+    rows = [(pt.lambda2, pt.p_star, pt.rate_star, pt.q_star) for pt in points]
     ok = all(pt.rate_star <= 1e-12 for pt in points if pt.lambda2 in (0.0, lam1))
-    write_csv(cfg.out_dir / "poisson_capacity.csv", ["lambda2", "p_star", "rate_star"], rows)
+    write_csv(cfg.out_dir / "poisson_capacity.csv", ["lambda2", "p_star", "rate_star", "q_star"], rows)
     return 0 if ok else 1
 
 

@@ -25,7 +25,9 @@ Rates are in nats per second.  Every input level must be at least _TINY, the
 smallest normal float.  Every analytic integral here runs to one error
 target, _QUAD_TOL; the interarrival integrals run on fixed panels up to 50
 on the support divided by its smallest level (_normalized), which
-first refuses levels more than about 3.6e306 apart (_check_ratio).
+first refuses levels more than about 3.6e306 apart (_check_ratio).  The
+analytic rate integrates a batch of laws with equal atom counts in one
+quadrature (_rates); di_rate_analytic is a batch of one.
 """
 
 from __future__ import annotations
@@ -360,8 +362,8 @@ def mean_interarrival_quadrature(pmf: FinitePmf) -> float:
     """E[Y] by quadrature on the support divided by its smallest level (_normalized)."""
     x, p, lam, edges = _normalized(pmf)
     norm = FinitePmf(x, p)
-    return integrate_panels(lambda y: y * interarrival_density(norm, y), edges,
-                            tol=0.9 * _QUAD_TOL) / lam
+    return integrate_panels(lambda y, _: y * interarrival_density(norm, y), [edges],
+                            tol=0.9 * _QUAD_TOL)[0] / lam
 
 
 def di_rate_analytic(pmf: FinitePmf) -> float:
@@ -369,35 +371,59 @@ def di_rate_analytic(pmf: FinitePmf) -> float:
 
     One event's mutual information per mean wait, I / E[1/X], with I = sum_i
     p_i D(Exp(x_i) || f), f the wait density (Cover and Thomas, Elements of
-    Information Theory, 2006, sec. 2.4).  On the normalized support
-    (_normalized) I = int sum_i w_i l_i dy, w_i = p_i x_i e^{-x_i y}
-    and l_i = ln(x_i e^{-x_i y} / f) = -logsumexp_j(ln p_j + ln(x_j / x_i) -
-    (x_j - x_i) y), summed atom by atom: every term is of the size of I, so
-    nothing cancels, and a point mass reads exactly 0.  ln p of the heaviest
-    atom is log1p(-(sum of the others)): beside a weight below 2^-53 it is
-    stored as 1.0, and ln 1.0 would put the rate a nat low at weights near
-    1e-20.  The rate scales exactly with the levels under powers of two, and
-    a rounding residue below 0 (nearly equal levels) is clamped.
+    Information Theory, 2006, sec. 2.4): _rates over a batch of one law, its
+    positive-mass atoms, after the guards of _normalized.
     """
-    x, p, _, edges = _normalized(pmf)
-    heavy = int(p.argmax())
-    log_p = np.log(p)
-    log_p[heavy] = math.log1p(-float(np.delete(p, heavy).sum()))
-    log_x = np.log(x)
-    # row j: ln p_j + ln(x_j / x_i) and x_j - x_i, atoms i on axis 1 and points
-    # on axis 2; the log ratio is formed first, so the heavy atom's ln p survives
-    offsets = (log_p[:, None] + (log_x[:, None] - log_x))[:, :, None]
-    gaps = (x[:, None] - x)[:, :, None]
-    xs, px = x[:, None], (p * x)[:, None]
+    support, probs = _positive_atoms(pmf)
+    _check_ratio(support)
+    return float(_rates(support[None], probs[None])[0])
 
-    def relent(y):
-        acc = offsets[0] - gaps[0] * y
-        for offset, gap in zip(offsets[1:], gaps[1:]):
-            np.logaddexp(acc, offset - gap * y, out=acc)
-        return -(px * np.exp(-xs * y) * acc).sum(axis=0)
 
+def _rates(levels: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """di_rate_analytic of a batch of laws: (B, K) levels and weights, K atoms each; (B,) rates.
+
+    Every row must pass _check_ratio; a weight may be 0.  On each row's
+    levels divided by their smallest, as in _normalized, I = int sum_i w_i
+    l_i dy, w_i = p_i x_i e^{-x_i y} and l_i = ln(x_i e^{-x_i y} / f) =
+    -logsumexp_j(ln p_j + ln(x_j / x_i) - (x_j - x_i) y), summed atom by
+    atom: every term is of the size of I, so nothing cancels, and a point
+    mass reads exactly 0.  ln p of the heaviest atom is log1p(-(sum of the
+    others)): beside a weight below 2^-53 it is stored as 1.0, and ln 1.0
+    would put the rate a nat low at weights near 1e-20.  One integrate_panels
+    call integrates every law on its own panels; the integrand broadcasts
+    each panel's column of its law's parameters over the panel's nodes, so a
+    law's rate does not depend on its batch.  The rate scales exactly with
+    the levels under powers of two, and a rounding residue below 0 (nearly
+    equal levels) is clamped to 0.
+    """
+    x = levels / levels.min(axis=1, keepdims=True)
+    atoms = np.arange(x.shape[1])
+    heavy = probs.argmax(axis=1)[:, None] == atoms
+    log_p = np.log(probs, out=np.full(probs.shape, -np.inf), where=probs > 0.0)
+    log_p[heavy] = np.log1p(-np.where(heavy, 0.0, probs).sum(axis=1))
+    log_x = np.log(x).T
+    # [j, i, b]: ln p_j + ln(x_j / x_i) and x_j - x_i of law b, atoms j and i;
+    # the log ratio is formed first, so the heavy atom's ln p survives
+    offsets = log_p.T[:, None] + (log_x[:, None] - log_x)
+    gaps = x.T[:, None] - x.T
+    xs, px = x.T, (probs * x).T
+
+    def columns(a, k):
+        # a[..., law of each panel] as a column against the panels' (P, 30)
+        # nodes; one law's parameters broadcast as scalars, the same products
+        # by numpy's fastest loops
+        return (a if len(levels) == 1 else np.take(a, k, axis=-1))[..., None]
+
+    def relent(y, k):
+        offset, gap = columns(offsets, k), columns(gaps, k)
+        acc = offset[0] - gap[0] * y
+        for off, gp in zip(offset[1:], gap[1:]):
+            np.logaddexp(acc, off - gp * y, out=acc)
+        return -(columns(px, k) * np.exp(-columns(xs, k) * y) * acc).sum(axis=0)
+
+    edges = [_geometric_edges(1.0 / top, 50.0) for top in x.max(axis=1).tolist()]
     per_event = integrate_panels(relent, edges, tol=0.9 * _QUAD_TOL)
-    return max(per_event, 0.0) / mean_inverse_intensity(pmf)
+    return np.where(per_event > 0.0, per_event, 0.0) / (probs / levels).sum(axis=1)
 
 
 def default_burn_in(pmf: FinitePmf) -> float:

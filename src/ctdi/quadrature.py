@@ -3,6 +3,10 @@
 Callers of `integrate_panels` place the initial edges where the integrand
 changes scale (geometric panels for the exponential mixtures of the Poisson
 channel), so the panel count grows with the logarithm of the scale ratio.
+It integrates a batch of integrals at once, each on its own panels with its
+own share of the error target, in one integrand call per round; every sum
+is a row sum or runs over one integral's panels in order, so a value does
+not depend on its batch.
 No estimator calls the Simpson rules any more; they stay public because the
 benchmark's tracer reports per-layer counters under their names.
 """
@@ -34,38 +38,50 @@ def gauss_legendre(n: int):
     return nodes, weights
 
 
-def integrate_panels(fn, edges, tol: float = 1e-10) -> float:
-    """Integral of a vectorized fn over [edges[0], edges[-1]] by 20-node Gauss-Legendre.
+def integrate_panels(fn, edges, tol: float = 1e-10) -> np.ndarray:
+    """Integrals of a vectorized fn over a batch of panel layouts, by 20-node Gauss-Legendre.
 
-    Each panel is bisected until its 10- and 20-node sums differ by at most
-    its share of tol: the initial panels share tol equally and each half of a
-    bisected panel gets half of its share.  Raises RuntimeError when panels
-    remain unconverged after a fixed number of rounds or outgrow a budget.
+    edges holds one strictly increasing sequence of at least two points per
+    integral.  fn(y, k) gets the nodes of P panels as a (P, 30) array y and
+    the (P,) integral index k of each panel.  Each panel is bisected until
+    its 10- and 20-node sums differ by at most its share of tol: an
+    integral's initial panels share tol equally and each half of a bisected
+    panel gets half of its share.  Raises RuntimeError when panels remain
+    unconverged after a fixed number of rounds or an integral's panels
+    outgrow a budget.
     """
-    lo = np.asarray(edges, dtype=float)
-    if lo.ndim != 1 or lo.size < 2 or np.any(np.diff(lo) <= 0):
+    edges = [np.asarray(e, dtype=float) for e in edges]
+    if not edges or any(e.ndim != 1 or e.size < 2 for e in edges):
         raise ValueError("edges must be a strictly increasing sequence of at least two points")
-    lo, hi = lo[:-1], lo[1:]
-    share = np.full(lo.size, tol / lo.size)
+    lo, hi = np.concatenate([e[:-1] for e in edges]), np.concatenate([e[1:] for e in edges])
+    if not (hi > lo).all():
+        raise ValueError("edges must be a strictly increasing sequence of at least two points")
+    panels = np.array([e.size - 1 for e in edges])
+    k = np.repeat(np.arange(panels.size), panels)
+    share = tol / panels[k]
     x10, w10 = gauss_legendre(10)
     x20, w20 = gauss_legendre(20)
     nodes = np.concatenate((x10, x20))
-    total = 0.0
+    total = np.zeros(panels.size)
     for _ in range(_MAX_ROUNDS):
         half = 0.5 * (hi - lo)
         mid = lo + half
-        vals = fn((mid[:, None] + half[:, None] * nodes).ravel()).reshape(mid.size, nodes.size)
-        coarse = half * (vals[:, :10] @ w10)
-        fine = half * (vals[:, 10:] @ w20)
+        vals = fn(mid[:, None] + half[:, None] * nodes, k)
+        # row sums of products: einsum sums each panel's row alone, whatever
+        # the row count, where a BLAS product need not
+        coarse = half * np.einsum("pn,n->p", vals[:, :10], w10)
+        fine = half * np.einsum("pn,n->p", vals[:, 10:], w20)
         done = np.abs(fine - coarse) <= share
-        total += float(fine[done].sum())
+        # each integral's converged panels, summed in panel order
+        total += np.bincount(k[done], weights=fine[done], minlength=panels.size)
         if done.all():
             return total
-        lo, mid, hi, share = lo[~done], mid[~done], hi[~done], 0.5 * share[~done]
-        if 2 * lo.size > _MAX_PANELS:
+        left = ~done
+        lo, mid, hi, k, share = lo[left], mid[left], hi[left], k[left], 0.5 * share[left]
+        if 2 * np.bincount(k).max() > _MAX_PANELS:
             break
         lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
-        share = np.concatenate((share, share))
+        k, share = np.concatenate((k, k)), np.concatenate((share, share))
     raise RuntimeError(f"Gauss-Legendre panels did not reach tol={tol}: "
                        f"{lo.size} panels unconverged, the narrowest {float((hi - lo).min()):.3g} wide")
 

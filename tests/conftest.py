@@ -59,12 +59,12 @@ def interarrival_entropy(pmf):
     x, p, lam, edges = poisson._normalized(pmf)
     norm = FinitePmf(x, p)
 
-    def neg_f_log_f(y):
+    def neg_f_log_f(y, _):
         f = interarrival_density(norm, y)
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(f > 0, -f * np.log(f), 0.0)
 
-    h = integrate_panels(neg_f_log_f, edges, tol=0.9 * poisson._QUAD_TOL)
+    h = integrate_panels(neg_f_log_f, [edges], tol=0.9 * poisson._QUAD_TOL)[0]
     return h - math.log(lam)
 
 

@@ -37,6 +37,7 @@ from ctdi.partition_di import (
 from ctdi.poisson import (
     PoissonFeedbackModel,
     default_burn_in,
+    di_rate_analytic,
     di_rate_mc,
     mean_inverse_intensity,
     mismatched_relent_poisson,
@@ -104,7 +105,7 @@ def test_criterion_3_poisson_rate_mc_matches_analytic():
     ok = max_quad_gap < 1e-10
     for k, p in enumerate(weights):
         pmf = FinitePmf([1.0, 2.0], [p, 1.0 - p])
-        analytic = binary_rate(p, 1.0, 2.0)
+        analytic = di_rate_analytic(pmf)
         oracle = plugin_rate_oracle(pmf, 10_000_000, seed=9000 + k)
         oracle_gap = abs(analytic - oracle)
         max_oracle_gap = max(max_oracle_gap, oracle_gap)

@@ -98,6 +98,19 @@ def test_optimize_binary_degenerate_levels():
     assert point.rate_star == 0.0
 
 
+def count_rate_points(monkeypatch):
+    """Each batched rate call's points, as (weight on the first level, first level, second level)."""
+    rounds = []
+    batched = capacity._binary_rates
+
+    def counted(p, lambda1, lambda2):
+        rounds.append(list(zip(*np.broadcast_arrays(p, lambda1, lambda2))))
+        return batched(p, lambda1, lambda2)
+
+    monkeypatch.setattr(capacity, "_binary_rates", counted)
+    return rounds
+
+
 def test_tol_range_and_stop_at_float_resolution(monkeypatch):
     for tol in (0.0, -1.0, 1.0, math.nan):
         with pytest.raises(ValueError):
@@ -105,38 +118,29 @@ def test_tol_range_and_stop_at_float_resolution(monkeypatch):
         with pytest.raises(ValueError):
             capacity_curve(1.0, [0.0], tol=tol)
     reference = optimize_binary(1.0, 2.0)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return binary_rate(*args, **kwargs)
-
-    monkeypatch.setattr(capacity, "binary_rate", counted)
+    rounds = count_rate_points(monkeypatch)
     # no bracket of floats is as narrow as tol = 1e-300 asks; the search
     # must stop once its interior points stop being distinct
     point = optimize_binary(1.0, 2.0, tol=1e-300)
-    assert len(calls) < 200
+    assert sum(map(len, rounds)) < 200
     assert abs(point.p_star - reference.p_star) <= 1e-6
     assert point.rate_star >= reference.rate_star - 1e-12
 
 
 def test_brent_search_evaluations_per_level(monkeypatch):
     # golden-section search spent 33-35 rate evaluations on each of these levels
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return binary_rate(*args, **kwargs)
-
-    monkeypatch.setattr(capacity, "binary_rate", counted)
+    rounds = count_rate_points(monkeypatch)
     capacity_curve(1.0, [0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0])
     per_level = {}
-    for args in calls:
-        # the search passes the slower level first, so lambda2 is either level but 1
-        (lam2,) = set(args[1:]) - {1.0}
-        per_level[lam2] = per_level.get(lam2, 0) + 1
+    for points in rounds:
+        for _, slow, fast in points:
+            # the search passes the slower level first, so lambda2 is either level but 1
+            (lam2,) = {float(slow), float(fast)} - {1.0}
+            per_level[lam2] = per_level.get(lam2, 0) + 1
     assert sorted(per_level) == [0.25, 0.5, 2.0, 4.0, 8.0, 16.0]
     assert max(per_level.values()) <= 15
+    # the levels' searches advance together, one batched rate call per round
+    assert len(rounds) <= 15
 
 
 def test_optimize_binary_against_a_reference_argmax():
@@ -147,6 +151,17 @@ def test_optimize_binary_against_a_reference_argmax():
         point = optimize_binary(1.0, lam2, tol=tol)
         assert abs(point.p_star - ref.x) <= 2 * tol * min(ref.x, 1.0 - ref.x)
         assert point.rate_star >= -ref.fun - 1e-12
+
+
+def brent_max(fn, tol):
+    """Drive the search generator with fn; (best point, its value)."""
+    search = capacity._brent_max(tol)
+    try:
+        point = next(search)
+        while True:
+            point = search.send(fn(point))
+    except StopIteration as stop:
+        return stop.value
 
 
 def test_brent_search_on_synthetic_quasi_concave_functions():
@@ -161,7 +176,7 @@ def test_brent_search_on_synthetic_quasi_concave_functions():
             calls.append(p)
             return fn(p)
 
-        p_star, value = capacity._brent_max(counted, tol)
+        p_star, value = brent_max(counted, tol)
         assert abs(p_star - argmax) <= 2 * tol * min(argmax, 1.0 - argmax)
         assert value == fn(p_star)
         assert len(calls) < 100
@@ -194,13 +209,59 @@ def test_capacity_curve_shape():
 def test_capacity_curve_checks_every_level_first(monkeypatch):
     # a bad level anywhere in the list, levels too far apart for the rate
     # quadrature included, fails before any level is optimized
-    evaluations = []
-    monkeypatch.setattr(capacity, "binary_rate", lambda *args, **kwargs: evaluations.append(args))
+    rounds = count_rate_points(monkeypatch)
     for levels in ([2.0, -1.0], [2.0, math.nan], [2.0, math.inf], [2.0, 1e307], [1e-307, 2.0],
                    [2.0, 1e-310]):
         with pytest.raises(ValueError, match="lambda2"):
             capacity_curve(1.0, levels)
-    assert evaluations == []
+    assert rounds == []
+
+
+def test_batched_rates_equal_each_law_alone():
+    # 200 binary laws at level ratios up to e^5 either way, with weights 0, 1
+    # and 1e-20 among them: the batched rate of each equals its rate alone,
+    # bit for bit, and binary_rate is di_rate_analytic of the same law
+    gen = np.random.default_rng(37)
+    lam1 = np.exp(gen.uniform(-3.0, 3.0, size=200))
+    lam2 = lam1 * np.exp(gen.choice([-1.0, 1.0], size=200) * gen.uniform(0.1, 5.0, size=200))
+    p = gen.uniform(0.0, 1.0, size=200)
+    p[:3] = 0.0, 1.0, 1e-20
+    gen.shuffle(p)
+    batch = capacity._binary_rates(p, lam1, lam2)
+    for i in range(200):
+        alone = binary_rate(p[i], lam1[i], lam2[i])
+        assert batch[i] == alone
+        assert alone == di_rate_analytic(FinitePmf([lam1[i], lam2[i]], [p[i], 1.0 - p[i]]))
+    assert (batch[p == 0.0] == 0.0).all() and (batch[p == 1.0] == 0.0).all()
+    assert batch[p == 1e-20] > 0.0
+    # the weights of one level pair in one call, as poisson-rate asks for them
+    assert binary_rate(p[:5], 1.0, 2.0).tolist() == [binary_rate(w, 1.0, 2.0) for w in p[:5]]
+
+
+def test_capacity_curve_equals_optimize_binary_level_by_level():
+    levels = [0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 1e-20, 1e8]
+    for point, lam2 in zip(capacity_curve(1.0, levels), levels):
+        if lam2 == 0.0:
+            assert point.degenerate and point.q_star == 0.0
+            continue
+        alone = optimize_binary(1.0, lam2)
+        assert (point.p_star, point.rate_star, point.q_star) == (alone.p_star, alone.rate_star,
+                                                                  alone.q_star)
+
+
+def test_q_star_reproduces_rate_star_where_p_star_rounds_to_1():
+    # below lambda1 by more than about 1e16 the weight 1 - q on lambda1 rounds
+    # to 1.0, a law with no rate; q_star, the weight on the slower level, is
+    # the one the search found
+    # (1e-300 is checked with the other wide ratios below)
+    for point in capacity_curve(1.0, [1e-20, 1e-30]):
+        assert point.p_star == 1.0
+        assert binary_rate(point.p_star, 1.0, point.lambda2) == 0.0
+        assert point.q_star > 0.0
+        assert binary_rate(point.q_star, point.lambda2, 1.0) == point.rate_star > 0.0
+    point = optimize_binary(1.0, 4.0)
+    assert point.q_star == point.p_star
+    assert binary_rate(point.q_star, 1.0, 4.0) == point.rate_star
 
 
 def test_rate_at_wide_ratios_matches_high_precision_references():
@@ -226,7 +287,10 @@ def test_optimum_up_to_level_ratios_of_1e300():
         far = optimize_binary(1.0, 10.0**k)
         assert far.rate_star >= max(binary_rate(p, 1.0, 10.0**k) for p in grid)
         up.append(far.rate_star)
-        down.append(optimize_binary(1.0, 10.0**-k).rate_star / 10.0**-k)
+        near = optimize_binary(1.0, 10.0**-k)
+        down.append(near.rate_star / 10.0**-k)
+        # the weight on the slower level reproduces the rate where p_star rounds to 1
+        assert near.q_star > 0.0 and binary_rate(near.q_star, 10.0**-k, 1.0) == near.rate_star
     assert all(lo <= hi for lo, hi in zip(up, up[1:]))
     assert down == pytest.approx(up, rel=1e-9)
 
@@ -275,6 +339,11 @@ def test_capacity_point_validation():
         CapacityPoint(1.0, 2.0, p_star=1.5, rate_star=0.1)
     with pytest.raises(ValueError):
         CapacityPoint(1.0, 2.0, p_star=0.5, rate_star=-0.1)
+    with pytest.raises(ValueError):
+        CapacityPoint(1.0, 2.0, p_star=0.5, rate_star=0.1, q_star=1.5)
+    # left out, q_star is the weight on the slower level taken from p_star
+    assert CapacityPoint(1.0, 2.0, p_star=0.25, rate_star=0.1).q_star == 0.25
+    assert CapacityPoint(2.0, 1.0, p_star=0.25, rate_star=0.1).q_star == 0.75
 
 
 def test_rates_stay_below_the_peak_limited_capacity():

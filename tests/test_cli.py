@@ -247,6 +247,27 @@ def test_poisson_rate_small_run(tmp_path):
     assert len(lines) == 2
 
 
+def test_poisson_rate_analytic_column_is_one_batched_call(tmp_path, monkeypatch, capsys):
+    # one binary_rate call over every weight, each rate what it is alone; a
+    # weight outside [0, 1] is refused before any replica runs
+    calls = []
+    batched = cli.binary_rate
+    monkeypatch.setattr(cli, "binary_rate", lambda p, *levels: calls.append(list(p)) or batched(p, *levels))
+    assert run(["poisson-rate", "--p-values", "0.2,0.5,0.7", "--horizon", "50",
+                "--replicas", "2", "--out", str(tmp_path / "ok")]) == 0
+    assert calls == [[0.2, 0.5, 0.7]]
+    rows = (tmp_path / "ok" / "poisson_rate.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == [f"{batched(p, 1.0, 2.0):.12g}" for p in (0.2, 0.5, 0.7)]
+    streams = count_streams(monkeypatch)
+    for weights in ("0.5,1.5", "nan,0.5", "-0.1"):
+        out = tmp_path / "bad"
+        capsys.readouterr()
+        assert run(["poisson-rate", "--p-values", weights, "--out", str(out)]) == 2
+        assert "error: p must lie in [0, 1]" in capsys.readouterr().err
+        assert streams == [0]
+        assert not (out / "poisson_rate.csv").exists()
+
+
 def test_poisson_rate_degenerate_weight_endpoints(tmp_path):
     assert run(["poisson-rate", "--p-values", "0,1", "--horizon", "200",
                 "--replicas", "2", "--seed", "4", "--out", str(tmp_path)]) == 0
@@ -259,7 +280,7 @@ def test_poisson_capacity_run(tmp_path):
     assert run(["poisson-capacity", "--lambda2-values", "0,0.5,1",
                 "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "poisson_capacity.csv").read_text().splitlines()
-    assert lines[0] == "lambda2,p_star,rate_star"
+    assert lines[0] == "lambda2,p_star,rate_star,q_star"
     assert len(lines) == 4
     assert lines[1].split(",")[2] == "0"
     assert lines[3].split(",")[2] == "0"
@@ -327,7 +348,7 @@ def test_poisson_capacity_level_ratio_cap(tmp_path, monkeypatch, capsys):
     # it is a usage error, found before any level is optimized
     assert run(["poisson-capacity", "--lambda2-values", "2,1e-91", "--out", str(tmp_path)]) == 0
     evaluations = []
-    monkeypatch.setattr("ctdi.capacity.binary_rate", lambda *args, **kwargs: evaluations.append(1))
+    monkeypatch.setattr("ctdi.capacity._binary_rates", lambda *args, **kwargs: evaluations.append(1))
     capsys.readouterr()
     out = tmp_path / "wide"
     assert run(["poisson-capacity", "--lambda1", "1e-300", "--lambda2-values", "2,1e10",
