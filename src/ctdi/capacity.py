@@ -17,8 +17,8 @@ next, so the maximum stays inside the bracket whatever they propose.  It
 runs on the slower level's weight q, whose optimum nears 0 as the levels
 part, and reports it as q_star beside p_star, the weight on lambda1.
 capacity_curve checks every level with the rate's guard, _check_ratio, then
-advances every level's search in lock-step (_lock_step), one batched rate
-quadrature per round; optimize_binary is the same driver over one level.
+advances every level's search in lock-step, one batched rate quadrature per
+round; optimize_binary is capacity_curve of one level, lambda2 = 0 allowed.
 """
 
 from __future__ import annotations
@@ -74,21 +74,20 @@ class CapacityPoint:
 def binary_rate(p, lambda1: float, lambda2: float):
     """Analytic rate of the binary input putting weight p on lambda1; p a weight or an array of them.
 
-    Every weight's rate comes from one batched rate quadrature
-    (_binary_rates), each what it is alone.  Exactly zero at p in {0, 1} and
-    whenever the two levels coincide.  A level below the smallest normal
-    float raises ValueError, coincident or not, and so do a weight outside
-    [0, 1] and levels more than about 3.6e306 apart.
+    Weights strictly inside (0, 1) of distinct levels get their rates from
+    one batched rate quadrature (_binary_rates), each what it is alone, and
+    every other weight reads exactly zero.  Levels that fail _check_ratio
+    raise ValueError, coincident or not, and so does a weight outside [0, 1].
     """
-    _check_levels(np.array([lambda1, lambda2], dtype=float))
+    _check_ratio((lambda1, lambda2))
     weights = np.asarray(p, dtype=float)
     if not ((0.0 <= weights) & (weights <= 1.0)).all():
         raise ValueError("p must lie in [0, 1]")
-    if lambda1 == lambda2:
-        rates = np.zeros_like(weights)
-    else:
-        _check_ratio((lambda1, lambda2))
-        rates = _binary_rates(weights, lambda1, lambda2)
+    rates = np.zeros_like(weights)
+    inner = (0.0 < weights) & (weights < 1.0) & (lambda1 != lambda2)
+    # integrate_panels refuses an empty batch
+    if inner.any():
+        rates[inner] = _binary_rates(weights[inner], lambda1, lambda2)
     return float(rates) if rates.ndim == 0 else rates
 
 
@@ -167,34 +166,6 @@ def _brent_max(tol: float):
     return x, fx
 
 
-def _lock_step(pairs, tol: float) -> list[CapacityPoint]:
-    """Optimized points of checked level pairs, every pair's search advancing together.
-
-    Each round sends every pending search (_brent_max on the slower level's
-    weight q) its point's rate from one _binary_rates call; a rate does not
-    depend on its batch, so each search takes the steps it takes alone.
-    Coincident levels are flagged degenerate with a zero rate at weight 0.5.
-    """
-    out = [CapacityPoint(lam1, lam2, 0.5, 0.0, degenerate=True) if lam1 == lam2 else None
-           for lam1, lam2 in pairs]
-    levels = {i: sorted(pair) for i, pair in enumerate(pairs) if pair[0] != pair[1]}
-    searches = {i: _brent_max(tol) for i in levels}
-    points = {i: next(search) for i, search in searches.items()}
-    while points:
-        pending = list(points)
-        slow, fast = np.array([levels[i] for i in pending]).T
-        rates = _binary_rates(np.array([points[i] for i in pending]), slow, fast)
-        for i, rate in zip(pending, rates.tolist()):
-            try:
-                points[i] = searches[i].send(rate)
-            except StopIteration as stop:
-                del points[i]
-                (lam1, lam2), (q, rate_star) = pairs[i], stop.value
-                p_star = q if levels[i][0] == lam1 else 1.0 - q
-                out[i] = CapacityPoint(lam1, lam2, p_star, rate_star, q_star=q)
-    return out
-
-
 def optimize_binary(lambda1: float, lambda2: float, tol: float = 1e-6) -> CapacityPoint:
     """Maximize the quasi-concave binary rate by Brent's method on the slower level's weight q.
 
@@ -206,43 +177,49 @@ def optimize_binary(lambda1: float, lambda2: float, tol: float = 1e-6) -> Capaci
     the nearer end of [0, 1] and optima near q = 0 are resolved.  q is the
     best point evaluated in the final bracket and rate_star its rate.  tol
     must lie in (0, 1); a tol below float resolution stops once no new point
-    inside the bracket differs from the best one.  Coincident levels carry
-    no information for any p; that case returns a zero rate flagged
-    degenerate (the objective is flat).  A level below the smallest normal
-    float, or levels more than about 3.6e306 apart, raise ValueError first.
-    This is capacity_curve's lock-step search over one pair.
+    inside the bracket differs from the best one.  It is capacity_curve of one level.
     """
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol must lie in (0, 1), got {tol}")
-    _check_levels(np.array([lambda1, lambda2], dtype=float))
-    if lambda1 != lambda2:
-        _check_ratio((lambda1, lambda2))
-    return _lock_step([(lambda1, lambda2)], tol)[0]
+    return capacity_curve(lambda1, [lambda2], tol)[0]
 
 
 def capacity_curve(lambda1: float, lambda2_values, tol: float = 1e-6) -> list[CapacityPoint]:
-    """Optimized points for each lambda2; lambda2 = 0 is the silent-symbol limit.
+    """Optimized points for each lambda2, every level's search advancing together.
 
-    A zero second level can never fire, so no information flows and the rate
-    is zero by convention (reported with all mass on the live symbol).
-    Every level is checked before any is optimized, lambda1 against the
-    smallest normal float even when every lambda2 is 0.  The levels' searches
-    advance in lock-step (_lock_step), each point what optimize_binary finds.
+    A silent lambda2 = 0 never fires and a lambda2 equal to lambda1 carries
+    no information, so both read a zero rate flagged degenerate, at p = 1 and
+    p = 0.5.  Every level is checked before any is optimized: lambda1 by
+    _check_levels, even when every lambda2 is 0, and each nonzero lambda2 by
+    _check_ratio.  Each round sends every pending search (_brent_max on the
+    slower level's weight q) its point's rate from one _binary_rates call; a
+    rate does not depend on its batch, so each search takes its own steps.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
-    if not 0.0 < lambda1 < math.inf:
-        raise ValueError(f"lambda1 must be positive and finite, got {lambda1}")
     _check_levels(np.array([lambda1], dtype=float))
     levels = [float(lam2) for lam2 in lambda2_values]
     for lam2 in levels:
-        if not 0.0 <= lam2 < math.inf:
-            raise ValueError(f"intensities must be nonnegative and finite, got lambda2={lam2!r}")
-        if lam2 > 0.0:
+        if lam2 != 0.0:
             _check_ratio((lambda1, lam2))
-    found = iter(_lock_step([(lambda1, lam2) for lam2 in levels if lam2 > 0.0], tol))
-    return [next(found) if lam2 > 0.0 else CapacityPoint(lambda1, 0.0, 1.0, 0.0, degenerate=True)
-            for lam2 in levels]
+    # -0.0 is silent too, and is written as 0
+    out = [CapacityPoint(lambda1, 0.0, 1.0, 0.0, degenerate=True) if lam2 == 0.0
+           else CapacityPoint(lambda1, lam2, 0.5, 0.0, degenerate=True) if lam2 == lambda1
+           else None for lam2 in levels]
+    pairs = {i: sorted((lambda1, lam2)) for i, lam2 in enumerate(levels) if out[i] is None}
+    searches = {i: _brent_max(tol) for i in pairs}
+    points = {i: next(search) for i, search in searches.items()}
+    while points:
+        pending = list(points)
+        slow, fast = np.array([pairs[i] for i in pending]).T
+        rates = _binary_rates(np.array([points[i] for i in pending]), slow, fast)
+        for i, rate in zip(pending, rates.tolist()):
+            try:
+                points[i] = searches[i].send(rate)
+            except StopIteration as stop:
+                del points[i]
+                q, rate_star = stop.value
+                p_star = q if pairs[i][0] == lambda1 else 1.0 - q
+                out[i] = CapacityPoint(lambda1, levels[i], p_star, rate_star, q_star=q)
+    return out
 
 
 def unit_cost_identity_check(pmf: FinitePmf) -> float:

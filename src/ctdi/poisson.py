@@ -21,13 +21,13 @@ block.  trajectory_integral, the generic piecewise integrator for integrands
 with no closed form, takes one trajectory at a time and calls its integrand
 on _CHUNK_SEGMENTS segments at a time, the bound _LogHazard's pieces share.
 
-Rates are in nats per second.  Every input level must be at least _TINY, the
-smallest normal float.  Every analytic integral here runs to one error
-target, _QUAD_TOL; the interarrival integrals run on fixed panels up to 50
-on the support divided by its smallest level (_normalized), which
-first refuses levels more than about 3.6e306 apart (_check_ratio).  The
-analytic rate integrates a batch of laws with equal atom counts in one
-quadrature (_rates); di_rate_analytic is a batch of one.
+Rates are in nats per second.  Every input level must be finite and at least
+_TINY, the smallest normal float (_check_levels).  Every analytic integral
+here runs to one error target, _QUAD_TOL; the interarrival integrals run on
+fixed panels up to 50 on the support divided by its smallest level
+(_normalized), which first refuses levels more than about 3.6e306 apart
+(_check_ratio).  The analytic rate integrates a batch of laws with equal
+atom counts in one quadrature (_rates); di_rate_analytic is a batch of one.
 """
 
 from __future__ import annotations
@@ -64,10 +64,10 @@ _TINY = float(np.finfo(float).tiny)  # the smallest level: below it 1/x overflow
 
 
 def _check_levels(levels: np.ndarray) -> np.ndarray:
-    """levels, after refusing any below _TINY; the first is named lambda<i>, i its place."""
-    if (low := levels < _TINY).any():
-        raise ValueError(f"channel input intensities must be strictly positive and at least "
-                         f"{_TINY:.6g}: lambda{low.argmax() + 1}={levels[low][0]:.6g}")
+    """levels, after refusing any not finite or below _TINY; the first is named lambda<i>."""
+    if (bad := ~((_TINY <= levels) & (levels < math.inf))).any():
+        raise ValueError(f"channel input intensities must be finite, strictly positive and at least "
+                         f"{_TINY:.6g}: lambda{bad.argmax() + 1}={levels[bad][0]:.6g}")
     return levels
 
 
@@ -315,12 +315,14 @@ def mean_inverse_intensity(pmf: FinitePmf) -> float:
 
 
 def interarrival_density(pmf: FinitePmf, y):
-    """Density of the wait between events: f(y) = sum_x p(x) x e^{-xy}."""
+    """Density of the wait between events: f(y) = sum_x p(x) x e^{-xy}, summed atom by atom."""
     support, probs = _positive_atoms(pmf)
     y_arr = np.asarray(y, dtype=float)
     if not np.all(y_arr >= 0):
         raise ValueError("interarrival time must be nonnegative")
-    vals = np.exp(-np.multiply.outer(y_arr, support)) @ (probs * support)
+    vals = np.zeros_like(y_arr)
+    for x, weight in zip(support, probs * support):
+        vals += weight * np.exp(-x * y_arr)
     if vals.ndim == 0:
         return float(vals)
     return vals

@@ -36,6 +36,13 @@ def test_binary_rate_validation():
     for lam1, lam2 in ((0.0, 2.0), (1.0, -2.0)):
         with pytest.raises(ValueError, match="strictly positive"):
             optimize_binary(lam1, lam2)
+    # a level that is not finite is refused by the same guard, and named
+    for refused, named in ((lambda: binary_rate(0.5, math.inf, math.inf), "lambda1=inf"),
+                           (lambda: optimize_binary(math.inf, math.inf), "lambda1=inf"),
+                           (lambda: binary_rate(0.5, math.nan, 1.0), "lambda1=nan"),
+                           (lambda: optimize_binary(1.0, math.nan), "lambda2=nan")):
+        with pytest.raises(ValueError, match=f"finite, strictly positive and at least .*{named}"):
+            refused()
 
 
 def test_coincident_and_silent_levels_meet_the_level_floor():
@@ -241,10 +248,11 @@ def test_batched_rates_equal_each_law_alone():
 def test_capacity_curve_equals_optimize_binary_level_by_level():
     levels = [0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 1e-20, 1e8]
     for point, lam2 in zip(capacity_curve(1.0, levels), levels):
+        alone = optimize_binary(1.0, lam2)
         if lam2 == 0.0:
             assert point.degenerate and point.q_star == 0.0
+            assert alone == point
             continue
-        alone = optimize_binary(1.0, lam2)
         assert (point.p_star, point.rate_star, point.q_star) == (alone.p_star, alone.rate_star,
                                                                   alone.q_star)
 

@@ -277,11 +277,13 @@ def test_poisson_rate_degenerate_weight_endpoints(tmp_path):
 
 
 def test_poisson_capacity_run(tmp_path):
-    assert run(["poisson-capacity", "--lambda2-values", "0,0.5,1",
+    assert run(["poisson-capacity", "--lambda2-values", "0,0.5,1,-0.0",
                 "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "poisson_capacity.csv").read_text().splitlines()
     assert lines[0] == "lambda2,p_star,rate_star,q_star"
-    assert len(lines) == 4
+    assert len(lines) == 5
+    # -0.0 is the silent level too, written as 0
+    assert lines[4] == lines[1] == "0,1,0,0"
     assert lines[1].split(",")[2] == "0"
     assert lines[3].split(",")[2] == "0"
     assert float(lines[2].split(",")[2]) > 0.0
@@ -294,7 +296,9 @@ def test_poisson_rate_level_guards(tmp_path, monkeypatch, capsys):
     streams = count_streams(monkeypatch)
     for levels, named in ((["--lambda1", "1e-300", "--lambda2", "1e10"],
                            ("lambda1=1e-300", "lambda2=1e+10")),
-                          (["--lambda2", "1e20"], ("levels 1, 1e+20", "horizon 50"))):
+                          (["--lambda2", "1e20"], ("levels 1, 1e+20", "horizon 50")),
+                          (["--lambda1", "nan"], ("finite", "lambda1=nan")),
+                          (["--lambda2", "inf"], ("finite", "lambda2=inf"))):
         out = tmp_path / levels[-1]
         assert run(["poisson-rate", *levels, "--horizon", "50", "--p-values", "0.5",
                     "--out", str(out)]) == 2
@@ -345,19 +349,23 @@ def test_poisson_rate_equal_levels_are_named(tmp_path, monkeypatch, capsys):
 
 def test_poisson_capacity_level_ratio_cap(tmp_path, monkeypatch, capsys):
     # the rate quadrature spans level ratios up to about 3.6e306; one beyond
-    # it is a usage error, found before any level is optimized
+    # it is a usage error, found before any level is optimized, and so is a
+    # level that is not finite
     assert run(["poisson-capacity", "--lambda2-values", "2,1e-91", "--out", str(tmp_path)]) == 0
     evaluations = []
     monkeypatch.setattr("ctdi.capacity._binary_rates", lambda *args, **kwargs: evaluations.append(1))
-    capsys.readouterr()
-    out = tmp_path / "wide"
-    assert run(["poisson-capacity", "--lambda1", "1e-300", "--lambda2-values", "2,1e10",
-                "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "lambda1=1e-300" in err and "lambda2=1e+10" in err and "Traceback" not in err
-    assert evaluations == []
-    assert not (out / "poisson_capacity.csv").exists()
-    assert json.loads((out / "poisson_capacity_manifest.json").read_text())["exit_status"] == 2
+    for name, levels, named in (("wide", ["--lambda1", "1e-300", "--lambda2-values", "2,1e10"],
+                                 ("lambda1=1e-300", "lambda2=1e+10")),
+                                ("nan", ["--lambda2-values", "2,nan"], ("finite", "lambda2=nan")),
+                                ("inf", ["--lambda1", "inf"], ("finite", "lambda1=inf"))):
+        capsys.readouterr()
+        out = tmp_path / name
+        assert run(["poisson-capacity", *levels, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert all(word in err for word in named) and "Traceback" not in err
+        assert evaluations == []
+        assert not (out / "poisson_capacity.csv").exists()
+        assert json.loads((out / "poisson_capacity_manifest.json").read_text())["exit_status"] == 2
 
 
 def test_subnormal_levels_are_usage_errors(tmp_path, capsys):
