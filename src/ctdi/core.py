@@ -26,11 +26,12 @@ reads only earlier increments, and H = u^2 - E[u^2] of the replica's
 latent, and each estimate is the mean of Z + c1 M + c2 H with (c1, c2)
 fitted on the same replicas, or the plain mean below 32 replicas.  The
 Poisson estimators (the rate and the mismatched relative entropy) return
-each replica's path integral Z and one control, M = sum over events of
+each replica's path integral Z and three controls: M = sum over events of
 ln(A/B) - int X ln(A/B) dt, the compensated counting process of the log
-ratio of the two predictors they compare; M has mean exactly 0 because
-both predictors read only the past.  The Gaussian mismatched relative
-entropy has no controls.
+ratio of the two predictors they compare, C = N - int X dt and D =
+int (g - X) dt, g the model's own posterior mean; each has mean exactly 0
+because N - int X dt is a martingale and the predictors read only the
+past.  The Gaussian mismatched relative entropy has no controls.
 No estimator uses SamplePath and it is not exported; it stays only because
 the benchmark's tracer wraps its constructor by attribute.
 """

@@ -13,13 +13,16 @@ alone), and integrates each segment in closed form (_path_block): both
 integrands are x a(s) + b(s) in the elapsed time s, and the posterior mean g
 is the hazard of the interarrival law, so a segment needs only g's log-ratio
 integral L(s) = int_0^s ln(g / min x), read from one table per pmf plus one
-16-node Gauss-Legendre piece (_LogHazard).  Each estimate fits one control,
-the compensated counting process of the log predictor ratio (Bremaud, Point
-Processes and Queues, 1981), of mean exactly 0.  Every step is elementwise
-or sums one trajectory's own segments, so a value does not depend on its
-block.  trajectory_integral, the generic piecewise integrator for integrands
-with no closed form, takes one trajectory at a time and calls its integrand
-on _CHUNK_SEGMENTS segments at a time, the bound _LogHazard's pieces share.
+16-node Gauss-Legendre piece (_LogHazard).  Each estimate fits three
+controls, each of mean exactly 0 because the counting process N less the
+integral of its intensity is a martingale (Bremaud, Point Processes and
+Queues, 1981): the compensated count of the log predictor ratio, N - int x,
+and int (g - x) of the model's own posterior mean g.  Every step is
+elementwise or sums one trajectory's own segments, so a value does not
+depend on its block.  trajectory_integral, the generic piecewise integrator
+for integrands with no closed form, takes one trajectory at a time and calls
+its integrand on _CHUNK_SEGMENTS segments at a time, the bound _LogHazard's
+pieces share.
 
 Rates are in nats per second.  Every input level must be finite and at least
 _TINY, the smallest normal float (_check_levels).  Every analytic integral
@@ -573,19 +576,27 @@ class _LogHazard:
 
 
 def _path_block(model, hazards, t_lo, scale, gens) -> np.ndarray:
-    """Each Generator's (Z, M) over [t_lo, horizon), divided by scale: one row per replica.
+    """Each Generator's (Z, M, C, D) over [t_lo, horizon), divided by scale: one row per replica.
 
     hazards is (A, B): each is a _LogHazard, whose predictor is its pmf's
-    renewal posterior mean, or None, whose predictor is the true intensity x.  Z integrates
-    the excess loss x ln(g_A / g_B) + g_B - g_A along the path, and M is the
-    compensated counting process of ln(g_A / g_B): its sum over the events
-    in (t_lo, horizon) less int x ln(g_A / g_B) dt, of mean exactly 0, since
-    the predictors read only the past.  On a segment of intensity x each
-    predictor contributes its _LogHazard.segments terms (all 0 for the true
-    intensity, with lam = x), so a point mass or A equal to B reads exactly
-    0.  The trajectories come a row group at a time
-    (_groups), and each row sums its own segments in order (np.bincount),
-    so its values do not depend on the rows beside it.
+    renewal posterior mean, or None, whose predictor is the true intensity
+    x; the model's own predictor g is A's, or B's where A is x.  Z
+    integrates the excess loss x ln(g_A / g_B) + g_B - g_A along the path.
+    The three controls have mean exactly 0, since N - int x dt is a
+    martingale and every predictor reads only the past:
+    - M, the compensated counting process of ln(g_A / g_B): its sum over
+      the events in (t_lo, horizon) less int x ln(g_A / g_B) dt.  Where A
+      and B are both pmfs the constant ln(lam_A / lam_B) is left out, as it
+      would add a multiple of C;
+    - C = N - int x dt, the events less the true intensity's integral;
+    - D = int (g - x) dt = (N - int x dt) - (N - int g dt), which reads
+      exactly 0 for a point mass, where N - int g dt would equal C.
+    On a segment of intensity x each predictor contributes its
+    _LogHazard.segments terms (all 0 for the true intensity, with lam = x),
+    so a point mass reads exactly 0 in Z, M and D, and A equal to B in Z
+    and M.  The trajectories come a row group at a time (_groups), and each
+    row sums its own segments in order (np.bincount), so its values do not
+    depend on the rows beside it.
     """
     horizon = model.horizon
     rows = []
@@ -600,15 +611,20 @@ def _path_block(model, hazards, t_lo, scale, gens) -> np.ndarray:
         hi = ends - epochs
         keep = hi > lo
         lo, hi, x, event, owner = lo[keep], hi[keep], xs[keep], event[keep], owner[keep]
-        (ell_a, log_a, ln_d_a, lam_a), (ell_b, log_b, ln_d_b, lam_b) = (
-            (0.0, 0.0, 0.0, x) if h is None else (*h.segments(lo, hi), h.lam) for h in hazards)
+        terms = [(0.0, 0.0, 0.0, x) if h is None else (*h.segments(lo, hi), h.lam) for h in hazards]
+        (ell_a, log_a, ln_d_a, lam_a), (ell_b, log_b, ln_d_b, lam_b) = terms
+        _, _, ln_d_own, lam_own = terms[hazards[0] is None]
         log_lam = np.log(lam_a) - np.log(lam_b)
         dt = hi - lo
         x_ell = x * (ell_a - ell_b)
         z = x_ell + dt * (x * log_lam + lam_b - lam_a) + ln_d_a - ln_d_b
-        m = np.where(event, log_a - log_b + log_lam, 0.0) - x_ell - dt * x * log_lam
+        # for two point masses M would be a multiple of C, and the normal equations singular
+        m_lam = log_lam if hazards[0] is None else 0.0
+        m = np.where(event, log_a - log_b + m_lam, 0.0) - x_ell - dt * x * m_lam
+        c = event - x * dt
+        d = dt * (lam_own - x) - ln_d_own
         count = len(bounds) - 1
-        rows.append(np.column_stack([np.bincount(owner, z, count), np.bincount(owner, m, count)]))
+        rows.append(np.column_stack([np.bincount(owner, v, count) for v in (z, m, c, d)]))
     return np.concatenate(rows) / scale
 
 
@@ -618,8 +634,9 @@ def di_rate_mc(model: PoissonFeedbackModel, rng, replicas: int = 4,
 
     The integrand realizes the causal-estimation identity, so its long-run
     time average converges to di_rate_analytic.  Each replica's integral
-    comes in closed form (_path_block), with the compensated counting
-    process of ln(X / g) as its control (core.replicated_estimates).
+    comes in closed form (_path_block), with three controls of mean 0: the
+    compensated counting process of ln(X / g), N - int X dt and int (g - X)
+    dt (core.replicated_estimates).
     """
     if burn_in is None:
         burn_in = default_burn_in(model.pmf)
@@ -629,7 +646,7 @@ def di_rate_mc(model: PoissonFeedbackModel, rng, replicas: int = 4,
         raise ValueError(f"burn-in must be nonnegative, got {burn_in!r}")
     hazard = _LogHazard(model.pmf, _panel_width(model.pmf), model.horizon)
     block = functools.partial(_path_block, model, (None, hazard), burn_in, model.horizon - burn_in)
-    (est,) = replicated_estimates(block, rng, replicas, jobs, controls=1)
+    (est,) = replicated_estimates(block, rng, replicas, jobs, controls=3)
     return est
 
 
@@ -639,14 +656,15 @@ def mismatched_relent_poisson(p_pmf: FinitePmf, q_pmf: FinitePmf, horizon: float
 
     Estimated over [0, horizon) as E_P of the integrated excess loss of the
     Q-matched causal predictor over the P-matched one; nonnegative up to
-    Monte Carlo noise, and identically zero when Q equals P.  The control is
-    the compensated counting process of ln(g_P / g_Q) (_path_block).
+    Monte Carlo noise, and identically zero when Q equals P.  The controls
+    are the compensated counting process of ln(g_P / g_Q) less its constant,
+    N - int X dt and int (g_P - X) dt (_path_block).
     """
     model = PoissonFeedbackModel(p_pmf, horizon)
     panel = _panel_width(p_pmf, q_pmf)
     hazards = tuple(_LogHazard(pmf, panel, model.horizon) for pmf in (p_pmf, q_pmf))
     block = functools.partial(_path_block, model, hazards, 0.0, 1.0)
-    (est,) = replicated_estimates(block, rng, replicas, jobs, controls=1)
+    (est,) = replicated_estimates(block, rng, replicas, jobs, controls=3)
     return est
 
 

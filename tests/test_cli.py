@@ -274,6 +274,14 @@ def test_poisson_rate_degenerate_weight_endpoints(tmp_path):
     lines = (tmp_path / "poisson_rate.csv").read_text().splitlines()
     assert lines[1].split(",")[1] == "0" and lines[1].split(",")[2] == "0"
     assert lines[2].split(",")[1] == "0" and lines[2].split(",")[2] == "0"
+    # from 32 replicas on the controls are fitted, and the endpoints still
+    # read exactly 0 with a stderr of exactly 0
+    out = tmp_path / "fitted"
+    assert run(["poisson-rate", "--p-values", "0,0.5,1", "--horizon", "50",
+                "--replicas", "48", "--seed", "3", "--out", str(out)]) == 0
+    lines = (out / "poisson_rate.csv").read_text().splitlines()
+    assert lines[1].split(",")[2:] == ["0", "0"]
+    assert lines[3].split(",")[2:] == ["0", "0"]
 
 
 def test_poisson_capacity_run(tmp_path):

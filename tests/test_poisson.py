@@ -418,12 +418,35 @@ def test_rate_matches_the_entropy_form_oracle():
 
 
 def test_rate_mc_point_mass_is_exactly_zero():
-    # from 32 replicas on the control is fitted, and its zero variance drops it
+    # from 32 replicas on the controls are fitted: M and D read exactly 0 and
+    # are dropped for their zero variance, and C, which varies, fits a
+    # coefficient of 0 on the constant Z
     model = PoissonFeedbackModel(FinitePmf([2.0], [1.0]), 200.0)
     for replicas in (2, 40):
         est = di_rate_mc(model, rng=3, replicas=replicas, burn_in=5.0)
         assert est.value == 0.0
         assert est.stderr == 0.0
+    # a zero-weight level is no level: both weight endpoints of {1, 2}
+    for probs in ([1.0, 0.0], [0.0, 1.0]):
+        model = PoissonFeedbackModel(FinitePmf([1.0, 2.0], probs), 50.0)
+        est = di_rate_mc(model, rng=3, replicas=48)
+        assert est.value == 0.0
+        assert est.stderr == 0.0
+
+
+def test_rate_mc_stderr_is_calibrated():
+    # the fitted estimate's stderr is its spread: over 3 weights and 40 seeds
+    # the z-scores against the analytic rate have mean near 0 and sd near 1
+    zs = []
+    for p in (0.1, 0.5, 0.9):
+        pmf = FinitePmf([1.0, 2.0], [p, 1.0 - p])
+        model = PoissonFeedbackModel(pmf, 50.0)
+        target = di_rate_analytic(pmf)
+        for seed in range(40):
+            est = di_rate_mc(model, rng=seed, replicas=48)
+            zs.append((est.value - target) / est.stderr)
+    assert abs(np.mean(zs)) < 0.3
+    assert 0.7 <= np.std(zs, ddof=1) <= 1.3
 
 
 def test_rate_mc_scales_exactly_with_the_levels():
@@ -607,7 +630,7 @@ def _hazards(model, pmfs, panel):
 
 
 def _block_rows(model, pmfs, t_lo, panel, scale, seed, replicas):
-    """Each replica's (Z, M) row, drawn and integrated in the estimators' blocks of 16 streams."""
+    """Each replica's (Z, M, C, D) row, drawn and integrated in the estimators' blocks of 16 streams."""
     gens = list(RngSpec(seed).streams(0, replicas))
     hazards = _hazards(model, pmfs, panel)
     return np.concatenate([poisson._path_block(model, hazards, t_lo, scale, gens[a:a + 16])
@@ -618,7 +641,7 @@ def _block_rows(model, pmfs, t_lo, panel, scale, seed, replicas):
 def test_block_estimates_match_each_trajectory_alone(jobs):
     # 37 replicas: two full 16-trajectory blocks and a partial one.  Each
     # replica's closed-form Z is its trajectory's piecewise quadrature alone
-    # to the quadrature's precision, and the estimate, with its control
+    # to the quadrature's precision, and the estimate, with its three controls
     # engaged, is the fit on those rows whatever the job count
     replicas = 37
     three = FinitePmf([0.5, 1.3, 2.9], [0.2, 0.5, 0.3])
@@ -633,7 +656,7 @@ def test_block_estimates_match_each_trajectory_alone(jobs):
         np.testing.assert_allclose(rows[:, 0], oracle, rtol=1e-10, atol=0.0)
         est = di_rate_mc(model, rng=61, replicas=replicas, jobs=jobs)
         assert repr(est) == repr(di_rate_mc(model, rng=61, replicas=replicas, jobs=1))
-        assert est.value == pytest.approx(controlled_mean(rows[:, 0], rows[:, 1]), rel=1e-12)
+        assert est.value == pytest.approx(controlled_mean(*rows.T), rel=1e-12)
         q = FinitePmf(pmf.support, np.linspace(1.0, 2.0, len(pmf)) / np.linspace(1.0, 2.0, len(pmf)).sum())
         oracle = per_trajectory_poisson_values(model, _excess_loss(pmf, q), 0.0, _panel(pmf, q),
                                                1.0, 62, replicas)
@@ -642,7 +665,7 @@ def test_block_estimates_match_each_trajectory_alone(jobs):
         est = mismatched_relent_poisson(pmf, q, horizon, rng=62, replicas=replicas, jobs=jobs)
         assert repr(est) == repr(mismatched_relent_poisson(pmf, q, horizon, rng=62,
                                                            replicas=replicas, jobs=1))
-        assert est.value == pytest.approx(controlled_mean(rows[:, 0], rows[:, 1]), rel=1e-12)
+        assert est.value == pytest.approx(controlled_mean(*rows.T), rel=1e-12)
 
 
 def test_closed_form_holds_for_levels_over_1e308_apart():
@@ -659,8 +682,10 @@ def test_closed_form_holds_for_levels_over_1e308_apart():
 
 @pytest.mark.parametrize("lam2", [2.0, 10.0, 100.0])
 def test_martingale_controls_have_mean_zero(lam2):
-    # M, the compensated counting process of ln(X / g) (or of ln(g_P / g_Q)),
-    # has mean exactly 0 under the channel's law, burn-in or not
+    # M, the compensated counting process of ln(X / g) (or of ln(g_P / g_Q)
+    # less its constant), C = N - int X dt and D = int (g - X) dt, g the
+    # model's own posterior mean, each have mean exactly 0 under the
+    # channel's law, burn-in or not
     pmf = FinitePmf([1.0, lam2], [0.5, 0.5])
     q = FinitePmf([1.0, lam2], [0.8, 0.2])
     model = PoissonFeedbackModel(pmf, 30.0)
@@ -668,8 +693,10 @@ def test_martingale_controls_have_mean_zero(lam2):
     for pmfs, t_lo, scale in (((None, pmf), burn_in, 30.0 - burn_in), ((pmf, q), 0.0, 1.0)):
         block = functools.partial(poisson._path_block, model, _hazards(model, pmfs, _panel(pmf, q)),
                                   t_lo, scale)
-        _, m = replicated_estimates(block, rng=68, replicas=400)
-        assert m.stderr > 0.0 and abs(m.value) < 4.0 * m.stderr
+        _, *controls = replicated_estimates(block, rng=68, replicas=400)
+        assert len(controls) == 3
+        for est in controls:
+            assert est.stderr > 0.0 and abs(est.value) < 4.0 * est.stderr
 
 
 def test_block_integral_does_not_depend_on_the_piece_limit(monkeypatch):
@@ -832,10 +859,32 @@ def test_renewal_filter_matches_binned_conditional_means():
 
 
 def test_mismatch_zero_when_q_equals_p():
-    for replicas in (2, 40):
-        est = mismatched_relent_poisson(BINARY, BINARY, 100.0, rng=4, replicas=replicas)
-        assert est.value == 0.0
-        assert est.stderr == 0.0
+    # from 32 replicas on the controls are fitted; for the point masses at
+    # the weight endpoints D reads exactly 0 as well and is dropped
+    for p in (BINARY, FinitePmf([1.0, 2.0], [1.0, 0.0]), FinitePmf([1.0, 2.0], [0.0, 1.0])):
+        for replicas in (2, 40):
+            est = mismatched_relent_poisson(p, p, 100.0, rng=4, replicas=replicas)
+            assert est.value == 0.0
+            assert est.stderr == 0.0
+
+
+def test_mismatch_of_point_masses_fits_without_a_singular_system():
+    # at 48 replicas the controls are fitted.  A point-mass P has D = 0,
+    # dropped for its zero variance, and with Q a point mass at another
+    # level ln(g_P / g_Q) is a constant, which M leaves to C, so no two
+    # controls are multiples of each other
+    for probs in ([1.0, 0.0], [0.0, 1.0]):
+        est = mismatched_relent_poisson(FinitePmf([1.0, 2.0], probs), BINARY, 50.0, rng=5,
+                                        replicas=48)
+        assert math.isfinite(est.value) and est.value > 0.0 and est.stderr > 0.0
+    # two homogeneous Poisson processes: T (y - x + x ln(x / y)) for rates x
+    # and y.  Had M kept ln(x / y) as a multiple of C, 6 of these 40 runs
+    # would have stopped on an exactly singular system
+    for x, y in ((1.0, 2.0), (2.0, 1.0)):
+        for seed in range(20):
+            est = mismatched_relent_poisson(FinitePmf([x], [1.0]), FinitePmf([y], [1.0]), 50.0,
+                                            rng=seed, replicas=48)
+            assert est.value == pytest.approx(50.0 * (y - x + x * math.log(x / y)), rel=1e-12)
 
 
 def test_mismatch_refuses_a_nonpositive_q_level_before_any_draw(monkeypatch):
