@@ -57,7 +57,7 @@ from .gaussian import closed_form_di_constant_signal, constant_signal_model, dir
 from .partition_di import (
     _STATE_CAP,
     Grouping,
-    grouped_directed_info,
+    chain_directed_info,
     random_joint,
     random_no_feedback_joint,
     stream_information,
@@ -239,8 +239,8 @@ def cmd_poisson_capacity(cfg: ExperimentConfig) -> int:
 
 def _alphabet_sizes(gen, n, max_alphabet):
     """The X then the Y alphabet sizes of a length-n joint, each in 2..max_alphabet."""
-    xs = tuple(int(s) for s in gen.integers(2, max_alphabet + 1, size=n))
-    ys = tuple(int(s) for s in gen.integers(2, max_alphabet + 1, size=n))
+    xs = tuple(gen.integers(2, max_alphabet + 1, size=n).tolist())
+    ys = tuple(gen.integers(2, max_alphabet + 1, size=n).tolist())
     return xs, ys
 
 
@@ -310,7 +310,9 @@ def cmd_di_discrete(cfg: ExperimentConfig) -> int:
 
     # grouping chains, one joint at a time: their joints spread over up to
     # 256 shapes at the default alphabets, too many for stacks to pay.  Each
-    # chain refines the one block by the shuffled cuts, one cut at a time.
+    # chain refines the one block by the shuffled cuts, one cut at a time,
+    # and all its groupings are read from one prefix table of the joint; a
+    # refinement step is still a conditional MI, so monotonicity is checked.
     gen = spec.stream(1)
     max_increase = -np.inf
     for i in range(chains):
@@ -318,7 +320,7 @@ def cmd_di_discrete(cfg: ExperimentConfig) -> int:
         cuts = list(range(1, _CHAIN_N))
         gen.shuffle(cuts)
         chain = [Grouping(tuple(sorted(cuts[:k] + [_CHAIN_N]))) for k in range(_CHAIN_N)]
-        vals = [grouped_directed_info(joint, g) for g in chain]
+        vals = chain_directed_info(joint, chain)
         if abs(vals[0] - _relent_mi(joint)) > 1e-10:
             violation = violation or ("grouping one-block vs mi", i, joint)
         for a, b in zip(vals, vals[1:]):

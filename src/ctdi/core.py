@@ -401,15 +401,20 @@ def replicated_estimates(block, rng, replicas: int, jobs: int = 1,
 
 # replicas below which a fitted control coefficient is too noisy to use
 _CONTROL_MIN = 32
+# a control's variance share left by the kept ones below which it is dropped:
+# far above rounding (about 1e-32) and far below any useful control
+_COLLINEAR = 1e-24
 
 
 def _controlled(values: np.ndarray, controls: np.ndarray) -> np.ndarray:
     """values + sum_a c_a controls_a with the variance-minimizing c.
 
     c solves the k x k normal equations Cov(M) c = -Cov(M, Z) over the
-    controls that vary, each entry an elementwise mean over the replicas
-    (no matrix product); a control of zero variance is dropped, since it
-    carries no information and would make the equations singular.  Below
+    controls kept, each entry an elementwise mean over the replicas (no
+    matrix product).  A control is dropped when the controls kept before it
+    reproduce its deviations to rounding (a residual variance of at most
+    _COLLINEAR times its own; zero variance is the case of none kept), since
+    it carries nothing they do not and would make the equations singular.  Below
     _CONTROL_MIN replicas the values stay as they are, since coefficients
     fitted on so few are mostly noise.  The fit runs on the values and the
     controls each scaled by one power of two (_unit), so the normal
@@ -420,7 +425,14 @@ def _controlled(values: np.ndarray, controls: np.ndarray) -> np.ndarray:
     unit_z, unit_c = _unit(values), _unit(controls)
     z, controls = values * unit_z, controls * unit_c
     dev = [c - c.mean() for c in controls]
-    kept = [a for a, d in enumerate(dev) if np.mean(d * d) > 0]
+    kept, residuals = [], []
+    for a, d in enumerate(dev):
+        r = d
+        for q in residuals:  # Gram-Schmidt against the controls kept so far
+            r = r - np.mean(r * q) / np.mean(q * q) * q
+        if np.mean(r * r) > _COLLINEAR * np.mean(d * d):
+            kept.append(a)
+            residuals.append(r)
     if not kept:
         return values
     dz = z - z.mean()

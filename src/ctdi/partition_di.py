@@ -8,19 +8,26 @@ term is evaluated in entropy form, I(A; B | C) = H(AC) + H(BC) - H(ABC) - H(C),
 where each entropy sums -m ln m over the cells of its own marginal and treats
 the cells at or below 1e-15 as exact zeros (0 ln 0 = 0).
 
-A quantity walks its terms from the last index down: the prefix marginal of
-each term is a sum over the next larger one, so the full tensor is reduced
-once per quantity, not once per term.  Directed, reverse-directed and mutual
-information each start from the full tensor and share no marginal or entropy,
-and no sum of terms is telescoped; the conservation identity below therefore
-compares three independent computations.
+Every term reads four prefix marginals p(x^a, y^b), keyed (a, b), so the
+terms of a walk are read out of a prefix table.  A plan, cached per length
+and per table layout, builds the table's keys in order of decreasing a + b,
+each summed from the smallest larger marginal already in the table; the
+entropies of every marginal of the walk come from one pass over them all,
+and each quantity is the running sum of its terms, last index first.  The
+empty prefix (0, 0) has entropy exactly 0.  Directed, reverse-directed and
+mutual information each get a table of their own, built from the full
+tensor, so they share no marginal or entropy, and no sum of terms is
+telescoped; the conservation identity below therefore compares three
+independent computations.  The groupings of one refinement chain share one
+table, and each grouping's value is still its own sum of conditional MI
+terms, so monotonicity under refinement is checked, not implied.
 
 Every walk takes a stack of joints that share their alphabet sizes, with a
 leading axis indexing the joints, and returns one value per joint; a lone
-joint is walked as a stack of one.  Each term computes its four entropies in
-one pass over the concatenated marginals, summed per joint and per marginal,
-so a joint's value does not depend on the stack it was walked in: the public
-functions below and stream_information agree bit for bit.
+joint is walked as a stack of one.  Every marginal is summed per joint and
+every entropy per joint and per marginal, so a joint's value does not
+depend on the stack it was walked in: the public functions below and
+stream_information agree bit for bit.
 stream_information evaluates a sequence of joints in stacks: it copies each
 joint's cells into a buffer of _STACK_CELLS cells, filed by shape, walks every
 shape's stack once the next joint would overfill the buffer, walks a joint
@@ -38,10 +45,10 @@ grouped walk over the one block, a single term I(X^n; Y^n).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -49,6 +56,7 @@ _STATE_CAP = 1_000_000
 _ZERO = 1e-15
 _STACK_CELLS = 2**16  # cells stream_information buffers before it walks its stacks
 _STACK_MAX = 2**12  # joints with more cells are walked alone; at most _STACK_CELLS
+_LOG_CELLS = 2**13  # cells per block of a walk's entropy pass
 
 __all__ = [
     "JointSequencePmf",
@@ -58,6 +66,7 @@ __all__ = [
     "reverse_directed_info",
     "conservation_residual",
     "grouped_directed_info",
+    "chain_directed_info",
     "random_joint",
     "random_no_feedback_joint",
     "stream_information",
@@ -148,61 +157,118 @@ class JointSequencePmf:
         )
 
 
-def _cmi_term(m_abc: np.ndarray, a_axes, b_axes):
-    """I(A; B | C) = H(AC) + H(BC) - H(ABC) - H(C) per joint, and the A-C marginal.
+def _mapped(cells):
+    """An array of `cells` floats in an anonymous mapping of its own.
 
-    m_abc is a stack of p(A, B, C), joints along axis 0, with its summed-out
-    axes kept at size one; C is every axis in neither A nor B nor axis 0.
+    The mapping is unmapped once the last view of it is gone, so its pages go
+    back to the system instead of staying in the heap; mmap is imported here
+    because loading it adds about 0.1 MB to every command's RSS.
     """
-    m_ac = m_abc.sum(axis=b_axes, keepdims=True)
-    m_bc = m_abc.sum(axis=a_axes, keepdims=True)
-    m_c = m_bc.sum(axis=b_axes, keepdims=True)
-    rows = [m.reshape(len(m_abc), -1) for m in (m_abc, m_c, m_ac, m_bc)]
-    cells = np.concatenate(rows, axis=1)
-    np.copyto(cells, 1.0, where=cells <= _ZERO)  # 1 ln 1 = 0
-    plogp = np.log(cells)
-    plogp *= cells
-    starts = list(accumulate((row.shape[1] for row in rows[:-1]), initial=0))
-    h = np.add.reduceat(plogp, starts, axis=1).T  # sum of m ln m per marginal
+    import mmap
+
+    return np.frombuffer(mmap.mmap(-1, 8 * int(cells)))
+
+
+def _grouped(ends):
+    """The terms of the grouped walk, one per block, first block first.
+
+    The block (s, e] adds I(X^e; Y_{s+1}..Y_e | Y^s); a term is the prefix
+    keys (abc, c, ac, bc) of its four entropies, (a, b) naming p(x^a, y^b).
+    """
+    starts = (0,) + ends[:-1]
+    return tuple(((e, e), (0, s), (e, s), (0, e)) for s, e in zip(starts, ends))
+
+
+def _reverse(n):
+    """The terms of reverse directed information, I(Y^{i-1}; X_i | X^{i-1}) for i = 2..n."""
+    return tuple(((i, i - 1), (i - 1, 0), (i - 1, i - 1), (i, 0)) for i in range(2, n + 1))
+
+
+@functools.cache
+def _plan(n, tables):
+    """How _walks builds the prefix marginals of a stack of length-n joints and reads its terms.
+
+    tables is a tuple of tables, each a tuple of quantities, each a tuple of
+    terms as _grouped makes them.  A table's keys, the empty prefix aside,
+    are built in order of decreasing a + b, each summed from the smallest
+    larger marginal already in the same table, or from the joint itself; no
+    table reads another's marginals.  Returns the build steps, each (source,
+    axes, key) with source the index of an earlier step or None for the
+    joint, and the entropy indices (abc, c, ac, bc) of every quantity's
+    terms, an array (4, quantities, most terms): each quantity's terms last
+    first, then terms of four empty prefixes, which add exactly 0.  The
+    empty prefix (0, 0) is index -1, past the last step.
+    """
+    steps, quantities = [], []
+    for table in tables:
+        built = {}  # key -> its step
+        keys = {key for quantity in table for term in quantity for key in term} - {(0, 0)}
+        for a, b in sorted(keys, key=lambda k: (-sum(k), k)):
+            larger = [k for k in built if k[0] >= a and k[1] >= b]
+            top = min(larger, key=sum) if larger else (n, n)
+            axes = tuple(range(a + 1, top[0] + 1)) + tuple(range(n + b + 1, n + top[1] + 1))
+            steps.append((built.get(top), axes, (a, b)))
+            built[a, b] = len(steps) - 1
+        quantities += [[[built.get(key, -1) for key in term] for term in quantity[::-1]]
+                       for quantity in table]
+    width = max(map(len, quantities), default=0)
+    padded = [terms + [[-1] * 4] * (width - len(terms)) for terms in quantities]
+    index = np.array(padded, dtype=np.intp).reshape(len(padded), width, 4)
+    index = np.moveaxis(index, 2, 0).copy()
+    index.flags.writeable = False
+    return tuple(steps), index
+
+
+def _walks(probs, n, tables):
+    """Every quantity of every table, per joint of the stack probs: a (quantities, joints) array.
+
+    The marginals of every table are summed as _plan says into one array,
+    each a contiguous block (joints, its cells) as a lone reduction would
+    write it, and their entropies taken in one pass over that array; each
+    term is then read out of them, and a quantity is the running sum of its
+    terms, last term first.
+    """
+    steps, index = _plan(n, tables)
+    joints, ones = len(probs), (1,) * n
+    shapes = [probs.shape[:a + 1] + ones[a:] + probs.shape[n + 1: n + b + 1] + ones[b:]
+              for _, _, (a, b) in steps]
+    # one segment per marginal and joint, block by block; the last block is
+    # the empty prefix, one cell of exactly 1 per joint, so its entropy is 0
+    sizes = np.array([math.prod(shape[1:]) for shape in shapes] + [1]).repeat(joints)
+    ends = sizes.cumsum()
+    # more cells than the stream buffer get a mapping of their own, so a large
+    # lone walk does not grow the heap for the rest of the process
+    cells = _mapped(ends[-1]) if ends[-1] > _STACK_CELLS else np.empty(ends[-1])
+    start = 0
+    marginals = []
+    for (source, axes, _), shape in zip(steps, shapes):
+        m = cells[start: start + math.prod(shape)].reshape(shape)
+        np.add.reduce(probs if source is None else marginals[source], axis=axes,
+                      keepdims=True, out=m)
+        marginals.append(m)
+        start += m.size
+    cells[start:] = 1.0
+    # m ln m in place, _LOG_CELLS cells at a time, so no temporary is as large as cells
+    for start in range(0, cells.size, _LOG_CELLS):
+        block = cells[start: start + _LOG_CELLS]
+        np.copyto(block, 1.0, where=block <= _ZERO)  # 1 ln 1 = 0
+        block *= np.log(block)
+    # sum of m ln m per marginal and joint
+    h = np.add.reduceat(cells, ends - sizes).reshape(-1, joints)
+    m = h[index]
     # elementwise, not as a product with (1, 1, -1, -1): a BLAS call may round
     # a row differently by its position in the stack
-    return (h[0] + h[1]) - (h[2] + h[3]), m_ac
-
-
-def _axes(n: int):
-    """The X and Y axes of a stack of joints of length n."""
-    return tuple(range(1, n + 1)), tuple(range(n + 1, 2 * n + 1))
-
-
-def _grouped_walk(probs, n, ends):
-    """Sum over blocks j of I(X_1..X_{e_j}; Y-block j | Y_1..Y_{e_{j-1}}), last block first."""
-    xa, ya = _axes(n)
-    total = 0.0
-    m = probs
-    starts = (0,) + ends[:-1]
-    for prev, end in zip(reversed(starts), reversed(ends)):
-        # m = p(x^end, y^end), so C is y^prev
-        term, m_ac = _cmi_term(m, xa[:end], ya[prev:end])
-        total += term
-        m = m_ac.sum(axis=xa[prev:end], keepdims=True)
-    return total
-
-
-def _reverse_walk(probs, n):
-    """Sum over i of I(Y^{i-1}; X_i | X^{i-1}), last index first."""
-    xa, ya = _axes(n)
-    total = np.zeros(len(probs))  # n = 1 has no term
-    m = probs
-    for i in range(n, 1, -1):
-        m = m.sum(axis=ya[i - 1], keepdims=True)  # p(x^i, y^{i-1}), so C is x^{i-1}
-        term, m = _cmi_term(m, ya[: i - 1], (xa[i - 1],))
-        total += term
-    return total
+    terms = (m[0] + m[1]) - (m[2] + m[3])
+    out = np.zeros((len(terms), joints))
+    # one term at a time: numpy sums a column of one joint pairwise
+    for k in range(terms.shape[1]):
+        out += terms[:, k]
+    return out
 
 
 def mutual_information(joint: JointSequencePmf) -> float:
     """I(X^n; Y^n), the exact relative entropy between joint and product-of-marginals."""
-    return float(_grouped_walk(joint.probs[None], joint.n, (joint.n,))[0])
+    return float(_walks(joint.probs[None], joint.n, ((_grouped((joint.n,)),),))[0, 0])
 
 
 @dataclass(frozen=True)
@@ -230,14 +296,25 @@ class Grouping:
         return self.ends[-1]
 
 
+def chain_directed_info(joint: JointSequencePmf, groupings) -> list[float]:
+    """grouped_directed_info of each grouping, in order, every term read from one prefix table.
+
+    Every grouping must cover the joint's length; refining a grouping never
+    raises its value, and the values are computed, not derived from that.
+    """
+    groupings = list(groupings)
+    if any(grouping.n != joint.n for grouping in groupings):
+        raise ValueError("grouping does not cover the sequence length")
+    table = tuple(_grouped(grouping.ends) for grouping in groupings)
+    return _walks(joint.probs[None], joint.n, (table,))[:, 0].tolist()
+
+
 def grouped_directed_info(joint: JointSequencePmf, grouping: Grouping) -> float:
     """Directed information between the block-supersymbol sequences.
 
     Sum over blocks j of I(X_1..X_{e_j}; Y-block j | Y_1..Y_{e_{j-1}}).
     """
-    if grouping.n != joint.n:
-        raise ValueError("grouping does not cover the sequence length")
-    return float(_grouped_walk(joint.probs[None], joint.n, grouping.ends)[0])
+    return chain_directed_info(joint, [grouping])[0]
 
 
 def directed_info(joint: JointSequencePmf) -> float:
@@ -247,7 +324,7 @@ def directed_info(joint: JointSequencePmf) -> float:
 
 def reverse_directed_info(joint: JointSequencePmf) -> float:
     """Sum over i of I(Y^{i-1}; X_i | X^{i-1}); the i = 1 term is zero."""
-    return float(_reverse_walk(joint.probs[None], joint.n)[0])
+    return float(_walks(joint.probs[None], joint.n, ((_reverse(joint.n),),))[0, 0])
 
 
 def conservation_residual(joint: JointSequencePmf) -> float:
@@ -255,11 +332,19 @@ def conservation_residual(joint: JointSequencePmf) -> float:
     return directed_info(joint) + reverse_directed_info(joint) - mutual_information(joint)
 
 
+@functools.cache
+def _tables(n, reverse):
+    """The tables of _walk_all: directed, reverse directed (if reverse) and mutual information."""
+    tables = ((_grouped(tuple(range(1, n + 1))),), (_reverse(n),), (_grouped((n,)),))
+    return tables if reverse else tables[::2]
+
+
 def _walk_all(probs, n, reverse):
-    """(di, reverse di or zeros, mi) per joint of a stack, each from the full tensor."""
-    di = _grouped_walk(probs, n, tuple(range(1, n + 1)))
-    rdi = _reverse_walk(probs, n) if reverse else np.zeros(len(probs))
-    return di, rdi, _grouped_walk(probs, n, (n,))
+    """(di, reverse di or zeros, mi) per joint of a stack, from three tables of their own."""
+    if reverse:
+        return _walks(probs, n, _tables(n, True))
+    di, mi = _walks(probs, n, _tables(n, False))
+    return di, np.zeros(len(probs)), mi
 
 
 def _walk_buckets(buckets, flat, out, reverse):
@@ -283,12 +368,7 @@ def stream_information(joints, reverse: bool = True):
     mutual_information on the joint; with reverse=False the reverse values
     are zeros and not computed.
     """
-    # an anonymous mapping, unmapped once the last view of it is gone, so its
-    # pages go back to the system instead of staying in the heap; imported
-    # here because loading mmap adds about 0.1 MB to every command's RSS
-    import mmap
-
-    flat = np.frombuffer(mmap.mmap(-1, 8 * _STACK_CELLS))
+    flat = _mapped(_STACK_CELLS)
     buckets = {}  # shape -> (indices, offsets into flat)
     out = np.zeros((3, 256))
     count = buffered = 0

@@ -499,9 +499,9 @@ def test_di_discrete_names_the_first_violation_in_draw_order(tmp_path, monkeypat
                        and shapes.count(shapes[i]) > 1 and shapes.count(shapes[j]) > 1)
     targets = {early: joints[early].probs, late: joints[late].probs}
     hits = []
-    real = partition_di._reverse_walk
+    real = partition_di._walk_all
 
-    def corrupted(probs, n):
+    def corrupted(probs, n, reverse):
         # one nat too much reverse DI for the two target joints
         bump = np.zeros(len(probs))
         for k, row in enumerate(probs):
@@ -509,9 +509,10 @@ def test_di_discrete_names_the_first_violation_in_draw_order(tmp_path, monkeypat
                 if row.shape == target.shape and np.array_equal(row, target):
                     bump[k] = 1.0
                     hits.append(index)
-        return real(probs, n) + bump
+        di, rdi, mi = real(probs, n, reverse)
+        return di, rdi + bump, mi
 
-    monkeypatch.setattr(partition_di, "_reverse_walk", corrupted)
+    monkeypatch.setattr(partition_di, "_walk_all", corrupted)
     assert run(["di-discrete", "--instances", "40", "--chains", "2",
                 "--out", str(tmp_path)]) == 1
     assert hits == [late, early]
@@ -528,23 +529,24 @@ def test_di_discrete_names_the_first_violation_in_draw_order(tmp_path, monkeypat
 def test_di_discrete_one_block_check_can_fail(tmp_path, monkeypatch, capsys):
     # the one-block value is checked against a relative-entropy form of MI,
     # not against the engine's own walk, so a wrong value is caught
-    real = cli.grouped_directed_info
+    real = cli.chain_directed_info
 
     def shifted(bump):
         seen = []
 
-        def grouped(joint, grouping):
-            value = real(joint, grouping)
-            if len(grouping.ends) == 1:
-                seen.append(value)
-                if len(seen) == 2:  # the second chain
-                    value += bump
-            return value
-        return grouped
+        def chain(joint, groupings):
+            values = real(joint, groupings)
+            for k, grouping in enumerate(groupings):
+                if len(grouping.ends) == 1:
+                    seen.append(values[k])
+                    if len(seen) == 2:  # the second chain
+                        values[k] += bump
+            return values
+        return chain
 
-    monkeypatch.setattr(cli, "grouped_directed_info", shifted(5e-11))
+    monkeypatch.setattr(cli, "chain_directed_info", shifted(5e-11))
     assert run(["di-discrete", "--instances", "10", "--chains", "3", "--out", str(tmp_path)]) == 0
-    monkeypatch.setattr(cli, "grouped_directed_info", shifted(1e-9))
+    monkeypatch.setattr(cli, "chain_directed_info", shifted(1e-9))
     assert run(["di-discrete", "--instances", "10", "--chains", "3", "--out", str(tmp_path)]) == 1
     report = (tmp_path / "di_discrete_report.txt").read_text().splitlines()
     assert report[-1] == "result: FAIL (grouping one-block vs mi, instance 1)"
@@ -581,16 +583,16 @@ def test_out_naming_a_file_fails_before_any_work(tmp_path, monkeypatch, capsys):
 def test_di_discrete_refinement_increase_fails(tmp_path, monkeypatch, capsys):
     # the two-block grouping of the second chain reads one nat more than
     # the one block it refines
-    real = cli.grouped_directed_info
+    real = cli.chain_directed_info
     chains = []
 
-    def grouped(joint, grouping):
-        if len(grouping.ends) == 1:
-            chains.append(joint)
-        value = real(joint, grouping)
-        return value + 1.0 if len(chains) == 2 and len(grouping.ends) == 2 else value
+    def chain(joint, groupings):
+        chains.append(joint)
+        values = real(joint, groupings)
+        return [value + 1.0 if len(chains) == 2 and len(grouping.ends) == 2 else value
+                for grouping, value in zip(groupings, values)]
 
-    monkeypatch.setattr(cli, "grouped_directed_info", grouped)
+    monkeypatch.setattr(cli, "chain_directed_info", chain)
     assert run(["di-discrete", "--instances", "10", "--chains", "3", "--out", str(tmp_path)]) == 1
     report = (tmp_path / "di_discrete_report.txt").read_text().splitlines()
     assert report[-1] == "result: FAIL (grouping monotonicity, instance 1)"

@@ -418,6 +418,24 @@ def test_a_constant_control_leaves_the_plain_estimate():
         DiEstimate(0.0, 0.0, 40, 12)]
 
 
+def _collinear_controls(multiple, gens):
+    # the value Z and the control M of _values_and_controls, then M times multiple
+    z, m = _values_and_controls(gens)[:, [0, 2]].T
+    return np.column_stack((z, m, multiple * m))
+
+
+def test_a_control_the_kept_ones_reproduce_is_dropped():
+    # 2M is M exactly doubled and 3M, 0.1M and M/3 are M to rounding: the
+    # normal equations of (M, cM) are singular, so cM is dropped and (Z, M, cM)
+    # gives the (Z, M) estimate
+    one = replicated_estimates(functools.partial(_first_columns, 4), 0, 64, controls=1)[0]
+    for multiple in (2.0, 3.0, 0.1, 1 / 3):
+        both = replicated_estimates(functools.partial(_collinear_controls, multiple), 0, 64,
+                                    controls=2)[0]
+        assert both.value == pytest.approx(one.value, rel=1e-15, abs=0)
+        assert both.stderr == pytest.approx(one.stderr, rel=1e-15, abs=0)
+
+
 def test_di_estimate_fields():
     est = DiEstimate(1.5, 0.1, 4, master_seed=9)
     assert est.value == 1.5

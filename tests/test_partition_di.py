@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import itertools
 import json
 import math
 import tracemalloc
@@ -12,6 +13,7 @@ from ctdi import cli, partition_di
 from ctdi.partition_di import (
     Grouping,
     JointSequencePmf,
+    chain_directed_info,
     conservation_residual,
     directed_info,
     grouped_directed_info,
@@ -145,6 +147,27 @@ def test_grouping_refinement_monotone_chains():
             assert lo <= hi + 1e-12
         assert vals[0] == pytest.approx(mutual_information(joint), abs=1e-10)
         assert vals[-1] == pytest.approx(directed_info(joint), abs=1e-12)
+
+
+def test_chain_directed_info_matches_the_oracle_and_each_grouping_alone():
+    gen = np.random.default_rng(36)
+    for n in (1, 2, 3, 4):
+        for _ in range(3):
+            xs = [int(s) for s in gen.integers(2, 4, size=n)]
+            ys = [int(s) for s in gen.integers(2, 4, size=n)]
+            joint = random_joint(gen, xs, ys)
+            grouped = oracle_quantities(joint.probs, n)[3]
+            # every order of the cuts: at n = 4, the six chains of length 4
+            for cuts in itertools.permutations(range(1, n)):
+                chain = [Grouping(sorted(cuts[:k] + (n,))) for k in range(n)]
+                values = chain_directed_info(joint, chain)
+                assert len(values) == n
+                for g, value in zip(chain, values):
+                    assert abs(value - grouped[g.ends]) <= 1e-12
+                    assert abs(value - grouped_directed_info(joint, g)) <= 1e-13
+    assert chain_directed_info(joint, []) == []
+    with pytest.raises(ValueError, match="does not cover"):
+        chain_directed_info(joint, [Grouping.one_block(n), Grouping.one_block(n + 1)])
 
 
 def test_grouping_validation():
@@ -309,6 +332,11 @@ def _joints_sharing_shapes():
     return [joints[k] for k in gen.permutation(len(joints))]
 
 
+def _grouped_stack(stack, n, ends):
+    """Grouped directed information of each joint of a stack, walked as one table."""
+    return partition_di._walks(stack, n, ((partition_di._grouped(tuple(ends)),),))[0]
+
+
 def test_stacked_walk_matches_per_joint_functions_and_oracle():
     by_shape = {}
     for joint in _joints_sharing_shapes():
@@ -326,7 +354,7 @@ def test_stacked_walk_matches_per_joint_functions_and_oracle():
                 assert value == exact
                 assert abs(value - oracle) <= 1e-12
         for ends in oracles[0][3]:
-            values = partition_di._grouped_walk(stack, n, ends)
+            values = _grouped_stack(stack, n, ends)
             for k, joint in enumerate(group):
                 assert values[k] == grouped_directed_info(joint, Grouping(ends))
                 assert abs(values[k] - oracles[k][3][ends]) <= 1e-12
@@ -340,9 +368,13 @@ def test_stacked_entropy_keeps_the_per_cell_cutoff():
     stack[:, 0, 0, 0] = 1.0
     for row, tiny in ((0, 5e-16), (1, 1e-16)):
         stack[row, 0, 0, 1] = stack[row, 1, 1, 1] = tiny
-    assert partition_di._cmi_term(stack, (1,), (2,))[0].tolist() == [0.0, 0.0, 0.0]
+    # as the one reverse term of length-2 joints, I(Y_1; X_2 | X_1), Y_2 of
+    # one symbol: axes (x1, x2, y1, y2) hold (C, B, A, 1)
+    probs = stack.transpose(0, 3, 2, 1)[..., None]
+    tables = ((partition_di._reverse(2),),)
+    assert partition_di._walks(probs, 2, tables)[0].tolist() == [0.0, 0.0, 0.0]
     for row in range(3):
-        assert partition_di._cmi_term(stack[row][None], (1,), (2,))[0].tolist() == [0.0]
+        assert partition_di._walks(probs[row][None], 2, tables)[0].tolist() == [0.0]
 
 
 def _assert_stream_matches_per_joint(joints, values):
@@ -368,7 +400,7 @@ def test_joint_value_does_not_depend_on_its_stack():
                 probs = np.stack([j.probs for j in stack])
                 assert [column[at] for column in partition_di._walk_all(probs, 3, True)] == alone
                 for g, value in zip(groupings, grouped):
-                    assert partition_di._grouped_walk(probs, 3, g.ends)[at] == value
+                    assert _grouped_stack(probs, 3, g.ends)[at] == value
 
 
 def test_stream_information_keeps_the_order_of_its_input(monkeypatch):
