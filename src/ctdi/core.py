@@ -18,20 +18,12 @@ default_rng(SeedSequence((seed, r))).  The Gaussian estimators draw and
 filter a whole block as (replicas, steps) arrays, each worker reusing one
 block's buffer while a row's values still depend on its own stream alone;
 the Poisson ones draw one trajectory per Generator, a row group at a time,
-and integrate each segment in closed form.  An estimator may follow
-its values with k groups of zero-mean control columns: the Gaussian Duncan
-estimators return each replica's Duncan integral Z, the martingale M =
-sum_k (X_k - Xhat_k)(inc_k - X_k dt), of mean exactly 0 because the filter
-reads only earlier increments, and H = u^2 - E[u^2] of the replica's
-latent, and each estimate is the mean of Z + c1 M + c2 H with (c1, c2)
-fitted on the same replicas, or the plain mean below 32 replicas.  The
-Poisson estimators (the rate and the mismatched relative entropy) return
-each replica's path integral Z and three controls: M = sum over events of
-ln(A/B) - int X ln(A/B) dt, the compensated counting process of the log
-ratio of the two predictors they compare, C = N - int X dt and D =
-int (g - X) dt, g the model's own posterior mean; each has mean exactly 0
-because N - int X dt is a martingale and the predictors read only the
-past.  The Gaussian mismatched relative entropy has no controls.
+and integrate each segment in closed form.  A row holds the replica's
+values, then k groups of control columns of mean exactly 0, and each
+estimate is the mean of its value plus controls fitted on the same
+replicas, or the plain mean below 32 replicas; the gaussian and poisson
+module docstrings say what each estimator's controls are and why their
+means vanish.
 No estimator uses SamplePath and it is not exported; it stays only because
 the benchmark's tracer wraps its constructor by attribute.
 """

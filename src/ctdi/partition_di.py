@@ -13,12 +13,14 @@ terms of a walk are read out of a prefix table.  A plan, cached per length
 and per table layout, builds the table's keys in order of decreasing a + b,
 each summed from the smallest larger marginal already in the table; the
 entropies of every marginal of the walk come from one pass over them all,
-and each quantity is the running sum of its terms, last index first.  The
-empty prefix (0, 0) has entropy exactly 0.  Directed, reverse-directed and
-mutual information each get a table of their own, built from the full
-tensor, so they share no marginal or entropy, and no sum of terms is
-telescoped; the conservation identity below therefore compares three
-independent computations.  The groupings of one refinement chain share one
+and each quantity is one running sum of its terms, last index first.  The
+empty prefix (0, 0) has entropy exactly 0, so a quantity with no terms reads
+exactly 0.  Directed, reverse-directed and mutual information each get a
+table of their own, built from the full tensor, so they share no marginal or
+entropy, and no sum of terms is telescoped; the conservation identity below
+therefore compares three independent computations.  A walk without reverse
+directed information takes the same three tables, the reverse one a single
+quantity with no terms.  The groupings of one refinement chain share one
 table, and each grouping's value is still its own sum of conditional MI
 terms, so monotonicity under refinement is checked, not implied.
 
@@ -195,9 +197,9 @@ def _plan(n, tables):
     table reads another's marginals.  Returns the build steps, each (source,
     axes, key) with source the index of an earlier step or None for the
     joint, and the entropy indices (abc, c, ac, bc) of every quantity's
-    terms, an array (4, quantities, most terms): each quantity's terms last
-    first, then terms of four empty prefixes, which add exactly 0.  The
-    empty prefix (0, 0) is index -1, past the last step.
+    terms, an array (4, quantities, max(1, most terms)): each quantity's
+    terms last first, then terms of four empty prefixes, which add exactly
+    0.  The empty prefix (0, 0) is index -1, past the last step.
     """
     steps, quantities = [], []
     for table in tables:
@@ -211,10 +213,9 @@ def _plan(n, tables):
             built[a, b] = len(steps) - 1
         quantities += [[[built.get(key, -1) for key in term] for term in quantity[::-1]]
                        for quantity in table]
-    width = max(map(len, quantities), default=0)
+    width = max([1, *map(len, quantities)])
     padded = [terms + [[-1] * 4] * (width - len(terms)) for terms in quantities]
-    index = np.array(padded, dtype=np.intp).reshape(len(padded), width, 4)
-    index = np.moveaxis(index, 2, 0).copy()
+    index = np.array(padded, dtype=np.intp).reshape(len(padded), width, 4).transpose(2, 0, 1).copy()
     index.flags.writeable = False
     return tuple(steps), index
 
@@ -259,11 +260,8 @@ def _walks(probs, n, tables):
     # elementwise, not as a product with (1, 1, -1, -1): a BLAS call may round
     # a row differently by its position in the stack
     terms = (m[0] + m[1]) - (m[2] + m[3])
-    out = np.zeros((len(terms), joints))
-    # one term at a time: numpy sums a column of one joint pairwise
-    for k in range(terms.shape[1]):
-        out += terms[:, k]
-    return out
+    # a running sum in term order, not np.sum, which adds a column pairwise
+    return np.add.accumulate(terms, axis=1)[:, -1]
 
 
 def mutual_information(joint: JointSequencePmf) -> float:
@@ -334,17 +332,9 @@ def conservation_residual(joint: JointSequencePmf) -> float:
 
 @functools.cache
 def _tables(n, reverse):
-    """The tables of _walk_all: directed, reverse directed (if reverse) and mutual information."""
-    tables = ((_grouped(tuple(range(1, n + 1))),), (_reverse(n),), (_grouped((n,)),))
-    return tables if reverse else tables[::2]
-
-
-def _walk_all(probs, n, reverse):
-    """(di, reverse di or zeros, mi) per joint of a stack, from three tables of their own."""
-    if reverse:
-        return _walks(probs, n, _tables(n, True))
-    di, mi = _walks(probs, n, _tables(n, False))
-    return di, np.zeros(len(probs)), mi
+    """The tables of DI, reverse DI (without reverse, one quantity with no terms) and MI."""
+    return ((_grouped(tuple(range(1, n + 1))),), (_reverse(n) if reverse else (),),
+            (_grouped((n,)),))
 
 
 def _walk_buckets(buckets, flat, out, reverse):
@@ -352,7 +342,7 @@ def _walk_buckets(buckets, flat, out, reverse):
     for shape, (indices, offsets) in buckets.items():
         size = math.prod(shape)
         rows = np.stack([flat[o: o + size] for o in offsets]).reshape((len(indices),) + shape)
-        out[:, indices] = _walk_all(rows, len(shape) // 2, reverse)
+        out[:, indices] = _walks(rows, len(shape) // 2, _tables(len(shape) // 2, reverse))
     buckets.clear()
 
 
@@ -363,10 +353,10 @@ def stream_information(joints, reverse: bool = True):
     at most _STACK_MAX cells is copied into one buffer of _STACK_CELLS cells,
     filed by shape, and not kept; the buffer is walked stack by stack when the
     next joint would overfill it and before a larger joint is walked alone.
-    Returns three float arrays indexed like the iterable, each value equal
-    bit for bit to that of directed_info, reverse_directed_info and
-    mutual_information on the joint; with reverse=False the reverse values
-    are zeros and not computed.
+    Returns three float arrays indexed like the iterable, each value a running
+    sum of its terms and equal bit for bit to that of directed_info,
+    reverse_directed_info and mutual_information on the joint; with
+    reverse=False the reverse quantity has no terms, so its values are zeros.
     """
     flat = _mapped(_STACK_CELLS)
     buckets = {}  # shape -> (indices, offsets into flat)
@@ -382,7 +372,7 @@ def stream_information(joints, reverse: bool = True):
             _walk_buckets(buckets, flat, out, reverse)
             buffered = 0
         if big:
-            out[:, count: count + 1] = _walk_all(probs[None], joint.n, reverse)
+            out[:, count: count + 1] = _walks(probs[None], joint.n, _tables(joint.n, reverse))
         else:
             flat[buffered: buffered + probs.size] = probs.ravel()
             indices, offsets = buckets.setdefault(probs.shape, ([], []))

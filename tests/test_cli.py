@@ -499,9 +499,12 @@ def test_di_discrete_names_the_first_violation_in_draw_order(tmp_path, monkeypat
                        and shapes.count(shapes[i]) > 1 and shapes.count(shapes[j]) > 1)
     targets = {early: joints[early].probs, late: joints[late].probs}
     hits = []
-    real = partition_di._walk_all
+    real = partition_di._walks
 
-    def corrupted(probs, n, reverse):
+    def corrupted(probs, n, tables):
+        values = real(probs, n, tables)
+        if tables is not partition_di._tables(n, True):
+            return values
         # one nat too much reverse DI for the two target joints
         bump = np.zeros(len(probs))
         for k, row in enumerate(probs):
@@ -509,10 +512,10 @@ def test_di_discrete_names_the_first_violation_in_draw_order(tmp_path, monkeypat
                 if row.shape == target.shape and np.array_equal(row, target):
                     bump[k] = 1.0
                     hits.append(index)
-        di, rdi, mi = real(probs, n, reverse)
-        return di, rdi + bump, mi
+        values[1] += bump
+        return values
 
-    monkeypatch.setattr(partition_di, "_walk_all", corrupted)
+    monkeypatch.setattr(partition_di, "_walks", corrupted)
     assert run(["di-discrete", "--instances", "40", "--chains", "2",
                 "--out", str(tmp_path)]) == 1
     assert hits == [late, early]
@@ -609,17 +612,17 @@ def test_di_discrete_no_feedback_gap_fails(tmp_path, monkeypatch, capsys):
     gen = RngSpec(0).stream(2)
     joints = [random_no_feedback_joint(gen, *cli._random_sizes(gen, 3, 3)) for _ in range(8)]
     target = joints[3].probs
-    real = partition_di._walk_all
+    real = partition_di._walks
 
-    def corrupted(probs, n, reverse):
-        di, rdi, mi = real(probs, n, reverse)
-        if not reverse:
+    def corrupted(probs, n, tables):
+        values = real(probs, n, tables)
+        if tables is partition_di._tables(n, False):
             # DI above MI by more than the 1e-9 tolerance for the target joint
-            di = di + np.array([1e-8 if row.shape == target.shape and np.array_equal(row, target)
-                                else 0.0 for row in probs])
-        return di, rdi, mi
+            values[0] += np.array([1e-8 if row.shape == target.shape
+                                   and np.array_equal(row, target) else 0.0 for row in probs])
+        return values
 
-    monkeypatch.setattr(partition_di, "_walk_all", corrupted)
+    monkeypatch.setattr(partition_di, "_walks", corrupted)
     assert run(["di-discrete", "--instances", "40", "--chains", "2", "--out", str(tmp_path)]) == 1
     report = (tmp_path / "di_discrete_report.txt").read_text().splitlines()
     assert report[-1] == "result: FAIL (no-feedback di == mi, instance 3)"

@@ -345,7 +345,7 @@ def test_stacked_walk_matches_per_joint_functions_and_oracle():
         assert len(group) >= 3
         n = group[0].n
         stack = np.stack([joint.probs for joint in group])
-        di, rdi, mi = partition_di._walk_all(stack, n, True)
+        di, rdi, mi = partition_di._walks(stack, n, partition_di._tables(n, True))
         oracles = [oracle_quantities(joint.probs, n) for joint in group]
         for k, (joint, (o_di, o_rdi, o_mi, _)) in enumerate(zip(group, oracles)):
             for value, exact, oracle in ((di[k], directed_info(joint), o_di),
@@ -398,7 +398,8 @@ def test_joint_value_does_not_depend_on_its_stack():
                 stack = others[:at] + [copy] + others[at: size - 1]
                 assert [column[at] for column in stream_information(stack)] == alone
                 probs = np.stack([j.probs for j in stack])
-                assert [column[at] for column in partition_di._walk_all(probs, 3, True)] == alone
+                walked = partition_di._walks(probs, 3, partition_di._tables(3, True))
+                assert [column[at] for column in walked] == alone
                 for g, value in zip(groupings, grouped):
                     assert _grouped_stack(probs, 3, g.ends)[at] == value
 
@@ -413,15 +414,22 @@ def test_stream_information_keeps_the_order_of_its_input(monkeypatch):
     _assert_stream_matches_per_joint(joints, values)
     assert [column[5] for column in values] == [
         directed_info(lone), reverse_directed_info(lone), mutual_information(lone)]
+    _assert_reverse_free_matches(joints, values)
+    assert all(column.shape == (0,) for column in stream_information([]))
+    # joints over the stacking size are walked alone: the same bits as the
+    # public functions, and without reverse DI the same DI and MI
+    monkeypatch.setattr(partition_di, "_STACK_MAX", 1)
+    alone = stream_information(joints)
+    _assert_stream_matches_per_joint(joints, alone)
+    _assert_reverse_free_matches(joints, alone)
+
+
+def _assert_reverse_free_matches(joints, values):
+    """Without reverse DI the reverse row is exactly 0 and the DI and MI rows are values'."""
     di, rdi, mi = stream_information(joints, reverse=False)
     assert np.array_equal(rdi, np.zeros(len(joints)))
     assert np.array_equal(di, values[0])
     assert np.array_equal(mi, values[2])
-    assert all(column.shape == (0,) for column in stream_information([]))
-    # joints over the stacking size are walked alone: the same bits as the
-    # public functions
-    monkeypatch.setattr(partition_di, "_STACK_MAX", 1)
-    _assert_stream_matches_per_joint(joints, stream_information(joints))
 
 
 def _record_flushes(monkeypatch):
